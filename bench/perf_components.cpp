@@ -229,6 +229,8 @@ BM_MemoryExperimentEraser(benchmark::State &state)
 }
 BENCHMARK(BM_MemoryExperimentEraser)
     ->ArgName("width")->Arg(1)->Arg(64)->Arg(256)->Arg(512)
+    // Shots run on the worker pool, so rates are per wall second.
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -483,6 +485,7 @@ BENCHMARK(BM_MemoryExperimentEraserDecoded)
     ->ArgNames({"mode", "uf"})
     ->Args({0, 0})->Args({1, 0})->Args({2, 0})
     ->Args({0, 1})->Args({1, 1})->Args({2, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -527,6 +530,7 @@ BM_IrReplayVsHandWired(benchmark::State &state)
 }
 BENCHMARK(BM_IrReplayVsHandWired)
     ->ArgName("ir")->Arg(0)->Arg(1)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -586,7 +590,7 @@ BM_DemBuildTiled(benchmark::State &state)
             buildDetectorModel(code, 10 * d, Basis::Z));
     }
 }
-BENCHMARK(BM_DemBuildTiled)->Arg(3)->Arg(5)
+BENCHMARK(BM_DemBuildTiled)->Arg(3)->Arg(5)->Arg(7)->Arg(11)
     ->Unit(benchmark::kMillisecond);
 
 /**

@@ -14,7 +14,6 @@
 #include "code/rotated_surface_code.h"
 #include "code/types.h"
 #include "sim/batch_frame_simulator.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {

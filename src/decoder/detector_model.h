@@ -11,14 +11,31 @@
  * transversal data measurement, and s ranges over stabilizers of the
  * type protecting the memory basis.
  *
- * The builder enumerates every Pauli-noise mechanism of the base
- * (no-LRC) circuit, propagates it through the frame simulator, and
- * records which detectors (and whether the logical observable) flip.
- * Mechanisms with identical signatures are merged, keeping counts per
- * probability class so edge probabilities can be re-evaluated for any
- * physical error rate p without re-enumeration. For long experiments
- * the bulk rounds are built once and tiled through time; tests assert
- * tiled == direct.
+ * The builder walks the base (no-LRC) circuit once, from the last op
+ * back to the first, keeping per qubit the set of detectors (and
+ * whether the logical observable) that an X or a Z error at that point
+ * would flip: the reverse sensitivity pass Stim uses for its DEMs. The
+ * noiseless frame update is linear, so these sets are exactly what
+ * forward propagation of each fault would record. The sets each noisy
+ * op touches are saved as sparse lists, and every Pauli mechanism is
+ * then emitted in forward order with its signature XOR-composed from
+ * them. Mechanisms with identical signatures are merged, keeping
+ * counts per probability class so edge probabilities can be
+ * re-evaluated for any physical error rate p without re-enumeration.
+ *
+ * Long experiments enumerate an 8-round image instead. Its round-0
+ * mechanisms are placed directly, those of its last two rounds and
+ * final readout are shifted to the end, and its round-2 mechanisms
+ * form a bulk template for every middle round. The template's
+ * graph-like signatures are merged into unique edges first, and each
+ * edge is tiled across all bulk rounds in one go; wider signatures are
+ * tiled one by one. Tests assert tiled == direct.
+ *
+ * Edge-order contract: `edges` lists each edge at its first insertion,
+ * taking mechanisms in op order, then Pauli order (X, Y, Z; two-qubit
+ * index 1..15), with the tiled bulk inserted between the head and the
+ * tail. Decoders build their adjacency in this order, so it feeds every
+ * verdict fingerprint; tests/test_dem.cpp pins it with golden digests.
  *
  * Leakage mechanisms are deliberately NOT represented: the paper's
  * decoder is leakage-unaware, and so is this one.
@@ -103,9 +120,9 @@ DetectorModel buildDetectorModelDirect(const RotatedSurfaceCode &code,
 
 /**
  * Build the DEM of a compiled circuit program from its own
- * measure→detector/observable map (no lattice walking): the enumerator
- * propagates mechanisms through the program's base circuit and routes
- * outcome flips through `prog.detectors`. For surface-memory programs
+ * measure→detector/observable map (no lattice walking): the backward
+ * pass runs over the program's base circuit and routes outcome flips
+ * through `prog.detectors`. For surface-memory programs
  * this reproduces the code-based builder exactly; for new protocol
  * families (repetition memory) it is the only builder.
  */

@@ -245,6 +245,15 @@ compileFamilyProgram(const RotatedSurfaceCode &code,
         std::move(prog).value());
 }
 
+/** Only the component-dispatch and sliding-window decode stages read
+ *  the ComponentGraph; every other decoding experiment skips it. */
+bool
+needsComponentGraph(const ExperimentConfig &config)
+{
+    return config.decode &&
+           (config.componentDecode.enabled || config.windowLength > 0);
+}
+
 } // namespace
 
 MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
@@ -279,9 +288,10 @@ MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
                 : buildDetectorModel(*program_));
         decoder_ = decoder_factory(*dem_, config_.em.p);
         panicIf(!decoder_, "decoder factory returned null");
+    }
+    if (needsComponentGraph(config_))
         componentGraph_ = std::make_shared<ComponentGraph>(
             *dem_, config_.em.p);
-    }
 }
 
 MemoryExperiment::MemoryExperiment(
@@ -298,7 +308,7 @@ MemoryExperiment::MemoryExperiment(
         program_ = compileFamilyProgram(code_, config_);
     panicIf(config_.decode && (!dem_ || !decoder_),
             "decoding experiment needs a detector model and decoder");
-    if (config_.decode)
+    if (needsComponentGraph(config_))
         componentGraph_ = std::make_shared<ComponentGraph>(
             *dem_, config_.em.p);
 }

@@ -305,8 +305,10 @@ class MemoryExperiment
     {
         return program_;
     }
-    /** Component graph for the batched decode pipeline (null when
-     *  config.decode is false). Stateless; shared across threads. */
+    /** Component graph for the batched decode pipeline: null unless
+     *  component dispatch or windowing is on
+     *  (config.componentDecode.enabled or config.windowLength > 0).
+     *  Stateless; shared across threads. */
     std::shared_ptr<const ComponentGraph> componentGraph() const
     {
         return componentGraph_;

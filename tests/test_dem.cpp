@@ -1,15 +1,18 @@
 /**
  * @file
  * Detector-error-model tests: tiled construction must equal direct
- * enumeration, signatures must be graph-like, and probabilities sane.
+ * enumeration, the edge list must match golden order-sensitive
+ * digests, signatures must be graph-like, and probabilities sane.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <tuple>
 
+#include "code/circuit_ir.h"
 #include "decoder/detector_model.h"
 
 namespace qec
@@ -210,6 +213,134 @@ TEST(Dem, DetectorIdHelpers)
     const int id = model.detectorId(2, 3);
     EXPECT_EQ(model.detectorStab(id), 2);
     EXPECT_EQ(model.detectorRound(id), 3);
+}
+
+// ------------------------------------------------- golden edge order
+
+/**
+ * Order-sensitive FNV-1a digest of a model: the edge count, every edge
+ * field in vector order, then the two decomposition counters. Decoders
+ * build their adjacency from `edges` in order, so a reordered but
+ * otherwise equal edge list can change verdicts; TiledMatchesDirect
+ * compares edge maps and cannot see that.
+ */
+uint64_t
+demDigest(const DetectorModel &model)
+{
+    uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](int64_t v) {
+        const uint64_t bits = (uint64_t)v;
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    mix((int64_t)model.edges.size());
+    for (const DemEdge &e : model.edges) {
+        mix(e.a);
+        mix(e.b);
+        mix(e.obsFlip);
+        mix(e.n1);
+        mix(e.n3);
+        mix(e.n15);
+    }
+    mix(model.decomposedMechanisms);
+    mix(model.unmatchedDecompositions);
+    return h;
+}
+
+struct GoldenDem
+{
+    int d;
+    Basis basis;
+    int rounds;
+    uint64_t digest;
+};
+
+// Recorded from the forward builder that propagated every injected
+// fault through a noiseless FrameSimulator run, so these pin that the
+// backward sensitivity pass reproduces it exactly. Rounds 1 and 8 are
+// direct builds; 9, 3d and 10d are tiled.
+constexpr GoldenDem kSurfaceGolden[] = {
+    {3, Basis::Z, 1, 0x52b85ebe6c5f2930ULL},
+    {3, Basis::Z, 8, 0x696818e6c94b8c4eULL},
+    {3, Basis::Z, 9, 0x8076db629af02570ULL},
+    {3, Basis::Z, 30, 0xdec74241c43148adULL},
+    {3, Basis::X, 1, 0x3041fd34d83f0518ULL},
+    {3, Basis::X, 8, 0x9e7fa3d378d2a9a6ULL},
+    {3, Basis::X, 9, 0xce0fb13f3948ba98ULL},
+    {3, Basis::X, 30, 0xd7f3fc0abbc8fde5ULL},
+    {5, Basis::Z, 1, 0x5ed2163c31c20d8aULL},
+    {5, Basis::Z, 8, 0x61a206f88eb715b9ULL},
+    {5, Basis::Z, 9, 0x5036ab415b29a6fcULL},
+    {5, Basis::Z, 15, 0xf4b2e34f5caa9a6fULL},
+    {5, Basis::Z, 50, 0xdb6d5e1cdeb051d9ULL},
+    {5, Basis::X, 1, 0xaac5f9f14a30f682ULL},
+    {5, Basis::X, 8, 0xc2ed07ae5d4ee079ULL},
+    {5, Basis::X, 9, 0x9c760bab04d368a4ULL},
+    {5, Basis::X, 15, 0xffdb08f9d97f23c7ULL},
+    {5, Basis::X, 50, 0x162d9d4c137ba93dULL},
+    {7, Basis::Z, 1, 0x7da75ed7297d4e7cULL},
+    {7, Basis::Z, 8, 0xca017232929e79b7ULL},
+    {7, Basis::Z, 9, 0xb0c8fe502723b020ULL},
+    {7, Basis::Z, 21, 0xbc9e46ad051d0ad1ULL},
+    {7, Basis::Z, 70, 0xe75317187280b128ULL},
+    {7, Basis::X, 1, 0x26a5f9e00899e394ULL},
+    {7, Basis::X, 8, 0x2b4c804a33e8a6bfULL},
+    {7, Basis::X, 9, 0x390f661d845c92b8ULL},
+    {7, Basis::X, 21, 0x0dcd148bda80465fULL},
+    {7, Basis::X, 70, 0xec03cbf4afa9e160ULL},
+    {11, Basis::Z, 1, 0x11d3fc32c008e7f3ULL},
+    {11, Basis::Z, 8, 0xc4324973faae0ea8ULL},
+    {11, Basis::Z, 9, 0x58874aaa8698a471ULL},
+    {11, Basis::Z, 33, 0x5be979b3832692bdULL},
+    {11, Basis::Z, 110, 0xc0231483b61acc79ULL},
+    {11, Basis::X, 1, 0x0104e88f75fe5afbULL},
+    {11, Basis::X, 8, 0x8b068367a25381e9ULL},
+    {11, Basis::X, 9, 0x6f2ddef6921836cdULL},
+    {11, Basis::X, 33, 0xb0cba9fa0954c1a0ULL},
+    {11, Basis::X, 110, 0x6af293bf267ec893ULL},
+};
+
+constexpr GoldenDem kRepetitionGolden[] = {
+    {3, Basis::Z, 1, 0xaae89132808c1692ULL},
+    {3, Basis::Z, 8, 0x57a3f6e222563cf8ULL},
+    {3, Basis::Z, 9, 0x126369c55b90a292ULL},
+    {3, Basis::Z, 30, 0x4e05b36acf9a5e10ULL},
+    {5, Basis::Z, 1, 0x721d5c502901b50eULL},
+    {5, Basis::Z, 8, 0xc744f458d781e3deULL},
+    {5, Basis::Z, 9, 0x78ca12d005b9eeaeULL},
+    {5, Basis::Z, 15, 0x3d5057f36f761faeULL},
+    {5, Basis::Z, 50, 0x5d392f52b2aae8d8ULL},
+};
+
+TEST(DemGolden, SurfaceEdgeOrderPinned)
+{
+    // The lattice and program builders must both hit the digest: they
+    // emit the same edges in the same order.
+    for (const GoldenDem &g : kSurfaceGolden) {
+        SCOPED_TRACE(::testing::Message()
+                     << "d=" << g.d << " basis="
+                     << (g.basis == Basis::Z ? "Z" : "X")
+                     << " rounds=" << g.rounds);
+        RotatedSurfaceCode code(g.d);
+        EXPECT_EQ(demDigest(buildDetectorModel(code, g.rounds, g.basis)),
+                  g.digest);
+        const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+            code, g.rounds, g.basis, IrTailKind::SwapLrc);
+        EXPECT_EQ(demDigest(buildDetectorModel(prog)), g.digest);
+    }
+}
+
+TEST(DemGolden, RepetitionEdgeOrderPinned)
+{
+    for (const GoldenDem &g : kRepetitionGolden) {
+        SCOPED_TRACE(::testing::Message()
+                     << "d=" << g.d << " rounds=" << g.rounds);
+        EXPECT_EQ(demDigest(buildDetectorModel(
+                      CircuitCompiler::repetitionMemory(g.d, g.rounds))),
+                  g.digest);
+    }
 }
 
 } // namespace
