@@ -194,11 +194,10 @@ BENCHMARK(BM_BatchFrameSimRound)
     ->Args({11, 256})->Args({11, 512});
 
 /**
- * Whole-experiment throughput of the two engines on the paper's
- * headline configuration: a d=11 memory experiment driven by the
- * ERASER policy (decode off, so the comparison isolates the
- * simulation + scheduling hot path that the batch engine replaces).
- * Compare the shots/s counters of the scalar and batched variants.
+ * Whole-experiment throughput of the batch engine across word-group
+ * widths on the paper's headline configuration: a d=11 memory
+ * experiment driven by the ERASER policy (decode off, so the
+ * comparison isolates the simulation + scheduling hot path).
  */
 void
 BM_MemoryExperimentEraser(benchmark::State &state)
@@ -228,7 +227,7 @@ BM_MemoryExperimentEraser(benchmark::State &state)
         (double)shots, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MemoryExperimentEraser)
-    ->ArgName("width")->Arg(1)->Arg(64)->Arg(256)->Arg(512)
+    ->ArgName("width")->Arg(64)->Arg(256)->Arg(512)
     // Shots run on the worker pool, so rates are per wall second.
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
@@ -430,10 +429,10 @@ BENCHMARK(BM_ComponentPipelineDecode)
 
 /**
  * End-to-end decoded throughput of the paper's headline d=11 ERASER
- * memory experiment. mode 0: all-scalar (PR 0 baseline); mode 1:
- * batched sim + scalar decode-per-shot loop (PR 1 baseline); mode 2:
- * batched sim + batch-aware decode pipeline. The mode1 -> mode2
- * shots/s ratio is the decode-pipeline speedup.
+ * memory experiment. mode 1: batched sim + a decode-per-shot loop
+ * over the frozen legacy decoders; mode 2: batched sim + batch-aware
+ * decode pipeline. The mode1 -> mode2 shots/s ratio is the
+ * decode-pipeline speedup.
  */
 void
 BM_MemoryExperimentEraserDecoded(benchmark::State &state)
@@ -450,10 +449,11 @@ BM_MemoryExperimentEraserDecoded(benchmark::State &state)
     cfg.decode = true;
     cfg.decoderKind = union_find ? DecoderKind::UnionFind
                                  : DecoderKind::Mwpm;
-    cfg.batchWidth = mode == 0 ? 1 : 64;
+    cfg.batchWidth = 64;
     cfg.batchDecode = mode == 2;
-    // Modes 0/1 decode with the frozen PR 1 decoders so the mode
-    // ratios track real cross-PR speedups.
+    // Mode 1 decodes with the frozen legacy decoders
+    // (bench/legacy_decoders.h) so the mode ratio tracks real
+    // cross-version speedups.
     const DecoderFactory legacy_factory =
         [union_find](const DetectorModel &dem,
                      double p) -> std::unique_ptr<Decoder> {
@@ -483,8 +483,8 @@ BM_MemoryExperimentEraserDecoded(benchmark::State &state)
 }
 BENCHMARK(BM_MemoryExperimentEraserDecoded)
     ->ArgNames({"mode", "uf"})
-    ->Args({0, 0})->Args({1, 0})->Args({2, 0})
-    ->Args({0, 1})->Args({1, 1})->Args({2, 1})
+    ->Args({1, 0})->Args({2, 0})
+    ->Args({1, 1})->Args({2, 1})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -516,7 +516,7 @@ BM_IrReplayVsHandWired(benchmark::State &state)
     uint64_t shots = 0;
     for (auto _ : state) {
         if (ir) {
-            auto result = exp.runBatched(factory, "eraser");
+            auto result = exp.run(factory, "eraser");
             benchmark::DoNotOptimize(result.logicalErrors);
             shots += result.shots;
         } else {
@@ -795,7 +795,7 @@ emitDecodeJson()
 
             t0 = std::chrono::steady_clock::now();
             const ExperimentResult replay =
-                exp.runBatched(factory, "eraser");
+                exp.run(factory, "eraser");
             secs = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

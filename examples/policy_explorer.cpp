@@ -20,7 +20,7 @@
  *                        (or a comma-separated subset)
  *   --protocol NAME      swap|dqlr (default swap)
  *   --transport NAME     conservative|exchange (default conservative)
- *   --width W            simulator word-group width (default 1)
+ *   --width W            simulator word-group width (default 64)
  *   --no-leakage         disable leakage entirely
  *   --seed S             fixed RNG seed override for every point
  *   --precision F        early-stop at Wilson rel. precision F
@@ -123,7 +123,7 @@ main(int argc, char **argv)
     std::string json_path;
     RemovalProtocol protocol = RemovalProtocol::SwapLrc;
     TransportModel transport = TransportModel::Conservative;
-    unsigned width = 1;
+    unsigned width = 64;
     bool leakage = true;
     bool seed_override = false;
     uint64_t seed = 0;

@@ -34,11 +34,11 @@ main()
                      PolicyKind::EraserM, PolicyKind::Optimal};
     plan.base.shots = 2000;
     plan.base.trackLpr = true;
-    // Shots per simulator word-group: 1 = scalar reference path,
-    // 2..64 = one 64-bit word per bit-plane, 256/512 = the 4-/8-word
-    // SIMD engine. Results are bit-identical across 64/256/512 (each
-    // 64-lane block keeps its own noise streams);
-    // recommendedBatchWidth() picks the host's throughput sweet spot.
+    // Shots per simulator word-group: 1..64 = one 64-bit word per
+    // bit-plane, 256/512 = the 4-/8-word SIMD engine. Results are
+    // bit-identical across 64/256/512 (each 64-lane block keeps its
+    // own noise streams); recommendedBatchWidth() picks the host's
+    // throughput sweet spot.
     plan.base.batchWidth = (unsigned)recommendedBatchWidth();
 
     SweepRunner runner(plan);

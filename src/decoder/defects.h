@@ -14,6 +14,7 @@
 #include "code/rotated_surface_code.h"
 #include "code/types.h"
 #include "sim/batch_frame_simulator.h"
+#include "sim/frame_simulator.h"
 
 namespace qec
 {

@@ -320,7 +320,9 @@ SweepCheckpoint::serialize() const
             putBool(payload, policy.progress.stopped);
             putF64(payload, policy.seconds);
             putU64(payload, policy.progress.nextSpan);
-            putU64(payload, policy.progress.scalarNext);
+            // Legacy slot: the cursor of the retired per-shot engine.
+            // Always 0, kept so the qec.ckpt.v1 layout is unchanged.
+            putU64(payload, 0);
             putResult(payload, policy.progress.total);
         }
     }
@@ -400,7 +402,13 @@ SweepCheckpoint::deserialize(const std::string &bytes)
             policy.progress.stopped = body.boolean();
             policy.seconds = body.f64();
             policy.progress.nextSpan = body.u64();
-            policy.progress.scalarNext = body.u64();
+            const uint64_t scalar_next = body.u64();
+            if (body.ok() && scalar_next != 0)
+                return dataLossError(
+                    "checkpoint holds progress of the retired scalar "
+                    "per-shot path (legacy cursor " +
+                    std::to_string(scalar_next) +
+                    "); it cannot resume on the batch engine");
             policy.progress.total = readResult(body);
             point.policies.push_back(std::move(policy));
         }

@@ -19,8 +19,8 @@
 namespace qec
 {
 
-/** Per-shot / per-word-group counters merged under a mutex after each
- *  work item. */
+/** Per-word-group counters merged under a mutex after each work
+ *  item. */
 struct ExperimentShotStats
 {
     uint64_t logicalErrors = 0;

@@ -38,14 +38,12 @@ struct ExperimentSession::Impl
     std::string name;
     SessionOptions options;
 
-    /** Word-group width (>= 1); 0 selects the scalar per-shot path. */
-    unsigned width = 0;
+    /** Word-group width, in [1, kMaxBatchLanes]. */
+    unsigned width = 1;
     /** Global word-group decomposition of the full run; chunks only
      *  ever cut between spans, the bit-identity anchor. */
     std::vector<std::pair<uint64_t, int>> spans;
     size_t nextSpan = 0;
-    /** Scalar-path shot cursor. */
-    uint64_t scalarNext = 0;
 
     /** Per-worker decode pipelines, persistent across chunks. */
     std::vector<ExperimentDecodeContext> contexts;
@@ -83,28 +81,11 @@ ExperimentSession::ExperimentSession(const MemoryExperiment &exp,
     im.options = options;
 
     const ExperimentConfig &cfg = exp.config();
-    // Non-surface families exist only as compiled programs, so they
-    // always replay on the batch engine (width 1 runs the engine's
-    // scalar-delegating single-lane groups).
-    const bool batched = options.forceBatched || cfg.batchWidth > 1 ||
-                         cfg.family != CircuitFamily::SurfaceMemory;
-    if (batched) {
-        im.width = std::min<unsigned>(
-            std::max<unsigned>(cfg.batchWidth, 1),
-            (unsigned)kMaxBatchLanes);
-        im.spans = batchGroupSpans(cfg.shots, im.width);
-        im.contexts = std::vector<ExperimentDecodeContext>(
-            resolveThreadCount(std::max<uint64_t>(im.spans.size(), 1),
-                               cfg.threads));
-        if (cfg.decode) {
-            const BatchDecodeOptions batch_opts =
-                exp.resolvedBatchOptions();
-            for (auto &ctx : im.contexts)
-                ctx.pipeline = std::make_unique<BatchDecoder>(
-                    *exp.decoder(), batch_opts,
-                    exp.componentGraph());
-        }
-    }
+    im.width = std::min<unsigned>(std::max<unsigned>(cfg.batchWidth, 1),
+                                  (unsigned)kMaxBatchLanes);
+    im.spans = batchGroupSpans(cfg.shots, im.width);
+    ensureWorkerSlots(resolveThreadCount(
+        std::max<uint64_t>(im.spans.size(), 1), cfg.threads));
     im.total = newPartial();
 }
 
@@ -128,11 +109,7 @@ bool
 ExperimentSession::done() const
 {
     const Impl &im = *impl_;
-    if (im.stopped)
-        return true;
-    if (im.width > 0)
-        return im.nextSpan >= im.spans.size();
-    return im.scalarNext >= im.exp->config().shots;
+    return im.stopped || im.nextSpan >= im.spans.size();
 }
 
 bool
@@ -155,7 +132,6 @@ ExperimentSession::progress() const
     SessionProgress progress;
     progress.total = im.total;
     progress.nextSpan = im.nextSpan;
-    progress.scalarNext = im.scalarNext;
     progress.stopped = im.stopped;
     return progress;
 }
@@ -164,64 +140,43 @@ Status
 ExperimentSession::restore(const SessionProgress &progress)
 {
     Impl &im = *impl_;
-    if (im.total.shots != 0 || im.nextSpan != 0 ||
-        im.scalarNext != 0)
+    if (im.total.shots != 0 || im.nextSpan != 0)
         return failedPrecondition(
             "session restore requires a fresh session");
-    if (im.width > 0) {
-        if (progress.nextSpan > im.spans.size())
-            return dataLossError(
-                "restored span cursor " +
-                std::to_string(progress.nextSpan) +
-                " exceeds the plan's " +
-                std::to_string(im.spans.size()) + " word-groups");
-        // The shot total must be exactly the lanes of the consumed
-        // spans: anything else means the snapshot was taken against a
-        // different (shots, width) decomposition and resuming it
-        // would silently rerun or skip shots.
-        uint64_t expected = 0;
-        for (uint64_t s = 0; s < progress.nextSpan; ++s)
-            expected += (uint64_t)im.spans[s].second;
-        if (progress.total.shots != expected ||
-            progress.scalarNext != 0)
-            return dataLossError(
-                "restored progress is inconsistent with this "
-                "session's word-group decomposition");
-    } else {
-        if (progress.scalarNext > im.exp->config().shots ||
-            progress.total.shots != progress.scalarNext ||
-            progress.nextSpan != 0)
-            return dataLossError(
-                "restored progress is inconsistent with this "
-                "session's shot count");
-    }
+    if (progress.nextSpan > im.spans.size())
+        return dataLossError(
+            "restored span cursor " + std::to_string(progress.nextSpan) +
+            " exceeds the plan's " + std::to_string(im.spans.size()) +
+            " word-groups");
+    // The shot total must be exactly the lanes of the consumed spans:
+    // anything else means the snapshot was taken against a different
+    // (shots, width) decomposition and resuming it would silently
+    // rerun or skip shots.
+    uint64_t expected = 0;
+    for (uint64_t s = 0; s < progress.nextSpan; ++s)
+        expected += (uint64_t)im.spans[s].second;
+    if (progress.total.shots != expected)
+        return dataLossError(
+            "restored progress is inconsistent with this "
+            "session's word-group decomposition");
     im.total = progress.total;
     if (im.total.policy.empty())
         im.total.policy = im.name;
     im.nextSpan = progress.nextSpan;
-    im.scalarNext = progress.scalarNext;
     im.stopped = progress.stopped;
     return okStatus();
 }
 
 uint64_t
-ExperimentSession::totalSpans() const
+ExperimentSession::totalUnits() const
 {
     return impl_->spans.size();
 }
 
 uint64_t
-ExperimentSession::totalUnits() const
-{
-    const Impl &im = *impl_;
-    return im.width > 0 ? im.spans.size() : im.exp->config().shots;
-}
-
-uint64_t
 ExperimentSession::nextUnit() const
 {
-    const Impl &im = *impl_;
-    return im.width > 0 ? im.nextSpan : im.scalarNext;
+    return impl_->nextSpan;
 }
 
 SessionChunkPlan
@@ -232,18 +187,11 @@ ExperimentSession::planChunkAt(uint64_t begin_unit,
     SessionChunkPlan plan;
     plan.beginUnit = plan.endUnit = begin_unit;
     const uint64_t want = std::max<uint64_t>(max_shots, 1);
-    if (im.width > 0) {
-        // Round the request up to word-group boundaries: groups are
-        // the unit of execution (and of the bit-identity guarantee).
-        while (plan.endUnit < im.spans.size() && plan.shots < want) {
-            plan.shots += (uint64_t)im.spans[plan.endUnit].second;
-            ++plan.endUnit;
-        }
-    } else {
-        const uint64_t shots = im.exp->config().shots;
-        const uint64_t begin = std::min(begin_unit, shots);
-        plan.endUnit = begin + std::min(shots - begin, want);
-        plan.shots = plan.endUnit - begin;
+    // Round the request up to word-group boundaries: groups are the
+    // unit of execution (and of the bit-identity guarantee).
+    while (plan.endUnit < im.spans.size() && plan.shots < want) {
+        plan.shots += (uint64_t)im.spans[plan.endUnit].second;
+        ++plan.endUnit;
     }
     return plan;
 }
@@ -252,7 +200,7 @@ void
 ExperimentSession::ensureWorkerSlots(unsigned n)
 {
     Impl &im = *impl_;
-    if (im.width == 0 || im.contexts.size() >= n)
+    if (im.contexts.size() >= n)
         return;
     const MemoryExperiment &exp = *im.exp;
     if (exp.config().decode) {
@@ -282,15 +230,6 @@ ExperimentSession::runPlannedUnit(uint64_t unit, unsigned slot)
     if (cfg.trackLpr) {
         stats.lprData.assign(cfg.rounds, 0.0);
         stats.lprParity.assign(cfg.rounds, 0.0);
-    }
-
-    if (im.width == 0) {
-        panicIf(unit >= cfg.shots, "scalar unit out of range");
-        exp.runShot(unit, im.factory, stats);
-        exp.mergeStats(partial, stats);
-        partial.shots = 1;
-        partial.roundsTotal = (uint64_t)cfg.rounds;
-        return partial;
     }
 
     panicIf(unit >= im.spans.size(), "span unit out of range");
@@ -346,10 +285,7 @@ ExperimentSession::commitChunk(const SessionChunkPlan &plan,
     panicIf(im.stopped,
             "chunk committed after the early stop (speculative "
             "chunks must be discarded)");
-    if (im.width > 0)
-        im.nextSpan = plan.endUnit;
-    else
-        im.scalarNext = plan.endUnit;
+    im.nextSpan = plan.endUnit;
     im.total.merge(merged);
     evaluateStop();
 }
@@ -402,8 +338,7 @@ ExperimentSession::defaultChunkShotsAt(uint64_t shots_done) const
     if (im.options.earlyStop.checkEvery > 0) {
         chunk = im.options.earlyStop.checkEvery;
     } else {
-        const uint64_t width = std::max<unsigned>(im.width, 1);
-        chunk = std::max<uint64_t>(4 * width,
+        chunk = std::max<uint64_t>(4 * (uint64_t)im.width,
                                    im.exp->config().shots / 64);
     }
     // A shot cap bounds the chunk too: overshoot past maxShots is at

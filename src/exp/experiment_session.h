@@ -9,15 +9,13 @@
  * at any time — so sweep orchestration can interleave points, stream
  * rows to sinks, and stop early once a target precision is reached.
  *
- * Bit-identity guarantee: on the batched engine, chunk boundaries are
- * aligned to the word-group decomposition of the full run
- * (batchGroupSpans), and every group's noise streams are seeded by
- * (config.seed, first shot) alone — so a chunked session is
- * bit-identical (equal verdict fingerprint, counters, and LPR sums)
- * to a single MemoryExperiment::runBatched call at every width, for
- * any sequence of chunk sizes. On the scalar path (batchWidth <= 1)
- * shots are seeded individually (Rng::forShot), so any chunking is
- * bit-identical there too.
+ * Bit-identity guarantee: chunk boundaries are aligned to the
+ * word-group decomposition of the full run (batchGroupSpans), and
+ * every group's noise streams are seeded by (config.seed, first shot)
+ * alone — so a chunked session is bit-identical (equal verdict
+ * fingerprint, counters, and LPR sums) to a single
+ * MemoryExperiment::run call at every width, for any sequence of
+ * chunk sizes.
  */
 
 #ifndef QEC_EXP_EXPERIMENT_SESSION_H
@@ -75,9 +73,9 @@ double wilsonRelHalfWidth(uint64_t k, uint64_t n, double z);
 /**
  * One planned, not-yet-committed chunk: the half-open range of
  * execution units [beginUnit, endUnit) a chunk covers, aligned exactly
- * as runChunk would align it. A unit is one word-group span on the
- * batched path and one shot on the scalar path — the grain at which a
- * scheduler may execute a session's work concurrently (see
+ * as runChunk would align it. A unit is one word-group span — the
+ * grain at which a scheduler may execute a session's work
+ * concurrently (see
  * ExperimentSession::runPlannedUnit / commitChunk).
  */
 struct SessionChunkPlan
@@ -104,9 +102,6 @@ struct SessionChunkPlan
 struct SessionOptions
 {
     EarlyStopRule earlyStop;
-    /** Run the bit-packed batch engine even when
-     *  config.batchWidth <= 1 (MemoryExperiment::runBatched). */
-    bool forceBatched = false;
     /**
      * Wall-clock budget for runToCompletion, checked between chunks
      * (0 = none). When it expires the session stops cleanly at the
@@ -132,10 +127,8 @@ struct SessionOptions
 struct SessionProgress
 {
     ExperimentResult total;
-    /** Word-groups already executed (batched path cursor). */
+    /** Word-groups already executed. */
     uint64_t nextSpan = 0;
-    /** Shots already executed (scalar path cursor). */
-    uint64_t scalarNext = 0;
     /** The early-stop rule had already ended the session. */
     bool stopped = false;
 };
@@ -156,10 +149,10 @@ class ExperimentSession
 
     /**
      * Run up to `max_shots` more shots and return that chunk's partial
-     * result (also merged into result()). On the batched engine the
-     * chunk is rounded up to the next word-group boundary — the unit
-     * of execution — so the shots actually run (`partial.shots`) may
-     * exceed the request; a zero request still runs one group. Returns
+     * result (also merged into result()). The chunk is rounded up
+     * to the next word-group boundary — the unit of execution — so
+     * the shots actually run (`partial.shots`) may exceed the
+     * request; a zero request still runs one group. Returns
      * an empty partial once the session is done. Evaluates the
      * early-stop rule on the accumulated result before returning.
      */
@@ -187,8 +180,8 @@ class ExperimentSession
     /**
      * Reinstate a progress snapshot into a freshly-constructed
      * session of the same (experiment, policy). Rejects snapshots
-     * whose cursors are inconsistent with this session's word-group
-     * decomposition (or shot count) — the defense against resuming a
+     * whose cursor is inconsistent with this session's word-group
+     * decomposition — the defense against resuming a
      * checkpoint against the wrong plan. FailedPrecondition if this
      * session has already run chunks.
      */
@@ -203,10 +196,6 @@ class ExperimentSession
      */
     uint64_t defaultChunkShots() const;
 
-    /** Total word-group chunks available on the batched path (0 on
-     *  the scalar path); progress().nextSpan ranges over [0, this]. */
-    uint64_t totalSpans() const;
-
     // ------------------------------------------ scheduler interface
     //
     // A cross-point scheduler (exp/sweep_scheduler.h) splits chunks
@@ -216,8 +205,8 @@ class ExperimentSession
     // boundaries (and therefore every early-stop decision) is exactly
     // the sequence runChunk/runToCompletion would have produced.
 
-    /** Execution units in the whole session: word-group spans on the
-     *  batched path, shots on the scalar path. */
+    /** Execution units (word-group spans) in the whole session;
+     *  progress().nextSpan ranges over [0, this]. */
     uint64_t totalUnits() const;
     /** Cursor of the next unexecuted unit. */
     uint64_t nextUnit() const;

@@ -472,7 +472,7 @@ runGroup(const MemoryExperiment &exp, uint64_t first_shot, int lanes,
 
 /**
  * Run every shot of the experiment through the frozen hand-wired
- * word-group driver (always the batch engine, like runBatched). The
+ * word-group driver (the batch engine, like MemoryExperiment::run). The
  * group decomposition, engine seeding and decode pipeline match the
  * harness exactly, so the returned fingerprints/counters are directly
  * comparable with ExperimentResult.

@@ -1,18 +1,13 @@
 #include "exp/memory_experiment.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "base/logging.h"
-#include "base/parallel.h"
-#include "code/builder.h"
 #include "decoder/batch_decoder.h"
-#include "decoder/defects.h"
 #include "decoder/sparse_syndrome.h"
 #include "exp/experiment_internal.h"
 #include "exp/experiment_session.h"
 #include "sim/batch_frame_simulator.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {
@@ -366,8 +361,6 @@ ExperimentResult
 MemoryExperiment::run(const PolicyFactory &factory,
                       const std::string &name) const
 {
-    if (config_.batchWidth > 1)
-        return runBatched(factory, name);
     ExperimentSession session(*this, factory, name);
     return session.runToCompletion();
 }
@@ -391,33 +384,14 @@ MemoryExperiment::resolvedBatchOptions() const
     return options;
 }
 
-// A 1-lane group delegates to the scalar reference simulator at every
-// width, so splitting 1-lane tail blocks into their own groups keeps
-// wide runs bit-identical to the width-64 runs (whose 1-lane tails
-// always were their own groups). For width <= 64 the decomposition is
-// unchanged from the pre-SIMD engine.
 std::vector<std::pair<uint64_t, int>>
 batchGroupSpans(uint64_t shots, uint64_t width)
 {
     std::vector<std::pair<uint64_t, int>> spans;
-    for (uint64_t first = 0; first < shots;) {
-        uint64_t take = std::min<uint64_t>(width, shots - first);
-        if (take > 1 && take % 64 == 1)
-            --take;
-        spans.push_back({first, (int)take});
-        first += take;
-    }
+    for (uint64_t first = 0; first < shots; first += width)
+        spans.push_back(
+            {first, (int)std::min<uint64_t>(width, shots - first)});
     return spans;
-}
-
-ExperimentResult
-MemoryExperiment::runBatched(const PolicyFactory &factory,
-                             const std::string &name) const
-{
-    SessionOptions options;
-    options.forceBatched = true;
-    ExperimentSession session(*this, factory, name, options);
-    return session.runToCompletion();
 }
 
 namespace
@@ -429,163 +403,7 @@ popcount64(uint64_t word)
     return __builtin_popcountll(word);
 }
 
-/**
- * Execute one round, honoring ERASER+M's in-round rule: if an LRC'd
- * data qubit reads out as |L>, squash the MOV-back and reset the
- * parity qubit instead (Section 4.6.2).
- */
-void
-executeRound(FrameSimulator &sim, const RoundSchedule &sched,
-             bool multi_level)
-{
-    const auto &ops = sched.ops;
-    if (!multi_level || sched.lrcs.empty()) {
-        sim.executeRange(ops.data(), ops.data() + ops.size());
-        return;
-    }
-
-    size_t await_measure = 0;
-    size_t await_mov = 0;
-    std::vector<uint8_t> leaked_label(sched.lrcs.size(), 0);
-    for (size_t i = 0; i < ops.size(); ++i) {
-        if (await_mov < sched.lrcs.size() &&
-            i == sched.lrcs[await_mov].movBegin) {
-            const auto &span = sched.lrcs[await_mov];
-            if (leaked_label[await_mov]) {
-                Op reset;
-                reset.type = OpType::Reset;
-                reset.q0 = span.parity;
-                sim.execute(reset);
-                i = span.movEnd - 1;
-                ++await_mov;
-                continue;
-            }
-            ++await_mov;
-        }
-        sim.execute(ops[i]);
-        if (await_measure < sched.lrcs.size() &&
-            i == sched.lrcs[await_measure].measureIndex) {
-            leaked_label[await_measure] =
-                sim.record().back().leakedLabel ? 1 : 0;
-            ++await_measure;
-        }
-    }
-}
-
 } // namespace
-
-void
-MemoryExperiment::runShot(uint64_t shot, const PolicyFactory &factory,
-                          ExperimentShotStats &stats) const
-{
-    panicIf(config_.family != CircuitFamily::SurfaceMemory,
-            "the scalar per-shot path walks the surface lattice; "
-            "compiled families replay on the batch engine");
-    const int n_stabs = code_.numStabilizers();
-    const int n_data = code_.numData();
-    const StabType primary = protectingStabType(config_.basis);
-
-    FrameSimulator sim(code_.numQubits(), config_.em,
-                       Rng::forShot(config_.seed, shot));
-    // Every round yields one check bit per stabilizer (plain or LRC'd)
-    // and the shot ends with the transversal data measurement.
-    sim.reserveRecord((size_t)config_.rounds * n_stabs + n_data);
-    QecScheduleGenerator qsg(code_, config_.protocol);
-    auto policy = factory();
-
-    std::vector<LrcPair> lrcs = policy->firstRound();
-    std::vector<uint8_t> prev_flips(n_stabs, 0);
-    RoundObservation obs;
-    obs.events.resize(n_stabs);
-    obs.leakedLabels.resize(n_stabs);
-    obs.hadLrc.resize(n_data);
-    obs.trueLeakedData.resize(n_data);
-
-    std::vector<uint8_t> flips(n_stabs);
-
-    for (int r = 0; r < config_.rounds; ++r) {
-        // Account the scheduling decision against the ground truth at
-        // decision time (end of the previous round).
-        for (const auto &pair : lrcs)
-            obs.hadLrc[pair.data] = 2;   // temp tag: scheduled
-        for (int q = 0; q < n_data; ++q) {
-            const bool scheduled = obs.hadLrc[q] == 2;
-            const bool is_leaked = sim.leaked(q);
-            if (scheduled && is_leaked)
-                ++stats.tp;
-            else if (scheduled && !is_leaked)
-                ++stats.fp;
-            else if (!scheduled && is_leaked)
-                ++stats.fn;
-            else
-                ++stats.tn;
-        }
-        stats.lrcsScheduled += lrcs.size();
-
-        const size_t record_mark = sim.record().size();
-        RoundSchedule sched = qsg.generate(r, lrcs);
-        executeRound(sim, sched, policy->usesMultiLevelReadout());
-
-        // Gather this round's syndrome.
-        std::fill(flips.begin(), flips.end(), 0);
-        std::fill(obs.leakedLabels.begin(), obs.leakedLabels.end(), 0);
-        for (size_t i = record_mark; i < sim.record().size(); ++i) {
-            const auto &rec = sim.record()[i];
-            if (rec.stab < 0)
-                continue;
-            flips[rec.stab] = rec.flip ? 1 : 0;
-            // |L> labels on normal parity readout feed ERASER+M's LSB;
-            // LRC'd data readouts are consumed in-round instead.
-            if (!rec.lrcData)
-                obs.leakedLabels[rec.stab] =
-                    rec.leakedLabel ? 1 : 0;
-        }
-
-        if (config_.trackLpr) {
-            stats.lprData[r] += sim.countLeaked(0, n_data);
-            stats.lprParity[r] +=
-                sim.countLeaked(n_data, code_.numQubits());
-        }
-
-        // Detection events for the speculation logic.
-        for (int s = 0; s < n_stabs; ++s) {
-            if (r == 0) {
-                // Only the protected-basis checks are deterministic in
-                // the first round; the other basis starts random.
-                obs.events[s] =
-                    code_.stabilizer(s).type == primary ? flips[s]
-                                                        : 0;
-            } else {
-                obs.events[s] = flips[s] ^ prev_flips[s];
-            }
-        }
-        prev_flips = flips;
-
-        obs.round = r;
-        std::fill(obs.hadLrc.begin(), obs.hadLrc.end(), 0);
-        for (const auto &pair : lrcs)
-            obs.hadLrc[pair.data] = 1;
-        for (int q = 0; q < n_data; ++q)
-            obs.trueLeakedData[q] = sim.leaked(q) ? 1 : 0;
-
-        lrcs = policy->nextRound(obs);
-    }
-
-    if (!config_.decode)
-        return;
-
-    auto final_ops =
-        buildFinalMeasurement(code_, config_.rounds, config_.basis);
-    sim.executeRange(final_ops.data(),
-                     final_ops.data() + final_ops.size());
-
-    ShotOutcome outcome = extractDefects(code_, config_.basis,
-                                         config_.rounds, sim.record());
-    const bool predicted = decoder_->decode(outcome.defects);
-    const bool error = predicted != outcome.observableFlip;
-    stats.logicalErrors += error ? 1 : 0;
-    stats.verdictHash ^= verdictMix(shot, error);
-}
 
 template <int NW>
 void

@@ -54,8 +54,7 @@ struct ExperimentConfig
      * code/circuit_ir.h). SurfaceMemory is the paper's protocol;
      * RepetitionMemory is a pure compiler path — same engine, same
      * decode pipeline, no lattice anywhere — protecting the Z basis
-     * only. Non-surface families always run on the batch engine
-     * (the scalar per-shot path walks the surface lattice).
+     * only.
      */
     CircuitFamily family = CircuitFamily::SurfaceMemory;
     ErrorModel em = ErrorModel::standard(1e-3);
@@ -72,18 +71,19 @@ struct ExperimentConfig
     bool trackLpr = false;
     unsigned threads = 0;
     /**
-     * Shots packed per simulator word-group (1..512). 1 selects the
-     * scalar per-shot path; >1 selects the bit-packed batch engine,
-     * which chunks shots into word-groups and is statistically
-     * equivalent (but not draw-for-draw identical) to the scalar
-     * path. Widths above 64 run the SIMD multi-word engine (64 lanes
-     * per plane word, up to 8 words); because every 64-lane block
-     * keeps its own noise streams, 256- and 512-wide runs are
-     * bit-identical to the corresponding 64-wide runs. 256/512 are
-     * the throughput sweet spots on AVX2/AVX-512 hosts (see
-     * recommendedBatchWidth()).
+     * Shots packed per simulator word-group (1..512; 0 counts as 1).
+     * Every width replays the compiled program on the bit-packed
+     * batch engine. Widths up to 64 use one plane word; widths above
+     * 64 run the SIMD multi-word engine (64 lanes per plane word, up
+     * to 8 words). Every 64-lane block keeps its own noise streams,
+     * so 256- and 512-wide runs are bit-identical to the
+     * corresponding 64-wide runs; widths that are not a multiple of
+     * 64 cut the blocks differently and draw different streams.
+     * 256/512 are the throughput sweet spots on AVX2/AVX-512 hosts
+     * (see recommendedBatchWidth()). The default is fixed rather than
+     * host-dependent because checkpoint plan identity includes it.
      */
-    unsigned batchWidth = 1;
+    unsigned batchWidth = 64;
     DecoderOptions decoderOptions;
     /**
      * Drive the batched engine's decode step through the BatchDecoder
@@ -137,7 +137,7 @@ struct ExperimentResult
     int numDataQubits = 0;
     int numParityQubits = 0;
 
-    /** Batched decode pipeline counters (zero on the scalar path). */
+    /** Batched decode pipeline counters (zero with batchDecode off). */
     uint64_t decodedShots = 0;        ///< Shots that ran a real decode.
     uint64_t zeroDefectShots = 0;     ///< Shots skipped (no defects).
     uint64_t syndromeCacheHits = 0;   ///< Shots replayed from cache.
@@ -202,12 +202,11 @@ struct ExperimentResult
 Status validateExperimentConfig(const ExperimentConfig &config);
 
 /**
- * Word-group decomposition shared by every batched driver: (first
- * shot, lane count) spans covering [0, shots), groups of `width`
- * lanes with a ragged tail — except that a tail whose last 64-lane
- * block would hold exactly one lane is split so the final shot forms
- * its own 1-lane (scalar-delegating) group, keeping wide runs
- * bit-identical to the width-64 runs.
+ * Word-group decomposition shared by every experiment driver: (first
+ * shot, lane count) spans covering [0, shots) in groups of `width`
+ * lanes, the last one ragged. Because noise streams are per 64-lane
+ * block, a width that is a multiple of 64 cuts the same blocks as
+ * width 64, so wide runs stay bit-identical to the width-64 runs.
  */
 std::vector<std::pair<uint64_t, int>> batchGroupSpans(uint64_t shots,
                                                       uint64_t width);
@@ -266,22 +265,13 @@ class MemoryExperiment
     ExperimentResult run(PolicyKind kind) const;
 
     /**
-     * Run all shots with a custom policy factory. Dispatches to the
-     * batched engine when config().batchWidth > 1.
+     * Run all shots with a custom policy factory: IR replay on the
+     * batch engine in word-groups of config().batchWidth lanes.
+     * Widths 256/512 reproduce the width-64 runs bit for bit
+     * (per-block noise streams).
      */
     ExperimentResult run(const PolicyFactory &factory,
                          const std::string &name) const;
-
-    /**
-     * Run all shots on the bit-packed batch engine regardless of
-     * config().batchWidth (word-group width = max(batchWidth, 1),
-     * clamped to 512). With width 1 this reproduces the scalar path
-     * draw-for-draw, which the differential tests rely on; widths
-     * 256/512 reproduce the width-64 runs bit for bit (per-block
-     * noise streams).
-     */
-    ExperimentResult runBatched(const PolicyFactory &factory,
-                                const std::string &name) const;
 
     const RotatedSurfaceCode & code() const { return code_; }
     const ExperimentConfig & config() const { return config_; }
@@ -317,8 +307,6 @@ class MemoryExperiment
   private:
     friend class ExperimentSession;
 
-    void runShot(uint64_t shot, const PolicyFactory &factory,
-                 ExperimentShotStats &stats) const;
     /** One word-group of `lanes` shots starting at `first_shot`, on
      *  the NW-plane-word engine (NW = 1/4/8). */
     template <int NW>

@@ -6,60 +6,15 @@
 #include "base/parallel.h"
 #include "code/builder.h"
 #include "decoder/batch_decoder.h"
-#include "decoder/defects.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
 #include "sim/batch_frame_simulator.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {
 
 namespace
 {
-
-/**
- * Offline leakage flagging: any stabilizer accumulating
- * `eventThreshold` detection events within a `window`-round span marks
- * the shot (leaked qubits randomize their checks at ~50% per round, so
- * persistent activity is the leakage signature prior work keys on).
- */
-bool
-shotIsSuspect(const RotatedSurfaceCode &code, int rounds,
-              const std::vector<MeasureRecord> &record,
-              const PostSelectOptions &options)
-{
-    const int n_stabs = code.numStabilizers();
-    std::vector<uint8_t> flips((size_t)n_stabs * rounds, 0);
-    for (const auto &rec : record) {
-        if (rec.stab >= 0 && !rec.finalData)
-            flips[(size_t)rec.round * n_stabs + rec.stab] =
-                rec.flip ? 1 : 0;
-    }
-    for (int s = 0; s < n_stabs; ++s) {
-        int window_events = 0;
-        for (int r = 0; r < rounds; ++r) {
-            const uint8_t prev =
-                r == 0 ? 0 : flips[(size_t)(r - 1) * n_stabs + s];
-            const uint8_t event =
-                flips[(size_t)r * n_stabs + s] ^ prev;
-            window_events += event;
-            if (r >= options.window) {
-                const uint8_t old_prev =
-                    r - options.window == 0
-                        ? 0
-                        : flips[(size_t)(r - options.window - 1) *
-                                    n_stabs + s];
-                window_events -=
-                    flips[(size_t)(r - options.window) * n_stabs + s] ^
-                    old_prev;
-            }
-            if (window_events >= options.eventThreshold)
-                return true;
-        }
-    }
-    return false;
-}
 
 /** Per-worker scratch for the batched suspicion scan. */
 struct SuspectScratch
@@ -69,7 +24,11 @@ struct SuspectScratch
 };
 
 /**
- * Word-parallel shotIsSuspect: one bit per lane, any group width.
+ * Offline leakage flagging, word-parallel: one bit per lane, any
+ * group width. A lane is suspect when any stabilizer accumulates
+ * `eventThreshold` detection events within a `window`-round span
+ * (leaked qubits randomize their checks at ~50% per round, so
+ * persistent activity is the leakage signature prior work keys on).
  * Event words are mostly zero at the rates of interest, so the
  * per-lane window counters are only touched on set bits.
  */
@@ -130,7 +89,7 @@ suspectMaskBatched(const RotatedSurfaceCode &code, int rounds,
     }
 }
 
-/** Per-worker context of the batched path. */
+/** Per-worker decode and scan context. */
 struct PostSelectContext
 {
     SparseSyndromeExtractor extractor;
@@ -191,9 +150,9 @@ runPostSelectGroup(const RotatedSurfaceCode &code,
 } // namespace
 
 PostSelectResult
-runPostSelectedExperimentBatched(const RotatedSurfaceCode &code,
-                                 const ExperimentConfig &config,
-                                 const PostSelectOptions &options)
+runPostSelectedExperiment(const RotatedSurfaceCode &code,
+                          const ExperimentConfig &config,
+                          const PostSelectOptions &options)
 {
     DetectorModel dem =
         buildDetectorModel(code, config.rounds, config.basis);
@@ -241,48 +200,6 @@ runPostSelectedExperimentBatched(const RotatedSurfaceCode &code,
             result.logicalErrorsAll += tally.errorsAll;
             result.kept += tally.kept;
             result.logicalErrorsKept += tally.errorsKept;
-        },
-        config.threads);
-    return result;
-}
-
-PostSelectResult
-runPostSelectedExperiment(const RotatedSurfaceCode &code,
-                          const ExperimentConfig &config,
-                          const PostSelectOptions &options)
-{
-    if (config.batchWidth > 1)
-        return runPostSelectedExperimentBatched(code, config, options);
-
-    DetectorModel dem =
-        buildDetectorModel(code, config.rounds, config.basis);
-    MwpmDecoder decoder(dem, config.em.p, config.decoderOptions);
-    Circuit circuit =
-        buildMemoryCircuit(code, config.rounds, config.basis);
-
-    PostSelectResult result;
-    result.shots = config.shots;
-
-    std::mutex merge;
-    parallelFor(
-        config.shots,
-        [&](uint64_t shot) {
-            FrameSimulator sim(code.numQubits(), config.em,
-                               Rng::forShot(config.seed, shot));
-            sim.run(circuit);
-            const bool suspect = shotIsSuspect(
-                code, config.rounds, sim.record(), options);
-            ShotOutcome outcome = extractDefects(
-                code, config.basis, config.rounds, sim.record());
-            const bool error = decoder.decode(outcome.defects) !=
-                               outcome.observableFlip;
-
-            std::lock_guard<std::mutex> lock(merge);
-            result.logicalErrorsAll += error ? 1 : 0;
-            if (!suspect) {
-                ++result.kept;
-                result.logicalErrorsKept += error ? 1 : 0;
-            }
         },
         config.threads);
     return result;

@@ -56,26 +56,14 @@ struct PostSelectResult
  * the policy is fixed to No-LRC (post-processing replaces, rather than
  * complements, active removal in the prior work).
  *
- * With config.batchWidth > 1 the study runs on the bit-packed batch
- * engine (widths up to 512 via the SIMD multi-word planes): the
- * suspicion scan operates word-parallel on detection-event words
+ * The study runs on the bit-packed batch engine in word-groups of
+ * config.batchWidth lanes (up to 512 via the SIMD multi-word planes):
+ * the suspicion scan operates word-parallel on detection-event words
  * (per-lane window counters touched only on set bits) and the decode
  * step goes through the BatchDecoder pipeline (sparse syndromes,
- * zero-defect fast path, dedup cache). Statistically equivalent to
- * the scalar path.
+ * zero-defect fast path, dedup cache).
  */
 PostSelectResult runPostSelectedExperiment(
-    const RotatedSurfaceCode &code, const ExperimentConfig &config,
-    const PostSelectOptions &options = {});
-
-/**
- * The batched implementation, regardless of config.batchWidth (group
- * width = max(batchWidth, 1)). At width 1 the batch engine delegates
- * to the scalar simulator shot for shot, which the differential tests
- * use to pin the batched suspicion scan and decode pipeline exactly
- * against the scalar path.
- */
-PostSelectResult runPostSelectedExperimentBatched(
     const RotatedSurfaceCode &code, const ExperimentConfig &config,
     const PostSelectOptions &options = {});
 

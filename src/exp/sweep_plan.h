@@ -115,7 +115,7 @@ struct SweepPoint
     int rounds = 0;
     RemovalProtocol protocol = RemovalProtocol::SwapLrc;
     DecoderKind decoderKind = DecoderKind::Mwpm;
-    unsigned batchWidth = 1;
+    unsigned batchWidth = 64;
     uint64_t shots = 0;
     uint64_t seed = 0;
     /** The complete config a MemoryExperiment runs this point with. */

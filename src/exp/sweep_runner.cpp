@@ -510,7 +510,6 @@ SweepRunner::run(const SweepRunOptions &options)
                     const bool has_partial =
                         pc.progress.total.shots > 0 ||
                         pc.progress.nextSpan > 0 ||
-                        pc.progress.scalarNext > 0 ||
                         pc.progress.stopped;
                     if (has_partial) {
                         Status st = session.restore(pc.progress);

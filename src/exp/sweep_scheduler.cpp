@@ -355,7 +355,6 @@ SweepScheduler::run(const SweepRunOptions &options)
                     const bool has_partial =
                         pc.progress.total.shots > 0 ||
                         pc.progress.nextSpan > 0 ||
-                        pc.progress.scalarNext > 0 ||
                         pc.progress.stopped;
                     if (has_partial) {
                         Status st = ls.session->restore(pc.progress);

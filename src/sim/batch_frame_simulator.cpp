@@ -28,17 +28,6 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
 {
     panicIf(num_lanes < 1 || num_lanes > kMaxLanes,
             "batch simulator lane count out of range for this width");
-    if (numLanes_ == 1) {
-        // W=1 reference mode at every plane depth: the scalar
-        // simulator, seeded exactly as the scalar experiment path
-        // seeds this shot. Delegating for NW > 1 as well keeps
-        // 1-lane ragged tail groups bit-identical across widths
-        // (e.g. shots = 257 at widths 64 and 256 both simulate shot
-        // 256 on this scalar stream).
-        scalar_ = std::make_unique<FrameSimulator>(
-            num_qubits, em, Rng::forShot(seed, first_shot));
-        return;
-    }
     // Block b owns the streams of the 64-lane group that would start
     // at shot first_shot + 64*b: W-wide runs replay the 64-wide runs
     // bit for bit.
@@ -63,11 +52,6 @@ void
 BatchFrameSimulatorT<NW>::reset()
 {
     record_.clear();
-    if (scalar_) {
-        scalar_->reset();
-        scalarSynced_ = 0;
-        return;
-    }
     std::fill(x_.begin(), x_.end(), Lane{});
     std::fill(z_.begin(), z_.end(), Lane{});
     std::fill(leaked_.begin(), leaked_.end(), Lane{});
@@ -77,11 +61,6 @@ template <int NW>
 typename BatchFrameSimulatorT<NW>::Lane
 BatchFrameSimulatorT<NW>::xWord(int q) const
 {
-    if (scalar_) {
-        Lane r{};
-        laneWordRef(r, 0) = scalar_->xFrame(q) ? 1 : 0;
-        return r;
-    }
     return x_[q];
 }
 
@@ -89,11 +68,6 @@ template <int NW>
 typename BatchFrameSimulatorT<NW>::Lane
 BatchFrameSimulatorT<NW>::zWord(int q) const
 {
-    if (scalar_) {
-        Lane r{};
-        laneWordRef(r, 0) = scalar_->zFrame(q) ? 1 : 0;
-        return r;
-    }
     return z_[q];
 }
 
@@ -101,11 +75,6 @@ template <int NW>
 typename BatchFrameSimulatorT<NW>::Lane
 BatchFrameSimulatorT<NW>::leakedWord(int q) const
 {
-    if (scalar_) {
-        Lane r{};
-        laneWordRef(r, 0) = scalar_->leaked(q) ? 1 : 0;
-        return r;
-    }
     return leaked_[q];
 }
 
@@ -120,8 +89,6 @@ template <int NW>
 uint64_t
 BatchFrameSimulatorT<NW>::countLeaked(int first, int last) const
 {
-    if (scalar_)
-        return (uint64_t)scalar_->countLeaked(first, last);
     uint64_t n = 0;
     for (int q = first; q < last; ++q)
         n += (uint64_t)popcountLanes(leaked_[q]);
@@ -132,11 +99,6 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::injectPauli(int q, Pauli p, const Lane &mask)
 {
-    if (scalar_) {
-        if (laneWord(mask, 0) & 1)
-            scalar_->injectPauli(q, p);
-        return;
-    }
     if (p == Pauli::X || p == Pauli::Y)
         x_[q] ^= mask & live_;
     if (p == Pauli::Z || p == Pauli::Y)
@@ -148,35 +110,10 @@ void
 BatchFrameSimulatorT<NW>::setLeaked(int q, bool leaked,
                                     const Lane &mask)
 {
-    if (scalar_) {
-        if (laneWord(mask, 0) & 1)
-            scalar_->setLeaked(q, leaked);
-        return;
-    }
     if (leaked)
         leaked_[q] |= mask & live_;
     else
         leaked_[q] = andnot(leaked_[q], mask);
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::syncScalarRecord()
-{
-    const auto &scalar_record = scalar_->record();
-    for (; scalarSynced_ < scalar_record.size(); ++scalarSynced_) {
-        const MeasureRecord &rec = scalar_record[scalarSynced_];
-        Record batch;
-        batch.qubit = rec.qubit;
-        batch.stab = rec.stab;
-        batch.round = rec.round;
-        batch.finalData = rec.finalData;
-        batch.lrcData = rec.lrcData;
-        laneWordRef(batch.mask, 0) = 1;
-        laneWordRef(batch.flips, 0) = rec.flip ? 1 : 0;
-        laneWordRef(batch.leakedLabels, 0) = rec.leakedLabel ? 1 : 0;
-        record_.push_back(batch);
-    }
 }
 
 template <int NW>
@@ -757,7 +694,7 @@ void
 BatchFrameSimulatorT<NW>::executeBlock(const Op &op, int block,
                                        uint64_t mask)
 {
-    if (scalar_ || NW == 1) {
+    if (NW == 1) {
         Lane m{};
         laneWordRef(m, block) = mask;
         execute(op, m);
@@ -797,13 +734,6 @@ void
 BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask_in)
 {
     const Lane mask = mask_in & live_;
-    if (scalar_) {
-        if (laneWord(mask, 0) & 1) {
-            scalar_->execute(op);
-            syncScalarRecord();
-        }
-        return;
-    }
     if (!anyLane(mask))
         return;
     switch (op.type) {
@@ -953,8 +883,7 @@ template <int NW>
 int
 BatchFrameSimulatorT<NW>::noiseStreamId(double p)
 {
-    if (scalar_ || p <= 0.0 ||
-        p >= BernoulliMaskSampler::kRareThreshold)
+    if (p <= 0.0 || p >= BernoulliMaskSampler::kRareThreshold)
         return -1;
     RareStream &stream = rareStreamFor(p);
     return (int)(&stream - rareStreams_.data());

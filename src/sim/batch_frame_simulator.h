@@ -35,20 +35,18 @@
  *    experiment layer can run policy-divergent LRC/DQLR insertions
  *    only on the lanes whose policies scheduled them.
  *
- * With num_lanes == 1 the engine (at every plane depth) delegates to
- * the scalar FrameSimulator seeded exactly as MemoryExperiment seeds
- * shot `first_shot`; the scalar simulator is thereby the W=1
- * reference implementation, which differential tests exploit to
- * check the batched experiment orchestration bit-for-bit against the
- * scalar path — and which keeps 1-lane ragged tail groups identical
- * across widths.
+ * A group of any lane count, down to one, is an ordinary sequence of
+ * 64-lane blocks whose last block may be ragged; a 1-lane group is
+ * simply a 1-lane block with its own block and lane streams. The
+ * scalar FrameSimulator is not involved: it stays a test oracle for
+ * the op semantics (tests/test_batch_sim.cpp compares the two lane by
+ * lane).
  */
 
 #ifndef QEC_SIM_BATCH_FRAME_SIMULATOR_H
 #define QEC_SIM_BATCH_FRAME_SIMULATOR_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "base/rng.h"
@@ -58,7 +56,6 @@
 #include "code/types.h"
 #include "sim/bit_mask_sampler.h"
 #include "sim/error_model.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {
@@ -308,9 +305,6 @@ class BatchFrameSimulatorT
     /** Dense-path mask for block b (digit comparison on its Rng). */
     uint64_t drawDenseBlock(double p, int b);
 
-    /** Mirror any new scalar-mode records into batch records. */
-    void syncScalarRecord();
-
     int numQubits_;
     int numLanes_;
     int numBlocks_;
@@ -326,10 +320,6 @@ class BatchFrameSimulatorT
     std::vector<Lane> z_;
     std::vector<Lane> leaked_;
     std::vector<Record> record_;
-
-    /** W=1 reference mode (any NW): the scalar simulator. */
-    std::unique_ptr<FrameSimulator> scalar_;
-    size_t scalarSynced_ = 0;
 };
 
 /** The 64-lane engine (uint64_t lane sets, pre-SIMD layout). */

@@ -421,8 +421,8 @@ TEST(BatchControllerExperiment, WordParallelMatchesPerLaneAllWidths)
         for (unsigned width : {64u, 256u, 512u}) {
             cfg.batchWidth = width;
             MemoryExperiment exp(code, cfg);
-            auto word = exp.runBatched(variant.wordParallel, "word");
-            auto lane = exp.runBatched(variant.perLane, "lane");
+            auto word = exp.run(variant.wordParallel, "word");
+            auto lane = exp.run(variant.perLane, "lane");
             expectResultsIdentical(
                 word, lane,
                 (std::string(variant.name) + " W=" +
@@ -459,11 +459,11 @@ TEST(BatchControllerExperiment, RaggedGroupsMatchAcrossWidthsAndPaths)
     };
 
     cfg.batchWidth = 64;
-    auto w64 = MemoryExperiment(code, cfg).runBatched(word, "w64");
+    auto w64 = MemoryExperiment(code, cfg).run(word, "w64");
     cfg.batchWidth = 256;
     MemoryExperiment wide(code, cfg);
-    auto w256 = wide.runBatched(word, "w256");
-    auto w256_lane = wide.runBatched(lane, "w256/lane");
+    auto w256 = wide.run(word, "w256");
+    auto w256_lane = wide.run(lane, "w256/lane");
 
     expectResultsIdentical(w64, w256, "ragged W=256 vs W=64");
     expectResultsIdentical(w64, w256_lane,

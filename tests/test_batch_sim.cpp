@@ -6,20 +6,30 @@
  *     rates and respect lane bounds.
  *  2. BatchFrameSimulator word semantics: masked propagation truth
  *     tables and per-lane leakage statistics at W=64.
- *  3. Differential: the batched experiment path at width 1 reproduces
- *     the scalar path draw-for-draw (the scalar FrameSimulator is the
- *     W=1 reference implementation), and at W=64 it agrees with the
- *     scalar path statistically on LER and LPR.
+ *  3. Differential: the engine replays the compiled surface-memory
+ *     program exactly like the scalar FrameSimulator oracle, lane by
+ *     lane, under per-lane injected faults at W = 1/17/64/257; the
+ *     experiment agrees with the scalar reference loop
+ *     (tests/scalar_reference.h) statistically on LER and LPR; and
+ *     wide widths reproduce width 64 bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "decoder/defects.h"
 #include "exp/memory_experiment.h"
+#include "scalar_reference.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/bit_mask_sampler.h"
+#include "sim/frame_simulator.h"
 
 namespace qec
 {
@@ -236,72 +246,378 @@ TEST(BatchSim, NoiselessMemoryCircuitIsDeterministicAtW64)
     }
 }
 
-// ---------------------------------------------------- differential W=1
+// ------------------------------------- exact engine vs scalar oracle
 
-ExperimentConfig
-diffConfig(RemovalProtocol protocol)
+/** One op of a compiled program flattened for op-granular replay;
+ *  `tail` ops run on the engine's block-local LRC-tail path. */
+struct ProgramStep
 {
-    ExperimentConfig cfg;
-    cfg.rounds = 5;
-    cfg.shots = 24;
-    cfg.seed = 4242;
-    cfg.em = ErrorModel::standard(2e-3);
-    cfg.protocol = protocol;
-    cfg.trackLpr = true;
-    cfg.batchWidth = 1;
-    return cfg;
+    Op op;
+    bool tail = false;
+};
+
+/** (stabilizer, data qubit) LRC pairs scheduled in one round. */
+using RoundPairs = std::vector<std::pair<int, int>>;
+
+/** A fixed LRC schedule: every other stabilizer (alternating by round)
+ *  through the first support qubit no other pair of the round uses. */
+std::vector<RoundPairs>
+fixedLrcPairs(const CircuitProgram &prog)
+{
+    std::vector<RoundPairs> pairs(prog.rounds);
+    for (int r = 0; r < prog.rounds; ++r) {
+        std::vector<uint8_t> taken(prog.numData, 0);
+        for (int s = (r & 1); s < prog.numStabs; s += 2) {
+            for (int k = prog.supportOffset[s];
+                 k < prog.supportOffset[s + 1]; ++k) {
+                const int d = prog.supportData[k];
+                if (!taken[d]) {
+                    taken[d] = 1;
+                    pairs[r].push_back({s, d});
+                    break;
+                }
+            }
+        }
+    }
+    return pairs;
+}
+
+/**
+ * The op sequence executeProgramRound/executeProgramFinal replay when
+ * every lane carries the fill `pairs` (no multi-level squash), with
+ * the step index at which each round, and finally the transversal
+ * readout, begins.
+ */
+std::vector<ProgramStep>
+flattenProgram(const CircuitProgram &prog,
+               const std::vector<RoundPairs> &pairs,
+               std::vector<size_t> &round_starts)
+{
+    std::vector<ProgramStep> steps;
+    round_starts.clear();
+    for (int r = 0; r < prog.rounds; ++r) {
+        round_starts.push_back(steps.size());
+        for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
+            const IrInst &inst = prog.instrs[i];
+            if (inst.op == IrOpcode::Gate) {
+                steps.push_back({prog.pool[inst.a], false});
+            } else if (inst.op == IrOpcode::Readout) {
+                bool lrcd = false;
+                for (const auto &pair : pairs[r])
+                    lrcd |= pair.first == inst.a;
+                if (prog.maskReadoutOnLrc && lrcd)
+                    continue;
+                Op meas = prog.pool[inst.b];
+                meas.round = r;
+                steps.push_back({meas, false});
+                steps.push_back({prog.pool[(size_t)inst.b + 1], false});
+            } else if (inst.op == IrOpcode::LrcSlot && inst.a == 0) {
+                for (const auto &[stab, data] : pairs[r]) {
+                    const int parity = prog.stabAncilla[stab];
+                    if (prog.tail == IrTailKind::Dqlr) {
+                        steps.push_back(
+                            {makeOp(OpType::LeakageIswap, data, parity),
+                             true});
+                        steps.push_back(
+                            {makeOp(OpType::Reset, parity), true});
+                        continue;
+                    }
+                    Op meas = makeOp(OpType::Measure, data);
+                    meas.stab = stab;
+                    meas.round = r;
+                    meas.lrcData = true;
+                    for (const Op &o :
+                         {makeOp(OpType::Cnot, data, parity),
+                          makeOp(OpType::Cnot, parity, data),
+                          makeOp(OpType::Cnot, data, parity), meas,
+                          makeOp(OpType::Reset, data),
+                          makeOp(OpType::Cnot, parity, data),
+                          makeOp(OpType::Cnot, data, parity)})
+                        steps.push_back({o, true});
+                }
+            }
+        }
+    }
+    round_starts.push_back(steps.size());
+    for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
+        steps.push_back({prog.pool[prog.instrs[i].a], false});
+    return steps;
+}
+
+/** A lane's single fault: X/Y/Z (kind 0..2) or leakage (kind 3) on
+ *  `qubit`, applied just before step `at`. */
+struct LaneFault
+{
+    size_t at = std::numeric_limits<size_t>::max();
+    int qubit = 0;
+    int kind = 0;
+};
+
+const Pauli kFaultPaulis[3] = {Pauli::X, Pauli::Y, Pauli::Z};
+
+/** Next step at or after `from` whose outcome can depend on qubit q
+ *  being leaked (noiseless DataNoise and H are inert on |L>). */
+size_t
+nextLeakSensitiveStep(const std::vector<ProgramStep> &steps, size_t from,
+                      int q)
+{
+    for (size_t j = from; j < steps.size(); ++j) {
+        const Op &o = steps[j].op;
+        if (o.q0 != q && o.q1 != q)
+            continue;
+        if (o.type == OpType::DataNoise || o.type == OpType::H ||
+            o.type == OpType::RoundStart)
+            continue;
+        return j;
+    }
+    return steps.size();
+}
+
+/**
+ * (step, qubit) positions where a leakage fault stays deterministic
+ * under noiseless replay: the leak is reset, or moved by a DQLR iSWAP
+ * onto a parity qubit that is reset next. Anywhere else a leaked
+ * operand draws random Paulis or readouts from engine-specific
+ * streams, which no exact comparison can follow.
+ */
+std::vector<std::pair<size_t, int>>
+deterministicLeakSites(const std::vector<ProgramStep> &steps,
+                       int num_qubits)
+{
+    std::vector<std::pair<size_t, int>> sites;
+    for (size_t at = 0; at < steps.size(); ++at) {
+        for (int q = 0; q < num_qubits; ++q) {
+            const size_t j = nextLeakSensitiveStep(steps, at, q);
+            if (j == steps.size())
+                continue;
+            const Op &o = steps[j].op;
+            bool safe = o.type == OpType::Reset;
+            if (o.type == OpType::LeakageIswap && o.q0 == q) {
+                const size_t k = nextLeakSensitiveStep(steps, j + 1, o.q1);
+                safe = k < steps.size() &&
+                       steps[k].op.type == OpType::Reset;
+            }
+            if (safe)
+                sites.push_back({at, q});
+        }
+    }
+    return sites;
+}
+
+/** The scalar oracle: one FrameSimulator per lane, seeded as the
+ *  engine seeds that lane's per-lane stream. */
+std::vector<FrameSimulator>
+oracleSims(const CircuitProgram &prog, int lanes, uint64_t seed)
+{
+    std::vector<FrameSimulator> sims;
+    sims.reserve(lanes);
+    for (int l = 0; l < lanes; ++l)
+        sims.emplace_back(prog.numQubits, ErrorModel::noiseless(),
+                          Rng::forShot(seed, (uint64_t)l));
+    return sims;
+}
+
+template <int NW>
+void
+injectAt(size_t step, const std::vector<LaneFault> &faults,
+         BatchFrameSimulatorT<NW> &sim, std::vector<FrameSimulator> &oracle)
+{
+    for (size_t l = 0; l < faults.size(); ++l) {
+        const LaneFault &f = faults[l];
+        if (f.at != step)
+            continue;
+        LaneWord<NW> lane{};
+        setLane(lane, (int)l);
+        if (f.kind == 3) {
+            sim.setLeaked(f.qubit, true, lane);
+            oracle[l].setLeaked(f.qubit, true);
+        } else {
+            sim.injectPauli(f.qubit, kFaultPaulis[f.kind], lane);
+            oracle[l].injectPauli(f.qubit, kFaultPaulis[f.kind]);
+        }
+    }
+}
+
+/** X/Z/leak planes of every lane equal their oracle's frames. */
+template <int NW>
+void
+expectPlanesMatch(const BatchFrameSimulatorT<NW> &sim,
+                  const std::vector<FrameSimulator> &oracle,
+                  const char *where, size_t step)
+{
+    for (int q = 0; q < sim.numQubits(); ++q) {
+        const LaneWord<NW> x = sim.xWord(q), z = sim.zWord(q),
+                           lk = sim.leakedWord(q);
+        for (int l = 0; l < sim.numLanes(); ++l) {
+            ASSERT_EQ(testLane(x, l), oracle[l].xFrame(q))
+                << where << " step " << step << " lane " << l << " q" << q;
+            ASSERT_EQ(testLane(z, l), oracle[l].zFrame(q))
+                << where << " step " << step << " lane " << l << " q" << q;
+            ASSERT_EQ(testLane(lk, l), oracle[l].leaked(q))
+                << where << " step " << step << " lane " << l << " q" << q;
+        }
+    }
+}
+
+/** Each lane's slice of the engine record equals its oracle's record,
+ *  entry for entry (metadata, flip and |L> label). */
+template <int NW>
+void
+expectRecordsMatch(const BatchFrameSimulatorT<NW> &sim,
+                   const std::vector<FrameSimulator> &oracle,
+                   const char *where)
+{
+    for (int l = 0; l < sim.numLanes(); ++l) {
+        const std::vector<MeasureRecord> &want = oracle[l].record();
+        size_t k = 0;
+        for (const auto &rec : sim.record()) {
+            if (!testLane(rec.mask, l))
+                continue;
+            ASSERT_LT(k, want.size()) << where << " lane " << l;
+            const MeasureRecord &w = want[k++];
+            ASSERT_EQ(rec.qubit, w.qubit) << where << " lane " << l;
+            ASSERT_EQ(rec.stab, w.stab) << where << " lane " << l;
+            ASSERT_EQ(rec.round, w.round) << where << " lane " << l;
+            ASSERT_EQ(rec.finalData, w.finalData) << where << " lane " << l;
+            ASSERT_EQ(rec.lrcData, w.lrcData) << where << " lane " << l;
+            ASSERT_EQ(testLane(rec.flips, l), w.flip)
+                << where << " lane " << l << " record " << k - 1;
+            ASSERT_EQ(testLane(rec.leakedLabels, l), w.leakedLabel)
+                << where << " lane " << l << " record " << k - 1;
+        }
+        ASSERT_EQ(k, want.size()) << where << " lane " << l;
+    }
+}
+
+/**
+ * Engine vs oracle on one compiled program at `lanes` lanes, two ways:
+ *
+ *  - op by op: every lane gets its own Pauli or leakage fault at its
+ *    own step; body ops run through execute(), tail ops through the
+ *    block-local executeBlock() path; planes are compared after every
+ *    step;
+ *  - through the real replay (executeProgramRound with the same fill,
+ *    then executeProgramFinal), with per-lane Pauli faults at round
+ *    boundaries.
+ */
+template <int NW>
+void
+expectEngineMatchesOracle(const CircuitProgram &prog, int lanes)
+{
+    const uint64_t seed = 4242;
+    const std::vector<RoundPairs> pairs = fixedLrcPairs(prog);
+    std::vector<size_t> round_starts;
+    const std::vector<ProgramStep> steps =
+        flattenProgram(prog, pairs, round_starts);
+    const auto leak_sites = deterministicLeakSites(steps, prog.numQubits);
+    ASSERT_FALSE(leak_sites.empty());
+
+    // Op by op, a distinct fault per lane.
+    std::vector<LaneFault> faults(lanes);
+    for (int l = 0; l < lanes; ++l) {
+        LaneFault &f = faults[l];
+        f.kind = l % 4;
+        if (f.kind == 3) {
+            const auto &site = leak_sites[((size_t)l * 7919) %
+                                          leak_sites.size()];
+            f.at = site.first;
+            f.qubit = site.second;
+        } else {
+            f.at = ((size_t)l * 37 + 11) % steps.size();
+            f.qubit = (l * 13 + 5) % prog.numQubits;
+        }
+    }
+    {
+        BatchFrameSimulatorT<NW> sim(prog.numQubits,
+                                     ErrorModel::noiseless(), lanes,
+                                     seed, 0);
+        std::vector<FrameSimulator> oracle =
+            oracleSims(prog, lanes, seed);
+        const LaneWord<NW> live = sim.liveMask();
+        for (size_t i = 0; i < steps.size(); ++i) {
+            injectAt(i, faults, sim, oracle);
+            if (steps[i].tail) {
+                for (int b = 0; b < sim.numBlocks(); ++b)
+                    sim.executeBlock(steps[i].op, b, laneWord(live, b));
+            } else {
+                sim.execute(steps[i].op, live);
+            }
+            for (FrameSimulator &o : oracle)
+                o.execute(steps[i].op);
+            expectPlanesMatch(sim, oracle, "op-by-op", i);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        expectRecordsMatch(sim, oracle, "op-by-op");
+    }
+
+    // Program replay, Pauli faults at round boundaries.
+    for (int l = 0; l < lanes; ++l) {
+        LaneFault &f = faults[l];
+        f.kind = l % 3;
+        f.at = round_starts[(size_t)(l / 3) % round_starts.size()];
+        f.qubit = (l * 13 + 5) % prog.numQubits;
+    }
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, ErrorModel::noiseless(),
+                                 lanes, seed, 0);
+    sim.bindProgramStreams(prog);
+    const LaneWord<NW> live = sim.liveMask();
+    std::vector<FrameSimulator> oracle = oracleSims(prog, lanes, seed);
+    for (int r = 0; r <= prog.rounds; ++r) {
+        const size_t begin = round_starts[r];
+        const size_t end =
+            r < prog.rounds ? round_starts[r + 1] : steps.size();
+        injectAt(begin, faults, sim, oracle);
+        if (r < prog.rounds) {
+            std::vector<LaneWord<NW>> lrc_on_stab(prog.numStabs,
+                                                  LaneWord<NW>{});
+            std::vector<IrLrcTail> tails[NW];
+            for (const auto &[stab, data] : pairs[r]) {
+                lrc_on_stab[stab] = live;
+                for (int b = 0; b < sim.numBlocks(); ++b)
+                    tails[b].push_back({stab, data, laneWord(live, b)});
+            }
+            ProgramLrcFillT<NW> fill;
+            fill.lrcOnStab = lrc_on_stab.data();
+            fill.blockTails = tails;
+            sim.executeProgramRound(prog, r, live, &fill, 1);
+        } else {
+            sim.executeProgramFinal(prog, live);
+        }
+        for (FrameSimulator &o : oracle)
+            for (size_t i = begin; i < end; ++i)
+                o.execute(steps[i].op);
+        expectPlanesMatch(sim, oracle, "replay", end);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    expectRecordsMatch(sim, oracle, "replay");
 }
 
 void
-expectExactMatch(const ExperimentConfig &cfg, PolicyKind kind)
+expectEngineMatchesOracleAtWidths(IrTailKind tail, Basis basis)
 {
     RotatedSurfaceCode code(3);
-    MemoryExperiment exp(code, cfg);
-    const bool every_round = cfg.protocol == RemovalProtocol::Dqlr;
-    auto factory =
-        makePolicyFactory(kind, code, exp.lookup(), every_round);
-
-    auto scalar = exp.run(factory, "scalar");
-    auto batched = exp.runBatched(factory, "batched");
-
-    EXPECT_EQ(scalar.logicalErrors, batched.logicalErrors);
-    EXPECT_EQ(scalar.tp, batched.tp);
-    EXPECT_EQ(scalar.fp, batched.fp);
-    EXPECT_EQ(scalar.tn, batched.tn);
-    EXPECT_EQ(scalar.fn, batched.fn);
-    EXPECT_EQ(scalar.lrcsScheduled, batched.lrcsScheduled);
-    ASSERT_EQ(scalar.lprDataSum.size(), batched.lprDataSum.size());
-    for (size_t r = 0; r < scalar.lprDataSum.size(); ++r) {
-        EXPECT_DOUBLE_EQ(scalar.lprDataSum[r], batched.lprDataSum[r]);
-        EXPECT_DOUBLE_EQ(scalar.lprParitySum[r],
-                         batched.lprParitySum[r]);
+    const CircuitProgram prog =
+        CircuitCompiler::surfaceMemory(code, 3, basis, tail);
+    for (int lanes : {1, 17, 64}) {
+        SCOPED_TRACE("lanes " + std::to_string(lanes));
+        expectEngineMatchesOracle<1>(prog, lanes);
     }
+    SCOPED_TRACE("lanes 257");
+    expectEngineMatchesOracle<8>(prog, 257);
 }
 
-TEST(BatchDifferential, Width1MatchesScalarSwapLrc)
+TEST(EngineOracle, SwapLrcProgramMatchesScalarLaneByLane)
 {
-    for (PolicyKind kind :
-         {PolicyKind::Never, PolicyKind::Always, PolicyKind::Eraser,
-          PolicyKind::EraserM, PolicyKind::Optimal}) {
-        expectExactMatch(diffConfig(RemovalProtocol::SwapLrc), kind);
-    }
+    expectEngineMatchesOracleAtWidths(IrTailKind::SwapLrc, Basis::Z);
+    expectEngineMatchesOracleAtWidths(IrTailKind::SwapLrc, Basis::X);
 }
 
-TEST(BatchDifferential, Width1MatchesScalarDqlr)
+TEST(EngineOracle, DqlrProgramMatchesScalarLaneByLane)
 {
-    auto cfg = diffConfig(RemovalProtocol::Dqlr);
-    cfg.em.transport = TransportModel::Exchange;
-    for (PolicyKind kind : {PolicyKind::Always, PolicyKind::Eraser,
-                            PolicyKind::EraserM, PolicyKind::Optimal}) {
-        expectExactMatch(cfg, kind);
-    }
-}
-
-TEST(BatchDifferential, Width1MatchesScalarMemoryX)
-{
-    auto cfg = diffConfig(RemovalProtocol::SwapLrc);
-    cfg.basis = Basis::X;
-    expectExactMatch(cfg, PolicyKind::Eraser);
+    expectEngineMatchesOracleAtWidths(IrTailKind::Dqlr, Basis::Z);
+    expectEngineMatchesOracleAtWidths(IrTailKind::Dqlr, Basis::X);
 }
 
 // --------------------------------------------- statistical W=64 checks
@@ -316,7 +632,7 @@ TEST(BatchDifferential, W64LerAgreesWithScalar)
     cfg.em = ErrorModel::standard(5e-3);
     MemoryExperiment exp(code, cfg);
 
-    auto scalar = exp.run(PolicyKind::Eraser);
+    auto scalar = scalar_reference::run(exp, PolicyKind::Eraser);
 
     cfg.batchWidth = 64;
     MemoryExperiment batched_exp(code, cfg);
@@ -343,7 +659,7 @@ TEST(BatchDifferential, W64LprAgreesWithScalar)
     cfg.trackLpr = true;
     MemoryExperiment exp(code, cfg);
 
-    auto scalar = exp.run(PolicyKind::Never);
+    auto scalar = scalar_reference::run(exp, PolicyKind::Never);
 
     cfg.batchWidth = 64;
     MemoryExperiment batched_exp(code, cfg);
@@ -442,10 +758,10 @@ TEST(BatchDifferential, WideWidthsMatchWidth64Exactly)
 
 TEST(BatchDifferential, OneLaneTailGroupsMatchAcrossWidths)
 {
-    // shots = 257: the width-64 run ends with a 1-lane group (which
-    // delegates to the scalar reference simulator); the width-256/512
-    // runs must delegate their 1-lane tails identically, or the
-    // cross-width bit-identity breaks exactly on the tail shot.
+    // shots = 257: every width ends with a 1-lane block at shot 256
+    // (its own group at widths 64/256, the ragged fifth block of the
+    // single group at 512). Per-64-lane-block streams make all three
+    // draw it identically, with no special case for 1-lane groups.
     RotatedSurfaceCode code(3);
     ExperimentConfig cfg;
     cfg.rounds = 5;
@@ -592,7 +908,7 @@ TEST(BatchDifferential, W512AgreesWithScalarStatisticallyAtD11)
     cfg.decoderKind = DecoderKind::UnionFind;
     cfg.trackLpr = true;
     MemoryExperiment scalar_exp(code, cfg);
-    auto scalar = scalar_exp.run(PolicyKind::Eraser);
+    auto scalar = scalar_reference::run(scalar_exp, PolicyKind::Eraser);
 
     cfg.batchWidth = 512;
     MemoryExperiment wide_exp(code, cfg);

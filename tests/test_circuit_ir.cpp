@@ -235,7 +235,7 @@ TEST_P(IrReplaySweep, ReplayMatchesHandwired)
         kind, exp.code(), exp.lookup(),
         protocol == RemovalProtocol::Dqlr);
 
-    const ExperimentResult ir = exp.runBatched(factory, "ir");
+    const ExperimentResult ir = exp.run(factory, "ir");
     const HandwiredResult hw = runHandwired(exp, factory);
     expectResultsMatch(ir, hw);
 }

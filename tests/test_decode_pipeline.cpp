@@ -611,7 +611,10 @@ TEST(DecodePipeline, CustomDecoderFactoryIsUsed)
     cfg.shots = 50;
     cfg.seed = 5;
     cfg.em = ErrorModel::noiseless();
-    cfg.batchWidth = 1;   // scalar path also goes through decoder_
+    // The per-shot decode loop hands every shot to decoder_; the
+    // pipeline's zero-defect fast path would skip these noiseless
+    // shots without asking it.
+    cfg.batchDecode = false;
     MemoryExperiment exp(code, cfg,
                          [](const DetectorModel &, double) {
                              return std::make_unique<AlwaysFlip>();

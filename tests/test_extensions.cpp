@@ -12,6 +12,7 @@
 
 #include "core/evidence_policy.h"
 #include "exp/postselection.h"
+#include "scalar_reference.h"
 
 namespace qec
 {
@@ -182,28 +183,6 @@ TEST(PostSelection, DiscardsLeakyShotsAndImprovesLer)
     EXPECT_LT(result.lerKept(), result.lerAll());
 }
 
-TEST(PostSelection, BatchedWidth1MatchesScalarExactly)
-{
-    // The W=1 batch engine delegates to the scalar simulator shot for
-    // shot, so the batched suspicion scan + decode pipeline must
-    // reproduce the scalar path's kept counts and logical errors
-    // exactly, draw for draw.
-    RotatedSurfaceCode code(3);
-    ExperimentConfig cfg;
-    cfg.rounds = 12;
-    cfg.shots = 120;
-    cfg.seed = 95;
-    cfg.em = ErrorModel::standard(2e-3);
-
-    auto scalar = runPostSelectedExperiment(code, cfg);
-    cfg.batchWidth = 1;
-    auto batched = runPostSelectedExperimentBatched(code, cfg);
-    EXPECT_EQ(batched.shots, scalar.shots);
-    EXPECT_EQ(batched.kept, scalar.kept);
-    EXPECT_EQ(batched.logicalErrorsAll, scalar.logicalErrorsAll);
-    EXPECT_EQ(batched.logicalErrorsKept, scalar.logicalErrorsKept);
-}
-
 TEST(PostSelection, BatchedW64AgreesStatistically)
 {
     RotatedSurfaceCode code(3);
@@ -213,7 +192,7 @@ TEST(PostSelection, BatchedW64AgreesStatistically)
     cfg.seed = 96;
     cfg.em = ErrorModel::standard(2e-3);
 
-    auto scalar = runPostSelectedExperiment(code, cfg);
+    auto scalar = scalar_reference::runPostSelected(code, cfg);
     cfg.batchWidth = 64;
     auto batched = runPostSelectedExperiment(code, cfg);
 

@@ -349,7 +349,7 @@ TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyBatched)
     expectResultIdentical(second.result(), reference.result());
 }
 
-TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyScalar)
+TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyWidth1)
 {
     RotatedSurfaceCode code(3);
     const ExperimentConfig cfg = smallConfig(6, 200, 1);
@@ -358,10 +358,12 @@ TEST_F(FaultTolerance, SessionRestoreResumesBitIdenticallyScalar)
     ExperimentSession reference(exp, PolicyKind::Eraser);
     reference.runToCompletion();
 
+    // Width 1: every shot is its own word-group, so the cursor counts
+    // shots.
     ExperimentSession first(exp, PolicyKind::Eraser);
     first.runChunk(70);
     const SessionProgress snapshot = first.progress();
-    EXPECT_EQ(snapshot.scalarNext, 70u);
+    EXPECT_EQ(snapshot.nextSpan, 70u);
 
     ExperimentSession second(exp, PolicyKind::Eraser);
     ASSERT_TRUE(second.restore(snapshot).isOk());
@@ -502,6 +504,48 @@ TEST_F(FaultTolerance, CorruptCheckpointsAreRejectedWithDataLoss)
         EXPECT_EQ(st.code(), StatusCode::DataLoss);
         EXPECT_NE(st.message().find("magic"), std::string::npos);
     }
+}
+
+TEST_F(FaultTolerance, CheckpointRefusesLegacyScalarCursor)
+{
+    // qec.ckpt.v1 keeps a u64 slot right after each policy's span
+    // cursor for the cursor of the retired scalar per-shot engine. The
+    // writer stores 0 there; a nonzero slot is progress no engine can
+    // resume, so the reader must refuse it instead of restoring it
+    // onto the batch engine.
+    SweepCheckpoint ckpt;
+    ckpt.planFingerprint = 11;
+    PointCheckpoint point;
+    point.pointIndex = 0;
+    point.seed = 5;
+    PolicyCheckpoint policy;
+    policy.progress.total.shots = 70;
+    const uint64_t marker = 0x1122334455667788ull;
+    policy.progress.nextSpan = marker;
+    point.policies.push_back(policy);
+    ckpt.points.emplace(0, point);
+    std::string bytes = ckpt.serialize();
+
+    constexpr size_t kHeader = 8 + 4 + 4 + 8;
+    std::string span_bytes(8, '\0');
+    for (int i = 0; i < 8; ++i)
+        span_bytes[i] = (char)(marker >> (8 * i));
+    const size_t span_at = bytes.find(span_bytes, kHeader);
+    ASSERT_NE(span_at, std::string::npos);
+    const size_t slot_at = span_at + 8;
+    EXPECT_EQ(bytes.substr(slot_at, 8), std::string(8, '\0'));
+    ASSERT_TRUE(SweepCheckpoint::deserialize(bytes).ok());
+
+    // A per-shot cursor of 70 in the legacy slot, with a valid CRC.
+    bytes[slot_at] = 70;
+    const uint32_t crc =
+        crc32(bytes.data() + kHeader, bytes.size() - kHeader);
+    for (int i = 0; i < 4; ++i)
+        bytes[12 + i] = (char)(crc >> (8 * i));
+    const Status st = SweepCheckpoint::deserialize(bytes).status();
+    EXPECT_EQ(st.code(), StatusCode::DataLoss);
+    EXPECT_NE(st.message().find("per-shot"), std::string::npos)
+        << st.toString();
 }
 
 TEST_F(FaultTolerance, RunnerRefusesCorruptCheckpoint)

@@ -143,9 +143,9 @@ TEST(Session, ChunkedRunsAreBitIdenticalAtEveryWidth)
         const auto cfg = smallConfig(6, 1100, width);
         MemoryExperiment exp(code, cfg);
         const ExperimentResult whole =
-            exp.runBatched(makePolicyFactory(PolicyKind::Eraser, code,
-                                             exp.lookup(), false),
-                           "ERASER");
+            exp.run(makePolicyFactory(PolicyKind::Eraser, code,
+                                      exp.lookup(), false),
+                    "ERASER");
         for (uint64_t chunk : {1ull, 7ull, 64ull, 512ull}) {
             ExperimentSession session(exp, PolicyKind::Eraser);
             while (!session.done())
@@ -158,7 +158,7 @@ TEST(Session, ChunkedRunsAreBitIdenticalAtEveryWidth)
     }
 }
 
-TEST(Session, ScalarPathChunksAreBitIdentical)
+TEST(Session, Width1ChunksAreBitIdentical)
 {
     RotatedSurfaceCode code(3);
     const auto cfg = smallConfig(6, 101, 1);
