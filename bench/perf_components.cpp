@@ -277,12 +277,12 @@ BENCHMARK(BM_MemoryExperimentEraserWorkers)
 
 /** Pre-sampled realistic defect sets at p=1e-3. */
 std::vector<std::vector<int>>
-sampleShots(const RotatedSurfaceCode &code, int rounds, int count)
+sampleShots(const RotatedSurfaceCode &code, int rounds, int count,
+            const ErrorModel &em = ErrorModel::standard(1e-3))
 {
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
     std::vector<std::vector<int>> shots;
-    FrameSimulator sim(code.numQubits(), ErrorModel::standard(1e-3),
-                       Rng(3));
+    FrameSimulator sim(code.numQubits(), em, Rng(3));
     for (int i = 0; i < count; ++i) {
         sim.run(circuit);
         shots.push_back(
@@ -318,12 +318,23 @@ BM_DecodeShotWorkspace(benchmark::State &state)
 {
     // Same shots through decodeSparse with a persistent workspace:
     // the batch pipeline's per-shot cost model (no dedup cache).
+    // Args: distance, rounds per distance. The plain memory circuit
+    // has no leakage removal, so leaked qubits would pile up over 10d
+    // rounds far beyond fig14 (which removes them); the 10d shots are
+    // therefore sampled leakage-free, which gives dense shots of about
+    // a hundred defects at d=11, like fig14's leakage bursts.
     const int d = (int)state.range(0);
-    const int rounds = 3 * d;
+    const int rounds = (int)state.range(1) * d;
     RotatedSurfaceCode code(d);
     DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
-    auto shots = sampleShots(code, rounds, 32);
+    auto shots = sampleShots(code, rounds, 32,
+                             state.range(1) >= 10
+                                 ? ErrorModel::withoutLeakage(1e-3)
+                                 : ErrorModel::standard(1e-3));
+    size_t defects_total = 0;
+    for (const auto &defects : shots)
+        defects_total += defects.size();
 
     DecodeWorkspace ws;
     size_t i = 0;
@@ -333,8 +344,12 @@ BM_DecodeShotWorkspace(benchmark::State &state)
             decoder.decodeSparse(defects.data(), defects.size(), ws));
         ++i;
     }
+    state.counters["defects/shot"] =
+        benchmark::Counter((double)defects_total / 32.0);
 }
-BENCHMARK(BM_DecodeShotWorkspace)->Arg(3)->Arg(7)->Arg(11)
+BENCHMARK(BM_DecodeShotWorkspace)
+    ->ArgNames({"d", "rounds_per_d"})
+    ->Args({3, 3})->Args({7, 3})->Args({11, 3})->Args({11, 10})
     ->Unit(benchmark::kMicrosecond);
 
 void
@@ -562,20 +577,30 @@ BENCHMARK(BM_IrAnalyze)
 void
 BM_BlossomDecoderShaped(benchmark::State &state)
 {
-    // 2n-vertex instances shaped like the decoder's reduction.
-    const int n = (int)state.range(0);
+    // k-vertex instances shaped like the decoder's per-component
+    // matching: local candidate edges weighted by their saving
+    // b_i + b_j - w_ij over the boundary (only positive savings kept),
+    // solved as a maximum-weight matching in a persistent scratch.
+    const int k = (int)state.range(0);
     Rng rng(4);
+    std::vector<int64_t> bdist(k);
+    for (auto &b : bdist)
+        b = 1000 + (int64_t)rng.randint(2000);
     std::vector<MatchEdge> edges;
-    for (int i = 0; i < n; ++i) {
-        for (int j = i + 1; j < n && j < i + 8; ++j) {
-            edges.push_back({i, j, (int64_t)(1 + rng.randint(2000))});
-            edges.push_back({n + i, n + j, 0});
+    for (int i = 0; i < k; ++i) {
+        for (int j = i + 1; j < k && j < i + 8; ++j) {
+            const int64_t saving =
+                bdist[i] + bdist[j] - (1 + (int64_t)rng.randint(4000));
+            if (saving > 0)
+                edges.push_back({i, j, saving});
         }
-        edges.push_back({i, n + i, (int64_t)(1 + rng.randint(2000))});
     }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            minWeightPerfectMatching(2 * n, edges));
+    MatcherScratch scratch;
+    std::vector<int> partner;
+    for (auto _ : state) {
+        maxWeightMatching(k, edges, false, partner, scratch);
+        benchmark::DoNotOptimize(partner.data());
+    }
 }
 BENCHMARK(BM_BlossomDecoderShaped)->Arg(16)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);

@@ -20,8 +20,10 @@
 #ifndef QEC_DECODER_DECODE_WORKSPACE_H
 #define QEC_DECODER_DECODE_WORKSPACE_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,122 @@
 
 namespace qec
 {
+
+/**
+ * Monotone min-queue of (distance, id) entries for Dijkstra-style
+ * growth: a radix heap over the bit patterns of non-negative doubles,
+ * which order like the values themselves. Entry e lives in bucket
+ * b = 1 + (index of the highest bit where e's key differs from the
+ * last popped key), or in bucket 0 when the keys are equal; bucket 0
+ * is sorted by descending id before it is popped from. Pops therefore
+ * come out in exactly ascending (distance, id) order — the order of a
+ * binary heap of (distance, id) pairs — as long as no push is below
+ * the last popped key. Memory grows with the queued entries, never
+ * with the weight range, and every entry moves to a lower bucket at
+ * most 64 times.
+ */
+class RadixQueue
+{
+  public:
+    bool empty() const { return size_ == 0; }
+
+    /** Drop every entry and restart the key floor at 0. */
+    void
+    clear()
+    {
+        buckets_[0].clear();
+        for (uint64_t m = nonEmpty_; m != 0; m &= m - 1)
+            buckets_[1 + __builtin_ctzll(m)].clear();
+        nonEmpty_ = 0;
+        last_ = 0;
+        size_ = 0;
+        b0Sorted_ = true;
+    }
+
+    /** Push `key` >= the last popped key (and >= 0). */
+    void
+    push(double key, int id)
+    {
+        uint64_t bits;
+        std::memcpy(&bits, &key, sizeof bits);
+        ++size_;
+        if (bits == last_) {
+            buckets_[0].push_back({bits, id});
+            b0Sorted_ = false;
+            return;
+        }
+        const int b = 64 - __builtin_clzll(bits ^ last_);
+        buckets_[b].push_back({bits, id});
+        nonEmpty_ |= 1ULL << (b - 1);
+    }
+
+    /** Remove and return the smallest (key, id); queue must be
+     *  non-empty. */
+    std::pair<double, int>
+    pop()
+    {
+        auto &b0 = buckets_[0];
+        if (b0.empty()) {
+            // Raise the floor to the smallest key of the lowest
+            // non-empty bucket and spread that bucket downwards.
+            const int b = 1 + __builtin_ctzll(nonEmpty_);
+            auto &src = buckets_[b];
+            uint64_t floor = src[0].key;
+            for (const Entry &e : src)
+                floor = std::min(floor, e.key);
+            last_ = floor;
+            for (const Entry &e : src) {
+                if (e.key == floor) {
+                    b0.push_back(e);
+                    continue;
+                }
+                const int nb = 64 - __builtin_clzll(e.key ^ floor);
+                buckets_[nb].push_back(e);
+                nonEmpty_ |= 1ULL << (nb - 1);
+            }
+            src.clear();
+            nonEmpty_ &= ~(1ULL << (b - 1));
+            b0Sorted_ = false;
+        }
+        if (!b0Sorted_) {
+            std::sort(b0.begin(), b0.end(),
+                      [](const Entry &x, const Entry &y) {
+                          return x.id > y.id;
+                      });
+            b0Sorted_ = true;
+        }
+        const Entry e = b0.back();
+        b0.pop_back();
+        --size_;
+        double key;
+        std::memcpy(&key, &e.key, sizeof key);
+        return {key, e.id};
+    }
+
+    size_t
+    footprintBytes() const
+    {
+        size_t bytes = 0;
+        for (const auto &bucket : buckets_)
+            bytes += bucket.capacity() * sizeof(Entry);
+        return bytes;
+    }
+
+  private:
+    struct Entry
+    {
+        uint64_t key;   ///< Bit pattern of the non-negative distance.
+        int id;
+    };
+    std::vector<Entry> buckets_[65];
+    /** Bit b - 1 set iff buckets_[b] (b >= 1) is non-empty. */
+    uint64_t nonEmpty_ = 0;
+    /** Bit pattern of the last popped key (the floor). */
+    uint64_t last_ = 0;
+    size_t size_ = 0;
+    /** False after bucket 0 gained entries since its last sort. */
+    bool b0Sorted_ = true;
+};
 
 /**
  * Scratch state reused across decode calls. Not thread-safe: use one
@@ -41,7 +159,9 @@ struct DecodeWorkspace
 
     // Lightweight perf diagnostics, accumulated across decode calls.
     uint64_t statSettledNodes = 0;   ///< MWPM Dijkstra settles.
-    uint64_t statMatchedVerts = 0;   ///< Blossom vertices solved.
+    /** Matching vertices solved: k per multi-defect MWPM component
+     *  (union-find: vertices expanded by growth). */
+    uint64_t statMatchedVerts = 0;
     uint64_t statComponents = 0;     ///< Matching components seen.
 
     /**
@@ -184,16 +304,20 @@ struct DecodeWorkspace
     std::vector<std::pair<int, int>> peelAdj;
 
     // ------------------------------------------------------ MWPM state
-    // Per-detector multi-source Dijkstra state, valid iff
-    // mwStamp[d] == epoch.
-    std::vector<uint64_t> mwStamp;
-    std::vector<double> mwDist;
-    std::vector<uint8_t> mwObs;
-    std::vector<uint8_t> mwSettled;
-    /** Owning defect index (nearest defect) per touched detector. */
-    std::vector<int> mwOwner;
-    /** Binary heap storage for the Dijkstra priority queue. */
-    std::vector<std::pair<double, int>> mwHeap;
+    /** Per-detector region-growth record, valid iff stamp == epoch.
+     *  Packed so a settle or a relaxation touches one record instead
+     *  of five arrays. */
+    struct MwNode
+    {
+        uint64_t stamp;
+        double dist;       ///< Distance from the owning defect.
+        int owner;         ///< Owning (nearest) defect index.
+        uint8_t obs;       ///< Observable parity along that path.
+        uint8_t settled;
+    };
+    std::vector<MwNode> mwNode;
+    /** Region-growth priority queue. */
+    RadixQueue mwQueue;
 
     /** Candidate defect-defect path (i < j after normalization). */
     struct Cand
@@ -203,7 +327,13 @@ struct DecodeWorkspace
         double w;
         uint8_t obs;
     };
+    /** Unique candidate pairs (deduplicated as they are found). */
     std::vector<Cand> mwCands;
+    /** Per-defect lists of the unique candidates with that smaller
+     *  endpoint i: head index per defect (-1 = none), next index per
+     *  candidate (valid until mwCands is sorted). */
+    std::vector<int> mwCandHead;
+    std::vector<int> mwCandNext;
     std::vector<MatchEdge> mwEdges;
     /** Per-defect boundary route (distance, observable parity). */
     std::vector<double> mwBDist;
@@ -263,14 +393,8 @@ struct DecodeWorkspace
     void
     ensureMwpm(size_t num_detectors)
     {
-        if (mwStamp.size() >= num_detectors)
-            return;
-        mwStamp.resize(num_detectors, 0);
-        mwDist.resize(num_detectors);
-        mwObs.resize(num_detectors);
-        mwSettled.resize(num_detectors);
-        mwOwner.resize(num_detectors);
-        mwHeap.reserve(num_detectors);
+        if (mwNode.size() < num_detectors)
+            mwNode.resize(num_detectors, MwNode{});
     }
 
     /** Total bytes owned by the workspace (tests pin that this stops
@@ -295,9 +419,9 @@ struct DecodeWorkspace
                bytes(compCursor) + bytes(compMinRow) +
                bytes(compMaxRow) + bytes(compGroup) +
                bytes(compMerged) + bytes(compReach) +
-               bytes(compVerdict) + bytes(mwStamp) + bytes(mwDist) +
-               bytes(mwObs) + bytes(mwSettled) + bytes(mwOwner) +
-               bytes(mwHeap) + bytes(mwCands) +
+               bytes(compVerdict) + bytes(mwNode) +
+               mwQueue.footprintBytes() + bytes(mwCands) +
+               bytes(mwCandHead) + bytes(mwCandNext) +
                bytes(mwEdges) + bytes(mwBDist) + bytes(mwBObs) +
                bytes(mwPartner) + bytes(mwCompParent) +
                bytes(mwCompKeys) + bytes(mwCandByComp) +

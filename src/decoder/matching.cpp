@@ -695,37 +695,24 @@ maxWeightMatching(int num_vertices, const std::vector<MatchEdge> &edges,
                   bool max_cardinality)
 {
     MatcherScratch scratch;
-    Matcher matcher(num_vertices, edges, max_cardinality, scratch);
     std::vector<int> partner;
-    matcher.solve(partner);
+    maxWeightMatching(num_vertices, edges, max_cardinality, partner,
+                      scratch);
     return partner;
+}
+
+void
+maxWeightMatching(int num_vertices, const std::vector<MatchEdge> &edges,
+                  bool max_cardinality, std::vector<int> &partner,
+                  MatcherScratch &scratch)
+{
+    Matcher matcher(num_vertices, edges, max_cardinality, scratch);
+    matcher.solve(partner);
 }
 
 std::vector<int>
 minWeightPerfectMatching(int num_vertices,
                          const std::vector<MatchEdge> &edges)
-{
-    std::vector<MatchEdge> scratch(edges);
-    std::vector<int> partner;
-    minWeightPerfectMatchingInPlace(num_vertices, scratch, partner);
-    return partner;
-}
-
-void
-minWeightPerfectMatchingInPlace(int num_vertices,
-                                std::vector<MatchEdge> &edges,
-                                std::vector<int> &partner)
-{
-    MatcherScratch scratch;
-    minWeightPerfectMatchingInPlace(num_vertices, edges, partner,
-                                    scratch);
-}
-
-void
-minWeightPerfectMatchingInPlace(int num_vertices,
-                                std::vector<MatchEdge> &edges,
-                                std::vector<int> &partner,
-                                MatcherScratch &scratch)
 {
     int64_t wmax = 0;
     for (const auto &e : edges)
@@ -734,15 +721,17 @@ minWeightPerfectMatchingInPlace(int num_vertices,
     // Transform: maximizing (wmax + 1 - w) over maximum-cardinality
     // matchings minimizes total w over perfect matchings. Doubling
     // keeps every dual quantity integral.
-    for (auto &e : edges)
+    std::vector<MatchEdge> transformed(edges);
+    for (auto &e : transformed)
         e.weight = 2 * (wmax + 1 - e.weight);
 
-    Matcher matcher(num_vertices, edges, true, scratch);
-    matcher.solve(partner);
+    std::vector<int> partner = maxWeightMatching(
+        num_vertices, transformed, true);
     for (int v = 0; v < num_vertices; ++v) {
         panicIf(partner[v] == -1,
                 "no perfect matching exists for this instance");
     }
+    return partner;
 }
 
 } // namespace qec

@@ -3,8 +3,12 @@
  * Exact maximum-weight matching on general graphs (Galil's O(n^3)
  * blossom algorithm, following Van Rantwijk's well-known formulation).
  *
- * The MWPM decoder reduces minimum-weight perfect matching of defects
- * to maximum-weight matching with transformed weights. Weights are
+ * The MWPM decoder solves each component of its candidate graph as a
+ * maximum-weight (not maximum-cardinality) matching on the component's
+ * defects, with edge weight = the saving of pairing two defects over
+ * sending both to the boundary; an unmatched defect goes to the
+ * boundary. minWeightPerfectMatching (the doubled boundary-twin
+ * construction) stays as the tests' exact oracle. Weights are
  * integers; callers scale doubles before building the instance. The
  * implementation is validated against brute force in the test suite.
  */
@@ -79,34 +83,23 @@ std::vector<int> maxWeightMatching(int num_vertices,
                                    bool max_cardinality);
 
 /**
+ * In-place variant for hot loops: writes the matching into `partner`
+ * (reusing its storage) and solves in the caller's persistent scratch,
+ * so after warmup on same-shaped instances it performs no heap
+ * allocation. Same result as the value-returning overload.
+ */
+void maxWeightMatching(int num_vertices,
+                       const std::vector<MatchEdge> &edges,
+                       bool max_cardinality, std::vector<int> &partner,
+                       MatcherScratch &scratch);
+
+/**
  * Minimum-weight perfect matching helper: negates weights around the
  * maximum edge weight and runs max-cardinality matching. All vertices
- * must be matchable (the decoder guarantees this with virtual boundary
- * vertices).
+ * must be matchable (e.g. through virtual boundary twins).
  */
 std::vector<int> minWeightPerfectMatching(
     int num_vertices, const std::vector<MatchEdge> &edges);
-
-/**
- * Workspace-friendly variant for hot decode loops: transforms `edges`
- * weights in place (callers rebuild the edge list per shot anyway)
- * and writes the result into `partner`, reusing its storage. Builds a
- * throwaway MatcherScratch, so it still allocates; hot loops should
- * pass a persistent scratch via the overload below.
- */
-void minWeightPerfectMatchingInPlace(int num_vertices,
-                                     std::vector<MatchEdge> &edges,
-                                     std::vector<int> &partner);
-
-/**
- * Zero-allocation variant: solves in the caller's persistent scratch.
- * After warmup on same-shaped instances the solve performs no heap
- * allocation at all (the last piece of the zero-alloc decode story).
- */
-void minWeightPerfectMatchingInPlace(int num_vertices,
-                                     std::vector<MatchEdge> &edges,
-                                     std::vector<int> &partner,
-                                     MatcherScratch &scratch);
 
 } // namespace qec
 

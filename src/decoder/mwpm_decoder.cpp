@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "base/logging.h"
 #include "decoder/matching.h"
@@ -145,6 +146,7 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
         ws.mwBObs.resize(n);
         ws.mwLocalIndex.resize(n);
         ws.mwCompParent.resize(n);
+        ws.mwCandHead.resize(n);
     }
     ws.mwCands.clear();
 
@@ -188,109 +190,96 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
     // instead represented through that defect's candidates (the
     // local-matching approximation production decoders use). Every
     // touched node settles at most once per shot (instead of once per
-    // nearby defect), and only adjacent-region pairs become
-    // candidates, which keeps the matching components small. Growth
-    // past a region's boundary distance plus the shot's largest
-    // boundary distance is pruned: any pair found there is
-    // boundary-dominated.
-    ws.mwHeap.clear();
+    // nearby defect), so the loop is bounded by numDetectors(), and
+    // only adjacent-region pairs become candidates, which keeps the
+    // matching components small. Growth past a region's boundary
+    // distance plus the shot's largest boundary distance is pruned:
+    // any pair found there is boundary-dominated. The monotone queue
+    // pops in exactly ascending (distance, detector id) order.
+    DecodeWorkspace::MwNode *node = ws.mwNode.data();
+    ws.mwQueue.clear();
     for (int i = 0; i < n; ++i) {
         const int src = defects[i];
-        ws.mwStamp[src] = call;
-        ws.mwDist[src] = 0.0;
-        ws.mwObs[src] = 0;
-        ws.mwSettled[src] = 0;
-        ws.mwOwner[src] = i;
-        ws.mwHeap.push_back({0.0, src});
+        node[src] = {call, 0.0, i, 0, 0};
+        ws.mwQueue.push(0.0, src);
     }
-    std::make_heap(ws.mwHeap.begin(), ws.mwHeap.end(), std::greater<>{});
 
-    int settled_count = 0;
-    while (!ws.mwHeap.empty()) {
-        const auto [d, u] = ws.mwHeap.front();
-        std::pop_heap(ws.mwHeap.begin(), ws.mwHeap.end(),
-                      std::greater<>{});
-        ws.mwHeap.pop_back();
-        if (ws.mwSettled[u] || d > ws.mwDist[u])
+    // Candidates are deduplicated as they are found: each pair keeps
+    // its minimum (w, obs) — what sorting every crossing by
+    // (i, j, w, obs) and keeping the first per pair keeps. A pair is
+    // looked up in the list of unique candidates sharing its smaller
+    // endpoint, which holds at most one entry per neighbouring region.
+    std::fill_n(ws.mwCandHead.begin(), n, -1);
+    ws.mwCandNext.clear();
+    auto addCandidate = [&](int i, int j, double w, uint8_t obs) {
+        for (int k = ws.mwCandHead[i]; k >= 0; k = ws.mwCandNext[k]) {
+            DecodeWorkspace::Cand &c = ws.mwCands[k];
+            if (c.j != j)
+                continue;
+            if (w < c.w || (w == c.w && obs < c.obs)) {
+                c.w = w;
+                c.obs = obs;
+            }
+            return;
+        }
+        ws.mwCandNext.push_back(ws.mwCandHead[i]);
+        ws.mwCandHead[i] = (int)ws.mwCands.size();
+        ws.mwCands.push_back({i, j, w, obs});
+    };
+
+    while (!ws.mwQueue.empty()) {
+        const auto [d, u] = ws.mwQueue.pop();
+        DecodeWorkspace::MwNode &nu = node[u];
+        if (nu.settled || d > nu.dist)
             continue;
-        ws.mwSettled[u] = 1;
-        ++settled_count;
+        nu.settled = 1;
         ++ws.statSettledNodes;
-        const int oi = ws.mwOwner[u];
+        const int oi = nu.owner;
         const double bdist_i = ws.mwBDist[oi];
 
         const int row_end = nbrOffsets_[(size_t)u + 1];
         for (int k = nbrOffsets_[u]; k < row_end; ++k) {
             const Nbr &nbr = nbrs_[k];
-            if (ws.mwStamp[nbr.to] == call &&
-                ws.mwSettled[nbr.to]) {
-                const int oj = ws.mwOwner[nbr.to];
+            DecodeWorkspace::MwNode &nv = node[nbr.to];
+            const bool seen = nv.stamp == call;
+            if (seen && nv.settled) {
+                const int oj = nv.owner;
                 if (oj == oi)
                     continue;
                 // Region crossing: candidate at the exact shortest
                 // distance between the two owners (for this meeting
-                // edge; the dedup pass keeps the global minimum).
+                // edge; the dedup keeps the global minimum).
                 // Dropped when matching both owners to the boundary
                 // is strictly cheaper.
-                const double w = d + nbr.w + ws.mwDist[nbr.to];
+                const double w = d + nbr.w + nv.dist;
                 if (w > bdist_i + ws.mwBDist[oj])
                     continue;
-                const uint8_t obs = ws.mwObs[u] ^ nbr.obs ^
-                                    ws.mwObs[nbr.to];
+                const uint8_t obs = nu.obs ^ nbr.obs ^ nv.obs;
                 if (oi < oj)
-                    ws.mwCands.push_back({oi, oj, w, obs});
+                    addCandidate(oi, oj, w, obs);
                 else
-                    ws.mwCands.push_back({oj, oi, w, obs});
+                    addCandidate(oj, oi, w, obs);
                 continue;
             }
             const double nd = d + nbr.w;
             if (nd > bdist_i + bmax_shot)
                 continue;   // boundary-dominated beyond this radius
-            if (ws.mwStamp[nbr.to] != call) {
-                ws.mwStamp[nbr.to] = call;
-                ws.mwSettled[nbr.to] = 0;
-                ws.mwDist[nbr.to] = nd;
-                ws.mwObs[nbr.to] = ws.mwObs[u] ^ nbr.obs;
-                ws.mwOwner[nbr.to] = oi;
-                ws.mwHeap.push_back({nd, nbr.to});
-                std::push_heap(ws.mwHeap.begin(), ws.mwHeap.end(),
-                               std::greater<>{});
-            } else if (nd < ws.mwDist[nbr.to] &&
-                       !ws.mwSettled[nbr.to]) {
-                ws.mwDist[nbr.to] = nd;
-                ws.mwObs[nbr.to] = ws.mwObs[u] ^ nbr.obs;
-                ws.mwOwner[nbr.to] = oi;
-                ws.mwHeap.push_back({nd, nbr.to});
-                std::push_heap(ws.mwHeap.begin(), ws.mwHeap.end(),
-                               std::greater<>{});
+            if (!seen || nd < nv.dist) {
+                nv = {call, nd, oi, (uint8_t)(nu.obs ^ nbr.obs), 0};
+                ws.mwQueue.push(nd, nbr.to);
             }
         }
-        if (settled_count >= options_.settleCap)
-            break;
     }
 
-    // Deduplicate candidates: sort by (i, j, w, obs) and keep the
-    // minimum-weight path per pair. The surviving sorted list doubles
-    // as the pair -> observable-parity lookup after matching.
+    // Sort the unique pairs by (i, j): the list doubles as the
+    // pair -> observable-parity lookup after matching.
     std::sort(ws.mwCands.begin(), ws.mwCands.end(),
               [](const DecodeWorkspace::Cand &x,
                  const DecodeWorkspace::Cand &y) {
                   if (x.i != y.i)
                       return x.i < y.i;
-                  if (x.j != y.j)
-                      return x.j < y.j;
-                  if (x.w != y.w)
-                      return x.w < y.w;
-                  return x.obs < y.obs;
+                  return x.j < y.j;
               });
-    size_t unique_count = 0;
-    for (size_t k = 0; k < ws.mwCands.size(); ++k) {
-        if (k > 0 && ws.mwCands[k].i == ws.mwCands[k - 1].i &&
-            ws.mwCands[k].j == ws.mwCands[k - 1].j)
-            continue;
-        ws.mwCands[unique_count++] = ws.mwCands[k];
-    }
-    ws.mwCands.resize(unique_count);
 
     // Enforce the per-defect candidate budget: when a defect exceeds
     // neighborLimit adjacencies (rare — region adjacency yields only a
@@ -335,8 +324,8 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
                   });
     }
 
-    // Split the doubled matching instance into connected components
-    // of the candidate graph: every cross-component pairing is
+    // Split the matching instance into connected components of the
+    // candidate graph: every cross-component pairing is
     // boundary-dominated, so blossom runs on many small instances
     // instead of one O(n^3) one (the sparse-blossom trick).
     for (int i = 0; i < n; ++i)
@@ -378,7 +367,7 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
             ++group_end;
         const int k = (int)(group_end - group);
 
-        // Trivial component: one defect, matched to its boundary twin.
+        // Trivial component: one defect, matched to the boundary.
         if (k == 1) {
             const int gi = ws.mwCompKeys[group].second;
             obs ^= (ws.mwBObs[gi] != 0);
@@ -393,9 +382,13 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
             ws.mwLocalIndex[ws.mwCompKeys[t].second] =
                 (int)(t - group);
 
-        // Local doubled instance: real-real candidate edges plus
-        // mirrored virtual-virtual edges that free both boundary
-        // twins at zero cost, and one real-virtual edge per defect.
+        // Local saving instance on the k defects: pairing i with j
+        // instead of sending both to the boundary saves
+        // b_i + b_j - w_ij. A maximum-weight matching of the savings
+        // minimizes the same integer total as a perfect matching of
+        // the doubled boundary-twin instance; unmatched defects go to
+        // the boundary. Non-positive savings never help and are
+        // dropped.
         ws.mwEdges.clear();
         while (cand_cursor < ws.mwCandByComp.size() &&
                ws.mwCandByComp[cand_cursor].first < root)
@@ -405,33 +398,29 @@ MwpmDecoder::decodeSparse(const int *defects, size_t count,
              ++cand_cursor) {
             const auto &cand =
                 ws.mwCands[ws.mwCandByComp[cand_cursor].second];
-            const int li = ws.mwLocalIndex[cand.i];
-            const int lj = ws.mwLocalIndex[cand.j];
-            ws.mwEdges.push_back({li, lj, scaled(cand.w)});
-            ws.mwEdges.push_back({k + li, k + lj, 0});
-        }
-        for (size_t t = group; t < group_end; ++t) {
-            const int li = (int)(t - group);
-            ws.mwEdges.push_back(
-                {li, k + li,
-                 scaled(ws.mwBDist[ws.mwCompKeys[t].second])});
+            const int64_t saving = scaled(ws.mwBDist[cand.i]) +
+                                   scaled(ws.mwBDist[cand.j]) -
+                                   scaled(cand.w);
+            if (saving > 0)
+                ws.mwEdges.push_back({ws.mwLocalIndex[cand.i],
+                                      ws.mwLocalIndex[cand.j], saving});
         }
 
-        ws.statMatchedVerts += 2 * (uint64_t)k;
+        ws.statMatchedVerts += (uint64_t)k;
         ++ws.statComponents;
-        minWeightPerfectMatchingInPlace(2 * k, ws.mwEdges,
-                                        ws.mwPartner, ws.matcher);
+        maxWeightMatching(k, ws.mwEdges, false, ws.mwPartner,
+                          ws.matcher);
 
         // Predicted observable: parity over matched structure.
         for (int li = 0; li < k; ++li) {
             const int m = ws.mwPartner[li];
             const int gi = ws.mwCompKeys[group + li].second;
-            if (m == k + li) {
+            if (m == -1) {
                 obs ^= (ws.mwBObs[gi] != 0);
                 if (ws.recordCorrections)
                     ws.corrections.push_back(
                         {defects[gi], -1, ws.mwBObs[gi]});
-            } else if (m > li && m < k) {
+            } else if (m > li) {
                 const int gj = ws.mwCompKeys[group + m].second;
                 // Binary search the deduped candidate list.
                 auto it = std::lower_bound(

@@ -3,31 +3,37 @@
  * Minimum-weight perfect matching decoder over a DetectorModel.
  *
  * Decoding pipeline (the paper's "gold standard" MWPM, Section 2.2):
- *  1. One multi-source Dijkstra grows shortest-path regions around
- *     all fired detectors simultaneously over the weighted decoding
- *     graph (weight = log((1-q)/q) per edge), tracking the logical
- *     observable parity along shortest paths. Where two regions meet,
- *     the meeting edge yields a defect-pair candidate — at the exact
- *     shortest inter-defect distance whenever the shortest path stays
- *     inside the two regions; pairs separated by a third defect's
- *     region are represented through that defect's candidates instead
- *     (the local-matching approximation). Every touched node settles
- *     at most once per shot. The defect-to-boundary route is NOT
- *     searched per shot: the exact shortest boundary distance (and
- *     its observable parity) is precomputed for every detector id at
- *     construction with one multi-source Dijkstra from the boundary,
- *     and region growth is pruned beyond the radius where every pair
- *     is boundary-dominated.
- *  2. Reduce to minimum-weight perfect matching with one virtual
- *     boundary twin per defect (the standard doubling construction).
- *     Candidates that cannot beat pairing both endpoints with the
- *     boundary are pruned, and each Dijkstra stops at its boundary
- *     distance plus the shot's largest boundary distance — beyond
- *     that every pair is boundary-dominated.
+ *  1. Region growth: one multi-source Dijkstra grows shortest-path
+ *     regions around all fired detectors simultaneously over the
+ *     weighted decoding graph (weight = log((1-q)/q) per edge),
+ *     tracking the logical observable parity along shortest paths.
+ *     Its queue is a radix heap over the distances' bit patterns that
+ *     pops in exactly ascending (distance, detector id) order, and
+ *     every touched detector settles at most once per shot. Where two
+ *     regions meet, the meeting edge yields a defect-pair candidate —
+ *     at the exact shortest inter-defect distance whenever the
+ *     shortest path stays inside the two regions; pairs separated by
+ *     a third defect's region are represented through that defect's
+ *     candidates instead (the local-matching approximation).
+ *     Candidates are deduplicated as they are found (minimum weight
+ *     per pair). The defect-to-boundary route is NOT searched per
+ *     shot: the exact shortest boundary distance (and its observable
+ *     parity) is precomputed for every detector id at construction
+ *     with one multi-source Dijkstra from the boundary.
+ *  2. Pruning: a candidate that cannot beat pairing both endpoints
+ *     with the boundary is dropped, and each region stops growing at
+ *     its boundary distance plus the shot's largest boundary distance
+ *     — beyond that every pair is boundary-dominated.
  *  3. Exact blossom matching per connected component of the candidate
  *     graph (cross-component pairings are boundary-dominated, so the
  *     O(n^3) solver runs on many small instances — the sparse-blossom
- *     trick); the predicted observable flip is the parity of
+ *     trick). A k-defect component is solved as a maximum-weight
+ *     matching on its k defects, weighting each candidate pair by its
+ *     saving b_i + b_j - w_ij over sending both defects to the
+ *     boundary; unmatched defects go to the boundary. This has the
+ *     same minimum total weight as the textbook minimum-weight perfect
+ *     matching on k defects plus k boundary twins, at half the
+ *     vertices. The predicted observable flip is the parity of
  *     matched-path observable crossings.
  *
  * Adjacency is a flat CSR layout and all per-shot scratch lives in the
@@ -54,8 +60,6 @@ struct DecoderOptions
 {
     /** Defect-neighbour candidates kept per defect. */
     int neighborLimit = 12;
-    /** Hard cap on settled nodes per Dijkstra (safety valve). */
-    int settleCap = 1 << 20;
 };
 
 /**

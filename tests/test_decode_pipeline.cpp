@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -97,14 +98,16 @@ namespace qec
 namespace
 {
 
-/** Sample realistic defect sets from a memory circuit. */
+/** Sample realistic defect sets from a memory circuit (leak rate
+ *  leak_fraction * p per injection site). */
 std::vector<std::vector<int>>
 sampleDefectSets(const RotatedSurfaceCode &code, int rounds, int count,
-                 double p, uint64_t seed)
+                 double p, uint64_t seed, double leak_fraction = 0.1)
 {
     Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-    FrameSimulator sim(code.numQubits(), ErrorModel::standard(p),
-                       Rng(seed));
+    ErrorModel em = ErrorModel::standard(p);
+    em.leakFraction = leak_fraction;
+    FrameSimulator sim(code.numQubits(), em, Rng(seed));
     std::vector<std::vector<int>> shots;
     for (int i = 0; i < count; ++i) {
         sim.run(circuit);
@@ -322,36 +325,57 @@ TEST(DecodePipeline, ZeroDefectDecodeAllocatesNothingForBothDecoders)
 
 TEST(DecodePipeline, MwpmDecodeIsAllocationFreeInSteadyState)
 {
-    // The blossom solver now lives in the workspace's MatcherScratch:
+    // The blossom solver lives in the workspace's MatcherScratch, and
+    // the region-growth queue and candidate table in the workspace:
     // once warmed up on a shot set, repeating the set must perform
-    // zero heap allocations end to end (the last piece of the
-    // zero-alloc decode story; previously the Matcher rebuilt its
-    // vectors on every matching call).
-    RotatedSurfaceCode code(5);
-    const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    MwpmDecoder decoder(dem, 1e-3);
+    // zero heap allocations end to end. The dense set (leakage
+    // bursts of 64+ defects) drives the queue's buckets and the
+    // candidate lists through their growth paths.
+    struct ShotSet
+    {
+        int d;
+        int rounds;
+        double p;
+        double leakFraction;
+        uint64_t seed;
+        size_t minPeakDefects;   ///< Largest shot must reach this.
+    };
+    for (const ShotSet &set : {ShotSet{5, 10, 3e-3, 0.1, 76, 0},
+                               ShotSet{7, 70, 4e-3, 1.0, 79, 64}}) {
+        SCOPED_TRACE(::testing::Message() << "d=" << set.d);
+        RotatedSurfaceCode code(set.d);
+        DetectorModel dem =
+            buildDetectorModel(code, set.rounds, Basis::Z);
+        MwpmDecoder decoder(dem, 1e-3);
 
-    auto shots = sampleDefectSets(code, rounds, 40, 3e-3, 76);
-    DecodeWorkspace ws;
-    // Two warmup passes: the first sizes every array, the second lets
-    // per-blossom-slot capacities settle.
-    for (int warmup = 0; warmup < 2; ++warmup) {
+        auto shots = sampleDefectSets(code, set.rounds, 40, set.p,
+                                      set.seed, set.leakFraction);
+        size_t peak_defects = 0;
         for (const auto &defects : shots)
-            decoder.decodeSparse(defects.data(), defects.size(), ws);
-    }
+            peak_defects = std::max(peak_defects, defects.size());
+        EXPECT_GE(peak_defects, set.minPeakDefects);
 
-    const uint64_t before = g_allocations.load();
-    bool sink = false;
-    for (int repeat = 0; repeat < 3; ++repeat) {
-        for (const auto &defects : shots)
-            sink ^= decoder.decodeSparse(defects.data(),
-                                         defects.size(), ws);
+        DecodeWorkspace ws;
+        // Two warmup passes: the first sizes every array, the second
+        // lets per-blossom-slot capacities settle.
+        for (int warmup = 0; warmup < 2; ++warmup) {
+            for (const auto &defects : shots)
+                decoder.decodeSparse(defects.data(), defects.size(),
+                                     ws);
+        }
+
+        const uint64_t before = g_allocations.load();
+        bool sink = false;
+        for (int repeat = 0; repeat < 3; ++repeat) {
+            for (const auto &defects : shots)
+                sink ^= decoder.decodeSparse(defects.data(),
+                                             defects.size(), ws);
+        }
+        const uint64_t after = g_allocations.load();
+        EXPECT_EQ(after, before) << "MWPM decode allocated on the "
+                                    "steady-state path (sink="
+                                 << sink << ")";
     }
-    const uint64_t after = g_allocations.load();
-    EXPECT_EQ(after, before) << "MWPM decode allocated on the "
-                                "steady-state path (sink="
-                             << sink << ")";
 }
 
 TEST(DecodePipeline, MatcherScratchReuseMatchesThrowawaySolves)
@@ -373,11 +397,14 @@ TEST(DecodePipeline, MatcherScratchReuseMatchesThrowawaySolves)
             for (int j = i + 1; j < n; ++j)
                 edges.push_back({n + i, n + j, 0});
 
-        std::vector<MatchEdge> a(edges), b(edges);
-        std::vector<int> fresh, reused;
-        minWeightPerfectMatchingInPlace(2 * n, a, fresh);
-        minWeightPerfectMatchingInPlace(2 * n, b, reused, scratch);
-        ASSERT_EQ(fresh, reused) << "instance " << iter;
+        // Alternate both cardinality modes through the same scratch.
+        const bool max_cardinality = (iter & 1) != 0;
+        std::vector<int> reused;
+        maxWeightMatching(2 * n, edges, max_cardinality, reused,
+                          scratch);
+        ASSERT_EQ(maxWeightMatching(2 * n, edges, max_cardinality),
+                  reused)
+            << "instance " << iter;
     }
 }
 
