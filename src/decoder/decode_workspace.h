@@ -23,27 +23,23 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 #include <vector>
 
-#include "decoder/matching.h"
 
 namespace qec
 {
 
 /**
- * Monotone min-queue of (distance, id) entries for Dijkstra-style
- * growth: a radix heap over the bit patterns of non-negative doubles,
- * which order like the values themselves. Entry e lives in bucket
- * b = 1 + (index of the highest bit where e's key differs from the
- * last popped key), or in bucket 0 when the keys are equal; bucket 0
- * is sorted by descending id before it is popped from. Pops therefore
- * come out in exactly ascending (distance, id) order — the order of a
- * binary heap of (distance, id) pairs — as long as no push is below
- * the last popped key. Memory grows with the queued entries, never
- * with the weight range, and every entry moves to a lower bucket at
- * most 64 times.
+ * Monotone min-queue of (time, id) entries for event-driven region
+ * growth: a radix heap over non-negative integer keys. Entry e lives
+ * in bucket b = 1 + (index of the highest bit where e's key differs
+ * from the last popped key), or in bucket 0 when the keys are equal;
+ * bucket 0 is sorted by descending id before it is popped from. Pops
+ * therefore come out in exactly ascending (time, id) order as long as
+ * no push is below the last popped key. Memory grows with the queued
+ * entries, never with the key range, and every entry moves to a lower
+ * bucket at most 64 times.
  */
 class RadixQueue
 {
@@ -65,10 +61,9 @@ class RadixQueue
 
     /** Push `key` >= the last popped key (and >= 0). */
     void
-    push(double key, int id)
+    push(int64_t key, int id)
     {
-        uint64_t bits;
-        std::memcpy(&bits, &key, sizeof bits);
+        const uint64_t bits = (uint64_t)key;
         ++size_;
         if (bits == last_) {
             buckets_[0].push_back({bits, id});
@@ -82,7 +77,7 @@ class RadixQueue
 
     /** Remove and return the smallest (key, id); queue must be
      *  non-empty. */
-    std::pair<double, int>
+    std::pair<int64_t, int>
     pop()
     {
         auto &b0 = buckets_[0];
@@ -118,9 +113,7 @@ class RadixQueue
         const Entry e = b0.back();
         b0.pop_back();
         --size_;
-        double key;
-        std::memcpy(&key, &e.key, sizeof key);
-        return {key, e.id};
+        return {(int64_t)e.key, e.id};
     }
 
     size_t
@@ -135,13 +128,13 @@ class RadixQueue
   private:
     struct Entry
     {
-        uint64_t key;   ///< Bit pattern of the non-negative distance.
+        uint64_t key;
         int id;
     };
     std::vector<Entry> buckets_[65];
     /** Bit b - 1 set iff buckets_[b] (b >= 1) is non-empty. */
     uint64_t nonEmpty_ = 0;
-    /** Bit pattern of the last popped key (the floor). */
+    /** The last popped key (the floor). */
     uint64_t last_ = 0;
     size_t size_ = 0;
     /** False after bucket 0 gained entries since its last sort. */
@@ -158,18 +151,21 @@ struct DecodeWorkspace
     uint64_t epoch = 0;
 
     // Lightweight perf diagnostics, accumulated across decode calls.
-    uint64_t statSettledNodes = 0;   ///< MWPM Dijkstra settles.
-    /** Matching vertices solved: k per multi-defect MWPM component
-     *  (union-find: vertices expanded by growth). */
+    /** MWPM: detectors reached by region growth (a detector released
+     *  by a shrinking region and reached again counts again).
+     *  Union-find: adjacency entries scanned by growth. */
+    uint64_t statSettledNodes = 0;
+    /** MWPM: defects matched. Union-find: vertices expanded. */
     uint64_t statMatchedVerts = 0;
-    uint64_t statComponents = 0;     ///< Matching components seen.
+    /** MWPM: augmentations, i.e. alternating trees (one or two per
+     *  event) resolved into matched pairs. */
+    uint64_t statComponents = 0;
 
     /**
-     * Hop-reach certificate of the last decodeSparse call: every
-     * vertex that decode — or its restriction inside a larger shot
-     * (MWPM adds Decoder::componentSlackHops for the enclosing shot)
-     * — can touch lies within this many hops of the call's defects.
-     * The component composition guard sums certificates pairwise.
+     * Hop-reach certificate of the last union-find decodeSparse call:
+     * every vertex that decode can touch lies within this many hops
+     * of the call's defects. The component composition guard sums
+     * certificates pairwise.
      */
     int lastReachHops = 0;
 
@@ -304,51 +300,67 @@ struct DecodeWorkspace
     std::vector<std::pair<int, int>> peelAdj;
 
     // ------------------------------------------------------ MWPM state
-    /** Per-detector region-growth record, valid iff stamp == epoch.
-     *  Packed so a settle or a relaxation touches one record instead
-     *  of five arrays. */
+    /** Compressed edge between two regions: the source defects
+     *  (indices into the decode call's defect list) at either end of
+     *  a tight path, and its observable parity. b = -1 is the
+     *  boundary. Oriented: `a` lies in the region that stores it. */
+    struct MwEdge
+    {
+        int a;
+        int b;
+        uint8_t obs;
+    };
+    /** Per-detector flood record, valid iff stamp == epoch. */
     struct MwNode
     {
         uint64_t stamp;
-        double dist;       ///< Distance from the owning defect.
-        int owner;         ///< Owning (nearest) defect index.
-        uint8_t obs;       ///< Observable parity along that path.
-        uint8_t settled;
+        /** Local radius (distance past this node the covering region
+         *  reaches) = y(top) + base. */
+        int64_t base;
+        /** Time of this node's queued event (INT64_MAX: none). */
+        int64_t evTime;
+        int top;         ///< Top-level covering region; -1 = empty.
+        int src;         ///< Source defect of the path that reached it.
+        int shellNext;   ///< Next node down its region's shell stack.
+        uint8_t obs;     ///< Observable parity back to src.
+    };
+    /**
+     * Sparse-blossom region: a trivial region grows around one defect,
+     * a blossom around an odd cycle of child regions. Radius
+     * y(t) = y0 + rate * (t - t0); rate +1 grows, -1 shrinks, 0 frozen.
+     */
+    struct MwRegion
+    {
+        int64_t y0;
+        int64_t t0;
+        int64_t shrinkTime;   ///< Queued shrink event (INT64_MAX: none).
+        uint64_t mark;
+        int rate;
+        int blossomParent;    ///< -1: top level.
+        int childHead;        ///< First cycle child; -1: trivial.
+        int cycleNext;        ///< Next sibling in the parent's cycle.
+        MwEdge cycleEdge;     ///< Edge to cycleNext.
+        int shellHead;        ///< Nodes reached while top, LIFO.
+        int match;            ///< Region, -1 none, -2 boundary.
+        MwEdge matchEdge;
+        int tree;             ///< Alternating tree slot; -1: none.
+        int treeParent;
+        MwEdge treeEdge;      ///< Edge to treeParent.
+        int treeChild;
+        int treeSibNext;
+        int treeSibPrev;
     };
     std::vector<MwNode> mwNode;
-    /** Region-growth priority queue. */
+    /** Event queue: node events keyed by detector id, region shrink
+     *  events by detector count + region index. */
     RadixQueue mwQueue;
-
-    /** Candidate defect-defect path (i < j after normalization). */
-    struct Cand
-    {
-        int i;
-        int j;
-        double w;
-        uint8_t obs;
-    };
-    /** Unique candidate pairs (deduplicated as they are found). */
-    std::vector<Cand> mwCands;
-    /** Per-defect lists of the unique candidates with that smaller
-     *  endpoint i: head index per defect (-1 = none), next index per
-     *  candidate (valid until mwCands is sorted). */
-    std::vector<int> mwCandHead;
-    std::vector<int> mwCandNext;
-    std::vector<MatchEdge> mwEdges;
-    /** Per-defect boundary route (distance, observable parity). */
-    std::vector<double> mwBDist;
-    std::vector<uint8_t> mwBObs;
-    /** Matching output, reused across calls. */
-    std::vector<int> mwPartner;
-    /** Connected-component split of the matching instance. */
-    std::vector<int> mwCompParent;
-    std::vector<std::pair<int, int>> mwCompKeys;  ///< (root, defect).
-    /** Candidates bucketed by component: (root, candidate index). */
-    std::vector<std::pair<int, int>> mwCandByComp;
-    std::vector<int> mwLocalIndex;
-    /** Persistent blossom-solver scratch: MWPM matching reuses it
-     *  across calls, so steady-state decode allocates nothing. */
-    MatcherScratch matcher;
+    std::vector<MwRegion> mwRegions;
+    std::vector<int> mwFreeRegions;
+    std::vector<int> mwTreeRoot;      ///< Tree slot -> root region.
+    std::vector<int> mwStack;         ///< Region walk scratch.
+    std::vector<int> mwCycle;         ///< Blossom cycle scratch.
+    std::vector<MwEdge> mwExpand;     ///< (region, defect) expansion.
+    uint64_t mwMark = 0;
 
     /** Size the union-find arrays for a graph with `num_vertices`
      *  vertices (detectors + boundary) and `num_edges` edges. */
@@ -420,12 +432,9 @@ struct DecodeWorkspace
                bytes(compMaxRow) + bytes(compGroup) +
                bytes(compMerged) + bytes(compReach) +
                bytes(compVerdict) + bytes(mwNode) +
-               mwQueue.footprintBytes() + bytes(mwCands) +
-               bytes(mwCandHead) + bytes(mwCandNext) +
-               bytes(mwEdges) + bytes(mwBDist) + bytes(mwBObs) +
-               bytes(mwPartner) + bytes(mwCompParent) +
-               bytes(mwCompKeys) + bytes(mwCandByComp) +
-               bytes(mwLocalIndex) + matcher.footprintBytes();
+               mwQueue.footprintBytes() + bytes(mwRegions) +
+               bytes(mwFreeRegions) + bytes(mwTreeRoot) +
+               bytes(mwStack) + bytes(mwCycle) + bytes(mwExpand);
     }
 };
 

@@ -1,13 +1,8 @@
 #include "decoder/mwpm_decoder.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
-#include <limits>
-#include <queue>
-#include <utility>
-
-#include "base/logging.h"
-#include "decoder/matching.h"
 
 namespace qec
 {
@@ -15,436 +10,815 @@ namespace qec
 namespace
 {
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
-/** Weight clamp so scaled integer weights never overflow. */
+/** Weight clamp so integer weights fit in 32 bits. */
 constexpr double kMaxWeight = 1.0e6;
-/** Fixed-point scale for blossom weights. */
+/** Fixed-point scale of the integer weights. */
 constexpr double kWeightScale = 1024.0;
 
-double
-edgeWeight(double q)
-{
-    q = std::min(std::max(q, 1.0e-12), 0.499999);
-    return std::log((1.0 - q) / q);
-}
+constexpr int64_t kNever = INT64_MAX;
+constexpr int kMatchBoundary = -2;
 
-int64_t
-scaled(double w)
+using MwEdge = DecodeWorkspace::MwEdge;
+
+MwEdge
+reversed(const MwEdge &e)
 {
-    w = std::min(w, kMaxWeight);
-    return (int64_t)std::llround(w * kWeightScale);
+    return {e.b, e.a, e.obs};
 }
 
 } // namespace
 
+int32_t
+MwpmDecoder::edgeWeight(double q)
+{
+    q = std::min(std::max(q, 1.0e-12), 0.499999);
+    const double w = std::min(std::log((1.0 - q) / q), kMaxWeight);
+    return 2 * (int32_t)std::llround(w * kWeightScale / 2.0);
+}
+
 MwpmDecoder::MwpmDecoder(const DetectorModel &dem, double p,
-                         DecoderOptions options)
-    : numDets_(dem.numDetectors()), options_(options),
-      boundaryW_(dem.numDetectors(), kInf),
+                         DecoderOptions /*options*/)
+    : numDets_(dem.numDetectors()),
+      boundaryW_(dem.numDetectors(), kNoBoundary),
       boundaryObs_(dem.numDetectors(), 0)
 {
-    // Pass 1: boundary edges + per-detector degrees.
-    std::vector<int> degree(numDets_, 0);
+    // Keep the lighter of parallel edges; on equal weight the one
+    // that does not flip the observable.
+    auto lighter = [](int32_t w, uint8_t obs, int32_t best_w,
+                      uint8_t best_obs) {
+        return w < best_w || (w == best_w && obs < best_obs);
+    };
+    std::vector<std::vector<Nbr>> rows((size_t)numDets_);
     for (const auto &edge : dem.edges) {
         const double q = edge.probability(p);
         if (q <= 0.0)
             continue;
+        const int32_t w = edgeWeight(q);
+        const uint8_t obs = edge.obsFlip ? 1 : 0;
         if (edge.b == kBoundary) {
-            const float w = (float)edgeWeight(q);
-            if (w < boundaryW_[edge.a]) {
+            if (lighter(w, obs, boundaryW_[edge.a],
+                        boundaryObs_[edge.a])) {
                 boundaryW_[edge.a] = w;
-                boundaryObs_[edge.a] = edge.obsFlip ? 1 : 0;
+                boundaryObs_[edge.a] = obs;
             }
             continue;
         }
-        ++degree[edge.a];
-        ++degree[edge.b];
-        ++numEdges_;
+        for (const auto &[from, to] : {std::pair<int, int>{edge.a, edge.b},
+                                       std::pair<int, int>{edge.b, edge.a}}) {
+            auto &row = rows[(size_t)from];
+            auto it = std::find_if(row.begin(), row.end(),
+                                   [to = to](const Nbr &n) {
+                                       return n.to == to;
+                                   });
+            if (it == row.end())
+                row.push_back({to, w, obs});
+            else if (lighter(w, obs, it->w, it->obs))
+                *it = {to, w, obs};
+        }
     }
-
-    // Pass 2: flat CSR adjacency (counting sort keeps edge order).
-    minEdgeW_ = (double)kInf;
     nbrOffsets_.assign((size_t)numDets_ + 1, 0);
     for (int d = 0; d < numDets_; ++d)
-        nbrOffsets_[(size_t)d + 1] = nbrOffsets_[d] + degree[d];
-    nbrs_.resize(2 * numEdges_);
-    std::vector<int> cursor(nbrOffsets_.begin(), nbrOffsets_.end() - 1);
-    for (const auto &edge : dem.edges) {
-        const double q = edge.probability(p);
-        if (q <= 0.0 || edge.b == kBoundary)
-            continue;
-        const float w = (float)edgeWeight(q);
-        const uint8_t obs = edge.obsFlip ? 1 : 0;
-        nbrs_[(size_t)cursor[edge.a]++] = {edge.b, w, obs};
-        nbrs_[(size_t)cursor[edge.b]++] = {edge.a, w, obs};
-        minEdgeW_ = std::min(minEdgeW_, (double)w);
+        nbrOffsets_[(size_t)d + 1] =
+            nbrOffsets_[d] + (int)rows[(size_t)d].size();
+    nbrs_.reserve((size_t)nbrOffsets_.back());
+    for (const auto &row : rows)
+        nbrs_.insert(nbrs_.end(), row.begin(), row.end());
+    numEdges_ = nbrs_.size() / 2;
+}
+
+/**
+ * One decode call's sparse-blossom state machine. Regions, nodes and
+ * the event queue live in the workspace; this struct only binds them
+ * to the decoder's graph for the duration of the call.
+ */
+struct MwpmDecoder::SparseBlossom
+{
+    using Node = DecodeWorkspace::MwNode;
+    using Region = DecodeWorkspace::MwRegion;
+
+    const MwpmDecoder &g;
+    DecodeWorkspace &ws;
+    const uint64_t call;
+    const int *defects;
+    const int numDefects;
+    Node *node;
+    Region *reg;
+    int regionsUsed;
+    int64_t now = 0;
+    bool verdict = false;
+
+    SparseBlossom(const MwpmDecoder &decoder, DecodeWorkspace &w,
+                  const int *defect_list, int n)
+        : g(decoder), ws(w), call(++w.epoch), defects(defect_list),
+          numDefects(n)
+    {
+        // Trivial regions 0..n-1, then at most (n - 1) / 2 live
+        // blossoms (each has >= 3 children); freed slots are reused,
+        // so these never reallocate mid-call.
+        const size_t max_regions = (size_t)n + (size_t)n / 2 + 1;
+        if (ws.mwRegions.size() < max_regions)
+            ws.mwRegions.resize(max_regions);
+        if (ws.mwNode.size() < (size_t)g.numDets_)
+            ws.mwNode.resize((size_t)g.numDets_, Node{});
+        if (ws.mwTreeRoot.size() < (size_t)n)
+            ws.mwTreeRoot.resize((size_t)n);
+        node = ws.mwNode.data();
+        reg = ws.mwRegions.data();
+        regionsUsed = n;
+        ws.mwFreeRegions.clear();
+        ws.mwQueue.clear();
     }
 
-    // Persistent defect-to-boundary distance cache: one multi-source
-    // Dijkstra seeded from every detector's direct boundary edge gives
-    // the exact shortest boundary route (and its observable parity)
-    // for every detector id. Per-shot decodes then never search for a
-    // boundary route again.
-    boundaryDist_.assign(numDets_, (double)kInf);
-    boundaryPathObs_.assign(numDets_, 0);
-    using QItem = std::pair<double, int>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-    for (int d = 0; d < numDets_; ++d) {
-        if (boundaryW_[d] < kInf) {
-            boundaryDist_[d] = boundaryW_[d];
-            boundaryPathObs_[d] = boundaryObs_[d];
-            pq.push({boundaryDist_[d], d});
-        }
+    // ------------------------------------------------------ radii
+
+    int64_t
+    radius(const Region &r) const
+    {
+        return r.y0 + r.rate * (now - r.t0);
     }
-    while (!pq.empty()) {
-        auto [dist, u] = pq.top();
-        pq.pop();
-        if (dist > boundaryDist_[u])
-            continue;
-        const int row_end = nbrOffsets_[(size_t)u + 1];
-        for (int k = nbrOffsets_[u]; k < row_end; ++k) {
-            const Nbr &nbr = nbrs_[k];
-            const double nd = dist + nbr.w;
-            if (nd < boundaryDist_[nbr.to]) {
-                boundaryDist_[nbr.to] = nd;
-                boundaryPathObs_[nbr.to] =
-                    boundaryPathObs_[u] ^ nbr.obs;
-                pq.push({nd, nbr.to});
+
+    void
+    setRate(int r, int rate)
+    {
+        Region &x = reg[r];
+        x.y0 = radius(x);
+        x.t0 = now;
+        x.rate = rate;
+        x.shrinkTime = kNever;
+    }
+
+    bool
+    covered(int v) const
+    {
+        return node[v].stamp == call && node[v].top >= 0;
+    }
+
+    int64_t
+    localRadius(int v) const
+    {
+        return radius(reg[node[v].top]) + node[v].base;
+    }
+
+    // ------------------------------------------------------ events
+
+    /**
+     * Earliest event at a covered node: (time, CSR slot of the
+     * neighbour, or -1 for the boundary). A growing node can reach an
+     * empty neighbour or the boundary; a growing or frozen node can
+     * touch a neighbouring region when their radii close in on each
+     * other. Shrinking nodes have no events.
+     */
+    std::pair<int64_t, int>
+    nodeEvent(int v) const
+    {
+        const Node &nv = node[v];
+        const Region &t = reg[nv.top];
+        if (t.rate < 0)
+            return {kNever, 0};
+        const int64_t lr = radius(t) + nv.base;
+        int64_t best = kNever;
+        int which = 0;
+        const int row_end = g.nbrOffsets_[(size_t)v + 1];
+        for (int k = g.nbrOffsets_[v]; k < row_end; ++k) {
+            const Nbr &nbr = g.nbrs_[(size_t)k];
+            int64_t at;
+            if (!covered(nbr.to)) {
+                if (t.rate == 0)
+                    continue;
+                at = now + (nbr.w - lr);
+            } else {
+                const Node &nu = node[nbr.to];
+                if (nu.top == nv.top)
+                    continue;
+                const Region &u = reg[nu.top];
+                const int closing = t.rate + u.rate;
+                if (closing <= 0)
+                    continue;
+                // Even weights keep this slack even when both grow.
+                at = now + (nbr.w - lr - (radius(u) + nu.base)) / closing;
+            }
+            if (at < best) {
+                best = at;
+                which = k;
             }
         }
+        const int32_t bw = g.boundaryW_[(size_t)v];
+        if (t.rate == 1 && bw != kNoBoundary && now + (bw - lr) < best) {
+            best = now + (bw - lr);
+            which = -1;
+        }
+        return {best, which};
     }
-}
 
-int
-MwpmDecoder::componentSlackHops(const int *defects, size_t count) const
-{
-    if (count == 0)
-        return 0;
-    if (!(minEdgeW_ > 0.0) || minEdgeW_ >= kMaxWeight)
-        return 0;   // no detector-detector edges: regions never grow
-    double bmax = 0.0;
-    for (size_t i = 0; i < count; ++i)
-        bmax = std::max(bmax,
-                        std::min(boundaryDist_[defects[i]], kMaxWeight));
-    return (int)std::ceil(bmax / minEdgeW_);
-}
+    void
+    scheduleNode(int v)
+    {
+        const int64_t at = nodeEvent(v).first;
+        if (at == node[v].evTime)
+            return;   // already queued (or nothing to queue)
+        node[v].evTime = at;
+        if (at != kNever)
+            ws.mwQueue.push(at, v);
+    }
+
+    void
+    scheduleShrink(int r)
+    {
+        Region &x = reg[r];
+        const int64_t at = x.shellHead >= 0
+                               ? now + localRadius(x.shellHead)
+                               : now + radius(x);
+        x.shrinkTime = at;
+        ws.mwQueue.push(at, g.numDets_ + r);
+    }
+
+    /** Calls f(v) on every detector covered by region r (its shell,
+     *  its source if trivial, and recursively its children's). */
+    template <typename F>
+    void
+    forEachNode(int r, F &&f)
+    {
+        ws.mwStack.clear();
+        ws.mwStack.push_back(r);
+        while (!ws.mwStack.empty()) {
+            const int x = ws.mwStack.back();
+            ws.mwStack.pop_back();
+            for (int v = reg[x].shellHead; v >= 0;) {
+                const int next = node[v].shellNext;
+                f(v);
+                v = next;
+            }
+            if (reg[x].childHead < 0) {
+                f(defects[x]);
+                continue;
+            }
+            int c = reg[x].childHead;
+            do {
+                ws.mwStack.push_back(c);
+                c = reg[c].cycleNext;
+            } while (c != reg[x].childHead);
+        }
+    }
+
+    /** Re-time every node event of region r (after its rate rose,
+     *  or its nodes changed region). */
+    void
+    scheduleRegion(int r)
+    {
+        forEachNode(r, [this](int v) { scheduleNode(v); });
+    }
+
+    /** Give top-level region r a new rate and queue what follows: a
+     *  shrink event, or node events when the rate rose (a falling
+     *  rate only makes queued events early, and early events are
+     *  re-timed when they pop). */
+    void
+    changeRate(int r, int rate)
+    {
+        const int before = reg[r].rate;
+        setRate(r, rate);
+        if (rate == -1)
+            scheduleShrink(r);
+        else if (rate > before)
+            scheduleRegion(r);
+    }
+
+    // ------------------------------------------------- tree plumbing
+
+    void
+    addTreeChild(int parent, int child)
+    {
+        Region &c = reg[child];
+        c.treeParent = parent;
+        c.treeSibPrev = -1;
+        c.treeSibNext = reg[parent].treeChild;
+        if (c.treeSibNext >= 0)
+            reg[c.treeSibNext].treeSibPrev = child;
+        reg[parent].treeChild = child;
+    }
+
+    /** Put `repl` in `old`'s place among its parent's children. */
+    void
+    replaceTreeChild(int old, int repl)
+    {
+        Region &o = reg[old];
+        Region &r = reg[repl];
+        r.treeParent = o.treeParent;
+        r.treeSibPrev = o.treeSibPrev;
+        r.treeSibNext = o.treeSibNext;
+        if (o.treeSibPrev >= 0)
+            reg[o.treeSibPrev].treeSibNext = repl;
+        else if (o.treeParent >= 0)
+            reg[o.treeParent].treeChild = repl;
+        if (o.treeSibNext >= 0)
+            reg[o.treeSibNext].treeSibPrev = repl;
+    }
+
+    void
+    clearTree(Region &x)
+    {
+        x.tree = -1;
+        x.treeParent = -1;
+        x.treeChild = -1;
+        x.treeSibNext = -1;
+        x.treeSibPrev = -1;
+    }
+
+    void
+    setMatch(int r, int partner, const MwEdge &e)
+    {
+        reg[r].match = partner;
+        reg[r].matchEdge = e;
+    }
+
+    /**
+     * Outer region r takes `partner` over edge e; the path from r to
+     * its tree root flips, so every region on it ends up matched.
+     */
+    void
+    augmentPath(int r, int partner, MwEdge e)
+    {
+        while (true) {
+            setMatch(r, partner, e);
+            const int inner = reg[r].treeParent;
+            if (inner < 0)
+                return;
+            const int outer = reg[inner].treeParent;
+            setMatch(inner, outer, reg[inner].treeEdge);
+            partner = inner;
+            e = reversed(reg[inner].treeEdge);
+            r = outer;
+        }
+    }
+
+    /** Freeze every region of a tree (all matched by now). */
+    void
+    dissolveTree(int slot)
+    {
+        auto &members = ws.mwCycle;
+        members.clear();
+        members.push_back(ws.mwTreeRoot[slot]);
+        for (size_t i = 0; i < members.size(); ++i)
+            for (int c = reg[members[i]].treeChild; c >= 0;
+                 c = reg[c].treeSibNext)
+                members.push_back(c);
+        for (const int x : members) {
+            clearTree(reg[x]);
+            changeRate(x, 0);
+        }
+        ++ws.statComponents;
+    }
+
+    // ------------------------------------------------ matcher events
+
+    /** Growing (outer) region a touches region b over edge e. */
+    void
+    onCollision(int a, int b, const MwEdge &e)
+    {
+        const int ta = reg[a].tree;
+        const int tb = reg[b].tree;
+        if (tb == ta) {
+            formBlossom(a, b, e);
+        } else if (tb >= 0) {
+            augmentPath(a, b, e);
+            augmentPath(b, a, reversed(e));
+            dissolveTree(ta);
+            dissolveTree(tb);
+        } else if (reg[b].match == kMatchBoundary) {
+            augmentPath(a, b, e);
+            setMatch(b, a, reversed(e));
+            dissolveTree(ta);
+        } else {
+            // b's matched pair joins the tree: b shrinks, its partner
+            // grows.
+            const int c = reg[b].match;
+            reg[b].tree = ta;
+            reg[b].treeEdge = reversed(e);
+            reg[b].treeChild = -1;
+            addTreeChild(a, b);
+            reg[c].tree = ta;
+            reg[c].treeEdge = reg[c].matchEdge;
+            reg[c].treeChild = -1;
+            addTreeChild(b, c);
+            changeRate(b, -1);
+            changeRate(c, 1);
+        }
+    }
+
+    void
+    onBoundary(int a, const MwEdge &e)
+    {
+        augmentPath(a, kMatchBoundary, e);
+        dissolveTree(reg[a].tree);
+    }
+
+    int
+    newRegion()
+    {
+        if (!ws.mwFreeRegions.empty()) {
+            const int r = ws.mwFreeRegions.back();
+            ws.mwFreeRegions.pop_back();
+            return r;
+        }
+        return regionsUsed++;
+    }
+
+    /** Outer regions a and b of one tree touch over e: the cycle
+     *  through their lowest common ancestor becomes a blossom. */
+    void
+    formBlossom(int a, int b, const MwEdge &e)
+    {
+        const uint64_t mark = ++ws.mwMark;
+        for (int r = a; r >= 0; r = reg[r].treeParent)
+            reg[r].mark = mark;
+        int lca = b;
+        while (reg[lca].mark != mark)
+            lca = reg[lca].treeParent;
+
+        // Cycle order: lca, ..., a, b, ..., (back to lca).
+        auto &cycle = ws.mwCycle;
+        cycle.clear();
+        for (int r = a; r != lca; r = reg[r].treeParent)
+            cycle.push_back(r);
+        cycle.push_back(lca);
+        std::reverse(cycle.begin(), cycle.end());
+        const size_t a_end = cycle.size();
+        for (int r = b; r != lca; r = reg[r].treeParent)
+            cycle.push_back(r);
+
+        const int x = newRegion();
+        Region &bl = reg[x];
+        bl.y0 = 0;
+        bl.t0 = now;
+        bl.rate = 1;
+        bl.shrinkTime = kNever;
+        bl.blossomParent = -1;
+        bl.childHead = lca;
+        bl.shellHead = -1;
+        bl.tree = reg[lca].tree;
+        bl.treeEdge = reg[lca].treeEdge;
+        bl.treeChild = -1;
+        bl.match = reg[lca].match;
+        bl.matchEdge = reg[lca].matchEdge;
+        if (reg[lca].treeParent >= 0) {
+            replaceTreeChild(lca, x);
+            reg[bl.treeParent].match = x;
+        } else {
+            bl.treeParent = -1;
+            bl.treeSibNext = bl.treeSibPrev = -1;
+            ws.mwTreeRoot[bl.tree] = x;
+        }
+
+        const size_t k = cycle.size();
+        for (size_t i = 0; i < k; ++i) {
+            const int m = cycle[i];
+            const int next = cycle[(i + 1) % k];
+            // Edge from m to next: down the a-side path it is the
+            // child's tree edge reversed, a -> b is e, and up the
+            // b-side path it is m's own tree edge.
+            MwEdge edge;
+            if (i + 1 < a_end)
+                edge = reversed(reg[next].treeEdge);
+            else if (i + 1 == a_end)
+                edge = e;
+            else
+                edge = reg[m].treeEdge;
+            reg[m].cycleNext = next;
+            reg[m].cycleEdge = edge;
+            reg[m].mark = mark + 1;
+        }
+        ws.mwMark = mark + 1;
+        for (size_t i = 0; i < k; ++i) {
+            const int m = cycle[i];
+            // Tree children outside the cycle hang off the blossom.
+            for (int c = reg[m].treeChild; c >= 0;) {
+                const int next = reg[c].treeSibNext;
+                if (reg[c].mark != mark + 1)
+                    addTreeChild(x, c);
+                c = next;
+            }
+        }
+        for (size_t i = 0; i < k; ++i) {
+            const int m = cycle[i];
+            setRate(m, 0);
+            clearTree(reg[m]);
+            reg[m].blossomParent = x;
+            const int64_t y = reg[m].y0;
+            forEachNode(m, [this, x, y](int v) {
+                node[v].top = x;
+                node[v].base += y;
+            });
+        }
+        scheduleRegion(x);
+    }
+
+    /** The child of blossom x whose subtree holds defect d. */
+    int
+    childContaining(int x, int d) const
+    {
+        int r = d;
+        while (reg[r].blossomParent != x)
+            r = reg[r].blossomParent;
+        return r;
+    }
+
+    /** Inner blossom x reached radius 0: its cycle splits into an
+     *  even path that stays in the tree and matched pairs. */
+    void
+    shatter(int x)
+    {
+        Region &bl = reg[x];
+        const int child = bl.match;
+        const MwEdge e_in = bl.treeEdge;
+        const MwEdge e_out = bl.matchEdge;
+        const int slot = bl.tree;
+
+        auto &cycle = ws.mwCycle;
+        cycle.clear();
+        int c = bl.childHead;
+        do {
+            cycle.push_back(c);
+            c = reg[c].cycleNext;
+        } while (c != bl.childHead);
+        const int k = (int)cycle.size();
+        const int c_in = childContaining(x, e_in.a);
+        const int c_out = childContaining(x, e_out.a);
+        const int i_in =
+            (int)(std::find(cycle.begin(), cycle.end(), c_in) -
+                  cycle.begin());
+        const int i_out =
+            (int)(std::find(cycle.begin(), cycle.end(), c_out) -
+                  cycle.begin());
+        const int fwd = (i_out - i_in + k) % k;
+        const bool forward = fwd % 2 == 0;
+        const int path_len = forward ? fwd : k - fwd;
+
+        // Release the children: top level again, own radii.
+        for (int i = 0; i < k; ++i) {
+            const int m = cycle[i];
+            reg[m].blossomParent = -1;
+            const int64_t y = reg[m].y0;
+            forEachNode(m, [this, m, y](int v) {
+                node[v].top = m;
+                node[v].base -= y;
+            });
+            clearTree(reg[m]);
+        }
+
+        // The even path c_in .. c_out joins the tree.
+        replaceTreeChild(x, c_in);
+        reg[c_in].treeEdge = e_in;
+        int prev = c_in;
+        for (int j = 0; j < path_len; ++j) {
+            const int from = cycle[(i_in + (forward ? j : -j) + k) % k];
+            const int to =
+                cycle[(i_in + (forward ? j + 1 : -j - 1) + k) % k];
+            const MwEdge f =
+                forward ? reg[from].cycleEdge : reversed(reg[to].cycleEdge);
+            reg[to].treeEdge = reversed(f);
+            reg[to].treeChild = -1;
+            addTreeChild(prev, to);
+            if (j % 2 == 0) {
+                setMatch(from, to, f);
+                setMatch(to, from, reversed(f));
+            }
+            prev = to;
+        }
+        setMatch(c_out, child, e_out);
+        reg[child].match = c_out;
+        reg[child].treeParent = -1;
+        reg[c_out].treeChild = -1;
+        addTreeChild(c_out, child);
+        for (int j = 0; j <= path_len; ++j) {
+            const int m = cycle[(i_in + (forward ? j : -j) + k) % k];
+            reg[m].tree = slot;
+        }
+
+        // The rest of the cycle pairs up along its own edges.
+        const int arc_start = forward ? i_out : i_in;
+        for (int j = 1; j < k - path_len; j += 2) {
+            const int m = cycle[(arc_start + j) % k];
+            const int n = cycle[(arc_start + j + 1) % k];
+            setMatch(m, n, reg[m].cycleEdge);
+            setMatch(n, m, reversed(reg[m].cycleEdge));
+            // Frozen now instead of shrinking with the blossom.
+            scheduleRegion(m);
+            scheduleRegion(n);
+        }
+
+        ws.mwFreeRegions.push_back(x);
+        for (int j = 0; j <= path_len; ++j) {
+            const int m = cycle[(i_in + (forward ? j : -j) + k) % k];
+            changeRate(m, j % 2 == 0 ? -1 : 1);
+        }
+    }
+
+    void
+    onShrink(int r)
+    {
+        Region &x = reg[r];
+        if (x.shellHead >= 0) {
+            const int v = x.shellHead;
+            if (localRadius(v) > 0) {
+                scheduleShrink(r);
+                return;
+            }
+            x.shellHead = node[v].shellNext;
+            node[v].top = -1;
+            node[v].evTime = kNever;
+            // Growing neighbours may now move into the released node.
+            const int row_end = g.nbrOffsets_[(size_t)v + 1];
+            for (int k = g.nbrOffsets_[v]; k < row_end; ++k) {
+                const int u = g.nbrs_[(size_t)k].to;
+                if (covered(u) && reg[node[u].top].rate == 1)
+                    scheduleNode(u);
+            }
+            scheduleShrink(r);
+            return;
+        }
+        if (radius(x) > 0) {
+            scheduleShrink(r);
+            return;
+        }
+        if (x.childHead >= 0) {
+            shatter(r);
+            return;
+        }
+        // A defect region at radius 0: its tree parent and child meet
+        // through its source, closing an odd cycle.
+        const MwEdge up = x.treeEdge;
+        const MwEdge down = x.matchEdge;
+        onCollision(x.match, x.treeParent,
+                    {down.b, up.b, (uint8_t)(down.obs ^ up.obs)});
+    }
+
+    void
+    onNodeEvent(int v)
+    {
+        const auto [at, k] = nodeEvent(v);
+        if (at == kNever)
+            return;
+        if (at > now) {
+            node[v].evTime = at;
+            ws.mwQueue.push(at, v);
+            return;
+        }
+        const Node &nv = node[v];
+        if (k < 0) {
+            onBoundary(nv.top, {nv.src, -1,
+                                (uint8_t)(nv.obs ^ g.boundaryObs_[v])});
+        } else {
+            const Nbr &nbr = g.nbrs_[(size_t)k];
+            const int u = nbr.to;
+            if (!covered(u)) {
+                const int t = nv.top;
+                node[u] = {call,           -radius(reg[t]), kNever, t,
+                           nv.src,         reg[t].shellHead,
+                           (uint8_t)(nv.obs ^ nbr.obs)};
+                reg[t].shellHead = u;
+                ++ws.statSettledNodes;
+                scheduleNode(u);
+            } else {
+                const Node &nu = node[u];
+                const MwEdge e{nv.src, nu.src,
+                               (uint8_t)(nv.obs ^ nbr.obs ^ nu.obs)};
+                if (reg[nv.top].rate == 1)
+                    onCollision(nv.top, nu.top, e);
+                else
+                    onCollision(nu.top, nv.top, reversed(e));
+            }
+        }
+        if (covered(v))
+            scheduleNode(v);
+    }
+
+    // ---------------------------------------------------- driver
+
+    void
+    emit(const MwEdge &e)
+    {
+        verdict ^= e.obs != 0;
+        if (ws.recordCorrections)
+            ws.corrections.push_back(
+                {defects[e.a], e.b < 0 ? -1 : defects[e.b], e.obs});
+    }
+
+    /** Region r is matched through defect d: expand its blossoms
+     *  into pairs along their cycles. */
+    void
+    expand(int r, int d)
+    {
+        auto &todo = ws.mwExpand;
+        todo.clear();
+        todo.push_back({r, d, 0});
+        while (!todo.empty()) {
+            const MwEdge item = todo.back();
+            todo.pop_back();
+            const int x = item.a;
+            if (reg[x].childHead < 0)
+                continue;
+            const int c = childContaining(x, item.b);
+            for (int m = reg[c].cycleNext; m != c;) {
+                const int n = reg[m].cycleNext;
+                const MwEdge &e = reg[m].cycleEdge;
+                emit(e);
+                todo.push_back({m, e.a, 0});
+                todo.push_back({n, e.b, 0});
+                m = reg[n].cycleNext;
+            }
+            todo.push_back({c, item.b, 0});
+        }
+    }
+
+    bool
+    run()
+    {
+        for (int i = 0; i < numDefects; ++i) {
+            Region &r = reg[i];
+            r = {};
+            r.shrinkTime = kNever;
+            r.rate = 1;
+            r.blossomParent = -1;
+            r.childHead = -1;
+            r.shellHead = -1;
+            r.match = -1;
+            clearTree(r);
+            r.tree = i;
+            ws.mwTreeRoot[i] = i;
+            node[defects[i]] = {call, 0, kNever, i, i, -1, 0};
+        }
+        for (int i = 0; i < numDefects; ++i)
+            scheduleNode(defects[i]);
+
+        while (!ws.mwQueue.empty()) {
+            const auto [at, id] = ws.mwQueue.pop();
+            if (id < g.numDets_) {
+                if (node[id].stamp != call || node[id].evTime != at)
+                    continue;
+                now = at;
+                node[id].evTime = kNever;
+                if (covered(id))
+                    onNodeEvent(id);
+            } else {
+                const int r = id - g.numDets_;
+                if (reg[r].shrinkTime != at)
+                    continue;
+                now = at;
+                reg[r].shrinkTime = kNever;
+                onShrink(r);
+            }
+        }
+
+        // Trees left when growth stalls cannot reach the boundary or
+        // a partner (a detector component without boundary edges):
+        // their roots take the boundary with no observable flip.
+        for (int i = 0; i < numDefects; ++i) {
+            int top = i;
+            while (reg[top].blossomParent >= 0)
+                top = reg[top].blossomParent;
+            const int t = reg[top].tree;
+            if (t < 0)
+                continue;
+            const int root = ws.mwTreeRoot[t];
+            int d = root;
+            while (reg[d].childHead >= 0)
+                d = reg[d].childHead;
+            augmentPath(root, kMatchBoundary, {d, -1, 0});
+            dissolveTree(t);
+        }
+
+        const uint64_t mark = ++ws.mwMark;
+        for (int i = 0; i < numDefects; ++i) {
+            int top = i;
+            while (reg[top].blossomParent >= 0)
+                top = reg[top].blossomParent;
+            if (reg[top].mark == mark)
+                continue;
+            reg[top].mark = mark;
+            const MwEdge e = reg[top].matchEdge;
+            const int partner = reg[top].match;
+            if (partner == kMatchBoundary) {
+                emit(e);
+                expand(top, e.a);
+            } else {
+                reg[partner].mark = mark;
+                emit(e);
+                expand(top, e.a);
+                expand(partner, e.b);
+            }
+        }
+        ws.statMatchedVerts += (uint64_t)numDefects;
+        return verdict;
+    }
+};
 
 bool
 MwpmDecoder::decodeSparse(const int *defects, size_t count,
                           DecodeWorkspace &ws) const
 {
-    const int n = (int)count;
-    ws.lastReachHops = 0;
-    if (n == 0)
+    if (count == 0)
         return false;
-
-    ws.ensureMwpm((size_t)numDets_);
-    const uint64_t call = ++ws.epoch;
-
-    if ((int)ws.mwBDist.size() < n) {
-        ws.mwBDist.resize(n);
-        ws.mwBObs.resize(n);
-        ws.mwLocalIndex.resize(n);
-        ws.mwCompParent.resize(n);
-        ws.mwCandHead.resize(n);
-    }
-    ws.mwCands.clear();
-
-    // Largest boundary distance among this shot's defects: a defect
-    // pair whose connecting path is longer than both boundary routes
-    // combined is never matched (pairing each with the boundary is at
-    // most as expensive), so no Dijkstra needs to search beyond its
-    // own boundary distance plus this maximum.
-    double bmax_shot = 0.0;
-    for (int i = 0; i < n; ++i) {
-        bmax_shot = std::max(
-            bmax_shot, std::min(boundaryDist_[defects[i]],
-                                kMaxWeight));
-    }
-
-    // Reach certificate: every settle obeys nd <= bdist_i + bmax_shot.
-    // The certificate stores ceil(bmax_shot / minEdgeW_) + 1 (the +1
-    // covers the meeting edge a candidate probe crosses past a settled
-    // frontier); the bdist_i term — bounded by the enclosing shot's
-    // bmax — is supplied separately by componentSlackHops, so the
-    // composition guard's cert + slack sum bounds the true radius
-    // both when the component is decoded alone and when it would be
-    // decoded inside the full shot.
-    ws.lastReachHops =
-        (minEdgeW_ > 0.0 && minEdgeW_ < kMaxWeight)
-            ? (int)std::ceil(bmax_shot / minEdgeW_) + 1
-            : 0;
-
-    for (int i = 0; i < n; ++i) {
-        ws.mwBDist[i] =
-            std::min(boundaryDist_[defects[i]], kMaxWeight);
-        ws.mwBObs[i] = boundaryPathObs_[defects[i]];
-    }
-
-    // Stage 1: one multi-source Dijkstra grows a shortest-path region
-    // around every defect simultaneously; where two regions meet, the
-    // meeting edge yields a candidate pair. When the shortest i-j
-    // path stays inside the two regions (the overwhelmingly common
-    // case) the candidate weight is the exact shortest distance; a
-    // pair whose shortest path crosses a third defect's region is
-    // instead represented through that defect's candidates (the
-    // local-matching approximation production decoders use). Every
-    // touched node settles at most once per shot (instead of once per
-    // nearby defect), so the loop is bounded by numDetectors(), and
-    // only adjacent-region pairs become candidates, which keeps the
-    // matching components small. Growth past a region's boundary
-    // distance plus the shot's largest boundary distance is pruned:
-    // any pair found there is boundary-dominated. The monotone queue
-    // pops in exactly ascending (distance, detector id) order.
-    DecodeWorkspace::MwNode *node = ws.mwNode.data();
-    ws.mwQueue.clear();
-    for (int i = 0; i < n; ++i) {
-        const int src = defects[i];
-        node[src] = {call, 0.0, i, 0, 0};
-        ws.mwQueue.push(0.0, src);
-    }
-
-    // Candidates are deduplicated as they are found: each pair keeps
-    // its minimum (w, obs) — what sorting every crossing by
-    // (i, j, w, obs) and keeping the first per pair keeps. A pair is
-    // looked up in the list of unique candidates sharing its smaller
-    // endpoint, which holds at most one entry per neighbouring region.
-    std::fill_n(ws.mwCandHead.begin(), n, -1);
-    ws.mwCandNext.clear();
-    auto addCandidate = [&](int i, int j, double w, uint8_t obs) {
-        for (int k = ws.mwCandHead[i]; k >= 0; k = ws.mwCandNext[k]) {
-            DecodeWorkspace::Cand &c = ws.mwCands[k];
-            if (c.j != j)
-                continue;
-            if (w < c.w || (w == c.w && obs < c.obs)) {
-                c.w = w;
-                c.obs = obs;
-            }
-            return;
-        }
-        ws.mwCandNext.push_back(ws.mwCandHead[i]);
-        ws.mwCandHead[i] = (int)ws.mwCands.size();
-        ws.mwCands.push_back({i, j, w, obs});
-    };
-
-    while (!ws.mwQueue.empty()) {
-        const auto [d, u] = ws.mwQueue.pop();
-        DecodeWorkspace::MwNode &nu = node[u];
-        if (nu.settled || d > nu.dist)
-            continue;
-        nu.settled = 1;
-        ++ws.statSettledNodes;
-        const int oi = nu.owner;
-        const double bdist_i = ws.mwBDist[oi];
-
-        const int row_end = nbrOffsets_[(size_t)u + 1];
-        for (int k = nbrOffsets_[u]; k < row_end; ++k) {
-            const Nbr &nbr = nbrs_[k];
-            DecodeWorkspace::MwNode &nv = node[nbr.to];
-            const bool seen = nv.stamp == call;
-            if (seen && nv.settled) {
-                const int oj = nv.owner;
-                if (oj == oi)
-                    continue;
-                // Region crossing: candidate at the exact shortest
-                // distance between the two owners (for this meeting
-                // edge; the dedup keeps the global minimum).
-                // Dropped when matching both owners to the boundary
-                // is strictly cheaper.
-                const double w = d + nbr.w + nv.dist;
-                if (w > bdist_i + ws.mwBDist[oj])
-                    continue;
-                const uint8_t obs = nu.obs ^ nbr.obs ^ nv.obs;
-                if (oi < oj)
-                    addCandidate(oi, oj, w, obs);
-                else
-                    addCandidate(oj, oi, w, obs);
-                continue;
-            }
-            const double nd = d + nbr.w;
-            if (nd > bdist_i + bmax_shot)
-                continue;   // boundary-dominated beyond this radius
-            if (!seen || nd < nv.dist) {
-                nv = {call, nd, oi, (uint8_t)(nu.obs ^ nbr.obs), 0};
-                ws.mwQueue.push(nd, nbr.to);
-            }
-        }
-    }
-
-    // Sort the unique pairs by (i, j): the list doubles as the
-    // pair -> observable-parity lookup after matching.
-    std::sort(ws.mwCands.begin(), ws.mwCands.end(),
-              [](const DecodeWorkspace::Cand &x,
-                 const DecodeWorkspace::Cand &y) {
-                  if (x.i != y.i)
-                      return x.i < y.i;
-                  return x.j < y.j;
-              });
-
-    // Enforce the per-defect candidate budget: when a defect exceeds
-    // neighborLimit adjacencies (rare — region adjacency yields only a
-    // handful), keep its lightest ones. Dropping edges never breaks
-    // feasibility (every defect retains its boundary edge).
-    ws.mwLocalIndex.assign(n, 0);   // reused as degree counts here
-    bool over_budget = false;
-    for (const auto &cand : ws.mwCands) {
-        if (++ws.mwLocalIndex[cand.i] > options_.neighborLimit ||
-            ++ws.mwLocalIndex[cand.j] > options_.neighborLimit)
-            over_budget = true;
-    }
-    if (over_budget) {
-        std::sort(ws.mwCands.begin(), ws.mwCands.end(),
-                  [](const DecodeWorkspace::Cand &x,
-                     const DecodeWorkspace::Cand &y) {
-                      if (x.w != y.w)
-                          return x.w < y.w;
-                      if (x.i != y.i)
-                          return x.i < y.i;
-                      return x.j < y.j;
-                  });
-        ws.mwLocalIndex.assign(n, 0);
-        size_t kept = 0;
-        for (size_t k = 0; k < ws.mwCands.size(); ++k) {
-            const auto &cand = ws.mwCands[k];
-            if (ws.mwLocalIndex[cand.i] >= options_.neighborLimit ||
-                ws.mwLocalIndex[cand.j] >= options_.neighborLimit)
-                continue;
-            ++ws.mwLocalIndex[cand.i];
-            ++ws.mwLocalIndex[cand.j];
-            ws.mwCands[kept++] = cand;
-        }
-        ws.mwCands.resize(kept);
-        // Restore (i, j) order for the post-matching parity lookup.
-        std::sort(ws.mwCands.begin(), ws.mwCands.end(),
-                  [](const DecodeWorkspace::Cand &x,
-                     const DecodeWorkspace::Cand &y) {
-                      if (x.i != y.i)
-                          return x.i < y.i;
-                      return x.j < y.j;
-                  });
-    }
-
-    // Split the matching instance into connected components of the
-    // candidate graph: every cross-component pairing is
-    // boundary-dominated, so blossom runs on many small instances
-    // instead of one O(n^3) one (the sparse-blossom trick).
-    for (int i = 0; i < n; ++i)
-        ws.mwCompParent[i] = i;
-    auto findComp = [&](int v) {
-        while (ws.mwCompParent[v] != v) {
-            ws.mwCompParent[v] =
-                ws.mwCompParent[ws.mwCompParent[v]];
-            v = ws.mwCompParent[v];
-        }
-        return v;
-    };
-    for (const auto &cand : ws.mwCands) {
-        const int a = findComp(cand.i);
-        const int b = findComp(cand.j);
-        if (a != b)
-            ws.mwCompParent[b] = a;
-    }
-    ws.mwCompKeys.clear();
-    for (int i = 0; i < n; ++i)
-        ws.mwCompKeys.push_back({findComp(i), i});
-    std::sort(ws.mwCompKeys.begin(), ws.mwCompKeys.end());
-    // Bucket candidates by component root once (index order preserved
-    // within a root), so each candidate is visited exactly once below.
-    ws.mwCandByComp.clear();
-    for (size_t k = 0; k < ws.mwCands.size(); ++k)
-        ws.mwCandByComp.push_back(
-            {findComp(ws.mwCands[k].i), (int)k});
-    std::sort(ws.mwCandByComp.begin(), ws.mwCandByComp.end());
-
-    bool obs = false;
-    size_t group = 0;
-    size_t cand_cursor = 0;
-    while (group < ws.mwCompKeys.size()) {
-        const int root = ws.mwCompKeys[group].first;
-        size_t group_end = group;
-        while (group_end < ws.mwCompKeys.size() &&
-               ws.mwCompKeys[group_end].first == root)
-            ++group_end;
-        const int k = (int)(group_end - group);
-
-        // Trivial component: one defect, matched to the boundary.
-        if (k == 1) {
-            const int gi = ws.mwCompKeys[group].second;
-            obs ^= (ws.mwBObs[gi] != 0);
-            if (ws.recordCorrections)
-                ws.corrections.push_back(
-                    {defects[gi], -1, ws.mwBObs[gi]});
-            group = group_end;
-            continue;
-        }
-
-        for (size_t t = group; t < group_end; ++t)
-            ws.mwLocalIndex[ws.mwCompKeys[t].second] =
-                (int)(t - group);
-
-        // Local saving instance on the k defects: pairing i with j
-        // instead of sending both to the boundary saves
-        // b_i + b_j - w_ij. A maximum-weight matching of the savings
-        // minimizes the same integer total as a perfect matching of
-        // the doubled boundary-twin instance; unmatched defects go to
-        // the boundary. Non-positive savings never help and are
-        // dropped.
-        ws.mwEdges.clear();
-        while (cand_cursor < ws.mwCandByComp.size() &&
-               ws.mwCandByComp[cand_cursor].first < root)
-            ++cand_cursor;   // candidates of skipped 1-defect groups
-        for (; cand_cursor < ws.mwCandByComp.size() &&
-               ws.mwCandByComp[cand_cursor].first == root;
-             ++cand_cursor) {
-            const auto &cand =
-                ws.mwCands[ws.mwCandByComp[cand_cursor].second];
-            const int64_t saving = scaled(ws.mwBDist[cand.i]) +
-                                   scaled(ws.mwBDist[cand.j]) -
-                                   scaled(cand.w);
-            if (saving > 0)
-                ws.mwEdges.push_back({ws.mwLocalIndex[cand.i],
-                                      ws.mwLocalIndex[cand.j], saving});
-        }
-
-        ws.statMatchedVerts += (uint64_t)k;
-        ++ws.statComponents;
-        maxWeightMatching(k, ws.mwEdges, false, ws.mwPartner,
-                          ws.matcher);
-
-        // Predicted observable: parity over matched structure.
-        for (int li = 0; li < k; ++li) {
-            const int m = ws.mwPartner[li];
-            const int gi = ws.mwCompKeys[group + li].second;
-            if (m == -1) {
-                obs ^= (ws.mwBObs[gi] != 0);
-                if (ws.recordCorrections)
-                    ws.corrections.push_back(
-                        {defects[gi], -1, ws.mwBObs[gi]});
-            } else if (m > li) {
-                const int gj = ws.mwCompKeys[group + m].second;
-                // Binary search the deduped candidate list.
-                auto it = std::lower_bound(
-                    ws.mwCands.begin(), ws.mwCands.end(),
-                    std::make_pair(gi, gj),
-                    [](const DecodeWorkspace::Cand &c,
-                       const std::pair<int, int> &key) {
-                        if (c.i != key.first)
-                            return c.i < key.first;
-                        return c.j < key.second;
-                    });
-                uint8_t pair_obs = 0;
-                if (it != ws.mwCands.end() && it->i == gi &&
-                    it->j == gj)
-                    pair_obs = it->obs;
-                obs ^= (pair_obs != 0);
-                if (ws.recordCorrections)
-                    ws.corrections.push_back(
-                        {defects[gi], defects[gj], pair_obs});
-            }
-        }
-        group = group_end;
-    }
-    return obs;
+    return SparseBlossom(*this, ws, defects, (int)count).run();
 }
 
 } // namespace qec

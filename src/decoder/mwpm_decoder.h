@@ -2,44 +2,42 @@
  * @file
  * Minimum-weight perfect matching decoder over a DetectorModel.
  *
- * Decoding pipeline (the paper's "gold standard" MWPM, Section 2.2):
- *  1. Region growth: one multi-source Dijkstra grows shortest-path
- *     regions around all fired detectors simultaneously over the
- *     weighted decoding graph (weight = log((1-q)/q) per edge),
- *     tracking the logical observable parity along shortest paths.
- *     Its queue is a radix heap over the distances' bit patterns that
- *     pops in exactly ascending (distance, detector id) order, and
- *     every touched detector settles at most once per shot. Where two
- *     regions meet, the meeting edge yields a defect-pair candidate —
- *     at the exact shortest inter-defect distance whenever the
- *     shortest path stays inside the two regions; pairs separated by
- *     a third defect's region are represented through that defect's
- *     candidates instead (the local-matching approximation).
- *     Candidates are deduplicated as they are found (minimum weight
- *     per pair). The defect-to-boundary route is NOT searched per
- *     shot: the exact shortest boundary distance (and its observable
- *     parity) is precomputed for every detector id at construction
- *     with one multi-source Dijkstra from the boundary.
- *  2. Pruning: a candidate that cannot beat pairing both endpoints
- *     with the boundary is dropped, and each region stops growing at
- *     its boundary distance plus the shot's largest boundary distance
- *     — beyond that every pair is boundary-dominated.
- *  3. Exact blossom matching per connected component of the candidate
- *     graph (cross-component pairings are boundary-dominated, so the
- *     O(n^3) solver runs on many small instances — the sparse-blossom
- *     trick). A k-defect component is solved as a maximum-weight
- *     matching on its k defects, weighting each candidate pair by its
- *     saving b_i + b_j - w_ij over sending both defects to the
- *     boundary; unmatched defects go to the boundary. This has the
- *     same minimum total weight as the textbook minimum-weight perfect
- *     matching on k defects plus k boundary twins, at half the
- *     vertices. The predicted observable flip is the parity of
- *     matched-path observable crossings.
+ * Decoding pipeline (the paper's "gold standard" MWPM, Section 2.2),
+ * implemented as sparse blossom (Higgott & Gidney, arXiv:2303.15933):
+ *  1. Graph and weights. Each decoding-graph edge weighs
+ *     log((1-q)/q), discretized to an even integer so every event
+ *     below falls on an integer time. Parallel edges keep the lighter
+ *     one (equal weights: the one that does not flip the observable).
+ *     The boundary is a match target that no path passes through.
+ *  2. Region growth. Every defect starts a region of radius 0 that
+ *     fills the graph node by node as its radius grows. One
+ *     time-ordered event queue (RadixQueue) drives all regions: a
+ *     region reaches an empty detector, touches another region, or
+ *     touches the boundary; a shrinking region releases its latest
+ *     detector or reaches radius 0. Each reached detector remembers
+ *     the source defect of the path that reached it and that path's
+ *     observable parity, so a collision yields a compressed edge
+ *     (two source defects + parity) along a tight, shortest path.
+ *  3. Matching. Regions form alternating trees rooted at unmatched
+ *     regions; outer regions grow, inner ones shrink, matched ones are
+ *     frozen. Two trees touching (or a tree touching the boundary or
+ *     a boundary-matched region) augment into matched pairs; a tree
+ *     touching itself forms a blossom region around the odd cycle; a
+ *     matched pair touched by a tree joins it; an inner blossom that
+ *     shrinks to radius 0 shatters back into its cycle, and an inner
+ *     defect region at radius 0 lets its tree neighbours meet through
+ *     its source. Regions grow only until they match, so a decode
+ *     touches the neighbourhood of its defects, not the whole graph.
+ *  4. Output. Blossoms are expanded into defect pairs and boundary
+ *     matches; the predicted observable flip is the XOR of their
+ *     compressed edges' parities.
+ * The result is an exact minimum-weight matching under the integer
+ * weights (tests/mwpm_oracle.h checks it against full-graph Dijkstra
+ * plus a general blossom solve).
  *
- * Adjacency is a flat CSR layout and all per-shot scratch lives in the
+ * Adjacency is a flat CSR layout and all per-shot state lives in the
  * caller's DecodeWorkspace (epoch-stamped, nothing cleared between
- * shots); steady-state allocations are confined to the blossom
- * solver's internals.
+ * shots), so steady-state decode allocates nothing.
  */
 
 #ifndef QEC_DECODER_MWPM_DECODER_H
@@ -55,11 +53,10 @@
 namespace qec
 {
 
-/** Tuning knobs for the decoder. */
+/** Decoder construction options (none at present; kept so callers
+ *  and sweep caches can pass a configuration through unchanged). */
 struct DecoderOptions
 {
-    /** Defect-neighbour candidates kept per defect. */
-    int neighborLimit = 12;
 };
 
 /**
@@ -76,17 +73,9 @@ class MwpmDecoder : public Decoder
     bool decodeSparse(const int *defects, size_t count,
                       DecodeWorkspace &workspace) const override;
 
-    /**
-     * Shot-level slack for component composition: the Dijkstra
-     * pruning radius is each defect's boundary distance plus the
-     * shot's largest boundary distance, so a component decoded alone
-     * certifies only its own radius (lastReachHops) and composing it
-     * inside a larger shot can extend the reach by at most the shot's
-     * largest boundary distance, converted to hops via the minimum
-     * detector-detector edge weight.
-     */
-    int componentSlackHops(const int *defects,
-                           size_t count) const override;
+    /** Integer weight of an edge that fires with probability q: an
+     *  even integer near 1024 * log((1-q)/q) (clamped at 1e6). */
+    static int32_t edgeWeight(double q);
 
     int numDetectors() const { return numDets_; }
 
@@ -97,40 +86,28 @@ class MwpmDecoder : public Decoder
         return numEdges_;
     }
 
-    /** Cached exact shortest distance from a detector to the boundary
-     *  (+inf when the boundary is unreachable). */
-    double
-    boundaryDistance(int det) const
-    {
-        return boundaryDist_[det];
-    }
-
   private:
+    struct SparseBlossom;
+
     struct Nbr
     {
         int to;
-        float w;
+        int32_t w;
         uint8_t obs;
     };
 
+    /** No boundary edge at a detector. */
+    static constexpr int32_t kNoBoundary = INT32_MAX;
+
     int numDets_ = 0;
     size_t numEdges_ = 0;
-    DecoderOptions options_;
-    /** Minimum detector-detector edge weight: converts weight radii
-     *  into hop bounds for the reach certificates (+inf if the graph
-     *  has no detector-detector edges, i.e. regions never grow). */
-    double minEdgeW_ = 0.0;
     /** CSR adjacency: neighbours of detector d live at
      *  nbrs_[nbrOffsets_[d] .. nbrOffsets_[d + 1]). */
     std::vector<int> nbrOffsets_;
     std::vector<Nbr> nbrs_;
-    /** Best direct boundary edge per detector (+inf if none). */
-    std::vector<float> boundaryW_;
+    /** Lightest boundary edge per detector (kNoBoundary if none). */
+    std::vector<int32_t> boundaryW_;
     std::vector<uint8_t> boundaryObs_;
-    /** Persistent defect-to-boundary cache keyed by detector id:
-     *  exact shortest boundary distance and its observable parity. */
-    std::vector<double> boundaryDist_;
-    std::vector<uint8_t> boundaryPathObs_;
 };
 
 } // namespace qec

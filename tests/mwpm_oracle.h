@@ -4,9 +4,9 @@
  *
  * Independent of any decoder internals: the decoding graph is rebuilt
  * from the DetectorModel with the MWPM decoder's integer edge weights
- * (even integers, so region collisions fall on integer times), every
- * defect runs a full-graph Dijkstra (the boundary is a target node
- * that no path passes through), and the general blossom solver picks
+ * (MwpmDecoder::edgeWeight), every defect runs a Dijkstra over that
+ * graph (the boundary is a target node that no path passes through),
+ * and the general blossom solver picks
  * the maximum total saving b_i + b_j - d_ij over sending both defects
  * to the boundary. The minimum correction cost is then
  * sum_i b_i - (best saving). A decoder is judged by the cost of the
@@ -21,7 +21,6 @@
 #define QEC_TESTS_MWPM_ORACLE_H
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -36,6 +35,7 @@
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/matching.h"
+#include "decoder/mwpm_decoder.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
@@ -46,17 +46,6 @@ namespace oracle
 /** Cost standing in for "no boundary route" (finite, so savings stay
  *  representable). */
 constexpr int64_t kUnreachable = (int64_t)1 << 40;
-
-/** The MWPM decoder's integer weight of an edge that fires with
- *  probability q: log((1-q)/q), clamped to 1e6, scaled by 1024 and
- *  rounded to an even integer. */
-inline int64_t
-integerWeight(double q)
-{
-    q = std::min(std::max(q, 1.0e-12), 0.499999);
-    const double w = std::min(std::log((1.0 - q) / q), 1.0e6);
-    return 2 * (int64_t)std::llround(w * 1024.0 / 2.0);
-}
 
 /** Outcome of one exact solve. */
 struct Solution
@@ -76,7 +65,7 @@ class MwpmOracle
             const double q = e.probability(p);
             if (q <= 0.0)
                 continue;
-            const Arc arc{e.b, integerWeight(q),
+            const Arc arc{e.b, MwpmDecoder::edgeWeight(q),
                           (uint8_t)(e.obsFlip ? 1 : 0)};
             adj_[(size_t)e.a].push_back(arc);
             if (e.b != kBoundary)
@@ -184,6 +173,21 @@ class MwpmOracle
             if (c != 1)
                 return -1;
         return total;
+    }
+
+    /** Shortest distance between defects i and j of the last solve()
+     *  (kUnreachable when at least b_i + b_j). */
+    int64_t
+    distance(int i, int j) const
+    {
+        return pdist_[(size_t)i * bdist_.size() + (size_t)j];
+    }
+
+    /** Boundary distance of defect i of the last solve(). */
+    int64_t
+    boundaryDistance(int i) const
+    {
+        return bdist_[(size_t)i];
     }
 
   private:

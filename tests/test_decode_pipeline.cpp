@@ -33,6 +33,7 @@
 #include "decoder/batch_decoder.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
+#include "decoder/matching.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
 #include "decoder/syndrome_cache.h"
@@ -325,12 +326,12 @@ TEST(DecodePipeline, ZeroDefectDecodeAllocatesNothingForBothDecoders)
 
 TEST(DecodePipeline, MwpmDecodeIsAllocationFreeInSteadyState)
 {
-    // The blossom solver lives in the workspace's MatcherScratch, and
-    // the region-growth queue and candidate table in the workspace:
-    // once warmed up on a shot set, repeating the set must perform
-    // zero heap allocations end to end. The dense set (leakage
-    // bursts of 64+ defects) drives the queue's buckets and the
-    // candidate lists through their growth paths.
+    // Regions, detector records, the event queue and the expansion
+    // stacks all live in the workspace: once warmed up on a shot
+    // set, repeating the set must perform zero heap allocations end
+    // to end. The dense set (leakage bursts of 64+ defects) drives
+    // the queue's buckets and the region table through their growth
+    // paths.
     struct ShotSet
     {
         int d;
