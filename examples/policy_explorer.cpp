@@ -21,6 +21,9 @@
  *   --protocol NAME      swap|dqlr (default swap)
  *   --transport NAME     conservative|exchange (default conservative)
  *   --width W            simulator word-group width (default 64)
+ *   --decoder NAME       mwpm|uf (default mwpm, the paper's decoder)
+ *   --no-decode          skip decoding: leakage/LRC statistics only
+ *                        (LER is not measured)
  *   --no-leakage         disable leakage entirely
  *   --seed S             fixed RNG seed override for every point
  *   --precision F        early-stop at Wilson rel. precision F
@@ -71,6 +74,7 @@ usage(const char *argv0)
                  " [--protocol swap|dqlr]\n"
                  "          [--transport conservative|exchange]"
                  " [--width W] [--no-leakage]\n"
+                 "          [--decoder mwpm|uf] [--no-decode]\n"
                  "          [--seed S] [--precision F] [--json PATH]\n"
                  "          [--checkpoint PATH] [--checkpoint-every N]"
                  " [--deadline SECS]\n"
@@ -98,11 +102,12 @@ splitList(const std::string &arg)
 }
 
 void
-report(const ExperimentResult &r, int rounds)
+report(const ExperimentResult &r, int rounds, bool decoded)
 {
     std::printf("%-12s  LER %-12s  LRCs/round %-8.3f  acc %5.1f%%"
                 "  FPR %6.2f%%  FNR %5.1f%%  LPR(end) %.5f\n",
-                r.policy.c_str(), r.lerString().c_str(),
+                r.policy.c_str(),
+                decoded ? r.lerString().c_str() : "(no decode)",
                 r.avgLrcsPerRound(),
                 r.speculationAccuracy() * 100.0,
                 r.falsePositiveRate() * 100.0,
@@ -124,6 +129,8 @@ main(int argc, char **argv)
     RemovalProtocol protocol = RemovalProtocol::SwapLrc;
     TransportModel transport = TransportModel::Conservative;
     unsigned width = 64;
+    DecoderKind decoder = DecoderKind::Mwpm;
+    bool decode = true;
     bool leakage = true;
     bool seed_override = false;
     uint64_t seed = 0;
@@ -194,6 +201,14 @@ main(int argc, char **argv)
                 transport = TransportModel::Exchange;
             else if (v != "conservative")
                 usage(argv[0]);
+        } else if (arg == "--decoder") {
+            const std::string v = next();
+            if (v == "uf")
+                decoder = DecoderKind::UnionFind;
+            else if (v != "mwpm")
+                usage(argv[0]);
+        } else if (arg == "--no-decode") {
+            decode = false;
         } else if (arg == "--no-leakage") {
             leakage = false;
         } else {
@@ -211,6 +226,8 @@ main(int argc, char **argv)
     plan.base.protocol = protocol;
     plan.base.trackLpr = true;
     plan.base.batchWidth = width;
+    plan.base.decoderKind = decoder;
+    plan.base.decode = decode;
     plan.base.em =
         leakage ? ErrorModel::standard(1e-3)
                 : ErrorModel::withoutLeakage(1e-3);
@@ -274,7 +291,8 @@ main(int argc, char **argv)
 
     for (const PointResult &point : results.points) {
         std::printf("d=%d rounds=%d p=%g shots=%llu protocol=%s"
-                    " transport=%s leakage=%s seed=%llu wall=%.2fs\n",
+                    " transport=%s leakage=%s decoder=%s seed=%llu"
+                    " wall=%.2fs\n",
                     point.point.distance, point.point.rounds,
                     point.point.p,
                     (unsigned long long)point.results[0].shots,
@@ -282,10 +300,11 @@ main(int argc, char **argv)
                     transport == TransportModel::Exchange
                         ? "exchange" : "conservative",
                     leakage ? "on" : "off",
+                    decode ? decoderKindName(decoder) : "off",
                     (unsigned long long)point.point.seed,
                     point.wallSeconds);
         for (size_t i = 0; i < point.results.size(); ++i) {
-            report(point.results[i], point.point.rounds);
+            report(point.results[i], point.point.rounds, decode);
             if (point.stoppedEarly[i])
                 std::printf("%-12s  (stopped early at %llu shots)\n",
                             "", (unsigned long long)

@@ -359,7 +359,9 @@ struct DecodeWorkspace
     std::vector<int> mwTreeRoot;      ///< Tree slot -> root region.
     std::vector<int> mwStack;         ///< Region walk scratch.
     std::vector<int> mwCycle;         ///< Blossom cycle scratch.
-    std::vector<MwEdge> mwExpand;     ///< (region, defect) expansion.
+    /** Blossom expansion stack: (region, defect it is matched
+     *  through). */
+    std::vector<std::pair<int, int>> mwExpand;
     uint64_t mwMark = 0;
 
     /** Size the union-find arrays for a graph with `num_vertices`

@@ -710,23 +710,22 @@ struct MwpmDecoder::SparseBlossom
     {
         auto &todo = ws.mwExpand;
         todo.clear();
-        todo.push_back({r, d, 0});
+        todo.push_back({r, d});
         while (!todo.empty()) {
-            const MwEdge item = todo.back();
+            const auto [x, via] = todo.back();
             todo.pop_back();
-            const int x = item.a;
             if (reg[x].childHead < 0)
                 continue;
-            const int c = childContaining(x, item.b);
+            const int c = childContaining(x, via);
             for (int m = reg[c].cycleNext; m != c;) {
                 const int n = reg[m].cycleNext;
                 const MwEdge &e = reg[m].cycleEdge;
                 emit(e);
-                todo.push_back({m, e.a, 0});
-                todo.push_back({n, e.b, 0});
+                todo.push_back({m, e.a});
+                todo.push_back({n, e.b});
                 m = reg[n].cycleNext;
             }
-            todo.push_back({c, item.b, 0});
+            todo.push_back({c, via});
         }
     }
 
