@@ -4,11 +4,10 @@
  * the speculation + insertion path (the paper's 5 ns FPGA budget and
  * ~120 ns control window, Section 4.3), one syndrome extraction round
  * of the frame simulator, full-shot MWPM / Union-Find decodes (one-off
- * vs reusable-workspace), the blossom matcher on decoder-shaped
- * instances, and end-to-end decoded memory sweeps comparing the
- * scalar decode-per-shot loop against the batch-aware decode pipeline
- * (sparse syndromes + zero-defect fast path + dedup cache +
- * allocation-free workspaces).
+ * vs reusable-workspace), and end-to-end decoded memory sweeps
+ * comparing the scalar decode-per-shot loop against the batch-aware
+ * decode pipeline (sparse syndromes + zero-defect fast path + dedup
+ * cache + allocation-free workspaces).
  *
  * After the benchmarks run, main() emits BENCH_decode.json (override
  * the path with ERASER_BENCH_JSON, skip with ERASER_SKIP_DECODE_JSON)
@@ -41,7 +40,6 @@
 #include "decoder/batch_decoder.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
-#include "decoder/matching.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find_decoder.h"
 #include "exp/handwired_reference.h"
@@ -572,37 +570,6 @@ BM_IrAnalyze(benchmark::State &state)
 }
 BENCHMARK(BM_IrAnalyze)
     ->ArgName("d")->Arg(3)->Arg(11)
-    ->Unit(benchmark::kMicrosecond);
-
-void
-BM_BlossomDecoderShaped(benchmark::State &state)
-{
-    // k-vertex instances shaped like the decoder's per-component
-    // matching: local candidate edges weighted by their saving
-    // b_i + b_j - w_ij over the boundary (only positive savings kept),
-    // solved as a maximum-weight matching in a persistent scratch.
-    const int k = (int)state.range(0);
-    Rng rng(4);
-    std::vector<int64_t> bdist(k);
-    for (auto &b : bdist)
-        b = 1000 + (int64_t)rng.randint(2000);
-    std::vector<MatchEdge> edges;
-    for (int i = 0; i < k; ++i) {
-        for (int j = i + 1; j < k && j < i + 8; ++j) {
-            const int64_t saving =
-                bdist[i] + bdist[j] - (1 + (int64_t)rng.randint(4000));
-            if (saving > 0)
-                edges.push_back({i, j, saving});
-        }
-    }
-    MatcherScratch scratch;
-    std::vector<int> partner;
-    for (auto _ : state) {
-        maxWeightMatching(k, edges, false, partner, scratch);
-        benchmark::DoNotOptimize(partner.data());
-    }
-}
-BENCHMARK(BM_BlossomDecoderShaped)->Arg(16)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
 void

@@ -30,9 +30,9 @@
  *  - Every decode reports a hop-reach certificate: all graph state
  *    that decode (or its restriction inside a larger shot) can touch
  *    lies within `reach` hops of its defects. The union-find decoder
- *    measures its growth-layer count; the MWPM decoder derives a
- *    certificate from its boundary-distance pruning radius plus a
- *    shot-dependent slack (Decoder::componentSlackHops).
+ *    measures its growth-layer count, and Decoder::componentSlackHops
+ *    adds a shot-dependent margin (0 for union-find); decoders that
+ *    certify no reach (MWPM) keep every lane on the whole-shot path.
  *  - Composition is applied only when every pair of components is
  *    provably farther apart than the sum of its effective reaches:
  *    the touched regions are then pairwise disjoint balls with no
@@ -103,8 +103,8 @@ struct ComponentDecodeOptions
      * Largest per-shot decoder slack (Decoder::componentSlackHops)
      * the component path accepts before handing the lane straight to
      * the whole-shot decode. Purely a performance gate — large-slack
-     * decoders (MWPM's weight-ratio certificate) would fail the
-     * exactness guard on most lanes and pay the split for nothing.
+     * decoders would fail the exactness guard on most lanes and pay
+     * the split for nothing.
      */
     int maxShotSlack = 1;
     /** log2 of the component cache's slot count. */

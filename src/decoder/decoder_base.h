@@ -51,12 +51,11 @@ class Decoder
      * stored reach certificate (DecodeWorkspace::lastReachHops) when
      * those components are composed inside the shot described by
      * `defects`/`count`: the union-find decoder's growth depends only
-     * on the component itself (slack 0), while the MWPM decoder's
-     * Dijkstra pruning radius grows with the shot's largest
-     * defect-to-boundary distance, so its slack is that distance in
-     * hops. Returning a negative value (the default) declares
-     * component decode unsupported and keeps the pipeline on the
-     * whole-shot path — custom decoders stay exact without opting in.
+     * on the component itself (slack 0). Returning a negative value
+     * (the default) declares component decode unsupported and keeps
+     * the pipeline on the whole-shot path — custom decoders stay
+     * exact without opting in. The MWPM decoder keeps the default:
+     * its regions grow until they match, which no hop bound certifies.
      */
     virtual int
     componentSlackHops(const int *defects, size_t count) const

@@ -23,13 +23,40 @@ resetNested(std::vector<std::vector<int>> &v, size_t n)
         v[i].clear();
 }
 
+/** Every vector one blossom solve needs. */
+struct MatcherScratch
+{
+    std::vector<std::vector<int>> neighbend;
+    std::vector<std::vector<int>> blossomchilds;
+    std::vector<std::vector<int>> blossomendps;
+    std::vector<std::vector<int>> blossombestedges;
+    std::vector<int> mate;
+    std::vector<int> label;
+    std::vector<int> labelend;
+    std::vector<int> inblossom;
+    std::vector<int> blossomparent;
+    std::vector<int> blossombase;
+    std::vector<int> bestedge;
+    std::vector<int> unusedblossoms;
+    std::vector<int64_t> dualvar;
+    std::vector<uint8_t> allowedge;
+    std::vector<int> queue;
+    std::vector<int> leafStack;
+    std::vector<int> pathBuf;
+    std::vector<int> endpsBuf;
+    std::vector<int> bestEdgeToBuf;
+    /** Per-recursion-depth child-list buffers for expandBlossom (it
+     *  mutates the child list while iterating, so each level needs a
+     *  stable copy). */
+    std::vector<std::vector<int>> expandPool;
+};
+
 /**
  * State of one maximum-weight-matching computation. A direct port of
  * Van Rantwijk's formulation of Galil's algorithm: vertices are
  * 0..n-1, blossoms n..2n-1, and "endpoints" are directed half-edges
- * (edge k has endpoints 2k and 2k+1). All arrays live in the caller's
- * MatcherScratch, so repeated solves on same-shaped instances are
- * allocation-free.
+ * (edge k has endpoints 2k and 2k+1). All arrays live in one
+ * MatcherScratch.
  */
 class Matcher
 {
@@ -78,8 +105,8 @@ class Matcher
     const std::vector<MatchEdge> &edges_;
     bool maxCardinality_;
 
-    // All state lives in the caller's MatcherScratch (see matching.h);
-    // these references keep the algorithm text unchanged.
+    // All state lives in the MatcherScratch; these references keep
+    // the algorithm text unchanged.
     std::vector<std::vector<int>> &neighbend_;
     std::vector<int> &mate_;
     std::vector<int> &label_;
@@ -666,48 +693,14 @@ Matcher::solve(std::vector<int> &partner)
 
 } // namespace
 
-size_t
-MatcherScratch::footprintBytes() const
-{
-    auto flat = [](const auto &v) {
-        return v.capacity() *
-               sizeof(typename std::remove_reference_t<
-                      decltype(v)>::value_type);
-    };
-    auto nested = [](const std::vector<std::vector<int>> &v) {
-        size_t bytes = v.capacity() * sizeof(std::vector<int>);
-        for (const auto &inner : v)
-            bytes += inner.capacity() * sizeof(int);
-        return bytes;
-    };
-    return nested(neighbend) + nested(blossomchilds) +
-           nested(blossomendps) + nested(blossombestedges) +
-           nested(expandPool) +
-           flat(mate) + flat(label) + flat(labelend) +
-           flat(inblossom) + flat(blossomparent) + flat(blossombase) +
-           flat(bestedge) + flat(unusedblossoms) + flat(dualvar) +
-           flat(allowedge) + flat(queue) + flat(leafStack) +
-           flat(pathBuf) + flat(endpsBuf) + flat(bestEdgeToBuf);
-}
-
 std::vector<int>
 maxWeightMatching(int num_vertices, const std::vector<MatchEdge> &edges,
                   bool max_cardinality)
 {
     MatcherScratch scratch;
     std::vector<int> partner;
-    maxWeightMatching(num_vertices, edges, max_cardinality, partner,
-                      scratch);
+    Matcher(num_vertices, edges, max_cardinality, scratch).solve(partner);
     return partner;
-}
-
-void
-maxWeightMatching(int num_vertices, const std::vector<MatchEdge> &edges,
-                  bool max_cardinality, std::vector<int> &partner,
-                  MatcherScratch &scratch)
-{
-    Matcher matcher(num_vertices, edges, max_cardinality, scratch);
-    matcher.solve(partner);
 }
 
 std::vector<int>

@@ -48,42 +48,61 @@ MwpmDecoder::MwpmDecoder(const DetectorModel &dem, double p,
                       uint8_t best_obs) {
         return w < best_w || (w == best_w && obs < best_obs);
     };
-    std::vector<std::vector<Nbr>> rows((size_t)numDets_);
+
+    // Pass 1: boundary edges + per-detector degrees.
+    std::vector<int> degree((size_t)numDets_, 0);
     for (const auto &edge : dem.edges) {
         const double q = edge.probability(p);
         if (q <= 0.0)
             continue;
-        const int32_t w = edgeWeight(q);
-        const uint8_t obs = edge.obsFlip ? 1 : 0;
-        if (edge.b == kBoundary) {
-            if (lighter(w, obs, boundaryW_[edge.a],
-                        boundaryObs_[edge.a])) {
-                boundaryW_[edge.a] = w;
-                boundaryObs_[edge.a] = obs;
-            }
+        if (edge.b != kBoundary) {
+            ++degree[(size_t)edge.a];
+            ++degree[(size_t)edge.b];
             continue;
         }
-        for (const auto &[from, to] : {std::pair<int, int>{edge.a, edge.b},
-                                       std::pair<int, int>{edge.b, edge.a}}) {
-            auto &row = rows[(size_t)from];
-            auto it = std::find_if(row.begin(), row.end(),
-                                   [to = to](const Nbr &n) {
-                                       return n.to == to;
-                                   });
-            if (it == row.end())
-                row.push_back({to, w, obs});
-            else if (lighter(w, obs, it->w, it->obs))
-                *it = {to, w, obs};
+        const int32_t w = edgeWeight(q);
+        const uint8_t obs = edge.obsFlip ? 1 : 0;
+        if (lighter(w, obs, boundaryW_[edge.a], boundaryObs_[edge.a])) {
+            boundaryW_[edge.a] = w;
+            boundaryObs_[edge.a] = obs;
         }
     }
-    nbrOffsets_.assign((size_t)numDets_ + 1, 0);
+
+    // Pass 2: flat CSR adjacency (counting sort keeps edge order).
+    std::vector<int> cursor((size_t)numDets_ + 1, 0);
     for (int d = 0; d < numDets_; ++d)
-        nbrOffsets_[(size_t)d + 1] =
-            nbrOffsets_[d] + (int)rows[(size_t)d].size();
-    nbrs_.reserve((size_t)nbrOffsets_.back());
-    for (const auto &row : rows)
-        nbrs_.insert(nbrs_.end(), row.begin(), row.end());
-    numEdges_ = nbrs_.size() / 2;
+        cursor[(size_t)d + 1] = cursor[d] + degree[(size_t)d];
+    nbrs_.resize((size_t)cursor.back());
+    std::vector<int> fill(cursor.begin(), cursor.end() - 1);
+    for (const auto &edge : dem.edges) {
+        const double q = edge.probability(p);
+        if (q <= 0.0 || edge.b == kBoundary)
+            continue;
+        const int32_t w = edgeWeight(q);
+        const uint8_t obs = edge.obsFlip ? 1 : 0;
+        nbrs_[(size_t)fill[edge.a]++] = {edge.b, w, obs};
+        nbrs_[(size_t)fill[edge.b]++] = {edge.a, w, obs};
+    }
+
+    // Pass 3: fold parallel edges into their first occurrence.
+    nbrOffsets_.assign((size_t)numDets_ + 1, 0);
+    size_t kept = 0;
+    for (int d = 0; d < numDets_; ++d) {
+        const size_t row = kept;
+        for (int k = cursor[d]; k < cursor[(size_t)d + 1]; ++k) {
+            const Nbr nbr = nbrs_[(size_t)k];
+            size_t j = row;
+            while (j < kept && nbrs_[j].to != nbr.to)
+                ++j;
+            if (j == kept)
+                nbrs_[kept++] = nbr;
+            else if (lighter(nbr.w, nbr.obs, nbrs_[j].w, nbrs_[j].obs))
+                nbrs_[j] = nbr;
+        }
+        nbrOffsets_[(size_t)d + 1] = (int)kept;
+    }
+    nbrs_.resize(kept);
+    numEdges_ = kept / 2;
 }
 
 /**

@@ -33,7 +33,6 @@
 #include "decoder/batch_decoder.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
-#include "decoder/matching.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
 #include "decoder/syndrome_cache.h"
@@ -376,36 +375,6 @@ TEST(DecodePipeline, MwpmDecodeIsAllocationFreeInSteadyState)
         EXPECT_EQ(after, before) << "MWPM decode allocated on the "
                                     "steady-state path (sink="
                                  << sink << ")";
-    }
-}
-
-TEST(DecodePipeline, MatcherScratchReuseMatchesThrowawaySolves)
-{
-    // Same instances through one persistent scratch and through
-    // fresh solves must produce identical matchings.
-    Rng rng(11);
-    MatcherScratch scratch;
-    for (int iter = 0; iter < 30; ++iter) {
-        const int n = 2 + (int)rng.randint(10);
-        std::vector<MatchEdge> edges;
-        for (int i = 0; i < n; ++i) {
-            for (int j = i + 1; j < n; ++j)
-                edges.push_back(
-                    {i, j, (int64_t)(1 + rng.randint(50))});
-            edges.push_back({i, n + i, (int64_t)(1 + rng.randint(50))});
-        }
-        for (int i = 0; i < n; ++i)
-            for (int j = i + 1; j < n; ++j)
-                edges.push_back({n + i, n + j, 0});
-
-        // Alternate both cardinality modes through the same scratch.
-        const bool max_cardinality = (iter & 1) != 0;
-        std::vector<int> reused;
-        maxWeightMatching(2 * n, edges, max_cardinality, reused,
-                          scratch);
-        ASSERT_EQ(maxWeightMatching(2 * n, edges, max_cardinality),
-                  reused)
-            << "instance " << iter;
     }
 }
 
