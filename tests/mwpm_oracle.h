@@ -175,21 +175,6 @@ class MwpmOracle
         return total;
     }
 
-    /** Shortest distance between defects i and j of the last solve()
-     *  (kUnreachable when at least b_i + b_j). */
-    int64_t
-    distance(int i, int j) const
-    {
-        return pdist_[(size_t)i * bdist_.size() + (size_t)j];
-    }
-
-    /** Boundary distance of defect i of the last solve(). */
-    int64_t
-    boundaryDistance(int i) const
-    {
-        return bdist_[(size_t)i];
-    }
-
   private:
     struct Arc
     {
