@@ -403,12 +403,20 @@ struct DecodeWorkspace
         }
     }
 
-    /** Size the MWPM arrays for `num_detectors` detectors. */
+    /** Size the MWPM arrays for `num_detectors` detectors and a call
+     *  with `num_defects` defects: trivial regions 0..n-1, then at
+     *  most (n - 1) / 2 live blossoms (each has >= 3 children; freed
+     *  slots are reused), so nothing reallocates mid-call. */
     void
-    ensureMwpm(size_t num_detectors)
+    ensureMwpm(size_t num_detectors, size_t num_defects)
     {
         if (mwNode.size() < num_detectors)
             mwNode.resize(num_detectors, MwNode{});
+        const size_t max_regions = num_defects + num_defects / 2 + 1;
+        if (mwRegions.size() < max_regions)
+            mwRegions.resize(max_regions);
+        if (mwTreeRoot.size() < num_defects)
+            mwTreeRoot.resize(num_defects);
     }
 
     /** Total bytes owned by the workspace (tests pin that this stops

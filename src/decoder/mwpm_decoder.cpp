@@ -131,16 +131,7 @@ struct MwpmDecoder::SparseBlossom
         : g(decoder), ws(w), call(++w.epoch), defects(defect_list),
           numDefects(n)
     {
-        // Trivial regions 0..n-1, then at most (n - 1) / 2 live
-        // blossoms (each has >= 3 children); freed slots are reused,
-        // so these never reallocate mid-call.
-        const size_t max_regions = (size_t)n + (size_t)n / 2 + 1;
-        if (ws.mwRegions.size() < max_regions)
-            ws.mwRegions.resize(max_regions);
-        if (ws.mwNode.size() < (size_t)g.numDets_)
-            ws.mwNode.resize((size_t)g.numDets_, Node{});
-        if (ws.mwTreeRoot.size() < (size_t)n)
-            ws.mwTreeRoot.resize((size_t)n);
+        ws.ensureMwpm((size_t)g.numDets_, (size_t)n);
         node = ws.mwNode.data();
         reg = ws.mwRegions.data();
         regionsUsed = n;
@@ -711,7 +702,7 @@ struct MwpmDecoder::SparseBlossom
             scheduleNode(v);
     }
 
-    // ---------------------------------------------------- driver
+    // ------------------------------------------------ decode loop
 
     void
     emit(const MwEdge &e)

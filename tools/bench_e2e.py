@@ -13,11 +13,11 @@ every workload's metrics plus its attempted/failed counts. A run of
 the same commit replaces the earlier one; runs are kept in the order
 they were first added.
 
---compare prints every metric next to the newest run of another
-trajectory file (e.g. the committed copy) with the relative change. The
-script exits non-zero only when a workload failed its correctness gate
-(`failed > 0`, `correct` false, or no result line); slower or faster
-numbers never fail it.
+--compare prints every metric next to the newest run of a trajectory
+file as it was before this run (e.g. the committed copy) with the
+relative change. The script exits non-zero only when a workload failed
+its correctness gate (`failed > 0`, `correct` false, or no result
+line); slower or faster numbers never fail it.
 """
 
 import argparse
@@ -101,6 +101,9 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
+    # Read the reference before --out is rewritten (they may be the
+    # same file).
+    reference = load(args.compare)["runs"] if args.compare else []
 
     run = {
         "commit": args.commit or commit_of(args.checkout),
@@ -130,10 +133,8 @@ def main():
         f.write("\n")
     print("wrote %s (%d run(s))" % (args.out, len(runs)))
 
-    if args.compare:
-        reference = load(args.compare)["runs"]
-        if reference:
-            compare(run, reference[-1])
+    if reference:
+        compare(run, reference[-1])
     return 1 if failed else 0
 
 
