@@ -80,21 +80,17 @@ BatchDecoder::decodeLane(const int *defects, size_t count)
 {
     if (windowed_)
         return decodeWindowed(defects, count);
-    if (options_.components.enabled) {
-        // Negative slack = the decoder does not certify component
-        // composition; stay on the (always-exact) whole-shot path.
-        // Oversized slack = certified but pointless: most lanes would
-        // fail the exactness guard after paying for the split.
-        const int slack = decoder_.componentSlackHops(defects, count);
-        if (slack >= 0 && slack <= options_.components.maxShotSlack)
-            return decodeComponents(defects, count, slack);
-    }
+    // Only a decoder whose growth depends on the component alone
+    // (slack 0) is composed; any other answer keeps the lane on the
+    // (always-exact) whole-shot path.
+    if (options_.components.enabled &&
+        decoder_.componentSlackHops(defects, count) == 0)
+        return decodeComponents(defects, count);
     return decoder_.decodeSparse(defects, count, workspace_);
 }
 
 bool
-BatchDecoder::decodeComponents(const int *defects, size_t count,
-                               int shot_slack)
+BatchDecoder::decodeComponents(const int *defects, size_t count)
 {
     DecodeWorkspace &ws = workspace_;
     const int h = options_.components.hopRadius;
@@ -133,11 +129,9 @@ BatchDecoder::decodeComponents(const int *defects, size_t count,
             return verdict;
         }
         verdict = decoder_.decodeSparse(sub, cnt, ws);
-        // The stored certificate must bound the component-ALONE
-        // decode's touched ball: the decoder's reach report plus its
-        // slack for this component decoded as its own shot.
-        const int own_slack = decoder_.componentSlackHops(sub, cnt);
-        reach = ws.lastReachHops + (own_slack > 0 ? own_slack : 0);
+        // The stored certificate bounds the component-alone decode's
+        // touched ball.
+        reach = ws.lastReachHops;
         ++stats_.componentsDecoded;
         if (limit >= 0 && reach <= limit)
             componentCache_.insert(sub, cnt, shift, true, verdict,
@@ -163,17 +157,16 @@ BatchDecoder::decodeComponents(const int *defects, size_t count,
 
     // Composition guard: the XOR composition is exactly the joint
     // decode when every pair of groups is separated by more hops than
-    // the sum of its effective reaches (stored certificate + this
-    // shot's slack) — the touched regions are then disjoint balls
-    // with no connecting edge. The split certifies dist >= 2h+1 for
-    // every pair, which settles the common case in O(1) via the two
-    // largest reaches; pairs that outrun it are re-checked against
-    // the row-gap / stab-quotient distance bounds, and a pair
-    // failing both is MERGED and re-decoded as one group
-    // — far cheaper than re-decoding the whole lane. Merging repeats
-    // until the guard holds, so composition is exact by construction;
-    // the degenerate end state (everything merged) IS the whole-lane
-    // decode.
+    // the sum of its stored reach certificates — the touched regions
+    // are then disjoint balls with no connecting edge. The split
+    // certifies dist >= 2h+1 for every pair, which settles the
+    // common case in O(1) via the two largest reaches; pairs that
+    // outrun it are re-checked against the row-gap / stab-quotient
+    // distance bounds, and a pair failing both is MERGED and
+    // re-decoded as one group — far cheaper than re-decoding the
+    // whole lane. Merging repeats until the guard holds, so
+    // composition is exact by construction; the degenerate end state
+    // (everything merged) IS the whole-lane decode.
     if (m >= 2) {
         auto findGroup = [&](int c) {
             while (ws.compGroup[c] != c) {
@@ -223,7 +216,7 @@ BatchDecoder::decodeComponents(const int *defects, size_t count,
                     top2 = reach;
                 }
             }
-            if (top1 + top2 + 2 * shot_slack <= 2 * h)
+            if (top1 + top2 <= 2 * h)
                 break;
             for (int i = 0; i < m; ++i) {
                 if (findGroup(i) != i)
@@ -231,9 +224,8 @@ BatchDecoder::decodeComponents(const int *defects, size_t count,
                 for (int j = i + 1; j < m; ++j) {
                     if (findGroup(j) != j)
                         continue;
-                    const int need = ws.compReach[i] +
-                                     ws.compReach[j] +
-                                     2 * shot_slack;
+                    const int need =
+                        ws.compReach[i] + ws.compReach[j];
                     if (need <= 2 * h ||
                         groupsProvenApart(i, j, need))
                         continue;

@@ -202,8 +202,7 @@ class BatchDecoder
     bool decodeCached(uint64_t hash, const int *defects, size_t count);
     /** Post-cache lane decode: windowed / component / plain. */
     bool decodeLane(const int *defects, size_t count);
-    bool decodeComponents(const int *defects, size_t count,
-                          int shot_slack);
+    bool decodeComponents(const int *defects, size_t count);
     bool decodeWindowed(const int *defects, size_t count);
 
     const Decoder &decoder_;

@@ -30,11 +30,12 @@
  *  - Every decode reports a hop-reach certificate: all graph state
  *    that decode (or its restriction inside a larger shot) can touch
  *    lies within `reach` hops of its defects. The union-find decoder
- *    measures its growth-layer count, and Decoder::componentSlackHops
- *    adds a shot-dependent margin (0 for union-find); decoders that
- *    certify no reach (MWPM) keep every lane on the whole-shot path.
+ *    measures its growth-layer count. Only decoders whose
+ *    Decoder::componentSlackHops is 0 (union-find) are composed;
+ *    decoders that certify no reach (MWPM) keep every lane on the
+ *    whole-shot path.
  *  - Composition is applied only when every pair of components is
- *    provably farther apart than the sum of its effective reaches:
+ *    provably farther apart than the sum of its reach certificates:
  *    the touched regions are then pairwise disjoint balls with no
  *    connecting edge, the joint decode evolves as the disjoint union
  *    of the component-alone decodes, and the joint verdict is exactly
@@ -99,14 +100,6 @@ struct ComponentDecodeOptions
      * at this radius.
      */
     int hopRadius = 2;
-    /**
-     * Largest per-shot decoder slack (Decoder::componentSlackHops)
-     * the component path accepts before handing the lane straight to
-     * the whole-shot decode. Purely a performance gate — large-slack
-     * decoders would fail the exactness guard on most lanes and pay
-     * the split for nothing.
-     */
-    int maxShotSlack = 1;
     /** log2 of the component cache's slot count. */
     uint32_t tableLog2 = 15;
     /** Capacity of the component cache's defect arena (ints). */

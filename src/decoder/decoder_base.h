@@ -44,18 +44,17 @@ class Decoder
                               DecodeWorkspace &workspace) const = 0;
 
     /**
-     * Component-composition support probe and shot-level hop slack.
+     * Component-composition support probe.
      *
-     * A decoder that supports exact per-component composition returns
-     * the extra hop margin that must be added to every component's
-     * stored reach certificate (DecodeWorkspace::lastReachHops) when
-     * those components are composed inside the shot described by
-     * `defects`/`count`: the union-find decoder's growth depends only
-     * on the component itself (slack 0). Returning a negative value
-     * (the default) declares component decode unsupported and keeps
-     * the pipeline on the whole-shot path — custom decoders stay
-     * exact without opting in. The MWPM decoder keeps the default:
-     * its regions grow until they match, which no hop bound certifies.
+     * Returning 0 declares that a component's growth depends only on
+     * the component itself, so the pipeline may decode each component
+     * of the shot described by `defects`/`count` on its own and
+     * compose the verdicts, guarded by the stored reach certificates
+     * (DecodeWorkspace::lastReachHops); the union-find decoder does.
+     * Any other value (the default is -1) keeps the pipeline on the
+     * whole-shot path — custom decoders stay exact without opting in.
+     * The MWPM decoder keeps the default: its regions grow until they
+     * match, which no hop bound certifies.
      */
     virtual int
     componentSlackHops(const int *defects, size_t count) const

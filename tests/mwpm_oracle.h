@@ -9,8 +9,14 @@
  * and the general blossom solver picks
  * the maximum total saving b_i + b_j - d_ij over sending both defects
  * to the boundary. The minimum correction cost is then
- * sum_i b_i - (best saving). A decoder is judged by the cost of the
- * correction it records, not by agreement with another decoder.
+ * sum_i b_i - (best saving). Each search keeps one distance per
+ * observable parity, so every pair and boundary route knows which
+ * parities its shortest paths can carry. A decoder is judged by the
+ * cost of the correction it records, each edge priced at the
+ * shortest route with that edge's parity, not by agreement with
+ * another decoder: a correction at the minimum cost is a minimum
+ * matching whose every edge parity lies on a shortest path, so any
+ * verdict that differs from the oracle's is an equal-cost tie.
  *
  * Also samples shots straight from the DEM edges (each edge fires
  * independently with its probability at a chosen p), which yields the
@@ -107,10 +113,8 @@ class MwpmOracle
         index_.assign((size_t)n_, -1);
         for (int i = 0; i < k; ++i)
             index_[(size_t)defects[i]] = i;
-        bdist_.assign((size_t)k, kUnreachable);
-        bobs_.assign((size_t)k, 0);
-        pdist_.assign((size_t)k * k, kUnreachable);
-        pobs_.assign((size_t)k * k, 0);
+        bdist_.assign((size_t)k * 2, kUnreachable);
+        pdist_.assign((size_t)k * k * 2, kUnreachable);
         // b_i comes out of each defect's own search; a pair is only
         // worth matching when d_ij < b_i + b_j, so each search stops
         // at b_i plus the largest boundary distance of the shot.
@@ -125,35 +129,37 @@ class MwpmOracle
         for (int i = 0; i < k; ++i)
             for (int j = i + 1; j < k; ++j) {
                 const int64_t saving =
-                    bdist_[i] + bdist_[j] - pdist_[(size_t)i * k + j];
+                    shortest(boundary(i)) + shortest(boundary(j)) -
+                    shortest(pair(i, j));
                 if (saving > 0)
                     edges.push_back({i, j, saving});
             }
         const std::vector<int> partner =
             maxWeightMatching(k, edges, false);
+        // Where both parities are shortest, the oracle reports the
+        // unflipped one.
         Solution out;
         for (int i = 0; i < k; ++i) {
             const int m = partner[(size_t)i];
-            if (m < 0) {
-                out.cost += bdist_[i];
-                out.verdict ^= bobs_[i] != 0;
-            } else if (m > i) {
-                out.cost += pdist_[(size_t)i * k + m];
-                out.verdict ^= pobs_[(size_t)i * k + m] != 0;
+            if (m < 0 || m > i) {
+                const int64_t *d = m < 0 ? boundary(i) : pair(i, m);
+                out.cost += shortest(d);
+                out.verdict ^= d[0] > d[1];
             }
         }
         return out;
     }
 
     /**
-     * Cost of a decoder's recorded correction under the oracle's
-     * shortest distances of the last solve(); -1 when it is not a
-     * cover of every defect exactly once.
+     * Cost of a decoder's recorded correction after the last solve():
+     * each edge is priced at the shortest route between its ends (or
+     * to the boundary) whose observable parity is the edge's `obs`.
+     * -1 when it is not a cover of every defect exactly once.
      */
     int64_t
     cost(const std::vector<DecodeWorkspace::CorrectionEdge> &corr) const
     {
-        const size_t k = bdist_.size();
+        const size_t k = bdist_.size() / 2;
         std::vector<int> covered(k, 0);
         int64_t total = 0;
         for (const auto &c : corr) {
@@ -162,12 +168,9 @@ class MwpmOracle
             if (i < 0 || (c.b >= 0 && j < 0))
                 return -1;
             ++covered[(size_t)i];
-            if (j < 0) {
-                total += bdist_[(size_t)i];
-            } else {
+            if (j >= 0)
                 ++covered[(size_t)j];
-                total += pdist_[(size_t)i * k + j];
-            }
+            total += (j < 0 ? boundary(i) : pair(i, j))[c.obs ? 1 : 0];
         }
         for (int c : covered)
             if (c != 1)
@@ -183,44 +186,62 @@ class MwpmOracle
         uint8_t obs;
     };
 
+    /** Distances {unflipped, flipped} from defect i to defect j. */
+    const int64_t *
+    pair(int i, int j) const
+    {
+        const size_t k = bdist_.size() / 2;
+        return &pdist_[((size_t)i * k + (size_t)j) * 2];
+    }
+
+    /** Distances {unflipped, flipped} from defect i to the boundary. */
+    const int64_t *
+    boundary(int i) const
+    {
+        return &bdist_[(size_t)i * 2];
+    }
+
+    static int64_t
+    shortest(const int64_t *d)
+    {
+        return std::min(d[0], d[1]);
+    }
+
+    /** Dijkstra over (detector, observable parity) states from
+     *  defect i, up to `radius`. */
     void
     dijkstra(int i, int src, int k, int64_t radius)
     {
-        dist_.assign((size_t)n_, std::numeric_limits<int64_t>::max());
-        obs_.assign((size_t)n_, 0);
-        using Item = std::pair<int64_t, int>;
+        dist_.assign((size_t)n_ * 2,
+                     std::numeric_limits<int64_t>::max());
+        using Item = std::pair<int64_t, int>;  // (distance, 2v + parity)
         std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-        dist_[(size_t)src] = 0;
-        pq.push({0, src});
+        dist_[(size_t)src * 2] = 0;
+        pq.push({0, src * 2});
         while (!pq.empty()) {
-            const auto [d, u] = pq.top();
+            const auto [d, state] = pq.top();
             pq.pop();
-            if (d > dist_[(size_t)u])
+            if (d > dist_[(size_t)state])
                 continue;
             if (d > radius)
                 break;
+            const int u = state >> 1;
+            const int parity = state & 1;
             const int j = index_[(size_t)u];
-            if (j >= 0 && j != i) {
-                pdist_[(size_t)i * k + j] = d;
-                pobs_[(size_t)i * k + j] = obs_[(size_t)u];
-            }
+            if (j >= 0 && j != i)
+                pdist_[((size_t)i * k + j) * 2 + parity] = d;
             for (const Arc &a : adj_[(size_t)u]) {
                 const int64_t nd = d + a.w;
-                const uint8_t no = obs_[(size_t)u] ^ a.obs;
+                const int np = parity ^ a.obs;
                 if (a.to == kBoundary) {
-                    if (nd < bdist_[i] ||
-                        (nd == bdist_[i] && no < bobs_[i])) {
-                        bdist_[i] = nd;
-                        bobs_[i] = no;
-                    }
+                    int64_t &bd = bdist_[(size_t)i * 2 + np];
+                    bd = std::min(bd, nd);
                     continue;
                 }
-                int64_t &dv = dist_[(size_t)a.to];
-                if (nd < dv || (nd == dv && no < obs_[(size_t)a.to])) {
-                    if (nd < dv)
-                        pq.push({nd, a.to});
+                int64_t &dv = dist_[(size_t)a.to * 2 + np];
+                if (nd < dv) {
                     dv = nd;
-                    obs_[(size_t)a.to] = no;
+                    pq.push({nd, a.to * 2 + np});
                 }
             }
         }
@@ -229,13 +250,10 @@ class MwpmOracle
     int n_;
     std::vector<std::vector<Arc>> adj_;
     std::vector<int> index_;       ///< Detector id -> defect index.
-    std::vector<int64_t> bdist_;   ///< Defect -> boundary distance.
-    std::vector<uint8_t> bobs_;
-    std::vector<int64_t> pdist_;   ///< k x k defect distances.
-    std::vector<uint8_t> pobs_;
+    std::vector<int64_t> bdist_;   ///< Defect x parity -> boundary.
+    std::vector<int64_t> pdist_;   ///< k x k defect pairs x parity.
     std::vector<int64_t> boundary_;  ///< Detector -> boundary distance.
-    std::vector<int64_t> dist_;    ///< Dijkstra scratch.
-    std::vector<uint8_t> obs_;
+    std::vector<int64_t> dist_;    ///< Dijkstra scratch, per state.
 };
 
 /** One shot sampled from the DEM: fired detectors (ascending) and the

@@ -3,8 +3,11 @@
  * MWPM decoder exactness against the full-graph oracle
  * (tests/mwpm_oracle.h): on every corpus shot the recorded correction
  * must cover each defect once, its parity must be the verdict, and
- * its cost under the oracle's shortest distances must equal the
- * oracle's minimum. Hand-built graphs then pin the blossom paths
+ * its cost, each edge priced at the shortest route carrying that
+ * edge's observable parity, must equal the oracle's minimum. So every
+ * recorded edge parity lies on a shortest path of a minimum matching,
+ * and a verdict that differs from the oracle's is an equal-cost tie.
+ * Hand-built graphs then pin the blossom paths
  * (formation, shattering, radius-0 defect regions, a boundary exit)
  * and the parallel-edge parity rule against known optima.
  */
@@ -52,6 +55,8 @@ checkShot(const MwpmDecoder &decoder, oracle::MwpmOracle &exact,
     for (const auto &c : ws.corrections)
         parity ^= c.obs != 0;
     EXPECT_EQ(parity, verdict);
+    // Pricing each edge by its recorded parity also catches an edge
+    // whose parity no shortest route between its ends carries.
     const int64_t chosen = exact.cost(ws.corrections);
     EXPECT_GE(chosen, 0) << "correction is not a cover of the defects";
     EXPECT_EQ(chosen, best.cost) << defects.size() << " defects";

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Record the repository benchmark's end-to-end numbers in BENCH_e2e.json.
 
-    python3 tools/bench_e2e.py [--seed N] [--seconds S] [--out PATH]
-                               [--checkout DIR] [--commit SHA]
-                               [--compare PATH]
+    python3 tools/bench_e2e.py [--seconds S] [--out PATH]
+                               [--checkout DIR] [--compare PATH]
 
 Runs `perfbench/run.py --trace 0` once per workload of BENCHMARK.json
 (fig14-mwpm, fig15-lpr, sweep-uf-adaptive) from the root of a checkout
 (--checkout, default: this repository) and adds one run to the
-trajectory file: the commit, the seed, the seconds per workload and
-every workload's metrics plus its attempted/failed counts. A run of
-the same commit replaces the earlier one; runs are kept in the order
-they were first added.
+trajectory file: the checkout's commit, the seed, the seconds per
+workload and every workload's metrics plus its attempted/failed
+counts. The seed is fixed (SEED), so every run in the file measures
+the same shot streams. A checkout with uncommitted changes is recorded
+as "<sha>-dirty", so it never replaces the record of the commit it
+started from. A run of the same commit replaces the earlier one; runs
+are kept in the order they were first added.
 
 --compare prints every metric next to the newest run of a trajectory
 file as it was before this run (e.g. the committed copy) with the
@@ -28,15 +30,22 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "qec.bench_e2e.v1"
+SEED = 41
+
+
+def git(checkout, *args):
+    out = subprocess.run(["git", "-C", checkout] + list(args),
+                         check=True, capture_output=True, text=True)
+    return out.stdout.strip()
 
 
 def commit_of(checkout):
     try:
-        out = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
-                             check=True, capture_output=True, text=True)
-        return out.stdout.strip()
+        sha = git(checkout, "rev-parse", "HEAD")
+        dirty = git(checkout, "status", "--porcelain")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return sha + "-dirty" if dirty else sha
 
 
 def run_workload(checkout, name, seed, seconds):
@@ -71,8 +80,7 @@ def load(path):
 
 
 def compare(run, reference):
-    print("vs %s (seed %s):" % (reference["commit"][:12],
-                                reference["seed"]))
+    print("vs %s:" % reference["commit"][:12])
     for name, wl in run["workloads"].items():
         ref = reference["workloads"].get(name, {}).get("metrics", {})
         for metric, value in sorted(wl["metrics"].items()):
@@ -88,14 +96,10 @@ def compare(run, reference):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", default=os.path.join(ROOT,
                                                       "BENCH_e2e.json"))
     parser.add_argument("--checkout", default=ROOT)
-    parser.add_argument("--commit", default=None,
-                        help="commit to record (default: the "
-                             "checkout's HEAD)")
     parser.add_argument("--compare", default=None)
     args = parser.parse_args()
 
@@ -106,14 +110,14 @@ def main():
     reference = load(args.compare)["runs"] if args.compare else []
 
     run = {
-        "commit": args.commit or commit_of(args.checkout),
-        "seed": args.seed,
+        "commit": commit_of(args.checkout),
+        "seed": SEED,
         "seconds": args.seconds,
         "workloads": {},
     }
     failed = False
     for name in workloads:
-        wl = run_workload(args.checkout, name, args.seed, args.seconds)
+        wl = run_workload(args.checkout, name, SEED, args.seconds)
         run["workloads"][name] = wl
         if not wl["correct"] or wl["failed"] > 0:
             failed = True
