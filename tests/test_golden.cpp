@@ -2,10 +2,11 @@
  * @file
  * Checked-in verdict corpus: tests/golden/mwpm_verdicts.json pins the
  * verdict fingerprint, logical-error count, speculation counters
- * (tp/fp/tn/fn) and LRC count of surface d in {3,5,7} x {SwapLrc,
- * Dqlr} x {Z, X} x five policies x {MWPM, UF} x W in {64, 256}.
- * The UF rows are controls: a decoder change may move only the MWPM
- * verdict fields.
+ * (tp/fp/tn/fn), LRC count and a hash of the per-round leakage
+ * population sums of surface d in {3,5,7} x {SwapLrc, Dqlr} x {Z, X}
+ * x five policies x {MWPM, UF} x W in {64, 256}. The UF rows are
+ * controls: a decoder change may move only the MWPM verdict fields,
+ * while the LPR hash moves only with the simulated noise.
  *
  * Run `test_golden --regen` to rewrite the file from the current
  * build; a PR that does so declares the re-baseline in CHANGES.md.
@@ -36,6 +37,27 @@ const char *const kGoldenPath = QEC_TESTS_DIR "/golden/mwpm_verdicts.json";
 constexpr uint64_t kShots = 577;   ///< Ragged: 9 full blocks + 1 lane.
 constexpr double kP = 2e-3;
 
+/** splitmix64 chain over the bit patterns of the per-round data and
+ *  parity LPR sums: pins the leakage trajectory, not just verdicts. */
+uint64_t
+lprHash(const ExperimentResult &r)
+{
+    uint64_t h = r.lprDataSum.size();
+    const auto mix = [&h](double v) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        h = (h ^ bits) + 0x9e3779b97f4a7c15ull;
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+        h ^= h >> 31;
+    };
+    for (size_t i = 0; i < r.lprDataSum.size(); ++i) {
+        mix(r.lprDataSum[i]);
+        mix(r.lprParitySum[i]);
+    }
+    return h;
+}
+
 /** One JSON line per (config, policy), in a fixed order. */
 std::vector<std::string>
 computeRows()
@@ -59,6 +81,7 @@ computeRows()
                         cfg.decoderKind = decoder;
                         cfg.threads = 1;
                         cfg.batchWidth = width;
+                        cfg.trackLpr = true;
                         MemoryExperiment exp(code, cfg);
                         for (PolicyKind kind :
                              {PolicyKind::Never, PolicyKind::Always,
@@ -76,7 +99,9 @@ computeRows()
                                 "\"logicalErrors\": %" PRIu64
                                 ", \"tp\": %" PRIu64 ", \"fp\": %" PRIu64
                                 ", \"tn\": %" PRIu64 ", \"fn\": %" PRIu64
-                                ", \"lrcsScheduled\": %" PRIu64 "}",
+                                ", \"lrcsScheduled\": %" PRIu64
+                                ", \"lprHash\": \"0x%016" PRIx64
+                                "\"}",
                                 d,
                                 protocol == RemovalProtocol::SwapLrc
                                     ? "swap"
@@ -87,7 +112,7 @@ computeRows()
                                 width, r.policy.c_str(),
                                 r.verdictFingerprint, r.logicalErrors,
                                 r.tp, r.fp, r.tn, r.fn,
-                                r.lrcsScheduled);
+                                r.lrcsScheduled, lprHash(r));
                             rows.push_back(line);
                         }
                     }
