@@ -42,7 +42,6 @@
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find_decoder.h"
-#include "exp/handwired_reference.h"
 #include "exp/memory_experiment.h"
 #include "exp/sweep_plan.h"
 #include "legacy_decoders.h"
@@ -502,51 +501,6 @@ BENCHMARK(BM_MemoryExperimentEraserDecoded)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Circuit-IR replay against the frozen pre-IR driver it replaced
- * (exp/handwired_reference.h), on the decoded d=11 UF ERASER
- * configuration. ir=0 runs the hand-wired reference, ir=1 the
- * compiled-program replay; the shots/s ratio is the IR front end's
- * overhead, which the BENCH_decode.json pin holds within 5%.
- */
-void
-BM_IrReplayVsHandWired(benchmark::State &state)
-{
-    const bool ir = state.range(0) != 0;
-    const int d = 11;
-    RotatedSurfaceCode code(d);
-    ExperimentConfig cfg;
-    cfg.rounds = d;
-    cfg.shots = 128;
-    cfg.seed = 11;
-    cfg.em = ErrorModel::standard(1e-3);
-    cfg.decode = true;
-    cfg.decoderKind = DecoderKind::UnionFind;
-    cfg.batchWidth = 64;
-    MemoryExperiment exp(code, cfg);
-    const PolicyFactory factory = makePolicyFactory(
-        PolicyKind::Eraser, exp.code(), exp.lookup(), false);
-
-    uint64_t shots = 0;
-    for (auto _ : state) {
-        if (ir) {
-            auto result = exp.run(factory, "eraser");
-            benchmark::DoNotOptimize(result.logicalErrors);
-            shots += result.shots;
-        } else {
-            auto result = runHandwired(exp, factory);
-            benchmark::DoNotOptimize(result.logicalErrors);
-            shots += result.shots;
-        }
-    }
-    state.counters["shots/s"] = benchmark::Counter(
-        (double)shots, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_IrReplayVsHandWired)
-    ->ArgName("ir")->Arg(0)->Arg(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
  * Full IrAnalyzer pass stack (liveness, detector coverage, stream
  * accounting, LRC legality, observable reachability) over the d=11
  * surface-memory program — the cost the sweep executor pays once per
@@ -746,83 +700,25 @@ emitDecodeJson()
                 (double)batched.shots);
         first = false;
     }
-    // Circuit-IR replay pins: the compiled-program front end must
-    // reproduce the frozen pre-IR driver's verdict fingerprint
-    // exactly and stay within 5% of its throughput on the decoded
-    // d=11 UF ERASER configuration. CI greps both fields from the
-    // artifact; the hand-wired side is the verbatim pre-IR runGroupT
-    // kept in exp/handwired_reference.h.
+    // Static-analysis pin: the decoded d=11 surface-memory program
+    // must pass the full IrAnalyzer stack with zero Error diagnostics
+    // under the bench error model. CI greps the field.
     {
         const int d = 11;
+        const int rounds = 3 * d;
         RotatedSurfaceCode ir_code(d);
-        ExperimentConfig cfg;
-        cfg.rounds = 3 * d;
-        cfg.shots = 192;
-        cfg.seed = 11;
-        cfg.em = ErrorModel::standard(1e-3);
-        cfg.decode = true;
-        cfg.decoderKind = DecoderKind::UnionFind;
-        cfg.batchWidth = 64;
-        cfg.batchDecode = true;
-        MemoryExperiment exp(ir_code, cfg);
-        const PolicyFactory factory = makePolicyFactory(
-            PolicyKind::Eraser, exp.code(), exp.lookup(), false);
-
-        uint64_t hand_fp = 0;
-        uint64_t ir_fp = 0;
-        double hand_rate = 0.0;
-        double ir_rate = 0.0;
-        // Best-of-3 each: both paths run identical work, so the max
-        // rates are stable enough for a 5% gate.
-        for (int rep = 0; rep < 3; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            const HandwiredResult hand = runHandwired(exp, factory);
-            double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-            hand_fp = hand.verdictFingerprint;
-            const double hr =
-                (double)hand.shots / (secs > 0.0 ? secs : 1e-9);
-            hand_rate = hr > hand_rate ? hr : hand_rate;
-
-            t0 = std::chrono::steady_clock::now();
-            const ExperimentResult replay =
-                exp.run(factory, "eraser");
-            secs = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-            ir_fp = replay.verdictFingerprint;
-            const double ir =
-                (double)replay.shots / (secs > 0.0 ? secs : 1e-9);
-            ir_rate = ir > ir_rate ? ir : ir_rate;
-        }
-        const double ratio =
-            ir_rate / (hand_rate > 0.0 ? hand_rate : 1e-9);
-        // Static-analysis pin: the exact program this entry replays
-        // must pass the full IrAnalyzer stack with zero Error
-        // diagnostics under the bench error model.
         const CircuitProgram analyzed_prog =
-            CircuitCompiler::surfaceMemory(ir_code, cfg.rounds,
-                                           Basis::Z,
+            CircuitCompiler::surfaceMemory(ir_code, rounds, Basis::Z,
                                            IrTailKind::SwapLrc);
         const bool analysis_clean =
-            !IrAnalyzer::analyze(analyzed_prog, cfg.em).hasErrors();
-        std::fprintf(
-            out,
-            "\n  ],\n  \"ir_replay\": "
-            "{\"decoder\": \"%s\", \"d\": %d, \"rounds\": %d, "
-            "\"shots\": %llu, "
-            "\"handwired_shots_per_s\": %.1f, "
-            "\"ir_shots_per_s\": %.1f, "
-            "\"ir_replay_speed_vs_handwired\": %.3f, "
-            "\"ir_replay_within_5pct\": %s, "
-            "\"ir_verdicts_match_handwired\": %s, "
-            "\"ir_analysis_clean\": %s}\n}\n",
-            decoderKindName(DecoderKind::UnionFind), d, cfg.rounds,
-            (unsigned long long)cfg.shots, hand_rate, ir_rate, ratio,
-            ratio >= 0.95 ? "true" : "false",
-            hand_fp == ir_fp ? "true" : "false",
-            analysis_clean ? "true" : "false");
+            !IrAnalyzer::analyze(analyzed_prog,
+                                 ErrorModel::standard(1e-3))
+                 .hasErrors();
+        std::fprintf(out,
+                     "\n  ],\n  \"ir_analysis\": "
+                     "{\"d\": %d, \"rounds\": %d, "
+                     "\"ir_analysis_clean\": %s}\n}\n",
+                     d, rounds, analysis_clean ? "true" : "false");
     }
     Status commit_status = writer.commit();
     if (!commit_status.isOk()) {

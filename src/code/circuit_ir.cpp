@@ -282,8 +282,8 @@ CircuitCompiler::surfaceMemory(const RotatedSurfaceCode &code,
     // The round body is the LRC-free schedule: its pre-readout prefix
     // becomes Gate instructions replayed verbatim every round (the
     // engine's gate/noise helpers ignore Op::round, so no restamping
-    // is needed — exactly the hand-wired driver's replay), and its
-    // readouts become per-round-stamped Readout instructions.
+    // is needed), and its readouts become per-round-stamped Readout
+    // instructions.
     const RoundSchedule plain = buildRoundSchedule(code, 0, {});
     prog.instrs.push_back({IrOpcode::RoundBegin, rounds, -1});
     prog.bodyBegin = prog.instrs.size();

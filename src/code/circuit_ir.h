@@ -6,8 +6,8 @@
  *  The IR decouples "what circuit" from "how fast": a CircuitProgram
  *  holds one round body plus the final transversal readout as indices
  *  into an op pool, and the engine replays that body `rounds` times
- *  with the same word-level op/noise helpers the hand-wired driver
- *  used. Divergent adaptive-LRC tails are IR branch points (LrcSlot
+ *  with its word-level op/noise helpers. Divergent adaptive-LRC tails
+ *  are IR branch points (LrcSlot
  *  instructions) that the controller fills per lane/word at replay
  *  time, so adding a protocol means adding a compiler path — not an
  *  engine edit.
@@ -16,18 +16,24 @@
  *
  *  | opcode     | a                  | b              | effect at replay |
  *  |------------|--------------------|----------------|------------------|
- *  | Gate       | op-pool index      | —              | execute pool[a] verbatim on the masked lanes (gates carry their own noise channels; each channel resolves to a per-probability RareStream id in the engine) |
+ *  | Gate       | op-pool index      | —              | execute pool[a] verbatim on the masked lanes (gates carry their own noise: each consumes its unconditional noise sites from the round's hit tables) |
  *  | Readout    | stabilizer index   | op-pool index  | stamp pool[b] (Measure) with the current round, mask out LRC'd lanes when the protocol replaces the plain readout, measure + reset |
  *  | LrcSlot    | slot id (== round-relative slot) | — | branch point: the controller supplies per-64-lane-block divergent tails (swap-LRC or DQLR) that the engine expands with block-local masks |
  *  | RoundBegin | trip count (rounds)| —              | marks the start of the replayed round body |
  *  | RoundEnd   | —                  | —              | marks the end of the round body; instructions after it are the final transversal measurement |
  *
- *  Draw-order contract: replaying a compiled program must consume the
- *  per-64-lane-block noise streams in exactly the order the hand-wired
- *  driver did, so per-shot verdicts stay bit-identical at every batch
- *  width. The compiler guarantees this by emitting the round body in
- *  schedule order and the engine by reusing execute()/executeBlock()
- *  unchanged.
+ *  Draw-order contract (see BatchFrameSimulatorT, kNoiseContract):
+ *  every issued op consumes a fixed number of unconditional noise
+ *  sites per channel (depolarizing/flip at p, leak injection) from its
+ *  64-lane block's streams, whatever its lane mask; the engine fills a
+ *  round's sites with one hit-table advance per channel, each LrcSlot
+ *  tail's sites (the tail template's ops, conditional suffix included)
+ *  with one advance on the tail's own block, and the final layer's
+ *  with one more. State-conditional events draw per lane from the
+ *  lane's own stream. A block's draws therefore depend only on its own
+ *  op sequence, so per-shot results are bit-identical at every batch
+ *  width. The compiler emits the round body in schedule order; the
+ *  stream-sync analyzer pass tabulates the site counts.
  */
 
 #include <cstdint>
@@ -92,10 +98,12 @@ constexpr int kTailParityQubit = -3;
  *  kind, written against the kTailDataQubit/kTailParityQubit
  *  placeholders. Conditional suffix ops (the ERASER+M MOV squash) are
  *  listed unconditionally — the template describes the superset of ops
- *  a tail may run, which is what static analysis needs. The engine's
- *  executeLrcTail stays the hardcoded expansion (replay never reads
- *  templates), so templates are pure metadata; test_ir_analysis pins
- *  the two against each other. */
+ *  a tail may run, which is what static analysis needs, and each tail
+ *  issues all of them (on an empty mask where skipped). The engine's
+ *  executeLrcTail is the hardcoded expansion; it sizes each tail's
+ *  noise-site advance from the template and checks that the expansion
+ *  consumed exactly that, and test_ir_analysis pins the template ops
+ *  op for op. */
 struct IrTailTemplate
 {
     IrTailKind kind = IrTailKind::SwapLrc;

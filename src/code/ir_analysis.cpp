@@ -1,10 +1,8 @@
 #include "code/ir_analysis.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
-#include "sim/bit_mask_sampler.h"
 
 namespace qec
 {
@@ -355,111 +353,63 @@ passDetectorCoverage(PassContext &ctx)
 }
 
 // ---------------------------------------------------------------------
-// Pass 3: RNG stream-consumption accounting.
+// Pass 3: noise-stream site accounting.
 //
-// Streams are keyed by probability and consumed per 64-lane block
-// (engine contract). The pass tabulates, per stream, the draw sites
-// one fully-active round executes: unconditional sites (gated by the
-// full round mask — the structural stream skeleton) and
-// state-conditional sites (gated on block-local simulator state).
-// Round-invariance is established structurally: the body is replayed
-// verbatim, so the per-round site sequence cannot vary.
+// The engine's fixed-probability noise (depolarizing/flip at p, leak
+// injection at leakFraction*p, seepage at seepFraction*p) is a
+// per-64-lane-block stream per channel, consumed as "sites" in op
+// order by every issued op whatever its lane mask; the engine fills
+// one hit table per channel per replayed round, per LrcSlot tail and
+// for the final layer. The pass tabulates those site counts, mirroring
+// the engine's per-op site rule. Round-invariance is structural: the
+// body is replayed verbatim, so the per-round site sequence cannot
+// vary. State-conditional events draw per lane from the lane's own
+// stream and need no accounting.
 //
-// Branch independence — the "W=256/512 ≡ concatenation of W=64
-// sub-runs" contract — requires every draw inside an LrcSlot tail to
-// stay confined to the branch's own 64-lane block. The engine
-// guarantees that exactly for the single-block replay repertoire
-// (Reset/Cnot/LeakageIswap/Measure/MeasureX, executeBlock's fast
-// cases, which draw through drawBlockWhere and blockRng only); any
-// other op type falls back to the full-width path, whose block
-// confinement is an accident of the mask rather than a structural
-// property. A template op outside the repertoire is therefore an
-// Error.
+// Branch independence — the "W=256/512 == concatenation of W=64
+// sub-runs" contract — requires each LrcSlot tail to advance only its
+// own block's streams by a fixed site count. The engine's tail
+// expansion issues only Reset/Cnot/LeakageIswap/Measure/MeasureX; a
+// template op outside that repertoire would give the template a site
+// count the expansion never consumes, so it is an Error.
 // ---------------------------------------------------------------------
 
 constexpr const char *kStreamSync = "stream-sync";
 
-struct StreamTable
-{
-    std::map<double, IrStreamUsage> rows;
-
-    IrStreamUsage &
-    row(double p)
-    {
-        IrStreamUsage &r = rows[p];
-        r.probability = p;
-        return r;
-    }
-
-    void
-    add(double p, int uncond, int cond, bool in_final)
-    {
-        if (p <= 0.0 || p >= 1.0)
-            return; // No stream: drawWhere degenerates to 0 / all.
-        IrStreamUsage &r = row(p);
-        if (in_final)
-            r.finalSites += uncond;
-        else {
-            r.sitesPerRound += uncond;
-            r.conditionalSitesPerRound += cond;
-        }
-    }
-
-    void
-    markTail(double p)
-    {
-        if (p <= 0.0 || p >= 1.0)
-            return;
-        row(p).usedByTail = true;
-    }
-};
-
-/** The draw sites one op executes, mirroring the engine's op
- *  implementations site for site. */
+/** Hit-table sites one op consumes per channel under `em`, mirroring
+ *  the engine's op bodies site for site. */
 void
-accountOpDraws(const Op &op, const ErrorModel &em, StreamTable &table,
-               bool in_final)
+accountOpSites(const Op &op, const ErrorModel &em,
+               int (&sites)[kNoiseChannels])
 {
-    const bool leak = em.leakageEnabled;
+    int leak_sites = 0;
     switch (op.type) {
       case OpType::RoundStart:
-        break;
+        return;
       case OpType::DataNoise:
-        table.add(em.p, 1, 0, in_final);
-        if (leak) {
-            table.add(em.leakInjectProb(), 1, 0, in_final);
-            table.add(em.seepageProb(), 0, 1, in_final);
-        }
-        break;
-      case OpType::Reset:
-      case OpType::H:
-        table.add(em.p, 1, 0, in_final);
+        leak_sites = 1;
         break;
       case OpType::Cnot:
       case OpType::LeakageIswap:
-        // twoQubitNoise: one depolarizing draw + per-operand
-        // leak/seep; transport (and DQLR excitation) fire only on
-        // leaked-state lanes.
-        table.add(em.p, 1, 0, in_final);
-        if (leak) {
-            table.add(em.leakInjectProb(), 2, 0, in_final);
-            table.add(em.seepageProb(), 0, 2, in_final);
-            table.add(em.pTransport, 0, 1, in_final);
-            if (op.type == OpType::LeakageIswap)
-                table.add(em.dqlrExciteProb, 0, 1, in_final);
-        }
+        // twoQubitNoise: one depolarizing site, then one injection and
+        // one seepage site per operand.
+        leak_sites = 2;
         break;
+      case OpType::Reset:
+      case OpType::H:
       case OpType::Measure:
       case OpType::MeasureX:
-        table.add(em.p, 1, 0, in_final);
-        if (leak)
-            table.add(em.multiLevelMissProb(), 0, 1, in_final);
         break;
+    }
+    sites[(int)NoiseChannel::Pauli] += 1;
+    if (em.leakageEnabled) {
+        sites[(int)NoiseChannel::LeakInjection] += leak_sites;
+        sites[(int)NoiseChannel::Seepage] += leak_sites;
     }
 }
 
 bool
-inSingleBlockRepertoire(OpType type)
+inTailRepertoire(OpType type)
 {
     switch (type) {
       case OpType::Reset:
@@ -478,105 +428,76 @@ passStreamSync(PassContext &ctx)
 {
     const CircuitProgram &prog = ctx.prog;
     const ErrorModel &em = ctx.em;
-    StreamTable table;
+    int round[kNoiseChannels] = {}, tail[kNoiseChannels] = {},
+        final_layer[kNoiseChannels] = {};
 
     for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
         const IrInst &inst = prog.instrs[i];
         if (inst.op == IrOpcode::Gate) {
-            accountOpDraws(prog.pool[inst.a], em, table, false);
+            accountOpSites(prog.pool[inst.a], em, round);
         } else if (inst.op == IrOpcode::Readout) {
-            accountOpDraws(prog.pool[inst.b], em, table, false);
-            accountOpDraws(prog.pool[(size_t)inst.b + 1], em, table,
-                           false);
+            accountOpSites(prog.pool[inst.b], em, round);
+            accountOpSites(prog.pool[(size_t)inst.b + 1], em, round);
         }
     }
     for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
-        accountOpDraws(prog.pool[prog.instrs[i].a], em, table, true);
+        accountOpSites(prog.pool[prog.instrs[i].a], em, final_layer);
 
     bool tails_confined = true;
     for (const IrTailTemplate &tmpl : prog.tailTemplates) {
         for (size_t k = 0; k < tmpl.ops.size(); ++k) {
             const Op &op = tmpl.ops[k];
-            if (!inSingleBlockRepertoire(op.type)) {
+            if (!inTailRepertoire(op.type)) {
                 tails_confined = false;
                 ctx.diag(
                     IrSeverity::Error, kStreamSync, -1,
                     std::string(tailKindName(tmpl.kind)) +
                         " tail template op " + std::to_string(k) +
                         " (" + opTypeName(op.type) +
-                        ") is outside the single-block replay "
-                        "repertoire: its draws are not confined to "
-                        "the branch's 64-lane block and would "
-                        "desynchronize noise streams across batch "
-                        "widths");
+                        ") is outside the LRC-tail repertoire: the "
+                        "engine's tail expansion never issues it, so "
+                        "the template's per-tail site count would "
+                        "desynchronize the block noise streams");
                 continue;
             }
-            StreamTable tail_draws;
-            accountOpDraws(op, em, tail_draws, false);
-            for (const auto &kv : tail_draws.rows)
-                table.markTail(kv.first);
+            if (tmpl.kind == prog.tail)
+                accountOpSites(op, em, tail);
         }
     }
 
-    // Which streams bindProgramStreams pre-registers (pool + tail
-    // templates; registration is content-neutral — streams are keyed
-    // by probability and lazily initialized per block — so this feeds
-    // the evidence table, not a diagnostic).
-    bool two_qubit = false, measure = false, iswap = false;
-    const auto scan_op = [&](const Op &op) {
-        if (op.type == OpType::Cnot)
-            two_qubit = true;
-        if (op.type == OpType::LeakageIswap)
-            two_qubit = iswap = true;
-        if (op.type == OpType::Measure || op.type == OpType::MeasureX)
-            measure = true;
-    };
-    for (const Op &op : prog.pool)
-        scan_op(op);
-    for (const IrTailTemplate &tmpl : prog.tailTemplates)
-        for (const Op &op : tmpl.ops)
-            scan_op(op);
-    const auto mark_bound = [&](double p) {
-        if (p <= 0.0 || p >= BernoulliMaskSampler::kRareThreshold)
-            return; // Dense/degenerate draws use no RareStream.
-        auto it = table.rows.find(p);
-        if (it != table.rows.end())
-            it->second.boundByEngine = true;
-    };
-    mark_bound(em.p);
-    if (em.leakageEnabled) {
-        mark_bound(em.leakInjectProb());
-        mark_bound(em.seepageProb());
-        if (measure)
-            mark_bound(em.multiLevelMissProb());
-        if (two_qubit)
-            mark_bound(em.pTransport);
-        if (iswap)
-            mark_bound(em.dqlrExciteProb);
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        const NoiseChannel channel = (NoiseChannel)c;
+        IrStreamUsage row;
+        row.channel = channel;
+        row.probability = em.channelProb(channel);
+        row.sitesPerRound = round[c];
+        row.tailSites = tail[c];
+        row.finalSites = final_layer[c];
+        if (row.probability <= 0.0 ||
+            row.sitesPerRound + row.tailSites + row.finalSites == 0)
+            continue; // No hits: the channel never fires.
+        ctx.report.streams.push_back(row);
     }
 
-    for (const auto &kv : table.rows)
-        ctx.report.streams.push_back(kv.second);
-
     std::ostringstream summary;
-    summary << "streams:";
+    summary << "noise sites:";
     for (const IrStreamUsage &row : ctx.report.streams)
-        summary << " p=" << row.probability << " ("
-                << row.sitesPerRound << " uncond + "
-                << row.conditionalSitesPerRound << " cond/round, "
-                << row.finalSites << " final"
-                << (row.usedByTail ? ", tail" : "") << ")";
+        summary << " " << noiseChannelName(row.channel)
+                << " p=" << row.probability << " ("
+                << row.sitesPerRound << "/round, " << row.tailSites
+                << "/tail, " << row.finalSites << " final)";
     ctx.diag(IrSeverity::Note, kStreamSync, -1, summary.str());
     ctx.diag(IrSeverity::Note, kStreamSync, -1,
              "round body replays verbatim for " +
                  std::to_string(prog.rounds) +
-                 " rounds: the per-round draw-site sequence is "
+                 " rounds: the per-round site sequence is "
                  "round-invariant by construction");
     if (tails_confined)
         ctx.diag(IrSeverity::Note, kStreamSync, -1,
-                 "all LrcSlot tail draws are single-block: wide-batch "
-                 "replay equals the concatenation of its 64-lane "
-                 "sub-runs regardless of branches taken");
+                 "every LrcSlot tail advances only its own block's "
+                 "streams by a fixed site count: wide-batch replay "
+                 "equals the concatenation of its 64-lane sub-runs "
+                 "regardless of branches taken");
 }
 
 // ---------------------------------------------------------------------
@@ -786,6 +707,17 @@ passObservableReachability(PassContext &ctx)
 // ---------------------------------------------------------------------
 // Report plumbing.
 // ---------------------------------------------------------------------
+
+const char *
+noiseChannelName(NoiseChannel channel)
+{
+    switch (channel) {
+      case NoiseChannel::Pauli: return "pauli";
+      case NoiseChannel::LeakInjection: return "leak";
+      case NoiseChannel::Seepage: return "seep";
+    }
+    return "?";
+}
 
 const char *
 irSeverityName(IrSeverity severity)

@@ -10,7 +10,7 @@
  *  |--------------------------|--------|
  *  | qubit-liveness           | every gate's effect can reach a Readout; dead gates are reported with a machine-readable removable-instruction list (the peephole input) |
  *  | detector-coverage        | every detector column owns exactly one per-round Readout, no orphan measurements, round-0 mask consistent with detR0, column supports match the stabilizer CSR |
- *  | stream-sync              | per-block RNG stream consumption is identical across rounds and confined to a branch's own 64-lane block for every LrcSlot tail — the static form of the "W=256/512 ≡ concatenation of W=64 sub-runs" contract |
+ *  | stream-sync              | per-channel noise sites per round, per LrcSlot tail and in the final layer (the engine's hit-table sizes); rounds are site-invariant and every tail advances only its own 64-lane block's streams — the static form of the "W=256/512 ≡ concatenation of W=64 sub-runs" contract |
  *  | lrc-legality             | unique slot ids, tail templates well-formed against the stabilizer-support CSR, readout masking consistent with the tail kind |
  *  | observable-reachability  | the logical observable's support is measured, in the memory basis, in the final readout layer |
  *
@@ -42,6 +42,8 @@ enum class IrSeverity : uint8_t
 };
 
 const char *irSeverityName(IrSeverity severity);
+/** "pauli" / "leak" / "seep", as the stream-sync note prints them. */
+const char *noiseChannelName(NoiseChannel channel);
 
 /** One analyzer finding, anchored to an instruction when possible. */
 struct IrDiagnostic
@@ -61,26 +63,21 @@ struct IrDiagnostic
     std::string toString() const;
 };
 
-/** Static per-round draw accounting for one probability stream
- *  (stream-sync evidence). Only structurally unconditional draw sites
- *  are counted — sites whose gate mask is the full round mask; draws
- *  gated on simulator state (seepage on leaked lanes, transport on
- *  mixed-leak CNOTs, discriminator misses) consume per-block skip
- *  counters keyed to block-local state and are tallied separately. */
+/** Static site accounting for one hit-table noise channel
+ *  (stream-sync evidence): how many sites of the channel's per-block
+ *  stream the batch engine's hit tables hold per replayed round body,
+ *  per LrcSlot tail of the program's tail kind, and for the final
+ *  readout layer. Every issued op consumes its sites whatever its lane
+ *  mask, so these counts are the whole block-stream skeleton;
+ *  state-conditional events (transport, leaked readouts, label misses,
+ *  DQLR excitation) draw per lane and need no table. */
 struct IrStreamUsage
 {
+    NoiseChannel channel = NoiseChannel::Pauli;
     double probability = 0.0;
-    /** Unconditional draw sites per replayed round body. */
     int sitesPerRound = 0;
-    /** State-conditional draw sites per replayed round body. */
-    int conditionalSitesPerRound = 0;
-    /** Unconditional draw sites in the final readout layer. */
+    int tailSites = 0;
     int finalSites = 0;
-    /** True when an LrcSlot tail template also draws from it. */
-    bool usedByTail = false;
-    /** True when BatchFrameSimulatorT::bindProgramStreams pre-registers
-     *  it for this program under the given error model. */
-    bool boundByEngine = false;
 };
 
 struct IrAnalysisReport
@@ -90,7 +87,8 @@ struct IrAnalysisReport
      *  provably cannot change any Readout record. Sorted ascending;
      *  the input the ROADMAP peephole passes consume. */
     std::vector<int32_t> removableInstructions;
-    /** stream-sync output: one row per distinct probability stream. */
+    /** stream-sync output: one row per hit-table channel that can fire
+     *  under the analyzed model. */
     std::vector<IrStreamUsage> streams;
 
     int errorCount() const;

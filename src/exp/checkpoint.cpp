@@ -260,7 +260,8 @@ readResult(Reader &in)
 // sweepPointSeed's: append new fields at the end, never reorder.
 uint64_t
 SweepCheckpoint::fingerprintPlan(const SweepPlan &plan,
-                                 const std::vector<SweepPoint> &points)
+                                 const std::vector<SweepPoint> &points,
+                                 uint64_t noise_contract)
 {
     uint64_t h = 0x7165632e636b7074ull; // "qec.ckpt"
     h = chain(h, points.size());
@@ -296,6 +297,7 @@ SweepCheckpoint::fingerprintPlan(const SweepPlan &plan,
     h = chain(h, plan.earlyStop.minErrors);
     h = chain(h, plan.earlyStop.maxShots);
     h = chain(h, plan.earlyStop.checkEvery);
+    h = chain(h, noise_contract);
     return h;
 }
 

@@ -25,8 +25,9 @@
  *
  * The payload opens with a fingerprint of the plan identity — every
  * point's derived seed, shot count and resolved axes, the policy
- * names, and the early-stop rule — so a checkpoint can never be
- * resumed against a different plan (the seed scheme makes the
+ * names, the early-stop rule and the engine's noise contract — so a
+ * checkpoint can never be resumed against a different plan or draw
+ * contract (the seed scheme makes the
  * fingerprint content-addressed). save() writes through
  * AtomicFileWriter (temp + fsync + rename): a crash during
  * checkpointing leaves the previous checkpoint, never a torn one.
@@ -45,6 +46,7 @@
 
 #include "base/status.h"
 #include "exp/sweep_plan.h"
+#include "sim/batch_frame_simulator.h"
 
 namespace qec
 {
@@ -78,13 +80,17 @@ class SweepCheckpoint
 
     /**
      * Identity fingerprint of (plan, expanded points): per-point
-     * seeds/shots/axes chained with the policy names and early-stop
-     * rule through splitmix64. Two plans that could produce different
-     * results have different fingerprints; cosmetic fields (plan
-     * name, sink choices) are excluded.
+     * seeds/shots/axes chained with the policy names, the early-stop
+     * rule and the engine's noise-sampling contract (kNoiseContract)
+     * through splitmix64. Two plans that could produce different
+     * results have different fingerprints — including the same plan
+     * under an earlier draw contract, so a checkpoint written by an
+     * older engine is refused instead of merged with new streams;
+     * cosmetic fields (plan name, sink choices) are excluded.
      */
     static uint64_t fingerprintPlan(
-        const SweepPlan &plan, const std::vector<SweepPoint> &points);
+        const SweepPlan &plan, const std::vector<SweepPoint> &points,
+        uint64_t noise_contract = kNoiseContract);
 
     uint64_t planFingerprint = 0;
     /** Completed and in-flight points, keyed by point index. */

@@ -425,13 +425,13 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     const Lane live = sim.liveMask();
     // Each round emits one record per stabilizer plus, per 64-lane
     // block, one per distinct lane-divergent LRC tail (bounded by the
-    // stabilizer count again).
-    sim.reserveRecord(
-        (size_t)config_.rounds * (1 + (size_t)NB) * n_stabs + n_data);
-    // Pin every noise channel's RareStream id up front. Streams are
-    // keyed by probability and initialized lazily per 64-lane block,
-    // so pre-registration cannot change draw content relative to the
-    // hand-wired drivers, which registered on first use.
+    // stabilizer count again). Decoding reads the whole record; without
+    // it only the current round is ever read, so one round is kept.
+    const size_t round_records = (1 + (size_t)NB) * n_stabs;
+    sim.reserveRecord(config_.decode
+                          ? (size_t)config_.rounds * round_records + n_data
+                          : round_records);
+    // Size the noise hit tables up front so replay never allocates.
     sim.bindProgramStreams(prog);
 
     // Policy evaluation dispatch: a probe instance reports whether the
@@ -595,9 +595,9 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         // Replay this round of the compiled program: the static
         // segment, the plain readouts (masked off the lanes whose
         // policies LRC'd them under SwapLrc), and the LRC-slot branch
-        // expanded to this round's per-block divergent tails.
-        // Draw-for-draw identical to the hand-wired round driver it
-        // replaced (frozen in exp/handwired_reference.h).
+        // expanded to this round's per-block divergent tails. The
+        // round's unconditional noise is one hit-table advance per
+        // channel; each tail advances its own block's streams.
         ProgramLrcFillT<NW> fill;
         fill.lrcOnStab = lrc_on_stab.data();
         fill.blockTails = active;
@@ -618,6 +618,8 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
                     andnot(labels[rec.stab], rec.mask) |
                     rec.leakedLabels;
         }
+        if (!config_.decode)
+            sim.clearRecord();
 
         if (config_.trackLpr) {
             stats.lprData[r] += (double)sim.countLeaked(0, n_data);

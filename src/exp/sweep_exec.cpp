@@ -127,9 +127,9 @@ prepareSweepCheckpoint(const CheckpointOptions &options,
         if (loaded.value().planFingerprint != ckpt.planFingerprint) {
             summary.resumeStatus = failedPrecondition(
                 "checkpoint " + options.path +
-                " was written by a different sweep plan "
-                "(fingerprint mismatch); delete it or point this "
-                "sweep at a fresh checkpoint path");
+                " was written by a different sweep plan or noise "
+                "contract (fingerprint mismatch); delete it or point "
+                "this sweep at a fresh checkpoint path");
             summary.status = summary.resumeStatus;
             return false;
         }

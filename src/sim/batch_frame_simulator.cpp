@@ -1,5 +1,6 @@
 #include "sim/batch_frame_simulator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.h"
@@ -11,10 +12,93 @@ namespace qec
 namespace
 {
 
-/** Salt separating word-group mask streams from per-lane streams. */
-constexpr uint64_t kBatchStreamSalt = 0x9ec0ffeeb47c5a11ULL;
+/** Salts separating the per-block channel streams from each other and
+ *  from the per-lane streams, indexed by NoiseChannel. */
+constexpr uint64_t kChannelSalt[kNoiseChannels] = {
+    0x9ec0ffeeb47c5a11ULL, 0x4c45414b2d696e6aULL, 0x5345455061676521ULL};
+
+constexpr NoiseChannel kPauli = NoiseChannel::Pauli;
+constexpr NoiseChannel kLeak = NoiseChannel::LeakInjection;
+constexpr NoiseChannel kSeep = NoiseChannel::Seepage;
 
 } // namespace
+
+// ------------------------------------------------------------ views
+
+// The op bodies are written once against a word view: GroupView runs
+// them over every lane (Word = Lane) on the group hit tables, BlockView
+// over one 64-lane block (Word = uint64_t) on the block hit tables.
+// Per-lane events address lanes by their group index in both, so the
+// two instantiations apply the same per-lane rule by construction.
+
+template <int NW>
+struct BatchFrameSimulatorT<NW>::GroupView
+{
+    using Word = Lane;
+    BatchFrameSimulatorT &s;
+
+    Word & x(int q) { return s.x_[q]; }
+    Word & z(int q) { return s.z_[q]; }
+    Word & leaked(int q) { return s.leaked_[q]; }
+    Word hits(NoiseChannel c) { return s.takeGroupSite(s.channel(c)); }
+
+    template <class F>
+    void
+    forEachLane(const Word &m, F &&f) const
+    {
+        forEachSetLane(m, f);
+    }
+
+    /** f(block, bits) for every block with a set lane in m. */
+    template <class F>
+    void
+    forEachBlock(const Word &m, F &&f) const
+    {
+        for (int b = 0; b < s.numBlocks_; ++b)
+            if (const uint64_t w = laneWord(m, b))
+                f(b, w);
+    }
+
+    static uint64_t & word(Word &w, int b) { return laneWordRef(w, b); }
+    void put(Lane &dst, const Word &w) const { dst = w; }
+};
+
+template <int NW>
+struct BatchFrameSimulatorT<NW>::BlockView
+{
+    using Word = uint64_t;
+    BatchFrameSimulatorT &s;
+    int b;
+
+    Word & x(int q) { return laneWordRef(s.x_[q], b); }
+    Word & z(int q) { return laneWordRef(s.z_[q], b); }
+    Word & leaked(int q) { return laneWordRef(s.leaked_[q], b); }
+    Word hits(NoiseChannel c) { return s.takeBlockSite(s.channel(c)); }
+
+    template <class F>
+    void
+    forEachLane(Word m, F &&f) const
+    {
+        const int base = 64 * b;
+        while (m) {
+            f(base + __builtin_ctzll(m));
+            m &= m - 1;
+        }
+    }
+
+    template <class F>
+    void
+    forEachBlock(Word m, F &&f) const
+    {
+        if (m)
+            f(b, m);
+    }
+
+    static uint64_t & word(Word &w, int) { return w; }
+    void put(Lane &dst, Word w) const { laneWordRef(dst, b) = w; }
+};
+
+// ------------------------------------------------------- lifecycle
 
 template <int NW>
 BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
@@ -28,17 +112,33 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
 {
     panicIf(num_lanes < 1 || num_lanes > kMaxLanes,
             "batch simulator lane count out of range for this width");
-    // Block b owns the streams of the 64-lane group that would start
-    // at shot first_shot + 64*b: W-wide runs replay the 64-wide runs
-    // bit for bit.
-    blockRng_.reserve(numBlocks_);
-    for (int b = 0; b < numBlocks_; ++b) {
+    // Block b owns the channel streams of the 64-lane group that would
+    // start at shot first_shot + 64*b: W-wide runs replay the 64-wide
+    // runs bit for bit.
+    for (int b = 0; b < numBlocks_; ++b)
         blockLanes_[b] =
             numLanes_ - 64 * b >= 64 ? 64 : numLanes_ - 64 * b;
-        blockRng_.push_back(Rng::forStream(
-            seed, first_shot + 64 * (uint64_t)b, kBatchStreamSalt));
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        Channel &ch = channels_[c];
+        ch.p = em_.channelProb((NoiseChannel)c);
+        ch.log1mp = ch.p > 0.0 && ch.p < 1.0 ? std::log1p(-ch.p) : 0.0;
+        const bool rare = ch.p > 0.0 && ch.p < kRareThreshold;
+        for (int b = 0; b < numBlocks_; ++b) {
+            ch.rng[b] = Rng::forStream(
+                seed, first_shot + 64 * (uint64_t)b, kChannelSalt[c]);
+            if (rare)
+                ch.skip[b] = bernoulliGeometricGap(ch.rng[b], ch.log1mp);
+        }
     }
-    rareStreams_.reserve(8);
+    // Op-level execution needs the sites of one op; the block tables
+    // also get room for any tail expansion, so a tail template that
+    // undercounts is caught by checkConsumed, never read past.
+    NoiseSites op_sites, block_sites;
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        op_sites.count[c] = 2;
+        block_sites.count[c] = 16;
+    }
+    reserveTables(op_sites, block_sites);
     laneRng_.reserve(numLanes_);
     for (int l = 0; l < numLanes_; ++l)
         laneRng_.push_back(Rng::forShot(seed, first_shot + l));
@@ -116,566 +216,436 @@ BatchFrameSimulatorT<NW>::setLeaked(int q, bool leaked,
         leaked_[q] = andnot(leaked_[q], mask);
 }
 
-template <int NW>
-typename BatchFrameSimulatorT<NW>::RareStream &
-BatchFrameSimulatorT<NW>::rareStreamFor(double p)
-{
-    for (auto &stream : rareStreams_) {
-        if (stream.p == p)
-            return stream;
-    }
-    RareStream stream;
-    stream.p = p;
-    stream.log1mp = std::log1p(-p);
-    for (int b = 0; b < NW; ++b) {
-        stream.skip[b] = 0;
-        stream.inited[b] = 0;
-    }
-    rareStreams_.push_back(stream);
-    return rareStreams_.back();
-}
+// ------------------------------------------------------ hit tables
 
 template <int NW>
-uint64_t
-BatchFrameSimulatorT<NW>::drawRareBlock(RareStream &stream, int b)
+template <class Emit>
+void
+BatchFrameSimulatorT<NW>::walkSites(Channel &ch, int b, int n,
+                                    Emit &&emit)
 {
-    // Identical consumption to a per-block BernoulliMaskSampler: the
-    // stream's initial gap is drawn from block b's Rng at b's first
-    // gated draw of this probability, exactly when the standalone
-    // 64-lane group's sampler would create its stream. The gap/walk
-    // algorithms are the sampler's own (shared free functions), so
-    // the streams cannot drift apart.
-    if (!stream.inited[b]) {
-        stream.inited[b] = 1;
-        stream.skip[b] =
-            bernoulliGeometricGap(blockRng_[b], stream.log1mp);
+    const int lanes = blockLanes_[b];
+    if (ch.p <= 0.0 || n <= 0)
+        return;
+    if (ch.p >= 1.0) {
+        for (int s = 0; s < n; ++s)
+            emit(s, laneMask64(lanes));
+        return;
     }
-    return bernoulliRareMask(blockRng_[b], stream.log1mp,
-                             stream.skip[b], blockLanes_[b]);
-}
-
-template <int NW>
-uint64_t
-BatchFrameSimulatorT<NW>::drawDenseBlock(double p, int b)
-{
-    return bernoulliDenseMask(blockRng_[b], p, blockLanes_[b]);
-}
-
-template <int NW>
-typename BatchFrameSimulatorT<NW>::Lane
-BatchFrameSimulatorT<NW>::drawWhere(double p, const Lane &gate)
-{
-    Lane out{};
-    if (p <= 0.0)
-        return out;
-    if (p >= 1.0) {
-        for (int b = 0; b < numBlocks_; ++b) {
-            if (laneWord(gate, b))
-                laneWordRef(out, b) = laneMask64(blockLanes_[b]);
-        }
-        return out;
+    if (ch.p >= kRareThreshold) {
+        for (int s = 0; s < n; ++s)
+            if (const uint64_t bits =
+                    bernoulliDenseMask(ch.rng[b], ch.p, lanes))
+                emit(s, bits);
+        return;
     }
-    if (p < BernoulliMaskSampler::kRareThreshold) {
-        // One probability lookup for the whole group; per gated block
-        // the overwhelmingly common case is a compare + subtract on
-        // its contiguous skip counter.
-        RareStream &stream = rareStreamFor(p);
-        for (int b = 0; b < numBlocks_; ++b) {
-            if (!laneWord(gate, b))
-                continue;
-            const uint64_t n = (uint64_t)blockLanes_[b];
-            if (stream.inited[b] && stream.skip[b] >= n) {
-                stream.skip[b] -= n;
-                continue;
-            }
-            laneWordRef(out, b) = drawRareBlock(stream, b);
-        }
-        return out;
-    }
-    for (int b = 0; b < numBlocks_; ++b) {
-        if (laneWord(gate, b))
-            laneWordRef(out, b) = drawDenseBlock(p, b);
-    }
-    return out;
-}
-
-template <int NW>
-typename BatchFrameSimulatorT<NW>::Lane
-BatchFrameSimulatorT<NW>::randBitsWhere(const Lane &gate)
-{
-    Lane out{};
-    for (int b = 0; b < numBlocks_; ++b) {
-        if (laneWord(gate, b))
-            laneWordRef(out, b) = blockRng_[b].next();
-    }
-    return out;
+    // Trial i of this advance is lane i % lanes of site i / lanes.
+    bernoulliRareHits(ch.rng[b], ch.log1mp, ch.skip[b],
+                      (uint64_t)n * (uint64_t)lanes, [&](uint64_t i) {
+                          const uint64_t s = i / (uint64_t)lanes;
+                          emit((int)s, uint64_t{1}
+                                           << (i - s * (uint64_t)lanes));
+                      });
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::depolarizePerLane(int q, const Lane &mask)
+BatchFrameSimulatorT<NW>::advanceGroup(Channel &ch, int n)
 {
-    forEachSetLane(mask, [&](int l) {
-        // Uniform over {X, Y, Z}, matching the scalar draw order.
-        switch (laneRng_[l].randint(3)) {
-          case 0: flipLane(x_[q], l); break;
-          case 1: flipLane(x_[q], l); flipLane(z_[q], l); break;
-          default: flipLane(z_[q], l); break;
-        }
+    for (int s : ch.touched)
+        ch.group[s] = Lane{};
+    ch.touched.clear();
+    ch.groupFilled = n;
+    ch.groupNext = 0;
+    for (int b = 0; b < numBlocks_; ++b)
+        walkSites(ch, b, n, [&](int s, uint64_t bits) {
+            Lane &slot = ch.group[s];
+            if (!anyLane(slot))
+                ch.touched.push_back(s);
+            laneWordRef(slot, b) |= bits;
+        });
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::advanceBlock(Channel &ch, int b, int n)
+{
+    for (uint64_t m = ch.blockTouched; m; m &= m - 1)
+        ch.block[__builtin_ctzll(m)] = 0;
+    ch.blockTouched = 0;
+    ch.blockFilled = n;
+    ch.blockNext = 0;
+    walkSites(ch, b, n, [&](int s, uint64_t bits) {
+        ch.block[s] |= bits;
+        ch.blockTouched |= uint64_t{1} << s;
     });
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::randomComputational(int q, const Lane &mask)
+BatchFrameSimulatorT<NW>::reserveTables(const NoiseSites &group,
+                                        const NoiseSites &block)
 {
-    // Per-lane events: touch only the set lanes instead of paying
-    // full-plane clears per event (the masks here almost always hold
-    // one or two lanes, and events scale with the group width).
-    forEachSetLane(mask, [&](int l) {
-        clearLane(leaked_[q], l);
-        if (laneRng_[l].bit())
-            setLane(x_[q], l);
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        Channel &ch = channels_[c];
+        if ((size_t)group.count[c] > ch.group.size()) {
+            ch.group.resize(group.count[c], Lane{});
+            // An advance writes each site at most once.
+            ch.touched.reserve(group.count[c]);
+        }
+        // Block advances track written sites in a 64-bit set.
+        panicIf(block.count[c] > 64,
+                "an LRC tail consumes more than 64 noise sites");
+        if ((size_t)block.count[c] > ch.block.size())
+            ch.block.resize(block.count[c], 0);
+    }
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::advanceAll(const NoiseSites &sites, int b)
+{
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        if (b < 0)
+            advanceGroup(channels_[c], sites.count[c]);
         else
-            clearLane(x_[q], l);
-        if (laneRng_[l].bit())
-            setLane(z_[q], l);
-        else
-            clearLane(z_[q], l);
-    });
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::maybeLeak(int q, const Lane &mask)
-{
-    if (!em_.leakageEnabled)
-        return;
-    // The draw itself must always happen (it IS the noise stream);
-    // the post-draw plane update is skipped on the empty-mask common
-    // case.
-    const Lane d = drawWhere(em_.leakInjectProb(), mask);
-    if (!anyLane(d))
-        return;
-    leaked_[q] |= d & mask;
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::maybeSeep(int q, const Lane &mask)
-{
-    const Lane leaked = leaked_[q] & mask;
-    if (!anyLane(leaked))
-        return;
-    const Lane m = drawWhere(em_.seepageProb(), leaked) & leaked;
-    if (anyLane(m)) {
-        // Seeped lanes return in a random computational state.
-        randomComputational(q, m);
+            advanceBlock(channels_[c], b, sites.count[c]);
     }
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::opDataNoise(int q, const Lane &mask)
+BatchFrameSimulatorT<NW>::checkConsumed(const NoiseSites &sites,
+                                        bool block,
+                                        const char *what) const
 {
-    const Lane d = drawWhere(em_.p, mask);
-    if (anyLane(d))
-        depolarizePerLane(q, andnot(d & mask, leaked_[q]));
-    maybeLeak(q, mask);
-    maybeSeep(q, mask);
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        const Channel &ch = channels_[c];
+        const int n = sites.count[c];
+        const bool ok = block ? ch.blockFilled == n && ch.blockNext == n
+                              : ch.groupFilled == n && ch.groupNext == n;
+        panicIf(!ok, what);
+    }
 }
 
 template <int NW>
-void
-BatchFrameSimulatorT<NW>::opReset(int q, const Lane &mask)
+NoiseSites
+BatchFrameSimulatorT<NW>::opSites(OpType type) const
 {
-    x_[q] = andnot(x_[q], mask);
-    z_[q] = andnot(z_[q], mask);
-    leaked_[q] = andnot(leaked_[q], mask);
-    // Initialization error: the qubit comes up in |1> with prob p.
-    const Lane d = drawWhere(em_.p, mask);
-    if (anyLane(d))
-        x_[q] |= d & mask;
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opH(int q, const Lane &mask)
-{
-    const Lane act = andnot(mask, leaked_[q]);
-    const Lane xw = x_[q];
-    const Lane zw = z_[q];
-    x_[q] = andnot(xw, act) | (zw & act);
-    z_[q] = andnot(zw, act) | (xw & act);
-    const Lane d = drawWhere(em_.p, mask);
-    if (anyLane(d))
-        depolarizePerLane(q, d & act);
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::twoQubitNoise(int a, int b, const Lane &mask)
-{
-    const Lane d = drawWhere(em_.p, mask);
-    const Lane m = anyLane(d) ? d & mask : Lane{};
-    forEachSetLane(m, [&](int l) {
-        // One of the 15 non-identity two-qubit Paulis, uniformly.
-        const uint32_t pp = 1 + laneRng_[l].randint(15);
-        const uint32_t pa = pp & 3;
-        const uint32_t pb = (pp >> 2) & 3;
-        if (!testLane(leaked_[a], l)) {
-            if (pa == 1 || pa == 2)
-                flipLane(x_[a], l);
-            if (pa == 2 || pa == 3)
-                flipLane(z_[a], l);
-        }
-        if (!testLane(leaked_[b], l)) {
-            if (pb == 1 || pb == 2)
-                flipLane(x_[b], l);
-            if (pb == 2 || pb == 3)
-                flipLane(z_[b], l);
-        }
-    });
+    NoiseSites sites;
+    int leak_sites = 0;
+    switch (type) {
+      case OpType::RoundStart:
+        return sites;
+      case OpType::DataNoise:
+        leak_sites = 1;
+        break;
+      case OpType::Cnot:
+      case OpType::LeakageIswap:
+        leak_sites = 2; // One per operand.
+        break;
+      case OpType::Reset:
+      case OpType::H:
+      case OpType::Measure:
+      case OpType::MeasureX:
+        break;
+    }
+    sites.count[(int)kPauli] = 1;
     if (em_.leakageEnabled) {
-        maybeLeak(a, mask);
-        maybeLeak(b, mask);
-        maybeSeep(a, mask);
-        maybeSeep(b, mask);
+        sites.count[(int)kLeak] = leak_sites;
+        sites.count[(int)kSeep] = leak_sites;
     }
+    return sites;
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::opCnot(int c, int t, const Lane &mask)
+BatchFrameSimulatorT<NW>::addOpSites(NoiseSites &sites,
+                                     const Op &op) const
 {
-    const Lane lc = leaked_[c];
-    const Lane lt = leaked_[t];
-    if (!anyLane((lc | lt) & mask)) {
-        // No leaked operand lane: pure frame propagation, no
-        // divergence masks to build and no draws to gate (the
-        // dominant case while the controller keeps the leakage
-        // population suppressed).
-        x_[t] ^= x_[c] & mask;
-        z_[c] ^= z_[t] & mask;
-        twoQubitNoise(c, t, mask);
-        return;
-    }
-    const Lane both_clean = andnot(andnot(mask, lc), lt);
-    x_[t] ^= x_[c] & both_clean;
-    z_[c] ^= z_[t] & both_clean;
-
-    // Exactly one operand leaked: the gate is uncalibrated for |L>, so
-    // the unleaked operand receives a uniformly random Pauli, and
-    // leakage may transport.
-    const Lane c_only = andnot(mask & lc, lt);
-    const Lane t_only = andnot(mask & lt, lc);
-    if (anyLane(c_only)) {
-        x_[t] ^= randBitsWhere(c_only) & c_only;
-        z_[t] ^= randBitsWhere(c_only) & c_only;
-    }
-    if (anyLane(t_only)) {
-        x_[c] ^= randBitsWhere(t_only) & t_only;
-        z_[c] ^= randBitsWhere(t_only) & t_only;
-    }
-    const Lane mixed = c_only | t_only;
-    if (anyLane(mixed) && em_.pTransport > 0.0) {
-        const Lane tr = drawWhere(em_.pTransport, mixed) & mixed;
-        leaked_[t] |= tr & c_only;
-        leaked_[c] |= tr & t_only;
-        if (em_.transport == TransportModel::Exchange) {
-            const Lane src_c = tr & c_only;
-            if (anyLane(src_c))
-                randomComputational(c, src_c);
-            const Lane src_t = tr & t_only;
-            if (anyLane(src_t))
-                randomComputational(t, src_t);
-        }
-    }
-    // Lanes with both operands leaked see no frame action at all.
-    twoQubitNoise(c, t, mask);
+    const NoiseSites s = opSites(op.type);
+    for (int c = 0; c < kNoiseChannels; ++c)
+        sites.count[c] += s.count[c];
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::opLeakageIswap(int d, int p, const Lane &mask)
+BatchFrameSimulatorT<NW>::skipSites(V &v, OpType type)
 {
-    const Lane ld = leaked_[d];
-    const Lane lp = leaked_[p];
-
-    // DQLR moves the data qubit's leakage onto the (just reset) parity
-    // qubit; the data qubit returns to a random computational state.
-    const Lane move = andnot(mask & ld, lp);
-    if (anyLane(move)) {
-        leaked_[p] |= move;
-        randomComputational(d, move);
-    }
-
-    // Reset failure left the parity qubit in |1>: the iSWAP acts in the
-    // |11>/|20> subspace and can excite the data qubit to |L>.
-    const Lane excitable = andnot(andnot(mask, ld), lp) & x_[p];
-    if (anyLane(excitable) && em_.leakageEnabled &&
-        em_.dqlrExciteProb > 0.0) {
-        leaked_[d] |=
-            drawWhere(em_.dqlrExciteProb, excitable) & excitable;
-    }
-    // The op has CNOT-class fidelity (Section A.2.2).
-    twoQubitNoise(d, p, mask);
+    const NoiseSites s = opSites(type);
+    for (int c = 0; c < kNoiseChannels; ++c)
+        for (int i = 0; i < s.count[c]; ++i)
+            v.hits((NoiseChannel)c);
 }
+
+// ---------------------------------------------------- per-lane draws
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::opMeasure(const Op &op, bool x_basis,
-                                    const Lane &mask)
+BatchFrameSimulatorT<NW>::depolarizeLane(int q, int l)
 {
-    const int q = op.q0;
-    const Lane frame = x_basis ? z_[q] : x_[q];
-    const Lane lk = leaked_[q] & mask;
-
-    // Unleaked lanes report the frame; a two-level discriminator
-    // classifies |L> randomly, and the multi-level discriminator flags
-    // |L> unless it errs.
-    Lane flips = andnot(frame, leaked_[q]) & mask;
-    Lane labels{};
-    if (anyLane(lk)) {
-        flips |= randBitsWhere(lk) & lk;
-        labels =
-            andnot(lk, drawWhere(em_.multiLevelMissProb(), lk));
+    // Uniform over {X, Y, Z}, matching the scalar draw order.
+    switch (laneRng_[l].randint(3)) {
+      case 0: flipLane(x_[q], l); break;
+      case 1: flipLane(x_[q], l); flipLane(z_[q], l); break;
+      default: flipLane(z_[q], l); break;
     }
-    const Lane me = drawWhere(em_.p, mask);
-    if (anyLane(me))
-        flips ^= me & mask;
+}
 
-    Record rec;
-    rec.qubit = q;
-    rec.stab = op.stab;
-    rec.round = op.round;
-    rec.finalData = op.finalData;
-    rec.lrcData = op.lrcData;
-    rec.mask = mask;
-    rec.flips = flips;
-    rec.leakedLabels = labels;
-    record_.push_back(rec);
+// The block kernels below gather one draw per set lane of a block word
+// into bit words, branch-free; drawing "A on every lane, then B on
+// every lane" gives each lane's own stream the sequence A, B.
+
+template <int NW>
+uint64_t
+BatchFrameSimulatorT<NW>::laneBits(int b, uint64_t m)
+{
+    uint64_t bits = 0;
+    for (uint64_t w = m; w; w &= w - 1) {
+        const int i = __builtin_ctzll(w);
+        bits |= (uint64_t)laneRng_[64 * b + i].bit() << i;
+    }
+    return bits;
 }
 
 template <int NW>
 uint64_t
-BatchFrameSimulatorT<NW>::drawBlockWhere(double p, int b,
-                                         uint64_t gate)
+BatchFrameSimulatorT<NW>::laneBernoulli(int b, uint64_t m, double p)
 {
-    if (!gate || p <= 0.0)
+    // Rng::bernoulli semantics: no draw at p <= 0 or p >= 1.
+    if (p <= 0.0)
         return 0;
     if (p >= 1.0)
-        return laneMask64(blockLanes_[b]);
-    if (p < BernoulliMaskSampler::kRareThreshold) {
-        RareStream &stream = rareStreamFor(p);
-        const uint64_t n = (uint64_t)blockLanes_[b];
-        if (stream.inited[b] && stream.skip[b] >= n) {
-            stream.skip[b] -= n;
-            return 0;
-        }
-        return drawRareBlock(stream, b);
+        return m;
+    uint64_t hits = 0;
+    for (uint64_t w = m; w; w &= w - 1) {
+        const int i = __builtin_ctzll(w);
+        hits |= (uint64_t)(laneRng_[64 * b + i].uniform() < p) << i;
     }
-    return drawDenseBlock(p, b);
+    return hits;
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::depolarizePerLaneB(int q, int b,
-                                             uint64_t mask)
+BatchFrameSimulatorT<NW>::randomPauliBlock(int b, uint64_t m,
+                                           uint64_t &xbits,
+                                           uint64_t &zbits)
 {
-    // The Lane version is already a pure per-set-lane loop, so the
-    // block variant just lifts the word into a one-block lane set:
-    // one definition of the RNG-stream-critical body.
-    Lane m{};
-    laneWordRef(m, b) = mask;
-    depolarizePerLane(q, m);
+    // Uniform over {I, X, Y, Z}: the two low bits of one draw.
+    xbits = zbits = 0;
+    for (uint64_t w = m; w; w &= w - 1) {
+        const int i = __builtin_ctzll(w);
+        const uint64_t r = laneRng_[64 * b + i].next();
+        xbits |= (r & 1) << i;
+        zbits |= ((r >> 1) & 1) << i;
+    }
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::randomComputationalB(int q, int b,
-                                               uint64_t mask)
+BatchFrameSimulatorT<NW>::randomComputationalBlock(int q, int b,
+                                                   uint64_t m)
 {
-    Lane m{};
-    laneWordRef(m, b) = mask;
-    randomComputational(q, m);
+    const uint64_t xbits = laneBits(b, m);
+    const uint64_t zbits = laneBits(b, m);
+    laneWordRef(leaked_[q], b) &= ~m;
+    uint64_t &x = laneWordRef(x_[q], b);
+    uint64_t &z = laneWordRef(z_[q], b);
+    x = (x & ~m) | xbits;
+    z = (z & ~m) | zbits;
+}
+
+// -------------------------------------------------------- op bodies
+
+template <int NW>
+template <class V>
+void
+BatchFrameSimulatorT<NW>::seep(V &v, int q, const typename V::Word &mask)
+{
+    // Seeped lanes return in a random computational state.
+    v.forEachBlock(v.hits(kSeep) & v.leaked(q) & mask,
+                   [&](int b, uint64_t m) {
+                       randomComputationalBlock(q, b, m);
+                   });
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::maybeLeakB(int q, int b, uint64_t mask)
+BatchFrameSimulatorT<NW>::opDataNoise(V &v, int q,
+                                      const typename V::Word &mask)
 {
-    if (!em_.leakageEnabled)
-        return;
-    const uint64_t d = drawBlockWhere(em_.leakInjectProb(), b, mask);
-    if (!d)
-        return;
-    laneWordRef(leaked_[q], b) |= d & mask;
+    const typename V::Word d = v.hits(kPauli) & andnot(mask, v.leaked(q));
+    if (anyLane(d))
+        v.forEachLane(d, [&](int l) { depolarizeLane(q, l); });
+    if (em_.leakageEnabled) {
+        v.leaked(q) |= v.hits(kLeak) & mask;
+        seep(v, q, mask);
+    }
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::maybeSeepB(int q, int b, uint64_t mask)
+BatchFrameSimulatorT<NW>::opReset(V &v, int q,
+                                  const typename V::Word &mask)
 {
-    const uint64_t leaked = laneWord(leaked_[q], b) & mask;
-    if (!leaked)
-        return;
-    const uint64_t m =
-        drawBlockWhere(em_.seepageProb(), b, leaked) & leaked;
-    if (m)
-        randomComputationalB(q, b, m);
+    v.x(q) = andnot(v.x(q), mask);
+    v.z(q) = andnot(v.z(q), mask);
+    v.leaked(q) = andnot(v.leaked(q), mask);
+    // Initialization error: the qubit comes up in |1> with prob p.
+    v.x(q) |= v.hits(kPauli) & mask;
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::twoQubitNoiseB(int qa, int qb, int b,
-                                         uint64_t mask)
+BatchFrameSimulatorT<NW>::opH(V &v, int q, const typename V::Word &mask)
 {
-    const uint64_t d = drawBlockWhere(em_.p, b, mask);
-    uint64_t m = d & mask;
-    const int base = 64 * b;
-    while (m) {
-        const int l = base + __builtin_ctzll(m);
-        m &= m - 1;
-        // One of the 15 non-identity two-qubit Paulis, uniformly.
-        const uint32_t pp = 1 + laneRng_[l].randint(15);
-        const uint32_t pa = pp & 3;
-        const uint32_t pb = (pp >> 2) & 3;
-        if (!testLane(leaked_[qa], l)) {
-            if (pa == 1 || pa == 2)
-                flipLane(x_[qa], l);
-            if (pa == 2 || pa == 3)
-                flipLane(z_[qa], l);
-        }
-        if (!testLane(leaked_[qb], l)) {
-            if (pb == 1 || pb == 2)
-                flipLane(x_[qb], l);
-            if (pb == 2 || pb == 3)
-                flipLane(z_[qb], l);
-        }
+    using Word = typename V::Word;
+    const Word act = andnot(mask, v.leaked(q));
+    const Word xw = v.x(q);
+    const Word zw = v.z(q);
+    v.x(q) = andnot(xw, act) | (zw & act);
+    v.z(q) = andnot(zw, act) | (xw & act);
+    const Word d = v.hits(kPauli) & act;
+    if (anyLane(d))
+        v.forEachLane(d, [&](int l) { depolarizeLane(q, l); });
+}
+
+template <int NW>
+template <class V>
+void
+BatchFrameSimulatorT<NW>::twoQubitNoise(V &v, int a, int b,
+                                        const typename V::Word &mask)
+{
+    const typename V::Word m = v.hits(kPauli) & mask;
+    if (anyLane(m)) {
+        v.forEachLane(m, [&](int l) {
+            // One of the 15 non-identity two-qubit Paulis, uniformly.
+            const uint32_t pp = 1 + laneRng_[l].randint(15);
+            const uint32_t pa = pp & 3;
+            const uint32_t pb = (pp >> 2) & 3;
+            if (!testLane(leaked_[a], l)) {
+                if (pa == 1 || pa == 2)
+                    flipLane(x_[a], l);
+                if (pa == 2 || pa == 3)
+                    flipLane(z_[a], l);
+            }
+            if (!testLane(leaked_[b], l)) {
+                if (pb == 1 || pb == 2)
+                    flipLane(x_[b], l);
+                if (pb == 2 || pb == 3)
+                    flipLane(z_[b], l);
+            }
+        });
     }
     if (em_.leakageEnabled) {
-        maybeLeakB(qa, b, mask);
-        maybeLeakB(qb, b, mask);
-        maybeSeepB(qa, b, mask);
-        maybeSeepB(qb, b, mask);
+        v.leaked(a) |= v.hits(kLeak) & mask;
+        v.leaked(b) |= v.hits(kLeak) & mask;
+        seep(v, a, mask);
+        seep(v, b, mask);
     }
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::opResetB(int q, int b, uint64_t mask)
+BatchFrameSimulatorT<NW>::opCnot(V &v, int c, int t,
+                                 const typename V::Word &mask)
 {
-    laneWordRef(x_[q], b) &= ~mask;
-    laneWordRef(z_[q], b) &= ~mask;
-    laneWordRef(leaked_[q], b) &= ~mask;
-    // Initialization error: the qubit comes up in |1> with prob p.
-    const uint64_t d = drawBlockWhere(em_.p, b, mask);
-    if (d)
-        laneWordRef(x_[q], b) |= d & mask;
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::opCnotB(int c, int t, int b, uint64_t mask)
-{
-    const uint64_t lc = laneWord(leaked_[c], b);
-    const uint64_t lt = laneWord(leaked_[t], b);
-    if (!((lc | lt) & mask)) {
-        laneWordRef(x_[t], b) ^= laneWord(x_[c], b) & mask;
-        laneWordRef(z_[c], b) ^= laneWord(z_[t], b) & mask;
-        twoQubitNoiseB(c, t, b, mask);
+    using Word = typename V::Word;
+    const Word lc = v.leaked(c);
+    const Word lt = v.leaked(t);
+    if (!anyLane((lc | lt) & mask)) {
+        // No leaked operand lane: pure frame propagation (the dominant
+        // case while the controller keeps the leakage population
+        // suppressed).
+        v.x(t) ^= v.x(c) & mask;
+        v.z(c) ^= v.z(t) & mask;
+        twoQubitNoise(v, c, t, mask);
         return;
     }
-    const uint64_t both_clean = (mask & ~lc) & ~lt;
-    laneWordRef(x_[t], b) ^= laneWord(x_[c], b) & both_clean;
-    laneWordRef(z_[c], b) ^= laneWord(z_[t], b) & both_clean;
+    const Word both_clean = andnot(andnot(mask, lc), lt);
+    v.x(t) ^= v.x(c) & both_clean;
+    v.z(c) ^= v.z(t) & both_clean;
 
     // Exactly one operand leaked: the gate is uncalibrated for |L>, so
     // the unleaked operand receives a uniformly random Pauli, and
-    // leakage may transport.
-    const uint64_t c_only = (mask & lc) & ~lt;
-    const uint64_t t_only = (mask & lt) & ~lc;
-    if (c_only) {
-        laneWordRef(x_[t], b) ^= blockRng_[b].next() & c_only;
-        laneWordRef(z_[t], b) ^= blockRng_[b].next() & c_only;
-    }
-    if (t_only) {
-        laneWordRef(x_[c], b) ^= blockRng_[b].next() & t_only;
-        laneWordRef(z_[c], b) ^= blockRng_[b].next() & t_only;
-    }
-    const uint64_t mixed = c_only | t_only;
-    if (mixed && em_.pTransport > 0.0) {
-        const uint64_t tr =
-            drawBlockWhere(em_.pTransport, b, mixed) & mixed;
+    // leakage may transport. Lanes with both operands leaked see no
+    // frame action at all.
+    v.forEachBlock((lc ^ lt) & mask, [&](int b, uint64_t m) {
+        const uint64_t c_only = m & laneWord(leaked_[c], b);
+        const uint64_t t_only = m & ~c_only;
+        uint64_t xr, zr;
+        randomPauliBlock(b, m, xr, zr);
+        laneWordRef(x_[t], b) ^= xr & c_only;
+        laneWordRef(z_[t], b) ^= zr & c_only;
+        laneWordRef(x_[c], b) ^= xr & t_only;
+        laneWordRef(z_[c], b) ^= zr & t_only;
+        const uint64_t tr = laneBernoulli(b, m, em_.pTransport);
         laneWordRef(leaked_[t], b) |= tr & c_only;
         laneWordRef(leaked_[c], b) |= tr & t_only;
         if (em_.transport == TransportModel::Exchange) {
-            const uint64_t src_c = tr & c_only;
-            if (src_c)
-                randomComputationalB(c, b, src_c);
-            const uint64_t src_t = tr & t_only;
-            if (src_t)
-                randomComputationalB(t, b, src_t);
+            randomComputationalBlock(c, b, tr & c_only);
+            randomComputationalBlock(t, b, tr & t_only);
         }
-    }
-    // Lanes with both operands leaked see no frame action at all.
-    twoQubitNoiseB(c, t, b, mask);
+    });
+    twoQubitNoise(v, c, t, mask);
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::opLeakageIswapB(int d, int p, int b,
-                                          uint64_t mask)
+BatchFrameSimulatorT<NW>::opLeakageIswap(V &v, int d, int p,
+                                         const typename V::Word &mask)
 {
-    const uint64_t ld = laneWord(leaked_[d], b);
-    const uint64_t lp = laneWord(leaked_[p], b);
+    using Word = typename V::Word;
+    const Word ld = v.leaked(d);
+    const Word lp = v.leaked(p);
 
     // DQLR moves the data qubit's leakage onto the (just reset) parity
     // qubit; the data qubit returns to a random computational state.
-    const uint64_t move = (mask & ld) & ~lp;
-    if (move) {
-        laneWordRef(leaked_[p], b) |= move;
-        randomComputationalB(d, b, move);
-    }
+    v.forEachBlock(andnot(mask & ld, lp), [&](int b, uint64_t m) {
+        laneWordRef(leaked_[p], b) |= m;
+        randomComputationalBlock(d, b, m);
+    });
 
     // Reset failure left the parity qubit in |1>: the iSWAP acts in the
     // |11>/|20> subspace and can excite the data qubit to |L>.
-    const uint64_t excitable =
-        ((mask & ~ld) & ~lp) & laneWord(x_[p], b);
-    if (excitable && em_.leakageEnabled && em_.dqlrExciteProb > 0.0) {
-        laneWordRef(leaked_[d], b) |=
-            drawBlockWhere(em_.dqlrExciteProb, b, excitable) &
-            excitable;
+    if (em_.leakageEnabled) {
+        const Word excitable = andnot(andnot(mask, ld), lp) & v.x(p);
+        v.forEachBlock(excitable, [&](int b, uint64_t m) {
+            laneWordRef(leaked_[d], b) |=
+                laneBernoulli(b, m, em_.dqlrExciteProb);
+        });
     }
     // The op has CNOT-class fidelity (Section A.2.2).
-    twoQubitNoiseB(d, p, b, mask);
+    twoQubitNoise(v, d, p, mask);
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::opMeasureB(const Op &op, bool x_basis, int b,
-                                     uint64_t mask)
+BatchFrameSimulatorT<NW>::opMeasure(V &v, const Op &op, bool x_basis,
+                                    const typename V::Word &mask)
 {
+    using Word = typename V::Word;
     const int q = op.q0;
-    const uint64_t frame =
-        x_basis ? laneWord(z_[q], b) : laneWord(x_[q], b);
-    const uint64_t lw = laneWord(leaked_[q], b);
-    const uint64_t lk = lw & mask;
+    const Word lw = v.leaked(q);
 
     // Unleaked lanes report the frame; a two-level discriminator
     // classifies |L> randomly, and the multi-level discriminator flags
     // |L> unless it errs.
-    uint64_t flips = (frame & ~lw) & mask;
-    uint64_t labels = 0;
-    if (lk) {
-        flips |= blockRng_[b].next() & lk;
-        labels =
-            lk & ~drawBlockWhere(em_.multiLevelMissProb(), b, lk);
-    }
-    const uint64_t me = drawBlockWhere(em_.p, b, mask);
-    if (me)
-        flips ^= me & mask;
+    Word flips = andnot(x_basis ? v.z(q) : v.x(q), lw) & mask;
+    Word labels{};
+    v.forEachBlock(lw & mask, [&](int b, uint64_t m) {
+        V::word(flips, b) |= laneBits(b, m);
+        V::word(labels, b) =
+            m & ~laneBernoulli(b, m, em_.multiLevelMissProb());
+    });
+    flips ^= v.hits(kPauli) & mask;
 
     Record rec;
     rec.qubit = q;
@@ -683,49 +653,42 @@ BatchFrameSimulatorT<NW>::opMeasureB(const Op &op, bool x_basis, int b,
     rec.round = op.round;
     rec.finalData = op.finalData;
     rec.lrcData = op.lrcData;
-    laneWordRef(rec.mask, b) = mask;
-    laneWordRef(rec.flips, b) = flips;
-    laneWordRef(rec.leakedLabels, b) = labels;
+    v.put(rec.mask, mask);
+    v.put(rec.flips, flips);
+    v.put(rec.leakedLabels, labels);
     record_.push_back(rec);
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::executeBlock(const Op &op, int block,
-                                       uint64_t mask)
+BatchFrameSimulatorT<NW>::dispatch(V &v, const Op &op,
+                                   const typename V::Word &mask)
 {
-    if (NW == 1) {
-        Lane m{};
-        laneWordRef(m, block) = mask;
-        execute(op, m);
-        return;
-    }
-    mask &= laneWord(live_, block);
-    if (!mask)
-        return;
     switch (op.type) {
+      case OpType::RoundStart:
+        break;
+      case OpType::DataNoise:
+        opDataNoise(v, op.q0, mask);
+        break;
       case OpType::Reset:
-        opResetB(op.q0, block, mask);
+        opReset(v, op.q0, mask);
+        break;
+      case OpType::H:
+        opH(v, op.q0, mask);
         break;
       case OpType::Cnot:
-        opCnotB(op.q0, op.q1, block, mask);
+        opCnot(v, op.q0, op.q1, mask);
         break;
       case OpType::LeakageIswap:
-        opLeakageIswapB(op.q0, op.q1, block, mask);
+        opLeakageIswap(v, op.q0, op.q1, mask);
         break;
       case OpType::Measure:
-        opMeasureB(op, false, block, mask);
+        opMeasure(v, op, false, mask);
         break;
       case OpType::MeasureX:
-        opMeasureB(op, true, block, mask);
+        opMeasure(v, op, true, mask);
         break;
-      default: {
-        // Not part of the tail repertoire: full-width path.
-        Lane m{};
-        laneWordRef(m, block) = mask;
-        execute(op, m);
-        break;
-      }
     }
 }
 
@@ -733,34 +696,29 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask_in)
 {
+    GroupView v{*this};
+    if (!replaying_)
+        advanceAll(opSites(op.type), -1);
     const Lane mask = mask_in & live_;
-    if (!anyLane(mask))
-        return;
-    switch (op.type) {
-      case OpType::RoundStart:
-        break;
-      case OpType::DataNoise:
-        opDataNoise(op.q0, mask);
-        break;
-      case OpType::Reset:
-        opReset(op.q0, mask);
-        break;
-      case OpType::H:
-        opH(op.q0, mask);
-        break;
-      case OpType::Cnot:
-        opCnot(op.q0, op.q1, mask);
-        break;
-      case OpType::LeakageIswap:
-        opLeakageIswap(op.q0, op.q1, mask);
-        break;
-      case OpType::Measure:
-        opMeasure(op, false, mask);
-        break;
-      case OpType::MeasureX:
-        opMeasure(op, true, mask);
-        break;
-    }
+    if (anyLane(mask))
+        dispatch(v, op, mask);
+    else
+        skipSites(v, op.type);
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::executeBlock(const Op &op, int block,
+                                       uint64_t mask)
+{
+    BlockView v{*this, block};
+    if (!inTail_)
+        advanceAll(opSites(op.type), block);
+    mask &= laneWord(live_, block);
+    if (mask)
+        dispatch(v, op, mask);
+    else
+        skipSites(v, op.type);
 }
 
 template <int NW>
@@ -772,16 +730,21 @@ BatchFrameSimulatorT<NW>::executeRange(const Op *begin, const Op *end,
         execute(*op, mask);
 }
 
+// -------------------------------------------------- program replay
+
 template <int NW>
 void
 BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
                                          const IrLrcTail &t, int b,
                                          int round, bool multi_level)
 {
+    // One block-table advance per tail: the tail's ops (the tail
+    // template's, in order) consume exactly these sites, including the
+    // conditional suffix ops, which run with an empty mask on lanes
+    // that skip them.
+    advanceAll(tailSites_, b);
+    inTail_ = true;
     const int parity = prog.stabAncilla[t.stab];
-    // Tail masks never span blocks, so each op runs on the engine's
-    // single-block path: word arithmetic on plane word b regardless
-    // of NW, keeping the per-tail cost width-invariant.
     if (prog.tail == IrTailKind::SwapLrc) {
         // SWAP D <-> P, measure + reset D, MOV back -- with the
         // ERASER+M in-round rule: lanes whose data readout is
@@ -799,17 +762,17 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
             squash = laneWord(record_.back().leakedLabels, b) & t.mask;
         executeBlock(makeOp(OpType::Reset, t.data), b, t.mask);
         const uint64_t mov = t.mask & ~squash;
-        if (mov) {
-            executeBlock(makeOp(OpType::Cnot, parity, t.data), b, mov);
-            executeBlock(makeOp(OpType::Cnot, t.data, parity), b, mov);
-        }
-        if (squash)
-            executeBlock(makeOp(OpType::Reset, parity), b, squash);
+        executeBlock(makeOp(OpType::Cnot, parity, t.data), b, mov);
+        executeBlock(makeOp(OpType::Cnot, t.data, parity), b, mov);
+        executeBlock(makeOp(OpType::Reset, parity), b, squash);
     } else {
         executeBlock(makeOp(OpType::LeakageIswap, t.data, parity), b,
                      t.mask);
         executeBlock(makeOp(OpType::Reset, parity), b, t.mask);
     }
+    inTail_ = false;
+    checkConsumed(tailSites_, true,
+                  "LRC tail consumed other noise sites than counted");
 }
 
 template <int NW>
@@ -818,6 +781,10 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
     const CircuitProgram &prog, int round, const Lane &mask,
     const ProgramLrcFillT<NW> *fills, int num_fills)
 {
+    if (bound_ != &prog)
+        bindProgramStreams(prog);
+    advanceAll(roundSites_, -1);
+    replaying_ = true;
     for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
         const IrInst &inst = prog.instrs[i];
         switch (inst.op) {
@@ -831,11 +798,8 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
                     if (fills[f].lrcOnStab)
                         m = andnot(m, fills[f].lrcOnStab[inst.a]);
             }
-            // Skipping the whole pair when no lane remains mirrors
-            // the hand-wired drivers (and execute()'s own empty-mask
-            // early return): no draws, no record entry.
-            if (!anyLane(m))
-                break;
+            // With no lane left the pair still consumes its sites but
+            // writes no record entry.
             Op meas = prog.pool[inst.b];
             meas.round = round;
             execute(meas, m);
@@ -858,6 +822,9 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
             break;
         }
     }
+    replaying_ = false;
+    checkConsumed(roundSites_, false,
+                  "round body consumed other noise sites than counted");
 }
 
 template <int NW>
@@ -865,73 +832,55 @@ void
 BatchFrameSimulatorT<NW>::executeProgramFinal(const CircuitProgram &prog,
                                               const Lane &mask)
 {
+    if (bound_ != &prog)
+        bindProgramStreams(prog);
+    advanceAll(finalSites_, -1);
+    replaying_ = true;
     for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
         execute(prog.pool[prog.instrs[i].a], mask);
+    replaying_ = false;
+    checkConsumed(finalSites_, false,
+                  "final layer consumed other noise sites than counted");
 }
 
 template <int NW>
 void
 BatchFrameSimulatorT<NW>::executeProgram(const CircuitProgram &prog)
 {
-    bindProgramStreams(prog);
     for (int r = 0; r < prog.rounds; ++r)
         executeProgramRound(prog, r, live_);
     executeProgramFinal(prog, live_);
 }
 
 template <int NW>
-int
-BatchFrameSimulatorT<NW>::noiseStreamId(double p)
-{
-    if (p <= 0.0 || p >= BernoulliMaskSampler::kRareThreshold)
-        return -1;
-    RareStream &stream = rareStreamFor(p);
-    return (int)(&stream - rareStreams_.data());
-}
-
-template <int NW>
 void
 BatchFrameSimulatorT<NW>::bindProgramStreams(const CircuitProgram &prog)
 {
-    bool two_qubit = false, measure = false, iswap = false;
-    const auto scan = [&](const Op &op) {
-        switch (op.type) {
-          case OpType::Cnot:
-            two_qubit = true;
-            break;
-          case OpType::LeakageIswap:
-            two_qubit = true;
-            iswap = true;
-            break;
-          case OpType::Measure:
-          case OpType::MeasureX:
-            measure = true;
-            break;
-          default:
-            break;
+    roundSites_ = NoiseSites{};
+    tailSites_ = NoiseSites{};
+    finalSites_ = NoiseSites{};
+    for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
+        const IrInst &inst = prog.instrs[i];
+        if (inst.op == IrOpcode::Gate) {
+            addOpSites(roundSites_, prog.pool[inst.a]);
+        } else if (inst.op == IrOpcode::Readout) {
+            addOpSites(roundSites_, prog.pool[inst.b]);
+            addOpSites(roundSites_, prog.pool[(size_t)inst.b + 1]);
         }
-    };
-    for (const Op &op : prog.pool)
-        scan(op);
-    // Tail templates draw streams the pool may not (a DQLR program's
-    // pool has no LeakageIswap — only its tails do). Registration is
-    // content-neutral (streams are keyed by probability, lazily
-    // initialized per block), so scanning them only moves allocation
-    // up front.
-    for (const IrTailTemplate &tmpl : prog.tailTemplates)
-        for (const Op &op : tmpl.ops)
-            scan(op);
-    noiseStreamId(em_.p);
-    if (em_.leakageEnabled) {
-        noiseStreamId(em_.leakInjectProb());
-        noiseStreamId(em_.seepageProb());
-        if (measure)
-            noiseStreamId(em_.multiLevelMissProb());
-        if (two_qubit)
-            noiseStreamId(em_.pTransport);
-        if (iswap)
-            noiseStreamId(em_.dqlrExciteProb);
     }
+    for (const IrTailTemplate &tmpl : prog.tailTemplates)
+        if (tmpl.kind == prog.tail)
+            for (const Op &op : tmpl.ops)
+                addOpSites(tailSites_, op);
+    for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
+        addOpSites(finalSites_, prog.pool[prog.instrs[i].a]);
+
+    NoiseSites group;
+    for (int c = 0; c < kNoiseChannels; ++c)
+        group.count[c] =
+            std::max(roundSites_.count[c], finalSites_.count[c]);
+    reserveTables(group, tailSites_);
+    bound_ = &prog;
 }
 
 template class BatchFrameSimulatorT<1>;

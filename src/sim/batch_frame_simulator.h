@@ -9,38 +9,55 @@
  * here to width-generic SIMD words (see base/simd_word.h). Static
  * circuit structure — CNOT frame propagation, Hadamard plane swaps,
  * resets — executes as a handful of vector word ops for all lanes at
- * once; noise is sampled as Bernoulli *masks* via BernoulliMaskSampler,
- * so at p = 1e-3 the cost of a noisy location is amortized across the
- * whole word-group.
+ * once.
  *
- * Randomness is streamed per 64-lane *block*: block b of a word-group
- * starting at shot S owns the mask-sampler/raw-bit streams a 64-lane
- * group starting at shot S + 64*b would own, and every draw is gated
- * on the block exactly as the 64-lane engine gates it on its whole
- * word. A W = 256/512 run is therefore bit-for-bit the concatenation
- * of its W = 64 sub-runs — the cross-width differential anchor the
- * tests pin — and NW = 1 instantiates with plain uint64_t lane sets,
- * reproducing the pre-SIMD engine exactly.
+ * Randomness comes from two kinds of stream, and no draw depends on
+ * which other lanes or blocks an op runs on:
+ *
+ *  - Fixed-probability noise (the depolarizing/flip channel at p, leak
+ *    injection at leakFraction*p and seepage at seepFraction*p; see
+ *    NoiseChannel) is read from per-block *hit tables*. Seepage acts
+ *    only where its lane is leaked, so its trial is drawn on every lane
+ *    and masked. Every 64-lane block owns one stream per channel; a
+ *    stream is a
+ *    fixed sequence of "sites" (one trial per lane each), and every
+ *    noisy op consumes its sites in program order whether or not its
+ *    mask covers the lane. The stream advances N sites at a time with
+ *    one geometric walk over N x lanes trials (a dense per-site fill
+ *    when p >= kRareThreshold): once per replayed round for the body,
+ *    once per divergent LRC tail on that tail's block, once for the
+ *    final layer, and one site at a time for op-level execute() outside
+ *    program replay. The walk is chunking-invariant, so the hits depend
+ *    only on each block's site order — the Stim bulk-sampler idea with
+ *    a per-round hit table in place of its rng_buffer.
+ *  - State-conditional events (transport, the random Pauli a leaked
+ *    CNOT partner receives, random readouts and multi-level label
+ *    misses on leaked lanes, DQLR excitation, the random state a
+ *    seeped qubit returns in, and the Pauli a depolarizing hit picks)
+ *    are drawn per lane from that lane's own `Rng::forShot(seed, shot)`
+ *    stream, in the order FrameSimulator draws them.
+ *
+ * Block b of a word-group starting at shot S owns the channel streams a
+ * 64-lane group starting at shot S + 64*b would own, so a W = 256/512
+ * run is bit-for-bit the concatenation of its W = 64 sub-runs — the
+ * cross-width differential anchor the tests pin — and a 1-lane group
+ * is simply a 1-lane block.
  *
  * Leakage breaks pure lockstep: ERASER adapts each shot's LRC schedule
  * from that shot's own syndrome, and leaked qubits respond to gates
  * differently per lane. Divergence is handled two ways:
  *
  *  - Within an op, leakage-dependent behaviour becomes masked word
- *    arithmetic (e.g. a CNOT propagates frames on the both-clean lane
- *    set and randomizes the clean operand on the exactly-one-leaked
- *    set). Rare per-lane events (depolarizing hits, seepage returns)
- *    fall back to per-lane draws from lane-split RNG streams.
+ *    arithmetic plus per-lane draws on the (rare) leaked lanes.
  *  - Across ops, every execute() takes a lane-activation mask, so the
  *    experiment layer can run policy-divergent LRC/DQLR insertions
- *    only on the lanes whose policies scheduled them.
+ *    only on the lanes whose policies scheduled them. Each op body is
+ *    written once against a word "view" and instantiated for the full
+ *    group and for a single 64-lane block (the divergent-tail fast
+ *    path), so both apply the same per-lane rule.
  *
- * A group of any lane count, down to one, is an ordinary sequence of
- * 64-lane blocks whose last block may be ragged; a 1-lane group is
- * simply a 1-lane block with its own block and lane streams. The
- * scalar FrameSimulator is not involved: it stays a test oracle for
- * the op semantics (tests/test_batch_sim.cpp compares the two lane by
- * lane).
+ * The scalar FrameSimulator stays a test oracle for the op semantics
+ * (tests/test_batch_sim.cpp compares the two lane by lane).
  */
 
 #ifndef QEC_SIM_BATCH_FRAME_SIMULATOR_H
@@ -102,6 +119,23 @@ struct ProgramLrcFillT
 };
 
 /**
+ * Version of the engine's noise-sampling contract: which stream every
+ * draw comes from and in what order. Anything keyed to exact results
+ * (checkpoint plan fingerprints, the golden corpus) folds it in, so
+ * results produced under an earlier contract are never mixed with
+ * this one's. Bump it with any change to the draw contract.
+ */
+constexpr uint64_t kNoiseContract = 2;
+
+/** Hit-table sites one op, tail or layer consumes, per channel. */
+struct NoiseSites
+{
+    int count[kNoiseChannels] = {};
+
+    int of(NoiseChannel channel) const { return count[(int)channel]; }
+};
+
+/**
  * Executes circuits over W parallel shots packed NW words deep. Lane l
  * simulates global shot `first_shot + l` of the experiment identified
  * by `seed`. One instance per word-group; not thread-safe across
@@ -123,30 +157,21 @@ class BatchFrameSimulatorT
                          int num_lanes, uint64_t seed,
                          uint64_t first_shot);
 
-    // The samplers hold pointers into this object's per-block RNGs;
-    // copies would keep drawing from (and later dangle on) the
-    // source's streams.
-    BatchFrameSimulatorT(const BatchFrameSimulatorT &) = delete;
-    BatchFrameSimulatorT & operator=(const BatchFrameSimulatorT &)
-        = delete;
-
     /** Clear frames, leakage and the measurement record. */
     void reset();
 
-    /** Execute one operation on a subset of lanes. */
+    /** Execute one operation on a subset of lanes. The op consumes its
+     *  unconditional noise sites even when no lane is masked in. */
     void execute(const Op &op, const Lane &mask);
     /** Execute one operation on all live lanes. */
     void execute(const Op &op) { execute(op, live_); }
 
     /**
      * Execute one operation on lanes of a single 64-lane block — the
-     * fast path for policy-divergent LRC/DQLR tails, whose masks
-     * never span blocks. Operates on plane word `block` only (word
-     * arithmetic at any NW) while consuming exactly the draws the
-     * full-width execute would consume for a mask confined to that
-     * block, so results are bit-identical; record entries still carry
-     * full-width lane sets. Ops outside the tail repertoire fall back
-     * to the full-width path.
+     * fast path for policy-divergent LRC/DQLR tails, whose masks never
+     * span blocks. Operates on plane word `block` only (word arithmetic
+     * at any NW) and draws only block `block`'s streams; record entries
+     * still carry full-width lane sets.
      */
     void executeBlock(const Op &op, int block, uint64_t mask);
 
@@ -164,8 +189,8 @@ class BatchFrameSimulatorT
      * instructions stamp their pool Measure with `round` (masking off
      * LRC'd lanes when the program replaces plain readouts), and each
      * LrcSlot branch expands the fill registered under its slot id
-     * (`fills[id]`, ids >= num_fills stay empty). Draw-for-draw
-     * identical to the hand-wired round drivers this replaces.
+     * (`fills[id]`, ids >= num_fills stay empty). The round's
+     * unconditional noise comes from one hit-table advance per channel.
      */
     void executeProgramRound(const CircuitProgram &prog, int round,
                              const Lane &mask,
@@ -185,18 +210,17 @@ class BatchFrameSimulatorT
     void executeProgram(const CircuitProgram &prog);
 
     /**
-     * RareStream id for probability p, creating the stream if absent
-     * (-1 when p is outside the rare-sampled range). Streams are
-     * keyed by probability only and initialized lazily per 64-lane
-     * block, so registration order cannot change draw content — ids
-     * exist so program replay can pin every noise channel's stream up
-     * front instead of growing the stream list mid-round.
+     * Count the program's unconditional noise sites per round body,
+     * per LRC tail and for the final layer, and size the hit tables
+     * for them, so replay never allocates. Program replay binds on
+     * first use; calling this up front only moves the allocation.
      */
-    int noiseStreamId(double p);
-
-    /** Pre-register RareStream ids for every noise channel the
-     *  program's ops can draw under this simulator's error model. */
     void bindProgramStreams(const CircuitProgram &prog);
+
+    /** Sites of the bound program (zero before any binding). */
+    const NoiseSites & roundSites() const { return roundSites_; }
+    const NoiseSites & tailSites() const { return tailSites_; }
+    const NoiseSites & finalSites() const { return finalSites_; }
 
     const std::vector<Record> &
     record() const
@@ -210,6 +234,9 @@ class BatchFrameSimulatorT
     {
         record_.reserve(record_.size() + measurements);
     }
+
+    /** Drop the measurement record, keeping its capacity. */
+    void clearRecord() { record_.clear(); }
 
     int numQubits() const { return numQubits_; }
     int numLanes() const { return numLanes_; }
@@ -235,75 +262,100 @@ class BatchFrameSimulatorT
     const ErrorModel & errorModel() const { return em_; }
 
   private:
-    void opDataNoise(int q, const Lane &mask);
-    void opReset(int q, const Lane &mask);
-    void opH(int q, const Lane &mask);
-    void opCnot(int c, int t, const Lane &mask);
-    void opLeakageIswap(int d, int p, const Lane &mask);
-    void opMeasure(const Op &op, bool x_basis, const Lane &mask);
-
-    void twoQubitNoise(int a, int b, const Lane &mask);
-    void maybeLeak(int q, const Lane &mask);
-    void maybeSeep(int q, const Lane &mask);
-    /** Per-lane uniform {I,X,Y,Z} depolarizing on masked lanes. */
-    void depolarizePerLane(int q, const Lane &mask);
-    /** Random computational state relative to the reference. */
-    void randomComputational(int q, const Lane &mask);
-
-    // Single-block (word-level) op bodies: the divergent-tail images
-    // of the Lane-wide ops above, draw-for-draw identical to running
-    // the Lane op with a mask confined to block `b`.
-    /** One divergent LRC-slot tail on one 64-lane block. */
-    void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
-                        int b, int round, bool multi_level);
-
-    void opResetB(int q, int b, uint64_t mask);
-    void opCnotB(int c, int t, int b, uint64_t mask);
-    void opLeakageIswapB(int d, int p, int b, uint64_t mask);
-    void opMeasureB(const Op &op, bool x_basis, int b, uint64_t mask);
-    void twoQubitNoiseB(int qa, int qb, int b, uint64_t mask);
-    void maybeLeakB(int q, int b, uint64_t mask);
-    void maybeSeepB(int q, int b, uint64_t mask);
-    void depolarizePerLaneB(int q, int b, uint64_t mask);
-    void randomComputationalB(int q, int b, uint64_t mask);
-    /** Bernoulli(p) mask for block b, drawn iff `gate` is nonzero —
-     *  the single-block image of drawWhere. */
-    uint64_t drawBlockWhere(double p, int b, uint64_t gate);
-
     /**
-     * Per-probability rare-event streams shared across the group's
-     * blocks: one probability lookup per draw call, with each block's
-     * geometric skip counter stored contiguously. Block b's counter
-     * trajectory (and its Rng consumption) is exactly what a
-     * standalone per-block BernoulliMaskSampler would produce — the
-     * layout only removes the per-block stream-list scan from the hot
-     * path, which is what made wide word-groups pay the sampler cost
-     * once per block instead of once per draw.
+     * One hit-table channel: a stream per 64-lane block and the hit
+     * tables its advances fill. A table slot holds one site's hit
+     * lanes; an advance clears what the previous one wrote, then walks
+     * the streams, so consuming a site is a plain load.
      */
-    struct RareStream
+    struct Channel
     {
         double p = 0.0;
         double log1mp = 0.0;
-        uint64_t skip[NW];
-        uint8_t inited[NW];
+        Rng rng[NW];
+        uint64_t skip[NW] = {}; ///< Rare path: misses before next hit.
+        /** Full-group table: a round body, the final layer or one op. */
+        std::vector<Lane> group;
+        /** Sites of `group` the last advance wrote. */
+        std::vector<int> touched;
+        int groupFilled = 0;
+        int groupNext = 0;
+        /** Single-block table: one LRC tail or one block op. */
+        std::vector<uint64_t> block;
+        /** Sites of `block` the last advance wrote, as a bit set. */
+        uint64_t blockTouched = 0;
+        int blockFilled = 0;
+        int blockNext = 0;
     };
 
-    /**
-     * Bernoulli(p) lane mask, drawn per 64-lane block and only on
-     * blocks where `gate` has a set bit — the width-generic image of
-     * the 64-lane engine's "draw iff this op ran / this condition
-     * held for the word" structure. Blocks outside `gate` consume
-     * nothing from their streams.
-     */
-    Lane drawWhere(double p, const Lane &gate);
-    /** Raw uniform bits per block, gated like drawWhere. */
-    Lane randBitsWhere(const Lane &gate);
+    /** Word view over all lanes (Word = Lane, group hit table). */
+    struct GroupView;
+    /** Word view over one 64-lane block (Word = uint64_t, block hit
+     *  table). */
+    struct BlockView;
 
-    RareStream & rareStreamFor(double p);
-    /** Rare-path mask for block b (cold path: a hit lands in-word). */
-    uint64_t drawRareBlock(RareStream &stream, int b);
-    /** Dense-path mask for block b (digit comparison on its Rng). */
-    uint64_t drawDenseBlock(double p, int b);
+    template <class V>
+    void dispatch(V &v, const Op &op, const typename V::Word &mask);
+    template <class V> void skipSites(V &v, OpType type);
+    template <class V>
+    void opDataNoise(V &v, int q, const typename V::Word &mask);
+    template <class V>
+    void opReset(V &v, int q, const typename V::Word &mask);
+    template <class V>
+    void opH(V &v, int q, const typename V::Word &mask);
+    template <class V>
+    void opCnot(V &v, int c, int t, const typename V::Word &mask);
+    template <class V>
+    void opLeakageIswap(V &v, int d, int p,
+                        const typename V::Word &mask);
+    template <class V>
+    void opMeasure(V &v, const Op &op, bool x_basis,
+                   const typename V::Word &mask);
+    template <class V>
+    void twoQubitNoise(V &v, int a, int b,
+                       const typename V::Word &mask);
+    template <class V>
+    void seep(V &v, int q, const typename V::Word &mask);
+
+    /** Per-lane uniform {X,Y,Z} on a depolarizing hit. */
+    void depolarizeLane(int q, int lane);
+    /** One Rng::bit() per set lane of block b's word m. */
+    uint64_t laneBits(int b, uint64_t m);
+    /** One Rng::bernoulli(p) per set lane of block b's word m. */
+    uint64_t laneBernoulli(int b, uint64_t m, double p);
+    /** A uniform {I,X,Y,Z} per set lane (two bits of one draw). */
+    void randomPauliBlock(int b, uint64_t m, uint64_t &xbits,
+                          uint64_t &zbits);
+    /** Lanes m of block b return from |L> in a random computational
+     *  state. */
+    void randomComputationalBlock(int q, int b, uint64_t m);
+
+    /** Hit-table sites `type` consumes under this model. */
+    NoiseSites opSites(OpType type) const;
+    void addOpSites(NoiseSites &sites, const Op &op) const;
+    Channel & channel(NoiseChannel c) { return channels_[(int)c]; }
+
+    /** Advance every block's stream by n sites into the group table. */
+    void advanceGroup(Channel &ch, int n);
+    /** Advance block b's stream by n sites into the block table. */
+    void advanceBlock(Channel &ch, int b, int n);
+    /** Walk block b's stream over n sites, emitting (site, hit bits). */
+    template <class Emit>
+    void walkSites(Channel &ch, int b, int n, Emit &&emit);
+    Lane takeGroupSite(Channel &ch) { return ch.group[ch.groupNext++]; }
+    uint64_t takeBlockSite(Channel &ch) { return ch.block[ch.blockNext++]; }
+    /** Size the tables for advances of up to `group` / `block` sites. */
+    void reserveTables(const NoiseSites &group, const NoiseSites &block);
+    /** Advance every channel over `sites` into the group tables, or
+     *  into block b's tables when b >= 0. */
+    void advanceAll(const NoiseSites &sites, int b);
+    /** Library-bug guard: a replay consumed exactly what it filled. */
+    void checkConsumed(const NoiseSites &sites, bool block,
+                       const char *what) const;
+
+    /** One divergent LRC-slot tail on one 64-lane block. */
+    void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
+                        int b, int round, bool multi_level);
 
     int numQubits_;
     int numLanes_;
@@ -311,15 +363,22 @@ class BatchFrameSimulatorT
     int blockLanes_[NW];      ///< Live lanes per 64-lane block.
     Lane live_;
     ErrorModel em_;
-    /** Per-block group streams; block b draws what a 64-lane group at
-     *  first_shot + 64*b would draw. */
-    std::vector<Rng> blockRng_;
-    std::vector<RareStream> rareStreams_;
+    Channel channels_[kNoiseChannels];
     std::vector<Rng> laneRng_;
     std::vector<Lane> x_;
     std::vector<Lane> z_;
     std::vector<Lane> leaked_;
     std::vector<Record> record_;
+    /** Program replay has advanced the group tables over the whole
+     *  round body or final layer; op-level execute() advances per op. */
+    bool replaying_ = false;
+    /** Likewise for the block tables over one LRC tail. */
+    bool inTail_ = false;
+    /** Program whose site counts the tables are sized for. */
+    const CircuitProgram *bound_ = nullptr;
+    NoiseSites roundSites_;
+    NoiseSites tailSites_;
+    NoiseSites finalSites_;
 };
 
 /** The 64-lane engine (uint64_t lane sets, pre-SIMD layout). */

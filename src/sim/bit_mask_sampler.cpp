@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "base/simd_word.h"
+
 namespace qec
 {
 
@@ -21,31 +23,13 @@ bernoulliGeometricGap(Rng &rng, double log1mp)
 }
 
 uint64_t
-bernoulliRareMask(Rng &rng, double log1mp, uint64_t &skip, int nlanes)
-{
-    const uint64_t n = (uint64_t)nlanes;
-    if (skip >= n) {
-        skip -= n;
-        return 0;
-    }
-    uint64_t mask = 0;
-    uint64_t pos = skip;
-    while (pos < n) {
-        mask |= uint64_t{1} << pos;
-        pos += 1 + bernoulliGeometricGap(rng, log1mp);
-    }
-    skip = pos - n;
-    return mask;
-}
-
-uint64_t
 bernoulliDenseMask(Rng &rng, double p, int nlanes)
 {
     // Lane-parallel evaluation of U < p by comparing binary digits of
     // each lane's uniform U against the digits of p, most significant
     // first. `eq` holds lanes whose digits so far equal p's prefix.
     uint64_t lt = 0;
-    uint64_t eq = laneMask(nlanes);
+    uint64_t eq = laneMask64(nlanes);
     double frac = p;
     for (int i = 0; i < 64 && eq != 0; ++i) {
         frac *= 2.0;
@@ -65,47 +49,6 @@ bernoulliDenseMask(Rng &rng, double p, int nlanes)
     // Exhausted digits with lanes still equal: U == p exactly, not
     // less-than; those lanes stay clear.
     return lt;
-}
-
-BernoulliMaskSampler::Stream &
-BernoulliMaskSampler::streamFor(double p)
-{
-    for (auto &stream : streams_) {
-        if (stream.p == p)
-            return stream;
-    }
-    Stream stream;
-    stream.p = p;
-    stream.log1mp = std::log1p(-p);
-    streams_.push_back(stream);
-    auto &created = streams_.back();
-    created.skip = bernoulliGeometricGap(*rng_, created.log1mp);
-    return created;
-}
-
-uint64_t
-BernoulliMaskSampler::drawRare(Stream &stream, int nlanes)
-{
-    return bernoulliRareMask(*rng_, stream.log1mp, stream.skip,
-                             nlanes);
-}
-
-uint64_t
-BernoulliMaskSampler::drawDense(double p, int nlanes)
-{
-    return bernoulliDenseMask(*rng_, p, nlanes);
-}
-
-uint64_t
-BernoulliMaskSampler::drawSlow(double p, int nlanes)
-{
-    if (p <= 0.0 || nlanes <= 0)
-        return 0;
-    if (p >= 1.0)
-        return laneMask(nlanes);
-    if (p < kRareThreshold)
-        return drawRare(streamFor(p), nlanes);
-    return drawDense(p, nlanes);
 }
 
 } // namespace qec

@@ -29,6 +29,31 @@ enum class TransportModel
 };
 
 /**
+ * The noise channels the batch engine samples from per-block hit
+ * tables: independent per-(site, lane) Bernoulli trials at a fixed
+ * probability, drawn on every lane of every noisy op whatever the
+ * simulator state. Seepage only acts on lanes that are leaked at the
+ * site, so drawing its trial on every lane and masking is the same
+ * distribution as drawing it on leaked lanes only. Everything else —
+ * transport, leaked-lane readouts, label misses, DQLR excitation, and
+ * the Pauli a depolarizing hit picks — is drawn per lane.
+ */
+enum class NoiseChannel
+{
+    /** Depolarizing after gates and idles, readout flip, reset
+     *  initialization error: probability p. */
+    Pauli,
+    /** Leak injection on idling data qubits and on two-qubit gate
+     *  operands: probability leakFraction * p. */
+    LeakInjection,
+    /** Seepage of a leaked qubit at the same sites: probability
+     *  seepFraction * p. */
+    Seepage,
+};
+
+constexpr int kNoiseChannels = 3;
+
+/**
  * All knobs of the noise model. Pauli noise parameters feed both the
  * frame simulator and the detector-error-model weights; leakage
  * parameters feed only the simulator (the decoder is leakage-unaware,
@@ -70,6 +95,18 @@ struct ErrorModel
     double leakInjectProb() const { return leakFraction * p; }
     double seepageProb() const { return seepFraction * p; }
     double multiLevelMissProb() const { return multiLevelErrMult * p; }
+
+    /** Per-site probability of a hit-table channel. */
+    double
+    channelProb(NoiseChannel channel) const
+    {
+        switch (channel) {
+          case NoiseChannel::Pauli: return p;
+          case NoiseChannel::LeakInjection: return leakInjectProb();
+          case NoiseChannel::Seepage: return seepageProb();
+        }
+        return 0.0;
+    }
 
     /** A model with every mechanism disabled (deterministic frames). */
     static ErrorModel

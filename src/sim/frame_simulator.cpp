@@ -89,8 +89,10 @@ FrameSimulator::opDataNoise(const Op &op)
           default: z_[q] ^= 1; break;
         }
     }
-    maybeLeak(q);
-    maybeSeep(q);
+    if (em_.leakageEnabled) {
+        maybeLeak(q);
+        maybeSeep(q);
+    }
 }
 
 void

@@ -2,8 +2,9 @@
  * @file
  * Batch engine tests, in three tiers:
  *
- *  1. BernoulliMaskSampler: both sampling strategies hit their target
- *     rates and respect lane bounds.
+ *  1. The Bernoulli primitives: both sampling strategies hit their
+ *     target rates and respect lane bounds, and the rare walk is
+ *     chunking-invariant.
  *  2. BatchFrameSimulator word semantics: masked propagation truth
  *     tables and per-lane leakage statistics at W=64.
  *  3. Differential: the engine replays the compiled surface-memory
@@ -57,41 +58,73 @@ pop(uint64_t w)
 TEST(MaskSampler, RareRateMatches)
 {
     Rng rng(7);
-    BernoulliMaskSampler sampler(&rng);
     const double p = 0.005;   // rare path (geometric skipping)
-    ASSERT_LT(p, BernoulliMaskSampler::kRareThreshold);
+    ASSERT_LT(p, kRareThreshold);
+    const double log1mp = std::log1p(-p);
+    uint64_t skip = bernoulliGeometricGap(rng, log1mp);
+    // Advances of uneven length: the walk carries its skip across them.
     int64_t hits = 0;
-    const int64_t draws = 20000;
-    for (int64_t i = 0; i < draws; ++i)
-        hits += pop(sampler.draw(p, 64));
-    const double mean = (double)draws * 64 * p;
+    uint64_t trials = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const uint64_t n = 1 + (uint64_t)(i % 127);
+        uint64_t last = 0;
+        bool first = true;
+        bernoulliRareHits(rng, log1mp, skip, n, [&](uint64_t at) {
+            EXPECT_LT(at, n);
+            EXPECT_TRUE(first || at > last);
+            first = false;
+            last = at;
+            ++hits;
+        });
+        trials += n;
+    }
+    const double mean = (double)trials * p;
     EXPECT_NEAR((double)hits, mean, 5 * std::sqrt(mean));
+}
+
+TEST(MaskSampler, RareWalkIsChunkingInvariant)
+{
+    // One advance over n1 + n2 trials hits exactly where an advance
+    // over n1 followed by one over n2 does: the property that lets the
+    // engine fill a whole round's sites in one walk.
+    const double p = 0.01;
+    const double log1mp = std::log1p(-p);
+    Rng whole_rng(11), split_rng(11);
+    uint64_t whole_skip = bernoulliGeometricGap(whole_rng, log1mp);
+    uint64_t split_skip = bernoulliGeometricGap(split_rng, log1mp);
+    std::vector<uint64_t> whole, split;
+    bernoulliRareHits(whole_rng, log1mp, whole_skip, 50000,
+                      [&](uint64_t at) { whole.push_back(at); });
+    uint64_t offset = 0;
+    for (uint64_t n : {1u, 63u, 64u, 900u, 48972u}) {
+        bernoulliRareHits(split_rng, log1mp, split_skip, n,
+                          [&](uint64_t at) { split.push_back(offset + at); });
+        offset += n;
+    }
+    ASSERT_EQ(offset, 50000u);
+    EXPECT_EQ(whole, split);
+    EXPECT_EQ(whole_skip, split_skip);
+    EXPECT_FALSE(whole.empty());
 }
 
 TEST(MaskSampler, DenseRateMatches)
 {
     Rng rng(8);
-    BernoulliMaskSampler sampler(&rng);
     const double p = 0.3;     // dense path (digit comparison)
     int64_t hits = 0;
     const int64_t draws = 4000;
     for (int64_t i = 0; i < draws; ++i)
-        hits += pop(sampler.draw(p, 64));
+        hits += pop(bernoulliDenseMask(rng, p, 64));
     const double mean = (double)draws * 64 * p;
     EXPECT_NEAR((double)hits, mean, 5 * std::sqrt(mean * (1 - p)));
 }
 
-TEST(MaskSampler, RespectsLaneBounds)
+TEST(MaskSampler, DenseRespectsLaneBounds)
 {
     Rng rng(9);
-    BernoulliMaskSampler sampler(&rng);
-    for (int i = 0; i < 2000; ++i) {
-        EXPECT_EQ(sampler.draw(0.004, 10) & ~laneMask(10), 0u);
-        EXPECT_EQ(sampler.draw(0.6, 10) & ~laneMask(10), 0u);
-    }
-    EXPECT_EQ(sampler.draw(0.0, 64), 0u);
-    EXPECT_EQ(sampler.draw(1.0, 64), ~uint64_t{0});
-    EXPECT_EQ(sampler.draw(1.0, 7), laneMask(7));
+    for (int i = 0; i < 2000; ++i)
+        EXPECT_EQ(bernoulliDenseMask(rng, 0.6, 10) & ~laneMask64(10), 0u);
+    EXPECT_EQ(bernoulliDenseMask(rng, 0.0, 64), 0u);
 }
 
 // ------------------------------------------------- word-level semantics
@@ -355,64 +388,16 @@ struct LaneFault
 
 const Pauli kFaultPaulis[3] = {Pauli::X, Pauli::Y, Pauli::Z};
 
-/** Next step at or after `from` whose outcome can depend on qubit q
- *  being leaked (noiseless DataNoise and H are inert on |L>). */
-size_t
-nextLeakSensitiveStep(const std::vector<ProgramStep> &steps, size_t from,
-                      int q)
-{
-    for (size_t j = from; j < steps.size(); ++j) {
-        const Op &o = steps[j].op;
-        if (o.q0 != q && o.q1 != q)
-            continue;
-        if (o.type == OpType::DataNoise || o.type == OpType::H ||
-            o.type == OpType::RoundStart)
-            continue;
-        return j;
-    }
-    return steps.size();
-}
-
-/**
- * (step, qubit) positions where a leakage fault stays deterministic
- * under noiseless replay: the leak is reset, or moved by a DQLR iSWAP
- * onto a parity qubit that is reset next. Anywhere else a leaked
- * operand draws random Paulis or readouts from engine-specific
- * streams, which no exact comparison can follow.
- */
-std::vector<std::pair<size_t, int>>
-deterministicLeakSites(const std::vector<ProgramStep> &steps,
-                       int num_qubits)
-{
-    std::vector<std::pair<size_t, int>> sites;
-    for (size_t at = 0; at < steps.size(); ++at) {
-        for (int q = 0; q < num_qubits; ++q) {
-            const size_t j = nextLeakSensitiveStep(steps, at, q);
-            if (j == steps.size())
-                continue;
-            const Op &o = steps[j].op;
-            bool safe = o.type == OpType::Reset;
-            if (o.type == OpType::LeakageIswap && o.q0 == q) {
-                const size_t k = nextLeakSensitiveStep(steps, j + 1, o.q1);
-                safe = k < steps.size() &&
-                       steps[k].op.type == OpType::Reset;
-            }
-            if (safe)
-                sites.push_back({at, q});
-        }
-    }
-    return sites;
-}
-
 /** The scalar oracle: one FrameSimulator per lane, seeded as the
  *  engine seeds that lane's per-lane stream. */
 std::vector<FrameSimulator>
-oracleSims(const CircuitProgram &prog, int lanes, uint64_t seed)
+oracleSims(const CircuitProgram &prog, int lanes, uint64_t seed,
+           const ErrorModel &em)
 {
     std::vector<FrameSimulator> sims;
     sims.reserve(lanes);
     for (int l = 0; l < lanes; ++l)
-        sims.emplace_back(prog.numQubits, ErrorModel::noiseless(),
+        sims.emplace_back(prog.numQubits, em,
                           Rng::forShot(seed, (uint64_t)l));
     return sims;
 }
@@ -490,49 +475,45 @@ expectRecordsMatch(const BatchFrameSimulatorT<NW> &sim,
 }
 
 /**
- * Engine vs oracle on one compiled program at `lanes` lanes, two ways:
+ * Engine vs oracle on one compiled program at `lanes` lanes, under a
+ * model whose unconditional channels are silent (p = 0), so every draw
+ * left is a state-conditional per-lane draw — random Paulis and
+ * readouts on leaked lanes, transport, DQLR excitation — which the
+ * engine takes from each lane's own stream in the scalar order. Two
+ * ways:
  *
  *  - op by op: every lane gets its own Pauli or leakage fault at its
  *    own step; body ops run through execute(), tail ops through the
  *    block-local executeBlock() path; planes are compared after every
  *    step;
  *  - through the real replay (executeProgramRound with the same fill,
- *    then executeProgramFinal), with per-lane Pauli faults at round
+ *    then executeProgramFinal), with per-lane faults at round
  *    boundaries.
  */
 template <int NW>
 void
-expectEngineMatchesOracle(const CircuitProgram &prog, int lanes)
+expectEngineMatchesOracle(const CircuitProgram &prog, int lanes,
+                          const ErrorModel &em)
 {
     const uint64_t seed = 4242;
     const std::vector<RoundPairs> pairs = fixedLrcPairs(prog);
     std::vector<size_t> round_starts;
     const std::vector<ProgramStep> steps =
         flattenProgram(prog, pairs, round_starts);
-    const auto leak_sites = deterministicLeakSites(steps, prog.numQubits);
-    ASSERT_FALSE(leak_sites.empty());
 
     // Op by op, a distinct fault per lane.
     std::vector<LaneFault> faults(lanes);
     for (int l = 0; l < lanes; ++l) {
         LaneFault &f = faults[l];
         f.kind = l % 4;
-        if (f.kind == 3) {
-            const auto &site = leak_sites[((size_t)l * 7919) %
-                                          leak_sites.size()];
-            f.at = site.first;
-            f.qubit = site.second;
-        } else {
-            f.at = ((size_t)l * 37 + 11) % steps.size();
-            f.qubit = (l * 13 + 5) % prog.numQubits;
-        }
+        f.at = ((size_t)l * 37 + 11) % steps.size();
+        f.qubit = (l * 13 + 5) % prog.numQubits;
     }
     {
-        BatchFrameSimulatorT<NW> sim(prog.numQubits,
-                                     ErrorModel::noiseless(), lanes,
-                                     seed, 0);
+        BatchFrameSimulatorT<NW> sim(prog.numQubits, em, lanes, seed,
+                                     0);
         std::vector<FrameSimulator> oracle =
-            oracleSims(prog, lanes, seed);
+            oracleSims(prog, lanes, seed, em);
         const LaneWord<NW> live = sim.liveMask();
         for (size_t i = 0; i < steps.size(); ++i) {
             injectAt(i, faults, sim, oracle);
@@ -551,18 +532,18 @@ expectEngineMatchesOracle(const CircuitProgram &prog, int lanes)
         expectRecordsMatch(sim, oracle, "op-by-op");
     }
 
-    // Program replay, Pauli faults at round boundaries.
+    // Program replay, faults at round boundaries.
     for (int l = 0; l < lanes; ++l) {
         LaneFault &f = faults[l];
-        f.kind = l % 3;
-        f.at = round_starts[(size_t)(l / 3) % round_starts.size()];
+        f.kind = l % 4;
+        f.at = round_starts[(size_t)(l / 4) % round_starts.size()];
         f.qubit = (l * 13 + 5) % prog.numQubits;
     }
-    BatchFrameSimulatorT<NW> sim(prog.numQubits, ErrorModel::noiseless(),
-                                 lanes, seed, 0);
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, em, lanes, seed, 0);
     sim.bindProgramStreams(prog);
     const LaneWord<NW> live = sim.liveMask();
-    std::vector<FrameSimulator> oracle = oracleSims(prog, lanes, seed);
+    std::vector<FrameSimulator> oracle =
+        oracleSims(prog, lanes, seed, em);
     for (int r = 0; r <= prog.rounds; ++r) {
         const size_t begin = round_starts[r];
         const size_t end =
@@ -600,12 +581,18 @@ expectEngineMatchesOracleAtWidths(IrTailKind tail, Basis basis)
     RotatedSurfaceCode code(3);
     const CircuitProgram prog =
         CircuitCompiler::surfaceMemory(code, 3, basis, tail);
-    for (int lanes : {1, 17, 64}) {
-        SCOPED_TRACE("lanes " + std::to_string(lanes));
-        expectEngineMatchesOracle<1>(prog, lanes);
+    // Noiseless, and leakage on with p = 0: transport (0.1) and DQLR
+    // excitation (0.5) still fire, from the per-lane streams alone.
+    ErrorModel leaky = ErrorModel::standard(0.0);
+    for (const ErrorModel &em : {ErrorModel::noiseless(), leaky}) {
+        SCOPED_TRACE(em.leakageEnabled ? "leakage on" : "noiseless");
+        for (int lanes : {1, 17, 64}) {
+            SCOPED_TRACE("lanes " + std::to_string(lanes));
+            expectEngineMatchesOracle<1>(prog, lanes, em);
+        }
+        SCOPED_TRACE("lanes 257");
+        expectEngineMatchesOracle<8>(prog, 257, em);
     }
-    SCOPED_TRACE("lanes 257");
-    expectEngineMatchesOracle<8>(prog, 257);
 }
 
 TEST(EngineOracle, SwapLrcProgramMatchesScalarLaneByLane)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Circuit-IR tests: compile-then-replay must be bit-identical to the
- * frozen hand-wired drivers (fingerprints, counters, LPR) at every
- * engine width, validation must reject malformed programs, the
+ * Circuit-IR tests: validation must reject malformed programs, the
  * program-derived detector model must equal the lattice walk, and the
  * repetition-code compiler path must produce sane logical error
- * rates.
+ * rates. Replay itself is pinned lane by lane against the scalar
+ * oracle (test_batch_sim's EngineOracle.*), across widths, and by the
+ * golden corpus (test_golden).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "code/circuit_ir.h"
 #include "decoder/detector_model.h"
-#include "exp/handwired_reference.h"
 #include "exp/memory_experiment.h"
 
 namespace qec
@@ -183,91 +182,6 @@ TEST(CircuitIrDem, ProgramModelMatchesLatticeModel)
         }
     }
 }
-
-// -------------------------------------- replay vs hand-wired drivers
-
-void
-expectResultsMatch(const ExperimentResult &ir,
-                   const HandwiredResult &hw)
-{
-    EXPECT_EQ(ir.verdictFingerprint, hw.verdictFingerprint);
-    EXPECT_EQ(ir.logicalErrors, hw.logicalErrors);
-    EXPECT_EQ(ir.tp, hw.tp);
-    EXPECT_EQ(ir.fp, hw.fp);
-    EXPECT_EQ(ir.tn, hw.tn);
-    EXPECT_EQ(ir.fn, hw.fn);
-    EXPECT_EQ(ir.lrcsScheduled, hw.lrcsScheduled);
-    ASSERT_EQ(ir.lprDataSum.size(), hw.lprData.size());
-    for (size_t r = 0; r < hw.lprData.size(); ++r) {
-        EXPECT_EQ(ir.lprDataSum[r], hw.lprData[r]) << "round " << r;
-        EXPECT_EQ(ir.lprParitySum[r], hw.lprParity[r])
-            << "round " << r;
-    }
-}
-
-class IrReplaySweep
-    : public ::testing::TestWithParam<
-          std::tuple<unsigned, RemovalProtocol, PolicyKind>>
-{
-};
-
-TEST_P(IrReplaySweep, ReplayMatchesHandwired)
-{
-    const auto [width, protocol, kind] = GetParam();
-    RotatedSurfaceCode code(5);
-
-    ExperimentConfig cfg;
-    cfg.rounds = 12;
-    cfg.basis = Basis::Z;
-    cfg.em = ErrorModel::standard(2e-3);
-    cfg.protocol = protocol;
-    // 161 shots: full groups plus a ragged tail at every width (and
-    // multi-block ragged groups at 256/512).
-    cfg.shots = 161;
-    cfg.seed = 77;
-    cfg.decoderKind = DecoderKind::UnionFind;
-    cfg.trackLpr = true;
-    cfg.threads = 1;
-    cfg.batchWidth = width;
-
-    MemoryExperiment exp(code, cfg);
-    const PolicyFactory factory = makePolicyFactory(
-        kind, exp.code(), exp.lookup(),
-        protocol == RemovalProtocol::Dqlr);
-
-    const ExperimentResult ir = exp.run(factory, "ir");
-    const HandwiredResult hw = runHandwired(exp, factory);
-    expectResultsMatch(ir, hw);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Widths, IrReplaySweep,
-    ::testing::Values(
-        // The ERASER controller exercises divergent LRC-slot tails
-        // under both removal protocols at every engine width.
-        std::make_tuple(64u, RemovalProtocol::SwapLrc,
-                        PolicyKind::Eraser),
-        std::make_tuple(256u, RemovalProtocol::SwapLrc,
-                        PolicyKind::Eraser),
-        std::make_tuple(512u, RemovalProtocol::SwapLrc,
-                        PolicyKind::Eraser),
-        std::make_tuple(64u, RemovalProtocol::Dqlr,
-                        PolicyKind::Eraser),
-        std::make_tuple(256u, RemovalProtocol::Dqlr,
-                        PolicyKind::Eraser),
-        std::make_tuple(512u, RemovalProtocol::Dqlr,
-                        PolicyKind::Eraser),
-        // ERASER+M takes the multi-level squash branch in the tails.
-        std::make_tuple(256u, RemovalProtocol::SwapLrc,
-                        PolicyKind::EraserM),
-        // Optimal is the PerLane scatter fallback; Always the
-        // lane-uniform whole-word schedule; Never the empty branch.
-        std::make_tuple(256u, RemovalProtocol::SwapLrc,
-                        PolicyKind::Optimal),
-        std::make_tuple(256u, RemovalProtocol::SwapLrc,
-                        PolicyKind::Always),
-        std::make_tuple(256u, RemovalProtocol::SwapLrc,
-                        PolicyKind::Never)));
 
 // ------------------------------------------------- repetition memory
 

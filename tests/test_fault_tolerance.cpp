@@ -587,6 +587,51 @@ TEST_F(FaultTolerance, RunnerRefusesCheckpointFromDifferentPlan)
     std::remove(path.c_str());
 }
 
+TEST_F(FaultTolerance, ResumeRefusesCheckpointFromOtherNoiseContract)
+{
+    // A checkpoint written under an earlier draw contract carries a
+    // plan fingerprint folded with that contract: resuming it under
+    // this engine must be refused, never merged with the new streams.
+    const std::string path = tempPath("stale_contract.ckpt");
+    SweepPlan plan = smallPlan(64, 128, {1e-3});
+    const std::vector<SweepPoint> points = plan.points();
+    const uint64_t current =
+        SweepCheckpoint::fingerprintPlan(plan, points);
+    EXPECT_EQ(current, SweepCheckpoint::fingerprintPlan(plan, points,
+                                                        kNoiseContract));
+    const uint64_t stale = SweepCheckpoint::fingerprintPlan(
+        plan, points, kNoiseContract - 1);
+    ASSERT_NE(stale, current);
+    {
+        SweepRunner runner(plan);
+        SweepRunOptions options;
+        options.checkpoint.path = path;
+        ASSERT_TRUE(runner.run(options).status.isOk());
+    }
+    StatusOr<SweepCheckpoint> written = SweepCheckpoint::load(path);
+    ASSERT_TRUE(written.ok()) << written.status().toString();
+    ASSERT_EQ(written.value().planFingerprint, current);
+    SweepCheckpoint ckpt = std::move(written).value();
+    ckpt.planFingerprint = stale;
+    ASSERT_TRUE(ckpt.save(path).isOk());
+
+    SweepRunOptions options;
+    options.checkpoint.path = path;
+    SweepRunner runner(plan);
+    const SweepSummary summary = runner.run(options);
+    EXPECT_EQ(summary.status.code(), StatusCode::FailedPrecondition);
+    EXPECT_EQ(summary.resumeStatus.code(),
+              StatusCode::FailedPrecondition);
+    EXPECT_NE(summary.status.message().find("noise contract"),
+              std::string::npos);
+    EXPECT_EQ(summary.points, 0u);
+    // The scheduled executor checks the same identity.
+    options.schedule = true;
+    EXPECT_EQ(runner.run(options).status.code(),
+              StatusCode::FailedPrecondition);
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------ JsonSink safety
 
 TEST_F(FaultTolerance, JsonSinkPublishesOnlyAtEndSweep)

@@ -17,6 +17,7 @@
 #include "code/builder.h"
 #include "code/ir_analysis.h"
 #include "exp/sweep_exec.h"
+#include "sim/batch_frame_simulator.h"
 
 namespace qec
 {
@@ -147,8 +148,9 @@ TEST(IrAnalysis, StreamDesyncTailIsDetected)
     RotatedSurfaceCode code(3);
     CircuitProgram prog = CircuitCompiler::surfaceMemory(
         code, 9, Basis::Z, IrTailKind::SwapLrc);
-    // DataNoise is outside the single-block replay repertoire: its
-    // draws would not stay confined to the branch's 64-lane block.
+    // DataNoise is outside the LRC-tail repertoire: the engine's tail
+    // expansion never issues it, so the template's site count would
+    // not match the sites a tail consumes.
     prog.tailTemplates[0].ops.push_back(
         makeOp(OpType::DataNoise, kTailDataQubit));
     ASSERT_TRUE(prog.validate().isOk());
@@ -226,6 +228,15 @@ TEST(IrAnalysis, WrongBasisFinalsAreDetected)
               (int)prog.detectors.observable.size());
 }
 
+const IrStreamUsage *
+channelRow(const IrAnalysisReport &report, NoiseChannel channel)
+{
+    for (const IrStreamUsage &row : report.streams)
+        if (row.channel == channel)
+            return &row;
+    return nullptr;
+}
+
 TEST(IrAnalysis, StreamTableMatchesTheErrorModel)
 {
     RotatedSurfaceCode code(3);
@@ -233,52 +244,108 @@ TEST(IrAnalysis, StreamTableMatchesTheErrorModel)
         code, 9, Basis::Z, IrTailKind::SwapLrc);
     const ErrorModel em = ErrorModel::standard(1e-3);
     const IrAnalysisReport report = IrAnalyzer::analyze(prog, em);
-    ASSERT_FALSE(report.streams.empty());
+    ASSERT_EQ(report.streams.size(), 3u);
 
-    // The depolarizing stream exists, is drawn by every op class, is
-    // pre-bound by the engine, and is also drawn inside tails.
-    const IrStreamUsage *base = nullptr;
-    for (const IrStreamUsage &row : report.streams)
-        if (row.probability == em.p)
-            base = &row;
-    ASSERT_NE(base, nullptr);
-    EXPECT_TRUE(base->boundByEngine);
-    EXPECT_TRUE(base->usedByTail);
-    EXPECT_GT(base->sitesPerRound, 0);
-    // One unconditional p-draw per final transversal readout.
-    EXPECT_EQ(base->finalSites, prog.numData);
+    const IrStreamUsage *pauli = channelRow(report, NoiseChannel::Pauli);
+    ASSERT_NE(pauli, nullptr);
+    EXPECT_EQ(pauli->probability, em.p);
+    // One flip site per final transversal readout.
+    EXPECT_EQ(pauli->finalSites, prog.numData);
+    // The swap-LRC tail: 5 CNOTs, a measurement and 2 resets.
+    EXPECT_EQ(pauli->tailSites, 8);
 
-    // Per-round unconditional p-sites: every body op draws once
-    // (RoundStart excepted), and each Readout adds measure + reset.
-    int expected = 0;
+    // Per-round p-sites: every body op draws once (RoundStart
+    // excepted), and each Readout adds measure + reset.
+    int expected = 0, expected_leak = 0;
     for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
         const IrInst &inst = prog.instrs[i];
-        if (inst.op == IrOpcode::Gate)
-            expected += prog.pool[inst.a].type != OpType::RoundStart;
-        else if (inst.op == IrOpcode::Readout)
+        if (inst.op == IrOpcode::Gate) {
+            const OpType type = prog.pool[inst.a].type;
+            expected += type != OpType::RoundStart;
+            expected_leak += type == OpType::DataNoise ? 1
+                             : type == OpType::Cnot    ? 2
+                                                       : 0;
+        } else if (inst.op == IrOpcode::Readout) {
             expected += 2;
-    }
-    EXPECT_EQ(base->sitesPerRound, expected);
-
-    // Leakage streams. Under the standard model leak injection and
-    // seepage share one probability (both 0.1p), so a single row
-    // carries injection's unconditional draws and seepage's
-    // state-conditional ones. Readout-discrimination (10p) is the
-    // purely conditional stream: no unconditional draw sites.
-    for (const IrStreamUsage &row : report.streams) {
-        if (row.probability == em.leakInjectProb()) {
-            EXPECT_GT(row.sitesPerRound, 0);
-            EXPECT_GT(row.conditionalSitesPerRound, 0);
-        }
-        if (row.probability == em.multiLevelMissProb()) {
-            EXPECT_EQ(row.sitesPerRound, 0);
-            EXPECT_GT(row.conditionalSitesPerRound, 0);
         }
     }
+    EXPECT_EQ(pauli->sitesPerRound, expected);
 
-    // Noiseless model: no streams at all.
+    // Leak injection: one site per idle, two per CNOT; none at readout.
+    const IrStreamUsage *leak =
+        channelRow(report, NoiseChannel::LeakInjection);
+    ASSERT_NE(leak, nullptr);
+    EXPECT_EQ(leak->probability, em.leakInjectProb());
+    EXPECT_EQ(leak->sitesPerRound, expected_leak);
+    EXPECT_EQ(leak->tailSites, 10);
+    EXPECT_EQ(leak->finalSites, 0);
+    // Seepage trials sit at the injection sites.
+    const IrStreamUsage *seep = channelRow(report, NoiseChannel::Seepage);
+    ASSERT_NE(seep, nullptr);
+    EXPECT_EQ(seep->probability, em.seepageProb());
+    EXPECT_EQ(seep->sitesPerRound, leak->sitesPerRound);
+    EXPECT_EQ(seep->tailSites, leak->tailSites);
+    EXPECT_EQ(seep->finalSites, 0);
+
+    // Leakage off: the Pauli channel only. Noiseless: no streams.
+    const IrAnalysisReport off =
+        IrAnalyzer::analyze(prog, ErrorModel::withoutLeakage(1e-3));
+    ASSERT_EQ(off.streams.size(), 1u);
+    EXPECT_EQ(off.streams[0].channel, NoiseChannel::Pauli);
     EXPECT_TRUE(IrAnalyzer::analyze(prog, ErrorModel::noiseless())
                     .streams.empty());
+}
+
+/** The engine's hit-table sizes (bindProgramStreams) equal the
+ *  analyzer's stream-sync site counts, channel by channel, for the
+ *  round body, one tail and the final layer. */
+void
+expectEngineSitesMatchAnalyzer(const CircuitProgram &prog,
+                               const ErrorModel &em)
+{
+    BatchFrameSimulator sim(prog.numQubits, em, 64, 1, 0);
+    sim.bindProgramStreams(prog);
+    const IrAnalysisReport report = IrAnalyzer::analyze(prog, em);
+    EXPECT_EQ(report.errorCount(), 0) << errorText(report);
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        const NoiseChannel channel = (NoiseChannel)c;
+        SCOPED_TRACE(noiseChannelName(channel));
+        const IrStreamUsage *row = channelRow(report, channel);
+        const int round = row ? row->sitesPerRound : 0;
+        const int tail = row ? row->tailSites : 0;
+        const int final_sites = row ? row->finalSites : 0;
+        EXPECT_EQ(sim.roundSites().of(channel), round);
+        EXPECT_EQ(sim.tailSites().of(channel), tail);
+        EXPECT_EQ(sim.finalSites().of(channel), final_sites);
+        if (em.channelProb(channel) > 0.0 &&
+            (channel == NoiseChannel::Pauli || em.leakageEnabled))
+            EXPECT_NE(row, nullptr);
+    }
+}
+
+TEST(IrAnalysis, EngineTableSizesMatchStreamSync)
+{
+    for (int d : {3, 5}) {
+        RotatedSurfaceCode code(d);
+        for (IrTailKind tail : {IrTailKind::SwapLrc, IrTailKind::Dqlr})
+            for (Basis basis : {Basis::Z, Basis::X}) {
+                SCOPED_TRACE("surface d=" + std::to_string(d));
+                const CircuitProgram prog =
+                    CircuitCompiler::surfaceMemory(code, d, basis, tail);
+                expectEngineSitesMatchAnalyzer(
+                    prog, ErrorModel::standard(1e-3));
+                expectEngineSitesMatchAnalyzer(
+                    prog, ErrorModel::withoutLeakage(2e-3));
+            }
+    }
+    for (int d : {3, 5}) {
+        SCOPED_TRACE("repetition d=" + std::to_string(d));
+        const CircuitProgram prog =
+            CircuitCompiler::repetitionMemory(d, d);
+        expectEngineSitesMatchAnalyzer(prog, ErrorModel::standard(1e-3));
+        expectEngineSitesMatchAnalyzer(prog,
+                                       ErrorModel::withoutLeakage(1e-3));
+    }
 }
 
 // -------------------------------------------------- tail templates
