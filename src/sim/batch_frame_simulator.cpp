@@ -693,13 +693,11 @@ BatchFrameSimulatorT<NW>::dispatch(V &v, const Op &op,
 }
 
 template <int NW>
+template <class V>
 void
-BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask_in)
+BatchFrameSimulatorT<NW>::apply(V &v, const Op &op,
+                                const typename V::Word &mask)
 {
-    GroupView v{*this};
-    if (!replaying_)
-        advanceAll(opSites(op.type), -1);
-    const Lane mask = mask_in & live_;
     if (anyLane(mask))
         dispatch(v, op, mask);
     else
@@ -708,17 +706,23 @@ BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask_in)
 
 template <int NW>
 void
+BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask)
+{
+    // Outside program replay each op advances the streams by its own
+    // sites.
+    GroupView v{*this};
+    advanceAll(opSites(op.type), -1);
+    apply(v, op, mask & live_);
+}
+
+template <int NW>
+void
 BatchFrameSimulatorT<NW>::executeBlock(const Op &op, int block,
                                        uint64_t mask)
 {
     BlockView v{*this, block};
-    if (!inTail_)
-        advanceAll(opSites(op.type), block);
-    mask &= laneWord(live_, block);
-    if (mask)
-        dispatch(v, op, mask);
-    else
-        skipSites(v, op.type);
+    advanceAll(opSites(op.type), block);
+    apply(v, op, mask & laneWord(live_, block));
 }
 
 template <int NW>
@@ -743,34 +747,33 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
     // conditional suffix ops, which run with an empty mask on lanes
     // that skip them.
     advanceAll(tailSites_, b);
-    inTail_ = true;
+    BlockView v{*this, b};
+    const uint64_t mask = t.mask & laneWord(live_, b);
     const int parity = prog.stabAncilla[t.stab];
     if (prog.tail == IrTailKind::SwapLrc) {
         // SWAP D <-> P, measure + reset D, MOV back -- with the
         // ERASER+M in-round rule: lanes whose data readout is
         // labelled |L> squash the MOV and reset P instead.
-        executeBlock(makeOp(OpType::Cnot, t.data, parity), b, t.mask);
-        executeBlock(makeOp(OpType::Cnot, parity, t.data), b, t.mask);
-        executeBlock(makeOp(OpType::Cnot, t.data, parity), b, t.mask);
+        apply(v, makeOp(OpType::Cnot, t.data, parity), mask);
+        apply(v, makeOp(OpType::Cnot, parity, t.data), mask);
+        apply(v, makeOp(OpType::Cnot, t.data, parity), mask);
         Op meas = makeOp(OpType::Measure, t.data);
         meas.stab = t.stab;
         meas.round = round;
         meas.lrcData = true;
-        executeBlock(meas, b, t.mask);
+        apply(v, meas, mask);
         uint64_t squash = 0;
-        if (multi_level)
-            squash = laneWord(record_.back().leakedLabels, b) & t.mask;
-        executeBlock(makeOp(OpType::Reset, t.data), b, t.mask);
-        const uint64_t mov = t.mask & ~squash;
-        executeBlock(makeOp(OpType::Cnot, parity, t.data), b, mov);
-        executeBlock(makeOp(OpType::Cnot, t.data, parity), b, mov);
-        executeBlock(makeOp(OpType::Reset, parity), b, squash);
+        if (multi_level && mask)
+            squash = laneWord(record_.back().leakedLabels, b) & mask;
+        apply(v, makeOp(OpType::Reset, t.data), mask);
+        const uint64_t mov = mask & ~squash;
+        apply(v, makeOp(OpType::Cnot, parity, t.data), mov);
+        apply(v, makeOp(OpType::Cnot, t.data, parity), mov);
+        apply(v, makeOp(OpType::Reset, parity), squash);
     } else {
-        executeBlock(makeOp(OpType::LeakageIswap, t.data, parity), b,
-                     t.mask);
-        executeBlock(makeOp(OpType::Reset, parity), b, t.mask);
+        apply(v, makeOp(OpType::LeakageIswap, t.data, parity), mask);
+        apply(v, makeOp(OpType::Reset, parity), mask);
     }
-    inTail_ = false;
     checkConsumed(tailSites_, true,
                   "LRC tail consumed other noise sites than counted");
 }
@@ -784,15 +787,16 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
     if (bound_ != &prog)
         bindProgramStreams(prog);
     advanceAll(roundSites_, -1);
-    replaying_ = true;
+    GroupView v{*this};
+    const Lane live = mask & live_;
     for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
         const IrInst &inst = prog.instrs[i];
         switch (inst.op) {
           case IrOpcode::Gate:
-            execute(prog.pool[inst.a], mask);
+            apply(v, prog.pool[inst.a], live);
             break;
           case IrOpcode::Readout: {
-            Lane m = mask;
+            Lane m = live;
             if (prog.maskReadoutOnLrc) {
                 for (int f = 0; f < num_fills; ++f)
                     if (fills[f].lrcOnStab)
@@ -802,8 +806,8 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
             // writes no record entry.
             Op meas = prog.pool[inst.b];
             meas.round = round;
-            execute(meas, m);
-            execute(prog.pool[(size_t)inst.b + 1], m);
+            apply(v, meas, m);
+            apply(v, prog.pool[(size_t)inst.b + 1], m);
             break;
           }
           case IrOpcode::LrcSlot: {
@@ -822,7 +826,6 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
             break;
         }
     }
-    replaying_ = false;
     checkConsumed(roundSites_, false,
                   "round body consumed other noise sites than counted");
 }
@@ -835,10 +838,10 @@ BatchFrameSimulatorT<NW>::executeProgramFinal(const CircuitProgram &prog,
     if (bound_ != &prog)
         bindProgramStreams(prog);
     advanceAll(finalSites_, -1);
-    replaying_ = true;
+    GroupView v{*this};
+    const Lane live = mask & live_;
     for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
-        execute(prog.pool[prog.instrs[i].a], mask);
-    replaying_ = false;
+        apply(v, prog.pool[prog.instrs[i].a], live);
     checkConsumed(finalSites_, false,
                   "final layer consumed other noise sites than counted");
 }

@@ -294,6 +294,10 @@ class BatchFrameSimulatorT
      *  table). */
     struct BlockView;
 
+    /** Run op on the masked lanes of a view, or only consume its sites
+     *  when no lane is masked in. The tables must already hold them. */
+    template <class V>
+    void apply(V &v, const Op &op, const typename V::Word &mask);
     template <class V>
     void dispatch(V &v, const Op &op, const typename V::Word &mask);
     template <class V> void skipSites(V &v, OpType type);
@@ -369,11 +373,6 @@ class BatchFrameSimulatorT
     std::vector<Lane> z_;
     std::vector<Lane> leaked_;
     std::vector<Record> record_;
-    /** Program replay has advanced the group tables over the whole
-     *  round body or final layer; op-level execute() advances per op. */
-    bool replaying_ = false;
-    /** Likewise for the block tables over one LRC tail. */
-    bool inTail_ = false;
     /** Program whose site counts the tables are sized for. */
     const CircuitProgram *bound_ = nullptr;
     NoiseSites roundSites_;

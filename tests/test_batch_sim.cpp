@@ -127,6 +127,109 @@ TEST(MaskSampler, DenseRespectsLaneBounds)
     EXPECT_EQ(bernoulliDenseMask(rng, 0.0, 64), 0u);
 }
 
+// ------------------------------------------------------- hit tables
+
+/** A one-round program whose body is `body`, replayed verbatim. */
+CircuitProgram
+bodyProgram(const std::vector<Op> &body, int num_qubits)
+{
+    CircuitProgram prog;
+    prog.numQubits = num_qubits;
+    prog.rounds = 1;
+    prog.instrs.push_back({IrOpcode::RoundBegin, 1, -1});
+    prog.bodyBegin = prog.instrs.size();
+    for (const Op &o : body) {
+        prog.instrs.push_back({IrOpcode::Gate, (int32_t)prog.pool.size(),
+                               -1});
+        prog.pool.push_back(o);
+    }
+    prog.bodyEnd = prog.instrs.size();
+    prog.instrs.push_back({IrOpcode::RoundEnd, -1, -1});
+    return prog;
+}
+
+/**
+ * Hits one channel's round tables deliver over `rounds` replays of a
+ * body of `n` single-qubit sites, observed through the frames:
+ *  - Pauli: Reset comes up in |1> exactly on the hit lanes;
+ *  - LeakInjection: DataNoise leaks the hit lanes (no seepage);
+ *  - Seepage: DataNoise on all-leaked qubits clears the hit lanes.
+ */
+template <int NW>
+int64_t
+channelHits(NoiseChannel channel, double prob, int lanes, int n,
+            int rounds)
+{
+    ErrorModel em = ErrorModel::noiseless();
+    em.leakageEnabled = channel != NoiseChannel::Pauli;
+    em.p = channel == NoiseChannel::Pauli ? prob : 1.0;
+    em.leakFraction = channel == NoiseChannel::LeakInjection ? prob : 0.0;
+    em.seepFraction = channel == NoiseChannel::Seepage ? prob : 0.0;
+    std::vector<Op> body;
+    for (int q = 0; q < n; ++q)
+        body.push_back(channel == NoiseChannel::Pauli
+                           ? op(OpType::Reset, q)
+                           : op(OpType::DataNoise, q));
+    const CircuitProgram prog = bodyProgram(body, n);
+    BatchFrameSimulatorT<NW> sim(n, em, lanes, 91, 0);
+    sim.bindProgramStreams(prog);
+    EXPECT_EQ(sim.roundSites().of(channel), n);
+    int64_t hits = 0;
+    for (int r = 0; r < rounds; ++r) {
+        for (int q = 0; q < n; ++q) {
+            sim.setLeaked(q, channel == NoiseChannel::Seepage,
+                          sim.liveMask());
+            if (channel != NoiseChannel::Pauli) {
+                sim.injectPauli(q, Pauli::X, sim.xWord(q));
+                sim.injectPauli(q, Pauli::Z, sim.zWord(q));
+            }
+        }
+        sim.executeProgramRound(prog, r, sim.liveMask());
+        for (int q = 0; q < n; ++q) {
+            if (channel == NoiseChannel::Pauli)
+                hits += popcountLanes(sim.xWord(q));
+            else if (channel == NoiseChannel::LeakInjection)
+                hits += popcountLanes(sim.leakedWord(q));
+            else
+                hits += lanes - popcountLanes(sim.leakedWord(q));
+        }
+    }
+    return hits;
+}
+
+/** Every channel's hit count lands within 5 sigma of
+ *  sites * lanes * p, on the rare (geometric walk) and dense
+ *  (digit compare) paths, at W = 64 and on a ragged 257-lane group
+ *  whose last block holds one lane. */
+TEST(HitTables, PerChannelHitRatesMatchAtW64AndRaggedW257)
+{
+    const int n = 40, rounds = 60;
+    for (int c = 0; c < kNoiseChannels; ++c) {
+        const NoiseChannel channel = (NoiseChannel)c;
+        for (double prob : {0.004, 0.05}) {
+            SCOPED_TRACE(std::string(channel == NoiseChannel::Pauli
+                                         ? "pauli"
+                                     : channel ==
+                                             NoiseChannel::LeakInjection
+                                         ? "leak"
+                                         : "seep") +
+                         " p=" + std::to_string(prob));
+            ASSERT_EQ(prob < kRareThreshold, prob == 0.004);
+            for (int lanes : {64, 257}) {
+                const int64_t hits =
+                    lanes == 64
+                        ? channelHits<1>(channel, prob, lanes, n, rounds)
+                        : channelHits<8>(channel, prob, lanes, n, rounds);
+                const double trials = (double)n * rounds * lanes;
+                const double mean = trials * prob;
+                EXPECT_NEAR((double)hits, mean,
+                            5 * std::sqrt(mean * (1 - prob)))
+                    << "lanes " << lanes;
+            }
+        }
+    }
+}
+
 // ------------------------------------------------- word-level semantics
 
 TEST(BatchSim, MaskedCnotPropagatesPerLane)
