@@ -40,7 +40,7 @@ struct BatchFrameSimulatorT<NW>::GroupView
     Word & x(int q) { return s.x_[q]; }
     Word & z(int q) { return s.z_[q]; }
     Word & leaked(int q) { return s.leaked_[q]; }
-    Word hits(NoiseChannel c) { return s.takeGroupSite(s.channel(c)); }
+    Word hits(NoiseChannel c) { return s.channel(c).group.take(); }
 
     template <class F>
     void
@@ -73,7 +73,7 @@ struct BatchFrameSimulatorT<NW>::BlockView
     Word & x(int q) { return laneWordRef(s.x_[q], b); }
     Word & z(int q) { return laneWordRef(s.z_[q], b); }
     Word & leaked(int q) { return laneWordRef(s.leaked_[q], b); }
-    Word hits(NoiseChannel c) { return s.takeBlockSite(s.channel(c)); }
+    Word hits(NoiseChannel c) { return s.channel(c).block.take(); }
 
     template <class F>
     void
@@ -130,15 +130,11 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
                 ch.skip[b] = bernoulliGeometricGap(ch.rng[b], ch.log1mp);
         }
     }
-    // Op-level execution needs the sites of one op; the block tables
-    // also get room for any tail expansion, so a tail template that
-    // undercounts is caught by checkConsumed, never read past.
-    NoiseSites op_sites, block_sites;
-    for (int c = 0; c < kNoiseChannels; ++c) {
+    // Op-level execution needs the sites of one op.
+    NoiseSites op_sites;
+    for (int c = 0; c < kNoiseChannels; ++c)
         op_sites.count[c] = 2;
-        block_sites.count[c] = 16;
-    }
-    reserveTables(op_sites, block_sites);
+    reserveTables(op_sites, op_sites);
     laneRng_.reserve(numLanes_);
     for (int l = 0; l < numLanes_; ++l)
         laneRng_.push_back(Rng::forShot(seed, first_shot + l));
@@ -249,20 +245,39 @@ BatchFrameSimulatorT<NW>::walkSites(Channel &ch, int b, int n,
 }
 
 template <int NW>
+template <class W>
+void
+BatchFrameSimulatorT<NW>::HitTable<W>::reserve(int n)
+{
+    if ((size_t)n > slots.size()) {
+        slots.resize(n, W{});
+        touched.reserve(n);
+    }
+}
+
+template <int NW>
+template <class W>
+void
+BatchFrameSimulatorT<NW>::HitTable<W>::start(int n)
+{
+    for (int s : touched)
+        slots[s] = W{};
+    touched.clear();
+    reserve(n);
+    filled = n;
+    next = 0;
+}
+
+template <int NW>
 void
 BatchFrameSimulatorT<NW>::advanceGroup(Channel &ch, int n)
 {
-    for (int s : ch.touched)
-        ch.group[s] = Lane{};
-    ch.touched.clear();
-    ch.groupFilled = n;
-    ch.groupNext = 0;
+    ch.group.start(n);
     for (int b = 0; b < numBlocks_; ++b)
         walkSites(ch, b, n, [&](int s, uint64_t bits) {
-            Lane &slot = ch.group[s];
-            if (!anyLane(slot))
-                ch.touched.push_back(s);
-            laneWordRef(slot, b) |= bits;
+            Lane word{};
+            laneWordRef(word, b) = bits;
+            ch.group.write(s, word);
         });
 }
 
@@ -270,15 +285,9 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::advanceBlock(Channel &ch, int b, int n)
 {
-    for (uint64_t m = ch.blockTouched; m; m &= m - 1)
-        ch.block[__builtin_ctzll(m)] = 0;
-    ch.blockTouched = 0;
-    ch.blockFilled = n;
-    ch.blockNext = 0;
-    walkSites(ch, b, n, [&](int s, uint64_t bits) {
-        ch.block[s] |= bits;
-        ch.blockTouched |= uint64_t{1} << s;
-    });
+    ch.block.start(n);
+    walkSites(ch, b, n,
+              [&](int s, uint64_t bits) { ch.block.write(s, bits); });
 }
 
 template <int NW>
@@ -287,17 +296,8 @@ BatchFrameSimulatorT<NW>::reserveTables(const NoiseSites &group,
                                         const NoiseSites &block)
 {
     for (int c = 0; c < kNoiseChannels; ++c) {
-        Channel &ch = channels_[c];
-        if ((size_t)group.count[c] > ch.group.size()) {
-            ch.group.resize(group.count[c], Lane{});
-            // An advance writes each site at most once.
-            ch.touched.reserve(group.count[c]);
-        }
-        // Block advances track written sites in a 64-bit set.
-        panicIf(block.count[c] > 64,
-                "an LRC tail consumes more than 64 noise sites");
-        if ((size_t)block.count[c] > ch.block.size())
-            ch.block.resize(block.count[c], 0);
+        channels_[c].group.reserve(group.count[c]);
+        channels_[c].block.reserve(block.count[c]);
     }
 }
 
@@ -322,8 +322,8 @@ BatchFrameSimulatorT<NW>::checkConsumed(const NoiseSites &sites,
     for (int c = 0; c < kNoiseChannels; ++c) {
         const Channel &ch = channels_[c];
         const int n = sites.count[c];
-        const bool ok = block ? ch.blockFilled == n && ch.blockNext == n
-                              : ch.groupFilled == n && ch.groupNext == n;
+        const bool ok = block ? ch.block.filled == n && ch.block.next == n
+                              : ch.group.filled == n && ch.group.next == n;
         panicIf(!ok, what);
     }
 }
@@ -393,52 +393,57 @@ BatchFrameSimulatorT<NW>::depolarizeLane(int q, int l)
     }
 }
 
-// The block kernels below gather one draw per set lane of a block word
-// into bit words, branch-free; drawing "A on every lane, then B on
-// every lane" gives each lane's own stream the sequence A, B.
-
-template <int NW>
-uint64_t
-BatchFrameSimulatorT<NW>::laneBits(int b, uint64_t m)
-{
-    uint64_t bits = 0;
-    for (uint64_t w = m; w; w &= w - 1) {
-        const int i = __builtin_ctzll(w);
-        bits |= (uint64_t)laneRng_[64 * b + i].bit() << i;
-    }
-    return bits;
-}
+// The block kernels below gather the draws of every set lane of a block
+// word into bit words, each lane drawing from its own stream in the
+// order FrameSimulator does.
 
 template <int NW>
 uint64_t
 BatchFrameSimulatorT<NW>::laneBernoulli(int b, uint64_t m, double p)
 {
-    // Rng::bernoulli semantics: no draw at p <= 0 or p >= 1.
-    if (p <= 0.0)
-        return 0;
-    if (p >= 1.0)
-        return m;
     uint64_t hits = 0;
     for (uint64_t w = m; w; w &= w - 1) {
         const int i = __builtin_ctzll(w);
-        hits |= (uint64_t)(laneRng_[64 * b + i].uniform() < p) << i;
+        hits |= (uint64_t)laneRng_[64 * b + i].bernoulli(p) << i;
     }
     return hits;
 }
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::randomPauliBlock(int b, uint64_t m,
-                                           uint64_t &xbits,
-                                           uint64_t &zbits)
+BatchFrameSimulatorT<NW>::leakedCnotBlock(int b, uint64_t m,
+                                          uint64_t &xbits,
+                                          uint64_t &zbits,
+                                          uint64_t &transport)
 {
-    // Uniform over {I, X, Y, Z}: the two low bits of one draw.
-    xbits = zbits = 0;
+    // Per lane: a uniform {I,X,Y,Z} from the two low bits of one draw,
+    // then the transport trial.
+    xbits = zbits = transport = 0;
     for (uint64_t w = m; w; w &= w - 1) {
         const int i = __builtin_ctzll(w);
-        const uint64_t r = laneRng_[64 * b + i].next();
+        Rng &rng = laneRng_[64 * b + i];
+        const uint64_t r = rng.next();
         xbits |= (r & 1) << i;
         zbits |= ((r >> 1) & 1) << i;
+        transport |= (uint64_t)rng.bernoulli(em_.pTransport) << i;
+    }
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::leakedReadoutBlock(int b, uint64_t m,
+                                             uint64_t &flips,
+                                             uint64_t &labels)
+{
+    // Per lane: a random two-level outcome, then the multi-level
+    // discriminator's miss trial.
+    const double miss = em_.multiLevelMissProb();
+    flips = labels = 0;
+    for (uint64_t w = m; w; w &= w - 1) {
+        const int i = __builtin_ctzll(w);
+        Rng &rng = laneRng_[64 * b + i];
+        flips |= (uint64_t)rng.bit() << i;
+        labels |= (uint64_t)!rng.bernoulli(miss) << i;
     }
 }
 
@@ -447,8 +452,13 @@ void
 BatchFrameSimulatorT<NW>::randomComputationalBlock(int q, int b,
                                                    uint64_t m)
 {
-    const uint64_t xbits = laneBits(b, m);
-    const uint64_t zbits = laneBits(b, m);
+    uint64_t xbits = 0, zbits = 0;
+    for (uint64_t w = m; w; w &= w - 1) {
+        const int i = __builtin_ctzll(w);
+        Rng &rng = laneRng_[64 * b + i];
+        xbits |= (uint64_t)rng.bit() << i;
+        zbits |= (uint64_t)rng.bit() << i;
+    }
     laneWordRef(leaked_[q], b) &= ~m;
     uint64_t &x = laneWordRef(x_[q], b);
     uint64_t &z = laneWordRef(z_[q], b);
@@ -578,13 +588,12 @@ BatchFrameSimulatorT<NW>::opCnot(V &v, int c, int t,
     v.forEachBlock((lc ^ lt) & mask, [&](int b, uint64_t m) {
         const uint64_t c_only = m & laneWord(leaked_[c], b);
         const uint64_t t_only = m & ~c_only;
-        uint64_t xr, zr;
-        randomPauliBlock(b, m, xr, zr);
+        uint64_t xr, zr, tr;
+        leakedCnotBlock(b, m, xr, zr, tr);
         laneWordRef(x_[t], b) ^= xr & c_only;
         laneWordRef(z_[t], b) ^= zr & c_only;
         laneWordRef(x_[c], b) ^= xr & t_only;
         laneWordRef(z_[c], b) ^= zr & t_only;
-        const uint64_t tr = laneBernoulli(b, m, em_.pTransport);
         laneWordRef(leaked_[t], b) |= tr & c_only;
         laneWordRef(leaked_[c], b) |= tr & t_only;
         if (em_.transport == TransportModel::Exchange) {
@@ -641,9 +650,10 @@ BatchFrameSimulatorT<NW>::opMeasure(V &v, const Op &op, bool x_basis,
     Word flips = andnot(x_basis ? v.z(q) : v.x(q), lw) & mask;
     Word labels{};
     v.forEachBlock(lw & mask, [&](int b, uint64_t m) {
-        V::word(flips, b) |= laneBits(b, m);
-        V::word(labels, b) =
-            m & ~laneBernoulli(b, m, em_.multiLevelMissProb());
+        uint64_t random, flagged;
+        leakedReadoutBlock(b, m, random, flagged);
+        V::word(flips, b) |= random;
+        V::word(labels, b) = flagged;
     });
     flips ^= v.hits(kPauli) & mask;
 
@@ -742,11 +752,9 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
                                          const IrLrcTail &t, int b,
                                          int round, bool multi_level)
 {
-    // One block-table advance per tail: the tail's ops (the tail
-    // template's, in order) consume exactly these sites, including the
-    // conditional suffix ops, which run with an empty mask on lanes
-    // that skip them.
-    advanceAll(tailSites_, b);
+    // The tail's ops (the tail template's, in order) consume exactly
+    // tailSites_, including the conditional suffix ops, which run with
+    // an empty mask on lanes that skip them.
     BlockView v{*this, b};
     const uint64_t mask = t.mask & laneWord(live_, b);
     const int parity = prog.stabAncilla[t.stab];
@@ -774,8 +782,6 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
         apply(v, makeOp(OpType::LeakageIswap, t.data, parity), mask);
         apply(v, makeOp(OpType::Reset, parity), mask);
     }
-    checkConsumed(tailSites_, true,
-                  "LRC tail consumed other noise sites than counted");
 }
 
 template <int NW>
@@ -816,10 +822,22 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
             const ProgramLrcFillT<NW> &fill = fills[inst.a];
             if (!fill.blockTails)
                 break;
-            for (int b = 0; b < numBlocks_; ++b)
-                for (const IrLrcTail &t : fill.blockTails[b])
-                    executeLrcTail(prog, t, b, round,
-                                   fill.multiLevel);
+            for (int b = 0; b < numBlocks_; ++b) {
+                const std::vector<IrLrcTail> &tails = fill.blockTails[b];
+                if (tails.empty())
+                    continue;
+                // One advance of block b's streams covers its tails, in
+                // order (the walk is chunking-invariant).
+                NoiseSites sites;
+                for (int c = 0; c < kNoiseChannels; ++c)
+                    sites.count[c] =
+                        tailSites_.count[c] * (int)tails.size();
+                advanceAll(sites, b);
+                for (const IrLrcTail &t : tails)
+                    executeLrcTail(prog, t, b, round, fill.multiLevel);
+                checkConsumed(sites, true, "LRC tails consumed other "
+                                           "noise sites than counted");
+            }
             break;
           }
           default:
@@ -878,11 +896,15 @@ BatchFrameSimulatorT<NW>::bindProgramStreams(const CircuitProgram &prog)
     for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
         addOpSites(finalSites_, prog.pool[prog.instrs[i].a]);
 
-    NoiseSites group;
-    for (int c = 0; c < kNoiseChannels; ++c)
+    // Block tables: one slot's tails, typically at most one per
+    // stabilizer (more grow the table on first use).
+    NoiseSites group, block;
+    for (int c = 0; c < kNoiseChannels; ++c) {
         group.count[c] =
             std::max(roundSites_.count[c], finalSites_.count[c]);
-    reserveTables(group, tailSites_);
+        block.count[c] = tailSites_.count[c] * prog.numStabs;
+    }
+    reserveTables(group, block);
     bound_ = &prog;
 }
 

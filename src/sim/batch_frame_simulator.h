@@ -263,29 +263,46 @@ class BatchFrameSimulatorT
 
   private:
     /**
-     * One hit-table channel: a stream per 64-lane block and the hit
-     * tables its advances fill. A table slot holds one site's hit
-     * lanes; an advance clears what the previous one wrote, then walks
-     * the streams, so consuming a site is a plain load.
+     * Hit lanes of consecutive sites of one advance. A slot holds one
+     * site's hit lanes; an advance clears the slots the previous one
+     * wrote, then walks the streams, so consuming a site is a plain
+     * load.
      */
+    template <class W>
+    struct HitTable
+    {
+        std::vector<W> slots;
+        /** Slots the last advance wrote (each at most once). */
+        std::vector<int> touched;
+        int filled = 0;
+        int next = 0;
+
+        W take() { return slots[next++]; }
+        /** Grow to hold advances of up to n sites. */
+        void reserve(int n);
+        /** Clear the last advance and start one of n sites. */
+        void start(int n);
+        void
+        write(int s, const W &bits)
+        {
+            if (!anyLane(slots[s]))
+                touched.push_back(s);
+            slots[s] |= bits;
+        }
+    };
+
+    /** One hit-table channel: a stream per 64-lane block and the
+     *  tables its advances fill. */
     struct Channel
     {
         double p = 0.0;
         double log1mp = 0.0;
         Rng rng[NW];
         uint64_t skip[NW] = {}; ///< Rare path: misses before next hit.
-        /** Full-group table: a round body, the final layer or one op. */
-        std::vector<Lane> group;
-        /** Sites of `group` the last advance wrote. */
-        std::vector<int> touched;
-        int groupFilled = 0;
-        int groupNext = 0;
-        /** Single-block table: one LRC tail or one block op. */
-        std::vector<uint64_t> block;
-        /** Sites of `block` the last advance wrote, as a bit set. */
-        uint64_t blockTouched = 0;
-        int blockFilled = 0;
-        int blockNext = 0;
+        /** All blocks: a round body, the final layer or one op. */
+        HitTable<Lane> group;
+        /** One block: the LRC tails of one slot, or one block op. */
+        HitTable<uint64_t> block;
     };
 
     /** Word view over all lanes (Word = Lane, group hit table). */
@@ -323,13 +340,16 @@ class BatchFrameSimulatorT
 
     /** Per-lane uniform {X,Y,Z} on a depolarizing hit. */
     void depolarizeLane(int q, int lane);
-    /** One Rng::bit() per set lane of block b's word m. */
-    uint64_t laneBits(int b, uint64_t m);
     /** One Rng::bernoulli(p) per set lane of block b's word m. */
     uint64_t laneBernoulli(int b, uint64_t m, double p);
-    /** A uniform {I,X,Y,Z} per set lane (two bits of one draw). */
-    void randomPauliBlock(int b, uint64_t m, uint64_t &xbits,
-                          uint64_t &zbits);
+    /** Per set lane of a leaked readout: the random outcome, then the
+     *  |L> label (set unless the multi-level discriminator errs). */
+    void leakedReadoutBlock(int b, uint64_t m, uint64_t &flips,
+                            uint64_t &labels);
+    /** Per set lane of a CNOT with one leaked operand: the random
+     *  Pauli on the clean operand, then the transport trial. */
+    void leakedCnotBlock(int b, uint64_t m, uint64_t &xbits,
+                         uint64_t &zbits, uint64_t &transport);
     /** Lanes m of block b return from |L> in a random computational
      *  state. */
     void randomComputationalBlock(int q, int b, uint64_t m);
@@ -346,8 +366,6 @@ class BatchFrameSimulatorT
     /** Walk block b's stream over n sites, emitting (site, hit bits). */
     template <class Emit>
     void walkSites(Channel &ch, int b, int n, Emit &&emit);
-    Lane takeGroupSite(Channel &ch) { return ch.group[ch.groupNext++]; }
-    uint64_t takeBlockSite(Channel &ch) { return ch.block[ch.blockNext++]; }
     /** Size the tables for advances of up to `group` / `block` sites. */
     void reserveTables(const NoiseSites &group, const NoiseSites &block);
     /** Advance every channel over `sites` into the group tables, or
@@ -357,7 +375,8 @@ class BatchFrameSimulatorT
     void checkConsumed(const NoiseSites &sites, bool block,
                        const char *what) const;
 
-    /** One divergent LRC-slot tail on one 64-lane block. */
+    /** One divergent LRC-slot tail on one 64-lane block, consuming
+     *  tailSites_ from the block tables. */
     void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
                         int b, int round, bool multi_level);
 
