@@ -7,10 +7,9 @@
  *  holds one round body plus the final transversal readout as indices
  *  into an op pool, and the engine replays that body `rounds` times
  *  with its word-level op/noise helpers. Divergent adaptive-LRC tails
- *  are IR branch points (LrcSlot
- *  instructions) that the controller fills per lane/word at replay
- *  time, so adding a protocol means adding a compiler path — not an
- *  engine edit.
+ *  are IR branch points (LrcSlot instructions) that the controller
+ *  fills per lane/word at replay time, so adding a protocol means
+ *  adding a compiler path — not an engine edit.
  *
  *  Instruction set:
  *
@@ -23,17 +22,17 @@
  *  | RoundEnd   | —                  | —              | marks the end of the round body; instructions after it are the final transversal measurement |
  *
  *  Draw-order contract (see BatchFrameSimulatorT, kNoiseContract):
- *  every issued op consumes a fixed number of unconditional noise
- *  sites per channel (depolarizing/flip at p, leak injection) from its
- *  64-lane block's streams, whatever its lane mask; the engine fills a
- *  round's sites with one hit-table advance per channel, each LrcSlot
- *  tail's sites (the tail template's ops, conditional suffix included)
- *  with one advance on the tail's own block, and the final layer's
- *  with one more. State-conditional events draw per lane from the
- *  lane's own stream. A block's draws therefore depend only on its own
- *  op sequence, so per-shot results are bit-identical at every batch
- *  width. The compiler emits the round body in schedule order; the
- *  stream-sync analyzer pass tabulates the site counts.
+ *  every issued op consumes a fixed number of noise sites per channel
+ *  (depolarizing/flip at p, leak injection, seepage) from its 64-lane
+ *  block's streams, whatever its lane mask; the engine fills a round's
+ *  sites with one hit-table advance per channel, the tails of one
+ *  LrcSlot on a block (each the tail template's ops, conditional
+ *  suffix included) with one advance of that block's streams, and the
+ *  final layer's with one more. State-conditional events draw per lane
+ *  from the lane's own stream. A block's draws therefore depend only
+ *  on its own op sequence, so per-shot results are bit-identical at
+ *  every batch width. The compiler emits the round body in schedule
+ *  order; the stream-sync analyzer pass tabulates the site counts.
  */
 
 #include <cstdint>
@@ -100,8 +99,8 @@ constexpr int kTailParityQubit = -3;
  *  listed unconditionally — the template describes the superset of ops
  *  a tail may run, which is what static analysis needs, and each tail
  *  issues all of them (on an empty mask where skipped). The engine's
- *  executeLrcTail is the hardcoded expansion; it sizes each tail's
- *  noise-site advance from the template and checks that the expansion
+ *  executeLrcTail is the hardcoded expansion; the engine counts each
+ *  tail's noise sites from the template, checks that the expansion
  *  consumed exactly that, and test_ir_analysis pins the template ops
  *  op for op. */
 struct IrTailTemplate

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-
 namespace qec
 {
 
@@ -359,9 +358,10 @@ passDetectorCoverage(PassContext &ctx)
 // injection at leakFraction*p, seepage at seepFraction*p) is a
 // per-64-lane-block stream per channel, consumed as "sites" in op
 // order by every issued op whatever its lane mask; the engine fills
-// one hit table per channel per replayed round, per LrcSlot tail and
-// for the final layer. The pass tabulates those site counts, mirroring
-// the engine's per-op site rule. Round-invariance is structural: the
+// its hit tables once per replayed round, once per LrcSlot on each
+// block for that block's tails, and once for the final layer. The pass
+// tabulates the site counts per round, per tail and for the final
+// layer, mirroring the engine's per-op site rule. Round-invariance is structural: the
 // body is replayed verbatim, so the per-round site sequence cannot
 // vary. State-conditional events draw per lane from the lane's own
 // stream and need no accounting.

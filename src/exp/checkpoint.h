@@ -27,10 +27,10 @@
  * point's derived seed, shot count and resolved axes, the policy
  * names, the early-stop rule and the engine's noise contract — so a
  * checkpoint can never be resumed against a different plan or draw
- * contract (the seed scheme makes the
- * fingerprint content-addressed). save() writes through
- * AtomicFileWriter (temp + fsync + rename): a crash during
- * checkpointing leaves the previous checkpoint, never a torn one.
+ * contract (the seed scheme makes the fingerprint content-addressed).
+ * save() writes through AtomicFileWriter (temp + fsync + rename): a
+ * crash during checkpointing leaves the previous checkpoint, never a
+ * torn one.
  * load() verifies magic, version, length and CRC before parsing and
  * rejects anything inconsistent with a Status — a corrupt checkpoint
  * is never partially loaded.

@@ -596,8 +596,8 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         // segment, the plain readouts (masked off the lanes whose
         // policies LRC'd them under SwapLrc), and the LRC-slot branch
         // expanded to this round's per-block divergent tails. The
-        // round's unconditional noise is one hit-table advance per
-        // channel; each tail advances its own block's streams.
+        // round body's noise is one hit-table advance of every block's
+        // streams; each block's tails share one advance of its own.
         ProgramLrcFillT<NW> fill;
         fill.lrcOnStab = lrc_on_stab.data();
         fill.blockTails = active;

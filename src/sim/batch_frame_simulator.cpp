@@ -130,11 +130,6 @@ BatchFrameSimulatorT<NW>::BatchFrameSimulatorT(int num_qubits,
                 ch.skip[b] = bernoulliGeometricGap(ch.rng[b], ch.log1mp);
         }
     }
-    // Op-level execution needs the sites of one op.
-    NoiseSites op_sites;
-    for (int c = 0; c < kNoiseChannels; ++c)
-        op_sites.count[c] = 2;
-    reserveTables(op_sites, op_sites);
     laneRng_.reserve(numLanes_);
     for (int l = 0; l < numLanes_; ++l)
         laneRng_.push_back(Rng::forShot(seed, first_shot + l));
@@ -270,28 +265,6 @@ BatchFrameSimulatorT<NW>::HitTable<W>::start(int n)
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::advanceGroup(Channel &ch, int n)
-{
-    ch.group.start(n);
-    for (int b = 0; b < numBlocks_; ++b)
-        walkSites(ch, b, n, [&](int s, uint64_t bits) {
-            Lane word{};
-            laneWordRef(word, b) = bits;
-            ch.group.write(s, word);
-        });
-}
-
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::advanceBlock(Channel &ch, int b, int n)
-{
-    ch.block.start(n);
-    walkSites(ch, b, n,
-              [&](int s, uint64_t bits) { ch.block.write(s, bits); });
-}
-
-template <int NW>
-void
 BatchFrameSimulatorT<NW>::reserveTables(const NoiseSites &group,
                                         const NoiseSites &block)
 {
@@ -303,13 +276,25 @@ BatchFrameSimulatorT<NW>::reserveTables(const NoiseSites &group,
 
 template <int NW>
 void
-BatchFrameSimulatorT<NW>::advanceAll(const NoiseSites &sites, int b)
+BatchFrameSimulatorT<NW>::advance(const NoiseSites &sites, int b)
 {
     for (int c = 0; c < kNoiseChannels; ++c) {
-        if (b < 0)
-            advanceGroup(channels_[c], sites.count[c]);
-        else
-            advanceBlock(channels_[c], b, sites.count[c]);
+        Channel &ch = channels_[c];
+        const int n = sites.count[c];
+        if (b >= 0) {
+            ch.block.start(n);
+            walkSites(ch, b, n, [&](int s, uint64_t bits) {
+                ch.block.write(s, bits);
+            });
+            continue;
+        }
+        ch.group.start(n);
+        for (int blk = 0; blk < numBlocks_; ++blk)
+            walkSites(ch, blk, n, [&](int s, uint64_t bits) {
+                Lane word{};
+                laneWordRef(word, blk) = bits;
+                ch.group.write(s, word);
+            });
     }
 }
 
@@ -721,7 +706,7 @@ BatchFrameSimulatorT<NW>::execute(const Op &op, const Lane &mask)
     // Outside program replay each op advances the streams by its own
     // sites.
     GroupView v{*this};
-    advanceAll(opSites(op.type), -1);
+    advance(opSites(op.type), -1);
     apply(v, op, mask & live_);
 }
 
@@ -731,7 +716,7 @@ BatchFrameSimulatorT<NW>::executeBlock(const Op &op, int block,
                                        uint64_t mask)
 {
     BlockView v{*this, block};
-    advanceAll(opSites(op.type), block);
+    advance(opSites(op.type), block);
     apply(v, op, mask & laneWord(live_, block));
 }
 
@@ -792,7 +777,7 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
 {
     if (bound_ != &prog)
         bindProgramStreams(prog);
-    advanceAll(roundSites_, -1);
+    advance(roundSites_, -1);
     GroupView v{*this};
     const Lane live = mask & live_;
     for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
@@ -832,7 +817,7 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
                 for (int c = 0; c < kNoiseChannels; ++c)
                     sites.count[c] =
                         tailSites_.count[c] * (int)tails.size();
-                advanceAll(sites, b);
+                advance(sites, b);
                 for (const IrLrcTail &t : tails)
                     executeLrcTail(prog, t, b, round, fill.multiLevel);
                 checkConsumed(sites, true, "LRC tails consumed other "
@@ -855,7 +840,7 @@ BatchFrameSimulatorT<NW>::executeProgramFinal(const CircuitProgram &prog,
 {
     if (bound_ != &prog)
         bindProgramStreams(prog);
-    advanceAll(finalSites_, -1);
+    advance(finalSites_, -1);
     GroupView v{*this};
     const Lane live = mask & live_;
     for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)

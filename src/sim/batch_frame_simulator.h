@@ -19,23 +19,24 @@
  *    NoiseChannel) is read from per-block *hit tables*. Seepage acts
  *    only where its lane is leaked, so its trial is drawn on every lane
  *    and masked. Every 64-lane block owns one stream per channel; a
- *    stream is a
- *    fixed sequence of "sites" (one trial per lane each), and every
- *    noisy op consumes its sites in program order whether or not its
- *    mask covers the lane. The stream advances N sites at a time with
- *    one geometric walk over N x lanes trials (a dense per-site fill
- *    when p >= kRareThreshold): once per replayed round for the body,
- *    once per divergent LRC tail on that tail's block, once for the
- *    final layer, and one site at a time for op-level execute() outside
- *    program replay. The walk is chunking-invariant, so the hits depend
- *    only on each block's site order — the Stim bulk-sampler idea with
- *    a per-round hit table in place of its rng_buffer.
+ *    stream is a fixed sequence of "sites" (one trial per lane each),
+ *    and every noisy op consumes its sites in program order whether or
+ *    not its mask covers the lane. A stream advances N sites at a time
+ *    with one geometric walk over N x lanes trials (a dense per-site
+ *    fill when p >= kRareThreshold): once per replayed round for the
+ *    body, once per LRC slot on each block for that block's divergent
+ *    tails, once for the final layer, and by one op's sites for
+ *    op-level execute(). The walk is chunking-invariant, so the hits
+ *    depend only on each block's site order — the Stim bulk-sampler
+ *    idea with a per-round hit table in place of its rng_buffer.
  *  - State-conditional events (transport, the random Pauli a leaked
  *    CNOT partner receives, random readouts and multi-level label
  *    misses on leaked lanes, DQLR excitation, the random state a
  *    seeped qubit returns in, and the Pauli a depolarizing hit picks)
  *    are drawn per lane from that lane's own `Rng::forShot(seed, shot)`
- *    stream, in the order FrameSimulator draws them.
+ *    stream, in the order FrameSimulator draws them (which matches it
+ *    draw for draw when p = 0, since FrameSimulator also takes the
+ *    fixed-probability trials from that stream).
  *
  * Block b of a word-group starting at shot S owns the channel streams a
  * 64-lane group starting at shot S + 64*b would own, so a W = 256/512
@@ -120,10 +121,10 @@ struct ProgramLrcFillT
 
 /**
  * Version of the engine's noise-sampling contract: which stream every
- * draw comes from and in what order. Anything keyed to exact results
- * (checkpoint plan fingerprints, the golden corpus) folds it in, so
- * results produced under an earlier contract are never mixed with
- * this one's. Bump it with any change to the draw contract.
+ * draw comes from and in what order. Checkpoint plan fingerprints fold
+ * it in, so a sweep checkpoint written under an earlier contract is
+ * refused instead of resumed with different streams. Bump it with any
+ * change to the draw contract (and regenerate the golden corpus).
  */
 constexpr uint64_t kNoiseContract = 2;
 
@@ -160,18 +161,18 @@ class BatchFrameSimulatorT
     /** Clear frames, leakage and the measurement record. */
     void reset();
 
-    /** Execute one operation on a subset of lanes. The op consumes its
-     *  unconditional noise sites even when no lane is masked in. */
+    /** Execute one operation on a subset of lanes, advancing every
+     *  block's streams by the op's noise sites (consumed even when no
+     *  lane is masked in). */
     void execute(const Op &op, const Lane &mask);
     /** Execute one operation on all live lanes. */
     void execute(const Op &op) { execute(op, live_); }
 
     /**
-     * Execute one operation on lanes of a single 64-lane block — the
-     * fast path for policy-divergent LRC/DQLR tails, whose masks never
-     * span blocks. Operates on plane word `block` only (word arithmetic
-     * at any NW) and draws only block `block`'s streams; record entries
-     * still carry full-width lane sets.
+     * Execute one operation on lanes of a single 64-lane block, the
+     * op-level image of an LRC-tail op: word arithmetic on plane word
+     * `block` only (at any NW), advancing only that block's streams by
+     * the op's sites. Record entries still carry full-width lane sets.
      */
     void executeBlock(const Op &op, int block, uint64_t mask);
 
@@ -185,12 +186,13 @@ class BatchFrameSimulatorT
 
     /**
      * Replay one round of a compiled program on the masked lanes:
-     * Gate instructions run verbatim through execute(), Readout
+     * Gate instructions run verbatim, Readout
      * instructions stamp their pool Measure with `round` (masking off
      * LRC'd lanes when the program replaces plain readouts), and each
      * LrcSlot branch expands the fill registered under its slot id
-     * (`fills[id]`, ids >= num_fills stay empty). The round's
-     * unconditional noise comes from one hit-table advance per channel.
+     * (`fills[id]`, ids >= num_fills stay empty). The round body's
+     * noise sites come from one advance of every block's streams, and
+     * each slot's tails from one advance of their block's streams.
      */
     void executeProgramRound(const CircuitProgram &prog, int round,
                              const Lane &mask,
@@ -359,18 +361,15 @@ class BatchFrameSimulatorT
     void addOpSites(NoiseSites &sites, const Op &op) const;
     Channel & channel(NoiseChannel c) { return channels_[(int)c]; }
 
-    /** Advance every block's stream by n sites into the group table. */
-    void advanceGroup(Channel &ch, int n);
-    /** Advance block b's stream by n sites into the block table. */
-    void advanceBlock(Channel &ch, int b, int n);
     /** Walk block b's stream over n sites, emitting (site, hit bits). */
     template <class Emit>
     void walkSites(Channel &ch, int b, int n, Emit &&emit);
     /** Size the tables for advances of up to `group` / `block` sites. */
     void reserveTables(const NoiseSites &group, const NoiseSites &block);
-    /** Advance every channel over `sites` into the group tables, or
-     *  into block b's tables when b >= 0. */
-    void advanceAll(const NoiseSites &sites, int b);
+    /** Advance every channel over `sites`: every block's streams into
+     *  the group tables, or only block b's into the block tables when
+     *  b >= 0. */
+    void advance(const NoiseSites &sites, int b);
     /** Library-bug guard: a replay consumed exactly what it filled. */
     void checkConsumed(const NoiseSites &sites, bool block,
                        const char *what) const;
