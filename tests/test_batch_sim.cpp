@@ -176,14 +176,9 @@ channelHits(NoiseChannel channel, double prob, int lanes, int n,
     EXPECT_EQ(sim.roundSites().of(channel), n);
     int64_t hits = 0;
     for (int r = 0; r < rounds; ++r) {
-        for (int q = 0; q < n; ++q) {
+        for (int q = 0; q < n; ++q)
             sim.setLeaked(q, channel == NoiseChannel::Seepage,
                           sim.liveMask());
-            if (channel != NoiseChannel::Pauli) {
-                sim.injectPauli(q, Pauli::X, sim.xWord(q));
-                sim.injectPauli(q, Pauli::Z, sim.zWord(q));
-            }
-        }
         sim.executeProgramRound(prog, r, sim.liveMask());
         for (int q = 0; q < n; ++q) {
             if (channel == NoiseChannel::Pauli)
@@ -207,12 +202,7 @@ TEST(HitTables, PerChannelHitRatesMatchAtW64AndRaggedW257)
     for (int c = 0; c < kNoiseChannels; ++c) {
         const NoiseChannel channel = (NoiseChannel)c;
         for (double prob : {0.004, 0.05}) {
-            SCOPED_TRACE(std::string(channel == NoiseChannel::Pauli
-                                         ? "pauli"
-                                     : channel ==
-                                             NoiseChannel::LeakInjection
-                                         ? "leak"
-                                         : "seep") +
+            SCOPED_TRACE("channel " + std::to_string(c) +
                          " p=" + std::to_string(prob));
             ASSERT_EQ(prob < kRareThreshold, prob == 0.004);
             for (int lanes : {64, 257}) {
