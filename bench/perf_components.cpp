@@ -252,18 +252,14 @@ BM_MemoryExperimentEraserWorkers(benchmark::State &state)
     cfg.threads = workers;
     MemoryExperiment exp(code, cfg);
 
-    const WorkerPool::Stats before = sharedWorkerPool().stats();
     uint64_t shots = 0;
     for (auto _ : state) {
         auto result = exp.run(PolicyKind::Eraser);
         benchmark::DoNotOptimize(result.lrcsScheduled);
         shots += result.shots;
     }
-    const WorkerPool::Stats after = sharedWorkerPool().stats();
     state.counters["shots/s"] = benchmark::Counter(
         (double)shots, benchmark::Counter::kIsRate);
-    state.counters["pool_regions"] =
-        benchmark::Counter((double)(after.regions - before.regions));
 }
 BENCHMARK(BM_MemoryExperimentEraserWorkers)
     ->ArgName("workers")->Arg(1)->Arg(2)->Arg(4)->Arg(8)

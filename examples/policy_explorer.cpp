@@ -34,20 +34,22 @@
  *   --checkpoint-every N save every N session chunks (default 1)
  *   --deadline SECONDS   stop cleanly after this wall-clock budget,
  *                        checkpointing the in-flight point
- *   --schedule           execute with the cross-point chunk scheduler
- *                        (exp/sweep_scheduler.h): chunks from many
- *                        live points share one worker pool, shots flow
- *                        to the widest Wilson intervals; results are
- *                        bit-identical to sequential execution
- *   --workers N          worker count: the scheduler pool size with
- *                        --schedule, the per-point simulator thread
- *                        count without it — so the two modes compare
- *                        fairly at equal N (default: hardware
+ *   --schedule           widen the sweep window from one point to
+ *                        --max-live-points points: chunks from many
+ *                        live points share the workers, shots flow
+ *                        to the widest Wilson intervals. Same loop as
+ *                        the default one-point window, so results are
+ *                        bit-identical either way
+ *   --workers N          worker count of either window: the
+ *                        cross-point window's workers with
+ *                        --schedule, the plan's per-point thread
+ *                        count without it — so the two windows
+ *                        compare fairly at equal N (default: hardware
  *                        concurrency)
  *   --max-total-shots N  global shot budget across all points;
  *                        truncates deterministically on exhaustion
- *   --max-live-points N  scheduler admission window (default
- *                        max(8, workers))
+ *   --max-live-points N  cross-point window size with --schedule
+ *                        (default max(8, workers))
  */
 
 #include <cstdio>
@@ -236,8 +238,8 @@ main(int argc, char **argv)
         plan.fixedSeed = seed;
     if (precision > 0.0)
         plan.earlyStop.targetRelPrecision = precision;
-    // Same worker budget either way: the scheduler gets a pool of N,
-    // the sequential runner simulates each point with N threads.
+    // Same worker budget either way: the one-point window runs on
+    // the plan's thread count, the cross-point window on `workers`.
     if (workers > 0 && !schedule)
         plan.base.threads = workers;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -19,14 +18,6 @@ namespace
  *  parallel regions from inside a body run inline instead of
  *  deadlocking on the (busy) pool. */
 thread_local bool tl_pool_worker = false;
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 } // namespace
 
@@ -66,8 +57,6 @@ struct WorkerPool::Impl
     std::atomic<bool> failed{false};
     std::exception_ptr firstError;
 
-    Stats stats;
-
     /** Serializes run() callers (one region at a time). */
     std::mutex runMutex;
 
@@ -92,8 +81,6 @@ struct WorkerPool::Impl
                 job = body;
                 n = count;
             }
-            const double start = nowSeconds();
-            uint64_t executed = 0;
             // An exception escaping a worker thread would
             // std::terminate the process; capture the first one and
             // rethrow it on the calling thread instead, so recoverable
@@ -107,7 +94,6 @@ struct WorkerPool::Impl
                     break;
                 try {
                     (*job)(slot, i);
-                    ++executed;
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(m);
                     if (!firstError)
@@ -118,8 +104,6 @@ struct WorkerPool::Impl
             }
             {
                 std::lock_guard<std::mutex> lock(m);
-                stats.busySeconds += nowSeconds() - start;
-                stats.tasks += executed;
                 if (--remaining == 0)
                     done.notify_all();
             }
@@ -135,18 +119,6 @@ struct WorkerPool::Impl
         }
     }
 
-    void
-    runInline(uint64_t n,
-              const std::function<void(unsigned, uint64_t)> &job)
-    {
-        const double start = nowSeconds();
-        for (uint64_t i = 0; i < n; ++i)
-            job(0, i);
-        std::lock_guard<std::mutex> lock(m);
-        ++stats.regions;
-        stats.tasks += n;
-        stats.busySeconds += nowSeconds() - start;
-    }
 };
 
 WorkerPool::WorkerPool(unsigned workers)
@@ -184,13 +156,6 @@ WorkerPool::ensureWorkers(unsigned n)
     impl_->spawnTo(n);
 }
 
-WorkerPool::Stats
-WorkerPool::stats() const
-{
-    std::lock_guard<std::mutex> lock(impl_->m);
-    return impl_->stats;
-}
-
 void
 WorkerPool::run(uint64_t count,
                 const std::function<void(unsigned, uint64_t)> &body,
@@ -199,11 +164,14 @@ WorkerPool::run(uint64_t count,
     if (count == 0)
         return;
     Impl &im = *impl_;
+    const auto runInline = [&] {
+        for (uint64_t i = 0; i < count; ++i)
+            body(0, i);
+    };
     if (tl_pool_worker) {
         // Nested region from inside a pool body: the pool is busy
         // with the enclosing region, so execute inline.
-        for (uint64_t i = 0; i < count; ++i)
-            body(0, i);
+        runInline();
         return;
     }
     std::lock_guard<std::mutex> region(im.runMutex);
@@ -216,7 +184,7 @@ WorkerPool::run(uint64_t count,
         use = std::min(use, use_workers);
     use = (unsigned)std::min<uint64_t>(use, count);
     if (use <= 1) {
-        im.runInline(count, body);
+        runInline();
         return;
     }
 
@@ -231,7 +199,6 @@ WorkerPool::run(uint64_t count,
         im.failed.store(false);
         im.firstError = nullptr;
         ++im.generation;
-        ++im.stats.regions;
         im.wake.notify_all();
         im.done.wait(lock, [&] { return im.remaining == 0; });
         im.body = nullptr;

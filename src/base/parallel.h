@@ -6,7 +6,7 @@
  *
  * Execution is backed by a persistent WorkerPool: threads are spawned
  * once and reused across parallel regions, so tight chunk loops
- * (session chunks, bench repetitions, the sweep scheduler's rounds)
+ * (session chunks, bench repetitions, the sweep loop's rounds)
  * pay a wakeup instead of a thread spawn + join per region.
  */
 
@@ -91,16 +91,6 @@ class WorkerPool
              const std::function<void(unsigned worker, uint64_t index)>
                  &body,
              unsigned use_workers = 0);
-
-    /** Cumulative pool accounting; snapshot before/after a workload
-     *  and difference to get its busy-time / utilization. */
-    struct Stats
-    {
-        uint64_t regions = 0;     ///< run() regions executed.
-        uint64_t tasks = 0;       ///< Body invocations.
-        double busySeconds = 0.0; ///< Summed per-worker drain time.
-    };
-    Stats stats() const;
 
   private:
     struct Impl;

@@ -1,10 +1,8 @@
 /**
  * @file
- * Execution plumbing shared by the sequential SweepRunner loop and the
- * cross-point SweepScheduler (exp/sweep_scheduler.h): the cross-point
- * component caches and the checkpoint load/verify preamble. Both
- * executors must build identical components in identical order and
- * make identical resume decisions, so the logic lives here once.
+ * Execution plumbing of SweepRunner::run: the cross-point component
+ * caches and the checkpoint load/verify preamble. Exposed so that
+ * benchmarks can build exactly the components a sweep builds.
  */
 
 #ifndef QEC_EXP_SWEEP_EXEC_H
@@ -24,8 +22,9 @@ namespace qec
  * Cross-point component caches: the expensive builds (lattice,
  * detector model, decoder structure) are keyed by exactly what they
  * depend on, so a grid that revisits them pays once. Builds happen on
- * the calling thread in request order — both executors request points
- * in plan-index order, keeping the built/reused accounting identical.
+ * the calling thread in request order — the runner requests points
+ * in plan-index order at any window, keeping the built/reused
+ * accounting identical.
  */
 class SweepBuildCache
 {
@@ -70,9 +69,9 @@ class SweepBuildCache
 };
 
 /**
- * The checkpoint preamble both executors share: when resume is
- * requested, load `options.path`, verify its plan fingerprint, and
- * adopt it into `ckpt` (whose planFingerprint must be preset).
+ * The sweep's checkpoint preamble: when resume is requested, load
+ * `options.path`, verify its plan fingerprint, and adopt it into
+ * `ckpt` (whose planFingerprint must be preset).
  * Returns false when the sweep must not proceed — fingerprint
  * mismatch, or a corrupt/version-skewed file that is evidence of real
  * progress — with summary.status / summary.resumeStatus set.

@@ -2,33 +2,73 @@
  * @file
  * Sweep execution: the `qec::sweep` back half.
  *
- * SweepRunner executes a SweepPlan point by point, building each
- * point's MemoryExperiment from cross-point caches (codes per
- * distance, detector models per (d, rounds, basis), decoders per
- * (model, kind, p)) so grids that revisit a lattice or a detector
- * model never rebuild them. Every policy of a point runs through an
+ * SweepRunner executes a SweepPlan, building each point's
+ * MemoryExperiment from cross-point caches (codes per distance,
+ * detector models per (d, rounds, basis), decoders per (model, kind,
+ * p)) so grids that revisit a lattice or a detector model never
+ * rebuild them. Every policy of a point runs through an
  * ExperimentSession (honoring the plan's early-stop rule), and the
- * finished PointResult streams to the attached sinks: a bench_util
- * style table printer, the unified JSON emitter, or a plain
+ * finished PointResult streams to the attached sinks in plan order: a
+ * bench_util style table printer, the unified JSON emitter, or a plain
  * collector for benches with bespoke presentation.
+ *
+ * One loop, two window defaults. The runner keeps a window of points
+ * *live* at once and feeds their sessions' chunks to one set of
+ * workers: each allocation round plans the next chunks of every live
+ * session, splits them into word-group units, dispatches the unit bag
+ * (parallelForWorkers), and then commits the finished chunks point by
+ * point. By default the window is one point and the worker count is
+ * the plan's thread count — the sequential sweep. With
+ * SweepRunOptions::schedule the window widens to maxLivePoints points
+ * on `workers` workers, so one point's tail (few word-groups left,
+ * early stop pending) no longer strands the others' workers. A live
+ * point opens its policies' sessions one at a time, in plan order, and
+ * frees each once it is done, so at most one set of decode contexts
+ * per point is ever held.
+ *
+ * Adaptive allocation: beyond a fair one-chunk-per-live-session
+ * baseline, extra chunks of the round go to the sessions whose Wilson
+ * confidence intervals are widest relative to the plan's precision
+ * target — shots flow to the points that are furthest from stopping,
+ * under the global SweepRunOptions::maxTotalShots budget.
+ *
+ * Determinism contract: results are bit-identical at ANY window and
+ * worker count, and to a standalone ExperimentSession run —
+ *
+ *  - chunk boundaries are the session's own (planChunkAt /
+ *    defaultChunkShotsAt reproduce exactly the sizes runChunk would
+ *    have used, including the shrink near a shot cap);
+ *  - chunk merges are unit-partial merges, commutative by
+ *    ExperimentResult::merge's construction;
+ *  - early stop is evaluated at commitChunk time on cumulative
+ *    counters, in fixed session order — chunks planned past a
+ *    boundary where the rule fires are executed speculatively and
+ *    *discarded*, never committed, so every session stops at exactly
+ *    the shot runChunk would stop at;
+ *  - allocation decisions read only committed state at round
+ *    barriers, never in-flight partials or wall-clock, so the round
+ *    structure itself is worker-count-independent (the wall-clock
+ *    deadline is the one documented exception).
  *
  * Fault tolerance (SweepRunOptions):
  *
  *  - Checkpoint/resume. With CheckpointOptions::path set, the runner
- *    persists a qec.ckpt.v1 artifact (exp/checkpoint.h) at chunk
- *    boundaries — atomically, so a kill at any instant leaves a
- *    loadable checkpoint — and a rerun against the same plan skips
- *    completed points (re-emitting them to the sinks, so the final
- *    artifact is complete), restores the in-flight point's partial at
- *    its exact chunk boundary, and finishes bit-identically to a run
- *    that was never interrupted.
+ *    persists a qec.ckpt.v1 artifact (exp/checkpoint.h) holding the
+ *    working record of every live point at chunk boundaries —
+ *    atomically, so a kill at any instant leaves a loadable
+ *    checkpoint — and a rerun against the same plan skips completed
+ *    points (re-emitting them to the sinks, so the final artifact is
+ *    complete), restores in-flight points' partials at their exact
+ *    chunk boundaries, and finishes bit-identically to a run that was
+ *    never interrupted, whichever window either run used.
  *  - Recoverable point failures. A point that fails with a retryable
  *    Status (transient I/O, allocation failure) is retried with
- *    bounded backoff; a point that keeps failing is quarantined —
- *    recorded in SweepSummary::errors, not emitted — and the sweep
- *    continues.
+ *    bounded backoff — its uncommitted round chunks discarded,
+ *    committed progress kept — while the other points keep running; a
+ *    point that keeps failing is quarantined — recorded in
+ *    SweepSummary::errors, not emitted — and the sweep continues.
  *  - Deadlines. A wall-clock budget stops the sweep cleanly at a
- *    chunk boundary, checkpointing the partial so a later run can
+ *    round boundary, checkpointing the partials so a later run can
  *    pick up where it stopped.
  */
 
@@ -51,15 +91,15 @@ struct PointResult
     SweepPoint point;
     /** One result per plan policy, in plan order. */
     std::vector<ExperimentResult> results;
-    /** Wall-clock seconds per policy. */
+    /** Unit-execution seconds per policy (summed over workers). */
     std::vector<double> seconds;
     std::vector<bool> stoppedEarly;
     /** Policy stopped at a deadline with shots remaining (the result
      *  is a valid, checkpoint-resumable partial). */
     std::vector<bool> truncated;
     /** Wall-clock seconds from the point entering execution to its
-     *  completion (spans concurrent points under the scheduler; 0 for
-     *  points re-emitted from a checkpoint). */
+     *  completion (spans concurrent points in a cross-point window; 0
+     *  for points re-emitted from a checkpoint). */
     double wallSeconds = 0.0;
 
     double
@@ -126,12 +166,13 @@ struct SweepSummary
     size_t checkpointSaves = 0;
     std::vector<SweepPointError> errors;
 
-    // ----------------------------------------- scheduled execution
-    /** The cross-point scheduler executed this sweep. */
+    // ------------------------------------------- execution stats
+    /** The sweep ran with the cross-point window
+     *  (SweepRunOptions::schedule). */
     bool scheduled = false;
-    /** Worker-pool threads the scheduler dispatched onto. */
+    /** Workers the units were dispatched onto. */
     unsigned workersUsed = 0;
-    /** Allocation rounds the scheduler ran. */
+    /** Allocation rounds the loop ran. */
     uint64_t schedulerRounds = 0;
     /** Session chunks dispatched (committed + discarded). */
     uint64_t chunksDispatched = 0;
@@ -141,7 +182,8 @@ struct SweepSummary
     /** Speculative shots executed but discarded because the early
      *  stop fired at an earlier committed boundary. */
     uint64_t shotsDiscarded = 0;
-    /** Busy worker-seconds / (workers * sweep wall seconds). */
+    /** Summed unit-execution seconds / (workers * sweep wall
+     *  seconds). */
     double poolUtilization = 0.0;
     /** SweepRunOptions::maxTotalShots stopped the sweep with work
      *  remaining (truncated is set too; resumable). */
@@ -319,20 +361,22 @@ struct SweepRunOptions
     /** Backoff before retry k is 2^(k-1) times this (bounded). */
     double retryBackoffSeconds = 0.05;
 
-    // ----------------------------------------- scheduled execution
+    // --------------------------------------------- sweep window
     /**
-     * Execute the plan with the cross-point chunk scheduler
-     * (exp/sweep_scheduler.h) instead of the sequential point loop:
-     * chunks from many live points dispatch onto one worker pool,
-     * with shots flowing to the sessions whose Wilson intervals are
-     * widest relative to the precision target. Results are
-     * bit-identical to the sequential runner at any worker count
+     * Widen the window from one point to maxLivePoints points:
+     * chunks from many live points share `workers` workers, with
+     * shots flowing to the sessions whose Wilson intervals are widest
+     * relative to the precision target. Off (the default), one point
+     * is live at a time on resolveThreadCount(plan.base.threads)
+     * workers — the sequential sweep. Both run the same loop, so
+     * results are bit-identical either way at any worker count
      * (fingerprints, counters, early-stop shots); only wall-clock
      * fields and, when maxTotalShots binds, the budget's distribution
      * across points differ.
      */
     bool schedule = false;
-    /** Scheduler worker-pool size (0 = defaultThreadCount()). */
+    /** Workers of the cross-point window (0 = defaultThreadCount());
+     *  ignored without `schedule`. */
     unsigned workers = 0;
     /**
      * Global shot budget across every point and policy, accounted at
@@ -344,11 +388,13 @@ struct SweepRunOptions
      */
     uint64_t maxTotalShots = 0;
     /**
-     * Scheduler admission window: how many points may be live (built,
-     * sessions in memory) at once. 0 derives max(8, workers). Wider
-     * admits more cross-point parallelism; narrower bounds memory.
-     * Does not affect results unless maxTotalShots binds (admission
-     * order decides who competes for the remaining budget).
+     * Cross-point window size: how many points may be live (built,
+     * one session each in memory) at once. 0 derives max(8, workers);
+     * ignored without `schedule` (the window is then one point).
+     * Wider admits more cross-point parallelism; narrower bounds
+     * memory. Does not affect results unless maxTotalShots binds
+     * (admission order decides who competes for the remaining
+     * budget).
      */
     size_t maxLivePoints = 0;
 };

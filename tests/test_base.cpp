@@ -167,9 +167,6 @@ TEST(WorkerPool, ReusesThreadsAcrossRegions)
         for (auto &h : hits)
             ASSERT_EQ(h.load(), 1);
     }
-    const WorkerPool::Stats st = pool.stats();
-    EXPECT_EQ(st.regions, 50u);
-    EXPECT_EQ(st.tasks, 50u * 64u);
 }
 
 TEST(WorkerPool, WorkerIndicesAreWithinBounds)
@@ -233,32 +230,14 @@ TEST(WorkerPool, NestedRunExecutesInline)
     EXPECT_EQ(inner_total.load(), 4 * 8);
 }
 
-TEST(WorkerPool, StatsAccumulateBusyTime)
-{
-    WorkerPool pool(2);
-    const WorkerPool::Stats before = pool.stats();
-    pool.run(32, [&](unsigned, uint64_t) {
-        volatile double x = 0;
-        for (int k = 0; k < 10000; ++k)
-            x += k;
-        (void)x;
-    });
-    const WorkerPool::Stats after = pool.stats();
-    EXPECT_EQ(after.regions, before.regions + 1);
-    EXPECT_EQ(after.tasks, before.tasks + 32);
-    EXPECT_GE(after.busySeconds, before.busySeconds);
-}
-
 TEST(WorkerPool, SharedPoolBacksParallelFor)
 {
-    WorkerPool &shared = sharedWorkerPool();
-    const WorkerPool::Stats before = shared.stats();
     std::atomic<int> ran{0};
     parallelForWorkers(
         64, [&](unsigned, uint64_t) { ran.fetch_add(1); }, 2);
     EXPECT_EQ(ran.load(), 64);
-    const WorkerPool::Stats after = shared.stats();
-    EXPECT_GT(after.tasks, before.tasks);
+    // A two-worker region grows the shared pool to serve it.
+    EXPECT_GE(sharedWorkerPool().workers(), 2u);
 }
 
 } // namespace

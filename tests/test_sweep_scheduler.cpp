@@ -1,12 +1,13 @@
 /**
  * @file
- * Cross-point sweep scheduler tests: bit-identity against the
- * sequential SweepRunner at several worker counts and widths (with
- * and without early stopping), worker-count-invariant budget
- * truncation, multi-point checkpoint crash/resume (including
- * cross-mode: scheduled checkpoint resumed sequentially and vice
- * versa), and retry/quarantine of a faulting point while the other
- * points keep running.
+ * Sweep window tests: the cross-point window (SweepRunOptions::
+ * schedule) is bit-identical to the default one-point window, and
+ * both to standalone sessions, at several worker counts and widths
+ * (with and without early stopping); worker-count-invariant budget
+ * truncation, and plan-order budget use in the one-point window;
+ * multi-point checkpoint crash/resume (including a checkpoint of one
+ * window resumed under the other); and retry/quarantine of a faulting
+ * point while the other points keep running.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,10 @@
 #include <unistd.h>
 
 #include "base/fault_injection.h"
+#include "code/rotated_surface_code.h"
 #include "exp/checkpoint.h"
+#include "exp/experiment_session.h"
+#include "exp/memory_experiment.h"
 #include "exp/sweep_runner.h"
 
 namespace qec
@@ -147,6 +151,26 @@ TEST_F(SweepSchedulerTest,
         ASSERT_TRUE(seq_summary.status.isOk());
         ASSERT_EQ(seq.points.size(), 3u);
 
+        // The default window runs the sweep's own loop, so also pin
+        // it against a standalone session's runChunk loop.
+        for (const PointResult &pr : seq.points) {
+            RotatedSurfaceCode code(pr.point.distance);
+            MemoryExperiment exp(code, pr.point.config);
+            SessionOptions session_options;
+            session_options.earlyStop = plan.earlyStop;
+            ASSERT_EQ(pr.results.size(), plan.policies.size());
+            for (size_t j = 0; j < plan.policies.size(); ++j) {
+                ExperimentSession session(exp, plan.policies[j].kind,
+                                          session_options);
+                SCOPED_TRACE("width " + std::to_string(width) +
+                             " point " + std::to_string(pr.point.index) +
+                             " policy " + std::to_string(j));
+                expectResultIdentical(session.runToCompletion(),
+                                      pr.results[j]);
+                EXPECT_EQ(session.stoppedEarly(), pr.stoppedEarly[j]);
+            }
+        }
+
         for (unsigned workers : {1u, 2u, 8u}) {
             SweepRunOptions options;
             options.schedule = true;
@@ -262,8 +286,11 @@ TEST_F(SweepSchedulerTest,
 TEST_F(SweepSchedulerTest, SequentialBudgetTruncatesDeterministically)
 {
     const SweepPlan plan = fixedPlan(64, 2048);
+    const std::string path = tempPath("budget_order.ckpt");
     SweepRunOptions options;
     options.maxTotalShots = 3000;
+    options.checkpoint.path = path;
+    options.checkpoint.resume = false;
     uint64_t shots[2];
     for (int i = 0; i < 2; ++i) {
         SweepRunner runner(plan);
@@ -280,6 +307,23 @@ TEST_F(SweepSchedulerTest, SequentialBudgetTruncatesDeterministically)
         shots[i] = summary.shotsRun;
     }
     EXPECT_EQ(shots[0], shots[1]);
+
+    // The one-point window spends the budget in plan order: point 0
+    // alone is live, and each of its policies finishes before the
+    // next one commits a shot.
+    StatusOr<SweepCheckpoint> loaded = SweepCheckpoint::load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    ASSERT_EQ(loaded.value().points.size(), 1u);
+    const PointCheckpoint &point = loaded.value().points.begin()->second;
+    EXPECT_EQ(point.pointIndex, 0u);
+    EXPECT_FALSE(point.finished);
+    ASSERT_EQ(point.policies.size(), 2u);
+    EXPECT_TRUE(point.policies[0].finished);
+    EXPECT_EQ(point.policies[0].progress.total.shots, 2048u);
+    EXPECT_GT(point.policies[1].progress.total.shots, 0u);
+    EXPECT_FALSE(point.policies[1].finished);
+    EXPECT_TRUE(point.policies[1].truncated);
+    std::remove(path.c_str());
 }
 
 TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
