@@ -118,7 +118,6 @@ struct WorkerPool::Impl
             threads.emplace_back([this, slot] { workerLoop(slot); });
         }
     }
-
 };
 
 WorkerPool::WorkerPool(unsigned workers)

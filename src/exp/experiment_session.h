@@ -190,7 +190,8 @@ class ExperimentSession
     /**
      * The chunk size runToCompletion uses between early-stop
      * evaluations — deterministic for a given (plan, rule), which
-     * makes externally-driven chunk loops hit the same boundaries as an uninterrupted runToCompletion.
+     * makes externally-driven chunk loops hit the same boundaries as
+     * an uninterrupted runToCompletion.
      * ~0 when no early-stop rule is active (one maximal chunk).
      */
     uint64_t defaultChunkShots() const;
@@ -199,10 +200,11 @@ class ExperimentSession
     //
     // The sweep loop (SweepRunner::run, exp/sweep_runner.h) splits
     // chunks into units, executes the units of *many* sessions
-    // concurrently on one set of workers, and commits each chunk at a barrier — in the
-    // session's own chunk order, so the committed sequence of chunk
-    // boundaries (and therefore every early-stop decision) is exactly
-    // the sequence runChunk/runToCompletion would have produced.
+    // concurrently on one set of workers, and commits each chunk at a
+    // barrier — in the session's own chunk order, so the committed
+    // sequence of chunk boundaries (and therefore every early-stop
+    // decision) is exactly the sequence runChunk/runToCompletion would
+    // have produced.
 
     /** Execution units (word-group spans) in the whole session;
      *  progress().nextSpan ranges over [0, this]. */

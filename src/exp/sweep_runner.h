@@ -30,7 +30,9 @@
  * baseline, extra chunks of the round go to the sessions whose Wilson
  * confidence intervals are widest relative to the plan's precision
  * target — shots flow to the points that are furthest from stopping,
- * under the global SweepRunOptions::maxTotalShots budget.
+ * under the global SweepRunOptions::maxTotalShots budget. A one-point
+ * window has one session and plans no extras: they could only run
+ * ahead of its early stop.
  *
  * Determinism contract: results are bit-identical at ANY window and
  * worker count, and to a standalone ExperimentSession run —
