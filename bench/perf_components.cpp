@@ -78,9 +78,18 @@ BM_LsbDliRoundDecision(benchmark::State &state)
 }
 BENCHMARK(BM_LsbDliRoundDecision)->Arg(3)->Arg(7)->Arg(11);
 
+/** DLI flavour a controller-round bench drives. */
+enum class ControllerBench
+{
+    Lookup,   ///< ERASER: LSB + lookup-table DLI.
+    Exact,    ///< ERASER with the exact-matching DLI ablation.
+    Oracle,   ///< Optimal: oracle marks + exact matching.
+};
+
 template <int NW>
 void
-runBatchControllerRound(benchmark::State &state, int d, int lanes)
+runBatchControllerRound(benchmark::State &state, int d, int lanes,
+                        ControllerBench mode)
 {
     // Word-parallel image of BM_LsbDliRoundDecision: one controller
     // decision for a whole word-group. Items = lane decisions, so the
@@ -91,15 +100,27 @@ runBatchControllerRound(benchmark::State &state, int d, int lanes)
     SwapLookupTable lookup(code);
     BatchPolicySpec spec;
     spec.kind = BatchPolicyKind::Eraser;
+    if (mode == ControllerBench::Exact)
+        spec.allocator = DliAllocator::ExactMatching;
+    if (mode == ControllerBench::Oracle)
+        spec = OptimalLrcPolicy(code, lookup).batchSpec();
     BatchEraserController<Lane> controller(code, lookup, spec);
     Rng rng(1);
 
     std::vector<Lane> events(code.numStabilizers(), Lane{});
     std::vector<Lane> labels(code.numStabilizers(), Lane{});
     std::vector<Lane> had_lrc(code.numData(), Lane{});
+    std::vector<Lane> leaked(code.numData(), Lane{});
     for (auto &plane : events) {
         for (int l = 0; l < lanes; ++l) {
             if (rng.bernoulli(0.03))
+                setLane(plane, l);
+        }
+    }
+    // Oracle marks: about one leaked data qubit per lane.
+    for (auto &plane : leaked) {
+        for (int l = 0; l < lanes; ++l) {
+            if (rng.bernoulli(1.0 / code.numData()))
                 setLane(plane, l);
         }
     }
@@ -107,25 +128,52 @@ runBatchControllerRound(benchmark::State &state, int d, int lanes)
     std::vector<std::vector<LrcPair>> lrcs(lanes);
 
     for (auto _ : state) {
-        controller.nextRound(events, labels, had_lrc, live, lrcs);
+        if (mode == ControllerBench::Oracle)
+            controller.oracleRound(leaked, live, lrcs);
+        else
+            controller.nextRound(events, labels, had_lrc, live, lrcs);
         benchmark::DoNotOptimize(lrcs.data());
     }
     state.SetItemsProcessed(state.iterations() * lanes);
 }
 
 void
-BM_BatchControllerRound(benchmark::State &state)
+batchControllerRound(benchmark::State &state, ControllerBench mode)
 {
     const int d = (int)state.range(0);
     const int width = (int)state.range(1);
     if (width <= 64)
-        runBatchControllerRound<1>(state, d, width);
+        runBatchControllerRound<1>(state, d, width, mode);
     else if (width <= 256)
-        runBatchControllerRound<4>(state, d, width);
+        runBatchControllerRound<4>(state, d, width, mode);
     else
-        runBatchControllerRound<8>(state, d, width);
+        runBatchControllerRound<8>(state, d, width, mode);
+}
+
+void
+BM_BatchControllerRound(benchmark::State &state)
+{
+    batchControllerRound(state, ControllerBench::Lookup);
 }
 BENCHMARK(BM_BatchControllerRound)
+    ->ArgNames({"d", "width"})
+    ->Args({11, 64})->Args({11, 256})->Args({11, 512});
+
+void
+BM_BatchControllerRoundExact(benchmark::State &state)
+{
+    batchControllerRound(state, ControllerBench::Exact);
+}
+BENCHMARK(BM_BatchControllerRoundExact)
+    ->ArgNames({"d", "width"})
+    ->Args({11, 64})->Args({11, 256})->Args({11, 512});
+
+void
+BM_BatchControllerRoundOracle(benchmark::State &state)
+{
+    batchControllerRound(state, ControllerBench::Oracle);
+}
+BENCHMARK(BM_BatchControllerRoundOracle)
     ->ArgNames({"d", "width"})
     ->Args({11, 64})->Args({11, 256})->Args({11, 512});
 

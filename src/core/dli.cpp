@@ -59,30 +59,33 @@ DynamicLrcInsertion::allocateLookup(LeakageTrackingTable &ltt,
 
 template <typename Lane>
 void
-DynamicLrcInsertion::allocateLane(int lane,
-                                  const std::vector<int> &candidates,
+DynamicLrcInsertion::allocateLane(int lane, const int *marks,
+                                  int num_marks,
                                   BatchLeakageTrackingTable<Lane> &ltt,
                                   const BatchParityUsageTable<Lane> &putt,
                                   DliLaneScratch &scratch,
                                   std::vector<LrcPair> &lrcs) const
 {
     lrcs.clear();
+    const auto usable = [&putt, lane](int s) {
+        return !putt.used(s, lane);
+    };
     if (allocator_ == DliAllocator::LookupTable) {
         if ((int)scratch.takenEpoch.size() < code_.numStabilizers())
             scratch.takenEpoch.assign(code_.numStabilizers(), 0);
         const int epoch = ++scratch.epoch;
-        for (int q : candidates) {
-            if (!ltt.marked(q, lane))
-                continue;
+        const auto available = [&](int s) {
+            return usable(s) && scratch.takenEpoch[s] != epoch;
+        };
+        for (int k = 0; k < num_marks; ++k) {
+            const int q = marks[k];
             const SwapEntry &entry = lookup_.entry(q);
             int chosen = -1;
-            if (!putt.used(entry.primary, lane) &&
-                scratch.takenEpoch[entry.primary] != epoch) {
+            if (available(entry.primary)) {
                 chosen = entry.primary;
             } else {
                 for (int backup : entry.backups) {
-                    if (!putt.used(backup, lane) &&
-                        scratch.takenEpoch[backup] != epoch) {
+                    if (available(backup)) {
                         chosen = backup;
                         break;
                     }
@@ -97,44 +100,31 @@ DynamicLrcInsertion::allocateLane(int lane,
         return;
     }
 
-    // Exact matching is an ablation path: like the per-lane reference
-    // allocateMatching, it builds its instance vectors per call (the
-    // paper-default lookup branch above is the allocation-free one).
-    std::vector<int> marked;
-    for (int q : candidates) {
-        if (ltt.marked(q, lane))
-            marked.push_back(q);
-    }
-    std::vector<std::vector<int>> adjacency(marked.size());
-    for (size_t i = 0; i < marked.size(); ++i) {
-        for (int s : code_.stabilizersOfData(marked[i])) {
-            if (!putt.used(s, lane))
-                adjacency[i].push_back(s);
-        }
-    }
-    auto match = maxBipartiteMatching((int)marked.size(), adjacency,
-                                      code_.numStabilizers());
-    for (size_t i = 0; i < marked.size(); ++i) {
-        if (match[i] < 0)
+    // Exact matching over the marks, cooled-down stabs excluded: the
+    // same instance allocateMatching solves, in the same order.
+    BipartiteMatcher &matcher = scratch.matcher;
+    matcher.begin(code_.numData(), code_.numStabilizers());
+    for (int k = 0; k < num_marks; ++k)
+        matcher.augment(marks[k], stabilizersOfDataFn(code_), usable);
+    for (int k = 0; k < num_marks; ++k) {
+        const int stab = matcher.rightOf(marks[k]);
+        if (stab < 0)
             continue;
-        lrcs.push_back({marked[i], match[i]});
-        ltt.clear(marked[i], lane);
+        lrcs.push_back({marks[k], stab});
+        ltt.clear(marks[k], lane);
     }
 }
 
 template void DynamicLrcInsertion::allocateLane<uint64_t>(
-    int, const std::vector<int> &,
-    BatchLeakageTrackingTable<uint64_t> &,
+    int, const int *, int, BatchLeakageTrackingTable<uint64_t> &,
     const BatchParityUsageTable<uint64_t> &, DliLaneScratch &,
     std::vector<LrcPair> &) const;
 template void DynamicLrcInsertion::allocateLane<WordVec<4>>(
-    int, const std::vector<int> &,
-    BatchLeakageTrackingTable<WordVec<4>> &,
+    int, const int *, int, BatchLeakageTrackingTable<WordVec<4>> &,
     const BatchParityUsageTable<WordVec<4>> &, DliLaneScratch &,
     std::vector<LrcPair> &) const;
 template void DynamicLrcInsertion::allocateLane<WordVec<8>>(
-    int, const std::vector<int> &,
-    BatchLeakageTrackingTable<WordVec<8>> &,
+    int, const int *, int, BatchLeakageTrackingTable<WordVec<8>> &,
     const BatchParityUsageTable<WordVec<8>> &, DliLaneScratch &,
     std::vector<LrcPair> &) const;
 
@@ -145,24 +135,24 @@ DynamicLrcInsertion::allocateMatching(LeakageTrackingTable &ltt,
 {
     if (ltt.markedCount() == 0)
         return {};
-    const auto marked = ltt.markedList();
-    std::vector<std::vector<int>> adjacency(marked.size());
-    for (size_t i = 0; i < marked.size(); ++i) {
-        for (int s : code_.stabilizersOfData(marked[i])) {
-            if (!putt.used(s))
-                adjacency[i].push_back(s);
-        }
+    BipartiteMatcher matcher;
+    matcher.begin(code_.numData(), code_.numStabilizers());
+    const auto usable = [&putt](int s) { return !putt.used(s); };
+    for (int q = 0; q < ltt.size(); ++q) {
+        if (ltt.marked(q))
+            matcher.augment(q, stabilizersOfDataFn(code_), usable);
     }
-    auto match = maxBipartiteMatching((int)marked.size(), adjacency,
-                                      code_.numStabilizers());
 
     std::vector<LrcPair> lrcs;
-    for (size_t i = 0; i < marked.size(); ++i) {
-        if (match[i] < 0)
+    for (int q = 0; q < ltt.size(); ++q) {
+        if (!ltt.marked(q))
             continue;
-        used_stabs.push_back(match[i]);
-        lrcs.push_back({marked[i], match[i]});
-        ltt.clear(marked[i]);
+        const int stab = matcher.rightOf(q);
+        if (stab < 0)
+            continue;
+        used_stabs.push_back(stab);
+        lrcs.push_back({q, stab});
+        ltt.clear(q);
     }
     return lrcs;
 }

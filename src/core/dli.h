@@ -6,7 +6,8 @@
  * allocate a SWAP partner for as many suspect data qubits as possible
  * for the next round. The paper's hardware walks the SWAP Lookup
  * Table (primary, then backups); an exact maximum-matching allocator
- * is provided as an ablation and for the idealized Optimal policy.
+ * (the shared BipartiteMatcher) is provided as an ablation and for the
+ * idealized Optimal policy.
  */
 
 #ifndef QEC_CORE_DLI_H
@@ -33,14 +34,16 @@ enum class DliAllocator
 
 /**
  * Reusable scratch for the word-parallel engine's per-lane DLI
- * fallback: the "parity qubit taken this round" set is epoch-versioned
- * so consecutive lanes never pay a table wipe. One instance per
- * controller, never shared across threads.
+ * fallback: the lookup walk's "parity qubit taken this round" set is
+ * epoch-versioned and the exact allocator's matcher is stamp-versioned,
+ * so consecutive lanes never pay a table wipe or an allocation. One
+ * instance per controller, never shared across threads.
  */
 struct DliLaneScratch
 {
     std::vector<int> takenEpoch;
     int epoch = 0;
+    BipartiteMatcher matcher;
 };
 
 class DynamicLrcInsertion
@@ -71,23 +74,27 @@ class DynamicLrcInsertion
     /**
      * Allocate LRCs for one lane of a word-parallel tracking-table
      * pair — the per-lane fallback the batch controller runs only on
-     * lanes whose speculation-active mask is nonzero. Walks exactly
-     * the order `allocate` walks (candidates ascending, primary then
-     * backups / exact matching), so lane l's output is bit-identical
-     * to a per-lane policy's. Allocated qubits are cleared from lane
-     * l of the LTT; the caller feeds the chosen stabs (the pairs'
-     * `stab` fields) into BatchParityUsageTable::markPending.
+     * lanes whose speculation-active mask is nonzero. The caller
+     * hands over the lane's own LTT marks, ascending (the controller
+     * transposes them lane-major once per round), so the walk costs
+     * O(lane's marks) and visits exactly the qubits `allocate` visits,
+     * in the same order (primary then backups / exact matching): lane
+     * l's output is bit-identical to a per-lane policy's. Allocated
+     * qubits are cleared from lane l of the LTT; the caller feeds the
+     * chosen stabs (the pairs' `stab` fields) into
+     * BatchParityUsageTable::markPending. Allocation-free once the
+     * scratch and `lrcs` have grown to the largest round seen.
      *
-     * @param lane       Lane to allocate for.
-     * @param candidates Ascending data-qubit ids whose LTT plane has
-     *                   any lane set (a superset of lane l's marks).
-     * @param ltt        Word-parallel suspect table (updated in place).
-     * @param putt       Word-parallel cooldown table, current round.
-     * @param scratch    Reusable epoch-versioned taken set.
-     * @param[out] lrcs  Cleared, then filled with lane l's pairs.
+     * @param lane      Lane to allocate for.
+     * @param marks     Lane l's marked data qubits, ascending.
+     * @param num_marks Length of `marks`.
+     * @param ltt       Word-parallel suspect table (updated in place).
+     * @param putt      Word-parallel cooldown table, current round.
+     * @param scratch   Reusable taken set and matcher.
+     * @param[out] lrcs Cleared, then filled with lane l's pairs.
      */
     template <typename Lane>
-    void allocateLane(int lane, const std::vector<int> &candidates,
+    void allocateLane(int lane, const int *marks, int num_marks,
                       BatchLeakageTrackingTable<Lane> &ltt,
                       const BatchParityUsageTable<Lane> &putt,
                       DliLaneScratch &scratch,

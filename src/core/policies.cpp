@@ -10,54 +10,29 @@ namespace
 
 /**
  * Build a near-perfect (data, stab) pairing with Kuhn's matching,
- * processing `first_data` first so it is guaranteed a partner.
+ * augmenting `first_data` first so it is guaranteed a partner.
  */
 std::vector<LrcPair>
 buildPairing(const RotatedSurfaceCode &code, int first_data,
              int &leftover)
 {
     const int n_data = code.numData();
-    std::vector<int> order;
+    BipartiteMatcher matcher;
+    matcher.begin(n_data, code.numStabilizers());
+    const auto neighbors = stabilizersOfDataFn(code);
     if (first_data >= 0)
-        order.push_back(first_data);
+        matcher.augment(first_data, neighbors);
     for (int q = 0; q < n_data; ++q) {
         if (q != first_data)
-            order.push_back(q);
-    }
-
-    // Kuhn's matching in the chosen order: left vertices matched
-    // earlier are never unmatched by later augmentations.
-    std::vector<int> match_right(code.numStabilizers(), -1);
-    std::function<bool(int, std::vector<uint8_t> &)> augment =
-        [&](int q, std::vector<uint8_t> &seen) {
-            for (int s : code.stabilizersOfData(q)) {
-                if (seen[s])
-                    continue;
-                seen[s] = 1;
-                if (match_right[s] == -1 ||
-                    augment(match_right[s], seen)) {
-                    match_right[s] = q;
-                    return true;
-                }
-            }
-            return false;
-        };
-    for (int q : order) {
-        std::vector<uint8_t> seen(code.numStabilizers(), 0);
-        augment(q, seen);
-    }
-
-    std::vector<int> match_left(n_data, -1);
-    for (int s = 0; s < code.numStabilizers(); ++s) {
-        if (match_right[s] != -1)
-            match_left[match_right[s]] = s;
+            matcher.augment(q, neighbors);
     }
 
     std::vector<LrcPair> pairs;
     leftover = -1;
     for (int q = 0; q < n_data; ++q) {
-        if (match_left[q] >= 0) {
-            pairs.push_back({q, match_left[q]});
+        const int stab = matcher.rightOf(q);
+        if (stab >= 0) {
+            pairs.push_back({q, stab});
         } else {
             panicIf(leftover != -1,
                     "exactly one data qubit must be left over");
@@ -135,14 +110,17 @@ template <typename Lane>
 BatchEraserController<Lane>::BatchEraserController(
     const RotatedSurfaceCode &code, const SwapLookupTable &lookup,
     const BatchPolicySpec &spec)
-    : puttCooldown_(spec.puttCooldown),
+    : oracle_(spec.oracle), puttCooldown_(spec.puttCooldown),
       lsb_(code, LsbOptions{spec.threshold, spec.multiLevel}),
       dli_(code, lookup, spec.allocator),
       ltt_(code.numData()),
-      putt_(code.numStabilizers())
+      putt_(code.numStabilizers()),
+      markArena_(sizeof(Lane) * 8 * (size_t)code.numData()),
+      laneEnd_(sizeof(Lane) * 8)
 {
-    panicIf(spec.kind != BatchPolicyKind::Eraser,
-            "BatchEraserController needs an Eraser policy spec");
+    panicIf(spec.kind != BatchPolicyKind::Eraser && !spec.oracle,
+            "BatchEraserController needs an Eraser or oracle spec");
+    candidates_.reserve(code.numData());
 }
 
 template <typename Lane>
@@ -152,13 +130,34 @@ BatchEraserController<Lane>::nextRound(
     const std::vector<Lane> &had_lrc, const Lane &live,
     std::vector<std::vector<LrcPair>> &lrcs)
 {
+    panicIf(oracle_, "an oracle controller runs oracleRound");
     // Stage 1 — word-parallel speculation straight on the planes.
     lsb_.speculateWords(events, labels, had_lrc, live, ltt_);
+    allocateMarked(live, lrcs);
+}
 
-    // Stage 2 — collect the speculation-active lane mask (and the
-    // candidate qubits any active lane will walk). Marks persist
-    // across rounds for unserviced qubits, so the mask is recomputed
-    // from the planes rather than from this round's events alone.
+template <typename Lane>
+void
+BatchEraserController<Lane>::oracleRound(
+    const std::vector<Lane> &leaked, const Lane &live,
+    std::vector<std::vector<LrcPair>> &lrcs)
+{
+    panicIf(!oracle_, "oracleRound needs an oracle controller");
+    // The oracle's marks are exactly this round's leaked qubits.
+    for (int q = 0; q < ltt_.size(); ++q)
+        ltt_.assign(q, leaked[q] & live);
+    allocateMarked(live, lrcs);
+}
+
+template <typename Lane>
+void
+BatchEraserController<Lane>::allocateMarked(
+    const Lane &live, std::vector<std::vector<LrcPair>> &lrcs)
+{
+    // Stage 2 — collect the active lane mask (and the candidate
+    // qubits any active lane holds). Marks persist across rounds for
+    // unserviced qubits, so the mask is recomputed from the planes
+    // rather than from this round's events alone.
     candidates_.clear();
     Lane active{};
     for (int q = 0; q < ltt_.size(); ++q) {
@@ -173,11 +172,19 @@ BatchEraserController<Lane>::nextRound(
     for (auto &lane_lrcs : lrcs)
         lane_lrcs.clear();
 
-    // Stage 3 — per-lane DLI, but only on active lanes (at the error
-    // rates of interest most rounds have none).
+    // Stage 3 — transpose the active lanes' marks lane-major in one
+    // pass (candidates ascend, so every lane's list does too) and run
+    // DLI per active lane over its own marks only.
+    const int stride = ltt_.size();
+    forEachSetLane(active, [&](int l) { laneEnd_[l] = l * stride; });
+    for (int q : candidates_)
+        forEachSetLane(ltt_.word(q) & active,
+                       [&](int l) { markArena_[laneEnd_[l]++] = q; });
+
     forEachSetLane(active, [&](int l) {
-        dli_.allocateLane(l, candidates_, ltt_, putt_, laneScratch_,
-                          lrcs[l]);
+        dli_.allocateLane(l, markArena_.data() + (size_t)l * stride,
+                          laneEnd_[l] - l * stride, ltt_, putt_,
+                          laneScratch_, lrcs[l]);
         if (puttCooldown_) {
             for (const auto &pair : lrcs[l])
                 putt_.markPending(pair.stab, l);

@@ -56,7 +56,8 @@ struct RoundObservation
 enum class BatchPolicyKind
 {
     /** No lane-parallel form: one policy instance per lane, fed a
-     *  materialized per-lane RoundObservation (the fallback path). */
+     *  materialized per-lane RoundObservation (the fallback path;
+     *  see BatchPolicySpec::oracle for the one exception). */
     PerLane,
     /** Never schedules anything: skip policy evaluation outright. */
     Never,
@@ -64,8 +65,8 @@ enum class BatchPolicyKind
      *  syndrome: one shared instance drives every lane. */
     Uniform,
     /** The ERASER controller: LSB/LTT/PUTT evaluate word-parallel on
-     *  bit planes, DLI falls back per lane on speculation-active
-     *  lanes only. */
+     *  bit planes, DLI walks each speculation-active lane's own
+     *  marks. */
     Eraser,
 };
 
@@ -73,11 +74,20 @@ enum class BatchPolicyKind
 struct BatchPolicySpec
 {
     BatchPolicyKind kind = BatchPolicyKind::PerLane;
-    /** ERASER parameters (kind == Eraser only). */
-    bool multiLevel = false;
-    bool puttCooldown = true;
-    LsbThreshold threshold = LsbThreshold::AtLeastTwo;
+    /**
+     * The idealized Optimal scheduler's capability: the batch
+     * controller's oracleRound reproduces the per-lane nextRound from
+     * the engine's true-leak planes. Orthogonal to `kind`, which stays
+     * PerLane, so a dispatcher that only reads `kind` still runs the
+     * per-lane reference and stays correct.
+     */
+    bool oracle = false;
+    /** DLI parameters (kind == Eraser, or oracle). */
     DliAllocator allocator = DliAllocator::LookupTable;
+    bool puttCooldown = true;
+    /** LSB parameters (kind == Eraser only). */
+    bool multiLevel = false;
+    LsbThreshold threshold = LsbThreshold::AtLeastTwo;
 };
 
 /** Scheduling policy interface. */
@@ -163,7 +173,6 @@ class AlwaysLrcPolicy : public LrcPolicy
     /** Two alternating near-perfect pairings with different leftover
      *  data qubits. */
     std::vector<std::vector<LrcPair>> pairings_;
-    int lrcRoundsSeen_ = 0;
 };
 
 /**
@@ -231,48 +240,68 @@ class OptimalLrcPolicy : public LrcPolicy
                      const SwapLookupTable &lookup);
 
     std::string name() const override { return "Optimal"; }
+    BatchPolicySpec
+    batchSpec() const override
+    {
+        // Oracle round on the batch controller: exact matching, no
+        // cooldown. `kind` stays PerLane (see BatchPolicySpec::oracle).
+        BatchPolicySpec spec;
+        spec.oracle = true;
+        spec.allocator = DliAllocator::ExactMatching;
+        spec.puttCooldown = false;
+        return spec;
+    }
     std::vector<LrcPair> nextRound(const RoundObservation &obs)
         override;
+
+    /** Oracle marks left after the last round's allocation (the
+     *  truly leaked qubits the matching could not serve). */
+    const LeakageTrackingTable & ltt() const { return ltt_; }
 
   private:
     const RotatedSurfaceCode &code_;
     DynamicLrcInsertion dli_;
     ParityUsageTable emptyPutt_;
-    /** Reused oracle-mark table and scratch (no per-round allocs). */
+    /** Oracle-mark table and used-stab list, reused across rounds
+     *  (the per-round matching still allocates its scratch). */
     LeakageTrackingTable ltt_;
     std::vector<int> usedStabsScratch_;
 };
 
 /**
  * Word-parallel ERASER controller: the lane-parallel form of
- * EraserPolicy for one word-group of W = 64/256/512 shots.
+ * EraserPolicy (and of OptimalLrcPolicy, via oracleRound) for one
+ * word-group of W = 64/256/512 shots.
  *
- * Where W per-lane EraserPolicy instances each scan a materialized
+ * Where W per-lane policy instances each scan a materialized
  * byte-array observation, this controller keeps ONE set of LTT/PUTT
  * bit planes for the whole group and evaluates the speculation stage
  * as word arithmetic directly on the engine's detection-event planes:
  * LSB thresholds all lanes at once (bit-sliced neighbor counts,
- * had-LRC suppression planes, ERASER+M |L> label planes), and only
- * lanes whose speculation-active mask is nonzero fall back to the
- * inherently sequential per-lane DLI walk. Round cost is
- * O(lattice x plane words + active lanes) instead of
- * O(lattice x lanes).
+ * had-LRC suppression planes, ERASER+M |L> label planes). DLI is
+ * inherently sequential per lane, so the marks of the lanes whose
+ * speculation-active mask is nonzero are transposed once into a
+ * lane-major arena and each such lane walks only its own marks.
+ * Round cost is O(lattice x plane words + total active marks)
+ * instead of O(lattice x lanes).
  *
  * Lane l's schedule stream is bit-identical to a dedicated
- * EraserPolicy fed lane l's observations — the invariant the
- * cross-width controller differentials pin.
+ * EraserPolicy (or OptimalLrcPolicy) fed lane l's observations — the
+ * invariant the cross-width controller differentials pin.
  */
 template <typename Lane>
 class BatchEraserController
 {
   public:
+    /** @param spec An Eraser spec (nextRound) or an oracle spec
+     *              (oracleRound). */
     BatchEraserController(const RotatedSurfaceCode &code,
                           const SwapLookupTable &lookup,
                           const BatchPolicySpec &spec);
 
     /**
      * Observe one round's planes and emit every lane's next-round
-     * LRCs.
+     * LRCs (Eraser spec).
      *
      * @param events  Detection-event lane plane per stabilizer.
      * @param labels  |L> label lane plane per stabilizer (consulted
@@ -288,6 +317,18 @@ class BatchEraserController
                    const std::vector<Lane> &had_lrc, const Lane &live,
                    std::vector<std::vector<LrcPair>> &lrcs);
 
+    /**
+     * The Optimal scheduler's round (oracle spec): the LTT is reset to
+     * the truly leaked data qubits and DLI allocates with no LSB stage
+     * and no cooldown — per lane, exactly OptimalLrcPolicy::nextRound.
+     *
+     * @param leaked  Ground-truth leak plane per data qubit.
+     * @param live    Live-lane mask of the word-group.
+     * @param[out] lrcs As for nextRound.
+     */
+    void oracleRound(const std::vector<Lane> &leaked, const Lane &live,
+                     std::vector<std::vector<LrcPair>> &lrcs);
+
     const BatchLeakageTrackingTable<Lane> & ltt() const
     {
         return ltt_;
@@ -295,6 +336,11 @@ class BatchEraserController
     const BatchParityUsageTable<Lane> & putt() const { return putt_; }
 
   private:
+    /** DLI on every lane with a live mark, then the PUTT advance. */
+    void allocateMarked(const Lane &live,
+                        std::vector<std::vector<LrcPair>> &lrcs);
+
+    bool oracle_;
     bool puttCooldown_;
     LeakageSpeculationBlock lsb_;
     DynamicLrcInsertion dli_;
@@ -303,6 +349,11 @@ class BatchEraserController
     DliLaneScratch laneScratch_;
     /** Data qubits whose LTT plane has any lane set, ascending. */
     std::vector<int> candidates_;
+    /** Lane-major marks, one numData() stride per lane: active lane
+     *  l's marked qubits, ascending, are
+     *  markArena_[l * numData(), laneEnd_[l]). */
+    std::vector<int> markArena_;
+    std::vector<int> laneEnd_;
 };
 
 extern template class BatchEraserController<uint64_t>;

@@ -1,50 +1,24 @@
 #include "core/swap_lookup.h"
 
-#include <algorithm>
-
 #include "base/logging.h"
 
 namespace qec
 {
-
-namespace
-{
-
-bool
-tryAugment(int left, const std::vector<std::vector<int>> &adjacency,
-           std::vector<int> &match_right, std::vector<uint8_t> &seen)
-{
-    for (int right : adjacency[left]) {
-        if (seen[right])
-            continue;
-        seen[right] = 1;
-        if (match_right[right] == -1 ||
-            tryAugment(match_right[right], adjacency, match_right,
-                       seen)) {
-            match_right[right] = left;
-            return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
 
 std::vector<int>
 maxBipartiteMatching(int num_left,
                      const std::vector<std::vector<int>> &adjacency,
                      int num_right)
 {
-    std::vector<int> match_right(num_right, -1);
-    for (int l = 0; l < num_left; ++l) {
-        std::vector<uint8_t> seen(num_right, 0);
-        tryAugment(l, adjacency, match_right, seen);
-    }
-    std::vector<int> match_left(num_left, -1);
-    for (int r = 0; r < num_right; ++r) {
-        if (match_right[r] != -1)
-            match_left[match_right[r]] = r;
-    }
+    BipartiteMatcher matcher;
+    matcher.begin(num_left, num_right);
+    const auto neighbors = [&adjacency](int l)
+        -> const std::vector<int> & { return adjacency[l]; };
+    std::vector<int> match_left(num_left);
+    for (int l = 0; l < num_left; ++l)
+        matcher.augment(l, neighbors);
+    for (int l = 0; l < num_left; ++l)
+        match_left[l] = matcher.rightOf(l);
     return match_left;
 }
 
@@ -52,26 +26,25 @@ SwapLookupTable::SwapLookupTable(const RotatedSurfaceCode &code,
                                  int backup_limit)
 {
     const int n_data = code.numData();
-    std::vector<std::vector<int>> adjacency(n_data);
+    BipartiteMatcher matcher;
+    matcher.begin(n_data, code.numStabilizers());
     for (int q = 0; q < n_data; ++q)
-        adjacency[q] = code.stabilizersOfData(q);
-
-    auto match = maxBipartiteMatching(n_data, adjacency,
-                                      code.numStabilizers());
+        matcher.augment(q, stabilizersOfDataFn(code));
 
     entries_.resize(n_data);
     for (int q = 0; q < n_data; ++q) {
         SwapEntry &entry = entries_[q];
-        if (match[q] != -1) {
-            entry.primary = match[q];
-            pairs_.push_back({q, match[q]});
+        const int match = matcher.rightOf(q);
+        if (match != -1) {
+            entry.primary = match;
+            pairs_.push_back({q, match});
         } else {
             panicIf(unmatched_ != -1,
                     "matching must leave exactly one data qubit over");
             unmatched_ = q;
-            entry.primary = adjacency[q].front();
+            entry.primary = code.stabilizersOfData(q).front();
         }
-        for (int s : adjacency[q]) {
+        for (int s : code.stabilizersOfData(q)) {
             if (s == entry.primary)
                 continue;
             if ((int)entry.backups.size() < backup_limit)

@@ -146,6 +146,13 @@ class BatchLeakageTrackingTable
         marks_[data] |= lanes;
     }
 
+    /** Overwrite qubit `data`'s mark plane. */
+    void
+    assign(int data, const Lane &lanes)
+    {
+        marks_[data] = lanes;
+    }
+
     bool
     marked(int data, int lane) const
     {
@@ -187,6 +194,9 @@ class BatchParityUsageTable
     explicit BatchParityUsageTable(int num_stabs)
         : used_(num_stabs, Lane{}), pending_(num_stabs, Lane{})
     {
+        // Sized to their bound: rounds never grow them.
+        usedStabs_.reserve(num_stabs);
+        pendingStabs_.reserve(num_stabs);
     }
 
     bool

@@ -435,16 +435,20 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     sim.bindProgramStreams(prog);
 
     // Policy evaluation dispatch: a probe instance reports whether the
-    // policy has a lane-parallel form. ERASER runs the word-parallel
-    // controller (one LTT/PUTT bit-plane set for the group), Uniform
-    // policies run one shared instance, and only PerLane policies
-    // (Optimal, custom) materialize per-lane observations below.
+    // policy has a lane-parallel form. ERASER and the Optimal oracle
+    // run the word-parallel controller (one LTT/PUTT bit-plane set for
+    // the group), Uniform policies run one shared instance, and only
+    // the remaining PerLane policies (custom ones) materialize
+    // per-lane observations below.
     std::unique_ptr<LrcPolicy> shared = factory();
     const BatchPolicySpec spec = shared->batchSpec();
     const bool multi_level = shared->usesMultiLevelReadout();
-    const bool per_lane = spec.kind == BatchPolicyKind::PerLane;
+    const bool use_controller =
+        spec.oracle || spec.kind == BatchPolicyKind::Eraser;
+    const bool per_lane =
+        !use_controller && spec.kind == BatchPolicyKind::PerLane;
 
-    panicIf(spec.kind == BatchPolicyKind::Eraser &&
+    panicIf(use_controller &&
                 config_.family != CircuitFamily::SurfaceMemory,
             "the ERASER controller requires the surface-memory family");
 
@@ -458,7 +462,7 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
             policies.push_back(factory());
         for (int l = 0; l < W; ++l)
             lrcs[l] = policies[l]->firstRound();
-    } else if (spec.kind == BatchPolicyKind::Eraser) {
+    } else if (use_controller) {
         controller = std::make_unique<BatchEraserController<Lane>>(
             code_, lookup_, spec);
         const auto first_lrcs = shared->firstRound();
@@ -510,7 +514,7 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         std::fill(lrc_on_stab.begin(), lrc_on_stab.end(), Lane{});
         for (int b = 0; b < NB; ++b)
             active[b].clear();
-        if (!per_lane && spec.kind != BatchPolicyKind::Eraser) {
+        if (!per_lane && !controller) {
             // Lane-uniform schedule: every live lane executes lane 0's
             // pairs, so the masks and block tails are whole-word. The
             // Uniform capability is claimable by arbitrary policy
@@ -640,12 +644,19 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         }
 
         obs.round = r;
-        if (controller) {
+        if (controller && spec.oracle) {
+            // Optimal: the controller marks the truly leaked lanes
+            // straight from the engine's planes and matches per lane
+            // on those lanes only.
+            for (int q = 0; q < n_data; ++q)
+                leak_snapshot[q] = sim.leakedWord(q);
+            controller->oracleRound(leak_snapshot, live, lrcs);
+        } else if (controller) {
             // Word-parallel adaptive step: the controller thresholds
             // the event planes for all lanes at once (sched_mask is
             // exactly this round's had-LRC suppression plane) and
-            // falls back to per-lane DLI only on speculation-active
-            // lanes. No per-lane observation is ever materialized.
+            // runs per-lane DLI only on speculation-active lanes. No
+            // per-lane observation is ever materialized.
             controller->nextRound(events, labels, sched_mask, live,
                                   lrcs);
         } else if (spec.kind == BatchPolicyKind::Uniform) {

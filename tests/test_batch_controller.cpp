@@ -11,7 +11,10 @@
  *     schedule streams are bit-identical to dedicated per-lane
  *     EraserPolicy instances across rounds — LTT marks, PUTT
  *     cooldowns and DLI allocation order included — for both
- *     allocators and with the PUTT-cooldown ablation.
+ *     allocators and with the PUTT-cooldown ablation; its oracle
+ *     round matches per-lane OptimalLrcPolicy instances the same
+ *     way; the lane-major exact-matching DLI matches the reference
+ *     matching; and steady-state rounds allocate nothing.
  *  3. Experiment level: the word-parallel engine path produces
  *     bit-identical results (verdicts, speculation quadrants, LRC
  *     counts, LPR traces) to the per-lane fallback path at W = 64,
@@ -21,12 +24,67 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "base/rng.h"
 #include "core/policies.h"
 #include "exp/memory_experiment.h"
+
+// ---------------------------------------------------------------------
+// Global allocation counter: every operator new in this binary bumps
+// it, so tests can assert a code region allocates nothing. The
+// replacement operators pair malloc with free, which GCC's
+// new/delete-mismatch heuristic cannot see through.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+static std::atomic<uint64_t> g_allocations{0};
+
+void *
+operator new(std::size_t size)
+{
+    ++g_allocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    ++g_allocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace qec
 {
@@ -290,6 +348,186 @@ TEST(BatchController, MatchesPerLaneExactMatchingAndNoCooldown)
     controllerMatchesPerLanePolicies<WordVec<8>>(3, spec, 320, 4, 44);
 }
 
+/**
+ * Oracle round vs per-lane OptimalLrcPolicy: random true-leak planes
+ * each round, schedules and the leftover oracle marks compared lane
+ * for lane. Saturated rounds (more leaked qubits than any matching
+ * serves) alternate with sparse ones, so marks wrongly carried into
+ * the next round would change its schedule.
+ */
+template <typename Lane>
+void
+oracleMatchesPerLaneOptimal(int d, int lanes, int rounds,
+                            uint64_t seed)
+{
+    RotatedSurfaceCode code(d);
+    SwapLookupTable lookup(code);
+    BatchEraserController<Lane> controller(
+        code, lookup, OptimalLrcPolicy(code, lookup).batchSpec());
+
+    std::vector<std::unique_ptr<OptimalLrcPolicy>> ref;
+    ref.reserve(lanes);
+    for (int l = 0; l < lanes; ++l)
+        ref.push_back(std::make_unique<OptimalLrcPolicy>(code, lookup));
+
+    const int n_data = code.numData();
+    const Lane live = laneMaskOf<Lane>(lanes);
+    Rng rng(seed);
+    std::vector<Lane> leaked(n_data, Lane{});
+    std::vector<std::vector<LrcPair>> lrcs(lanes);
+    RoundObservation obs;
+
+    for (int r = 0; r < rounds; ++r) {
+        // Dead lanes carry leak bits too: the live mask must drop them.
+        const double density = r % 2 ? 0.05 : 0.9;
+        for (int q = 0; q < n_data; ++q)
+            leaked[q] = randomPlane<Lane>(rng, lanes, density) |
+                        andnot(randomPlane<Lane>(rng, (int)sizeof(Lane) * 8,
+                                                 0.5),
+                               live);
+        controller.oracleRound(leaked, live, lrcs);
+        for (int l = 0; l < lanes; ++l) {
+            obs.round = r;
+            obs.trueLeakedData = laneSlice(leaked, l);
+            ASSERT_EQ(lrcs[l], ref[l]->nextRound(obs))
+                << "round " << r << " lane " << l;
+            for (int q = 0; q < n_data; ++q) {
+                ASSERT_EQ(controller.ltt().marked(q, l),
+                          ref[l]->ltt().marked(q))
+                    << "round " << r << " lane " << l << " q " << q;
+            }
+        }
+    }
+}
+
+TEST(BatchController, OracleRoundMatchesPerLaneOptimal)
+{
+    oracleMatchesPerLaneOptimal<uint64_t>(3, 64, 6, 51);
+    oracleMatchesPerLaneOptimal<uint64_t>(5, 37, 6, 52);
+    oracleMatchesPerLaneOptimal<WordVec<4>>(5, 256, 4, 53);
+    oracleMatchesPerLaneOptimal<WordVec<4>>(3, 130, 6, 54);
+    oracleMatchesPerLaneOptimal<WordVec<8>>(3, 512, 4, 55);
+    oracleMatchesPerLaneOptimal<WordVec<8>>(5, 300, 4, 56);
+}
+
+TEST(BatchDli, ExactLaneMatchesReferenceMatching)
+{
+    // allocateLane(ExactMatching) on a lane's marks must equal the
+    // reference maxBipartiteMatching over the same marks with the
+    // lane's cooled-down stabs removed from the adjacency.
+    using Lane = WordVec<4>;
+    RotatedSurfaceCode code(5);
+    SwapLookupTable lookup(code);
+    DynamicLrcInsertion dli(code, lookup, DliAllocator::ExactMatching);
+    const int n_data = code.numData();
+    const int n_stabs = code.numStabilizers();
+    Rng rng(2026);
+    DliLaneScratch scratch;   // reused across every trial
+    std::vector<LrcPair> lrcs;
+
+    for (int trial = 0; trial < 200; ++trial) {
+        const double mark_p = 0.05 + 0.4 * rng.uniform();
+        const double putt_p = 0.5 * rng.uniform();
+        const int lane = (int)(rng.uniform() * 256);
+        BatchLeakageTrackingTable<Lane> ltt(n_data);
+        BatchParityUsageTable<Lane> putt(n_stabs);
+        std::vector<int> marks;
+        for (int q = 0; q < n_data; ++q) {
+            if (rng.bernoulli(mark_p)) {
+                Lane w{};
+                setLane(w, lane);
+                ltt.mark(q, w);
+                marks.push_back(q);
+            }
+        }
+        for (int s = 0; s < n_stabs; ++s) {
+            if (rng.bernoulli(putt_p))
+                putt.markPending(s, lane);
+        }
+        putt.advanceRound();
+
+        std::vector<std::vector<int>> adjacency(marks.size());
+        for (size_t i = 0; i < marks.size(); ++i) {
+            for (int s : code.stabilizersOfData(marks[i])) {
+                if (!putt.used(s, lane))
+                    adjacency[i].push_back(s);
+            }
+        }
+        const auto match = maxBipartiteMatching((int)marks.size(),
+                                                adjacency, n_stabs);
+        std::vector<LrcPair> expected;
+        for (size_t i = 0; i < marks.size(); ++i) {
+            if (match[i] >= 0)
+                expected.push_back({marks[i], match[i]});
+        }
+
+        dli.allocateLane(lane, marks.data(), (int)marks.size(), ltt,
+                         putt, scratch, lrcs);
+        ASSERT_EQ(lrcs, expected) << "trial " << trial;
+        for (size_t i = 0; i < marks.size(); ++i) {
+            EXPECT_EQ(ltt.marked(marks[i], lane), match[i] < 0)
+                << "trial " << trial << " q " << marks[i];
+        }
+    }
+}
+
+TEST(BatchController, SteadyStateRoundsAllocateNothing)
+{
+    // Once saturated rounds have sized the lazily grown scratch (taken
+    // set, matcher) and the caller's per-lane schedule buffers hold
+    // their bound, a W=256 controller round allocates nothing — for
+    // the lookup walk, the exact-matching walk and the oracle round.
+    using Lane = WordVec<4>;
+    const int lanes = 256;
+    RotatedSurfaceCode code(7);
+    SwapLookupTable lookup(code);
+    const int n_stabs = code.numStabilizers();
+    const int n_data = code.numData();
+    const Lane live = laneMaskOf<Lane>(lanes);
+
+    BatchPolicySpec eraser;
+    eraser.kind = BatchPolicyKind::Eraser;
+    BatchPolicySpec exact = eraser;
+    exact.allocator = DliAllocator::ExactMatching;
+    const BatchPolicySpec oracle =
+        OptimalLrcPolicy(code, lookup).batchSpec();
+
+    struct Case
+    {
+        const char *name;
+        BatchPolicySpec spec;
+    };
+    for (const Case &c : {Case{"lookup", eraser}, Case{"exact", exact},
+                          Case{"oracle", oracle}}) {
+        SCOPED_TRACE(c.name);
+        BatchEraserController<Lane> controller(code, lookup, c.spec);
+        std::vector<std::vector<LrcPair>> lrcs(lanes);
+        for (auto &lane_lrcs : lrcs)
+            lane_lrcs.reserve(n_stabs);
+        std::vector<Lane> events(n_stabs), labels(n_stabs, Lane{});
+        std::vector<Lane> had_lrc(n_data, Lane{}), leaked(n_data);
+        Rng rng(7);
+        auto round = [&](double density) {
+            for (auto &plane : events)
+                plane = randomPlane<Lane>(rng, lanes, density);
+            for (auto &plane : leaked)
+                plane = randomPlane<Lane>(rng, lanes, density);
+            if (c.spec.oracle)
+                controller.oracleRound(leaked, live, lrcs);
+            else
+                controller.nextRound(events, labels, had_lrc, live,
+                                     lrcs);
+        };
+
+        for (int warmup = 0; warmup < 3; ++warmup)
+            round(1.0);
+        const uint64_t before = g_allocations.load();
+        for (int r = 0; r < 20; ++r)
+            round(r % 4 == 0 ? 0.5 : 0.05);
+        EXPECT_EQ(g_allocations.load(), before);
+    }
+}
+
 // -------------------------------------------------- experiment tier
 
 /** Forced per-lane variants: identical policies whose batchSpec hides
@@ -306,6 +544,11 @@ struct PerLaneAlwaysPolicy : AlwaysLrcPolicy
 };
 struct PerLaneNeverPolicy : NeverLrcPolicy
 {
+    BatchPolicySpec batchSpec() const override { return {}; }
+};
+struct PerLaneOptimalPolicy : OptimalLrcPolicy
+{
+    using OptimalLrcPolicy::OptimalLrcPolicy;
     BatchPolicySpec batchSpec() const override { return {}; }
 };
 
@@ -408,6 +651,21 @@ TEST(BatchControllerExperiment, WordParallelMatchesPerLaneAllWidths)
          [&code]() {
              return std::make_unique<PerLaneAlwaysPolicy>(code, true);
          }});
+    for (RemovalProtocol protocol :
+         {RemovalProtocol::SwapLrc, RemovalProtocol::Dqlr}) {
+        variants.push_back(
+            {protocol == RemovalProtocol::Dqlr ? "Optimal/dqlr"
+                                               : "Optimal",
+             protocol,
+             [&code, &lookup]() {
+                 return std::make_unique<OptimalLrcPolicy>(code,
+                                                           lookup);
+             },
+             [&code, &lookup]() {
+                 return std::make_unique<PerLaneOptimalPolicy>(code,
+                                                               lookup);
+             }});
+    }
     variants.push_back(
         {"Never", RemovalProtocol::SwapLrc,
          []() { return std::make_unique<NeverLrcPolicy>(); },
@@ -474,6 +732,27 @@ TEST(BatchControllerExperiment, RaggedGroupsMatchAcrossWidthsAndPaths)
               cfg.shots * (uint64_t)cfg.rounds *
                   (uint64_t)code.numData());
     EXPECT_EQ(w256.tp + w256.fp, w256.lrcsScheduled);
+
+    // The Optimal oracle round on the same ragged groups, against its
+    // 64-wide decomposition and the per-lane reference.
+    const PolicyFactory optimal = [&code, &lookup]() {
+        return std::make_unique<OptimalLrcPolicy>(code, lookup);
+    };
+    const PolicyFactory optimal_lane = [&code, &lookup]() {
+        return std::make_unique<PerLaneOptimalPolicy>(code, lookup);
+    };
+    cfg.batchWidth = 64;
+    auto o64 = MemoryExperiment(code, cfg).run(optimal, "o64");
+    for (unsigned width : {256u, 512u}) {
+        cfg.batchWidth = width;
+        MemoryExperiment ragged(code, cfg);
+        const std::string tag = "ragged Optimal W=" +
+                                std::to_string(width);
+        expectResultsIdentical(o64, ragged.run(optimal, "o"),
+                               (tag + " vs W=64").c_str());
+        expectResultsIdentical(o64, ragged.run(optimal_lane, "o/lane"),
+                               (tag + " per-lane vs W=64").c_str());
+    }
 }
 
 } // namespace

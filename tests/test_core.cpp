@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 
 #include "base/rng.h"
@@ -113,6 +114,86 @@ TEST(BipartiteMatching, SimpleCases)
     for (int m : match)
         matched += (m != -1) ? 1 : 0;
     EXPECT_EQ(matched, 1);
+}
+
+/** Largest matching size by exhaustive search (tiny instances). */
+int
+bruteForceMatchingSize(const std::vector<std::vector<int>> &adjacency,
+                       size_t left, std::vector<uint8_t> &used)
+{
+    if (left == adjacency.size())
+        return 0;
+    int best = bruteForceMatchingSize(adjacency, left + 1, used);
+    for (int r : adjacency[left]) {
+        if (used[r])
+            continue;
+        used[r] = 1;
+        best = std::max(best, 1 + bruteForceMatchingSize(
+                                      adjacency, left + 1, used));
+        used[r] = 0;
+    }
+    return best;
+}
+
+TEST(BipartiteMatching, ReusedMatcherMatchesFreshAndIsMaximum)
+{
+    // One matcher reused across instances of varying size (its stamps
+    // must isolate them), with a random right-side exclusion filter:
+    // it must agree with a fresh matching over the filtered adjacency,
+    // and that matching must be maximum.
+    Rng rng(31);
+    BipartiteMatcher matcher;
+    for (int trial = 0; trial < 300; ++trial) {
+        const int num_left = (int)(rng.uniform() * 8);
+        const int num_right = 1 + (int)(rng.uniform() * 6);
+        std::vector<std::vector<int>> adjacency(num_left);
+        for (auto &list : adjacency) {
+            for (int r = 0; r < num_right; ++r) {
+                if (rng.bernoulli(0.4))
+                    list.push_back(r);
+            }
+            std::shuffle(list.begin(), list.end(),
+                         std::mt19937(trial));
+        }
+        std::vector<uint8_t> excluded(num_right);
+        for (auto &e : excluded)
+            e = rng.bernoulli(0.2) ? 1 : 0;
+        std::vector<std::vector<int>> filtered(num_left);
+        for (int l = 0; l < num_left; ++l) {
+            for (int r : adjacency[l]) {
+                if (!excluded[r])
+                    filtered[l].push_back(r);
+            }
+        }
+
+        matcher.begin(num_left, num_right);
+        for (int l = 0; l < num_left; ++l)
+            matcher.augment(
+                l,
+                [&adjacency](int v) -> const std::vector<int> & {
+                    return adjacency[v];
+                },
+                [&excluded](int r) { return !excluded[r]; });
+        const auto fresh =
+            maxBipartiteMatching(num_left, filtered, num_right);
+
+        int size = 0;
+        for (int l = 0; l < num_left; ++l) {
+            ASSERT_EQ(matcher.rightOf(l), fresh[l]) << "trial " << trial;
+            if (fresh[l] >= 0) {
+                ++size;
+                EXPECT_EQ(matcher.leftOf(fresh[l]), l);
+            }
+        }
+        for (int r = 0; r < num_right; ++r) {
+            const int l = matcher.leftOf(r);
+            if (l >= 0)
+                EXPECT_EQ(matcher.rightOf(l), r);
+        }
+        std::vector<uint8_t> used(num_right, 0);
+        EXPECT_EQ(size, bruteForceMatchingSize(filtered, 0, used))
+            << "trial " << trial;
+    }
 }
 
 class LsbFixture : public ::testing::Test
