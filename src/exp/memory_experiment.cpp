@@ -498,8 +498,11 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     std::vector<int> ev_arena, lab_arena, leak_arena;
     // Divergent LRC tails are collected per 64-lane block in
     // first-insertion order; the program's LRC-slot branch replays
-    // them block by block.
+    // them block by block. tail_at[stab * n_data + data] is the
+    // pair's index in the current block's list, -1 when absent (all
+    // -1 between blocks).
     std::vector<IrLrcTail> active[NW];
+    std::vector<int> tail_at((size_t)n_stabs * n_data, -1);
     std::vector<int> stab_epoch(n_stabs, -1), data_epoch(n_data, -1);
     int epoch = 0;
 
@@ -558,19 +561,22 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
                     }
                     setLane(sched_mask[pair.data], l);
                     setLane(lrc_on_stab[pair.stab], l);
-                    auto it = std::find_if(
-                        active[b].begin(), active[b].end(),
-                        [&](const IrLrcTail &a) {
-                            return a.stab == pair.stab &&
-                                   a.data == pair.data;
-                        });
-                    if (it == active[b].end())
+                    int &at = tail_at[(size_t)pair.stab * n_data +
+                                      pair.data];
+                    if (at < 0) {
+                        at = (int)active[b].size();
                         active[b].push_back(
                             {pair.stab, pair.data, bit});
-                    else
-                        it->mask |= bit;
+                    } else {
+                        active[b][at].mask |= bit;
+                    }
                 }
                 stats.lrcsScheduled += lrcs[l].size();
+                if ((l & 63) == 63 || l == W - 1) {
+                    for (const auto &tail : active[b])
+                        tail_at[(size_t)tail.stab * n_data +
+                                tail.data] = -1;
+                }
             }
         }
 
