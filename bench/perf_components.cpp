@@ -239,6 +239,121 @@ BENCHMARK(BM_BatchFrameSimRound)
     ->Args({11, 256})->Args({11, 512});
 
 /**
+ * One replayed swap-LRC program round with its divergent LRC tails, at
+ * p = 1e-3 with leakage on. `sparse` = 0 is the Always policy's
+ * schedule on every lane: on odd rounds a near-perfect pairing of the
+ * stabilizers, so each block runs about one whole-block tail per
+ * stabilizer. `sparse` = 1 is ERASER-shaped: each lane runs about two
+ * tails per round on pairs of its own, so a block holds many distinct
+ * tails of one or two lanes each. The fills are built up front (the
+ * controller's merge is not timed); the simulator restarts its frames
+ * every d rounds, so leakage never runs away under the sparse fill,
+ * which (unlike ERASER) does not chase it.
+ */
+template <int NW>
+void
+runBatchFrameSimRoundTails(benchmark::State &state, int d, int lanes,
+                           bool sparse)
+{
+    RotatedSurfaceCode code(d);
+    const int rounds = d;
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, rounds, Basis::Z, IrTailKind::SwapLrc);
+    BatchFrameSimulatorT<NW> sim(prog.numQubits,
+                                 ErrorModel::standard(1e-3), lanes, 3, 0);
+    const int blocks = sim.numBlocks();
+
+    // Per round: the lrcOnStab planes and the per-block tail lists.
+    std::vector<std::vector<LaneWord<NW>>> on_stab(rounds);
+    std::vector<std::vector<IrLrcTail>> tails((size_t)rounds * NW);
+    std::vector<int> tail_at((size_t)prog.numStabs * prog.numData, -1);
+    AlwaysLrcPolicy always(code, false);
+    RoundObservation obs;
+    Rng rng(17);
+    for (int r = 0; r < rounds; ++r) {
+        obs.round = r - 1;
+        const std::vector<LrcPair> uniform =
+            r == 0 ? always.firstRound() : always.nextRound(obs);
+        on_stab[r].assign(prog.numStabs, LaneWord<NW>{});
+        for (int l = 0; l < lanes; ++l) {
+            std::vector<LrcPair> pairs = uniform;
+            if (sparse) {
+                pairs.clear();
+                std::vector<uint8_t> taken(prog.numData, 0);
+                for (int s = 0; s < prog.numStabs; ++s) {
+                    if (rng.randint(prog.numStabs) >= 2)
+                        continue;
+                    const int first = prog.supportOffset[s];
+                    const int weight = prog.supportOffset[s + 1] - first;
+                    const int data =
+                        prog.supportData[first + rng.randint(weight)];
+                    if (!taken[data]) {
+                        taken[data] = 1;
+                        pairs.push_back({data, s});
+                    }
+                }
+            }
+            std::vector<IrLrcTail> &block = tails[(size_t)r * NW + l / 64];
+            for (const LrcPair &pair : pairs) {
+                setLane(on_stab[r][pair.stab], l);
+                int &at = tail_at[(size_t)pair.stab * prog.numData +
+                                  pair.data];
+                if (at < 0) {
+                    at = (int)block.size();
+                    block.push_back({pair.stab, pair.data, 0});
+                }
+                block[at].mask |= uint64_t{1} << (l % 64);
+            }
+            if (l % 64 == 63 || l == lanes - 1)
+                for (const IrLrcTail &t : block)
+                    tail_at[(size_t)t.stab * prog.numData + t.data] = -1;
+        }
+    }
+
+    sim.bindProgramStreams(prog);
+    size_t max_tails = 0;
+    for (const auto &block : tails)
+        max_tails = std::max(max_tails, block.size());
+    sim.reserveRecord((size_t)prog.numStabs + blocks * max_tails);
+    int r = 0;
+    uint64_t block_tails = 0;
+    for (auto _ : state) {
+        ProgramLrcFillT<NW> fill;
+        fill.lrcOnStab = on_stab[r].data();
+        fill.blockTails = &tails[(size_t)r * NW];
+        sim.executeProgramRound(prog, r, sim.liveMask(), &fill, 1);
+        for (int b = 0; b < blocks; ++b)
+            block_tails += tails[(size_t)r * NW + b].size();
+        benchmark::DoNotOptimize(sim.record().size());
+        sim.clearRecord();
+        if (++r == rounds) {
+            r = 0;
+            sim.reset();
+        }
+    }
+    state.counters["block_tails/round"] = benchmark::Counter(
+        (double)block_tails / (double)state.iterations());
+    state.SetItemsProcessed(state.iterations() * sim.numLanes());
+}
+
+void
+BM_BatchFrameSimRoundTails(benchmark::State &state)
+{
+    const int d = (int)state.range(0);
+    const int width = (int)state.range(1);
+    const bool sparse = state.range(2) != 0;
+    if (width <= 64)
+        runBatchFrameSimRoundTails<1>(state, d, width, sparse);
+    else if (width <= 256)
+        runBatchFrameSimRoundTails<4>(state, d, width, sparse);
+    else
+        runBatchFrameSimRoundTails<8>(state, d, width, sparse);
+}
+BENCHMARK(BM_BatchFrameSimRoundTails)
+    ->ArgNames({"d", "width", "sparse"})
+    ->Args({11, 256, 0})->Args({11, 256, 1});
+
+/**
  * Whole-experiment throughput of the batch engine across word-group
  * widths on the paper's headline configuration: a d=11 memory
  * experiment driven by the ERASER policy (decode off, so the

@@ -425,9 +425,12 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     const Lane live = sim.liveMask();
     // Each round emits one record per stabilizer plus, per 64-lane
     // block, one per distinct lane-divergent LRC tail (bounded by the
-    // stabilizer count again). Decoding reads the whole record; without
-    // it only the current round is ever read, so one round is kept.
-    const size_t round_records = (1 + (size_t)NB) * n_stabs;
+    // (stab, data) support-pair count, since lanes may pick different
+    // data qubits for one stabilizer). Decoding reads the whole record;
+    // without it only the current round is ever read, so one round is
+    // kept.
+    const size_t round_records =
+        (size_t)n_stabs + (size_t)NB * prog.supportData.size();
     sim.reserveRecord(config_.decode
                           ? (size_t)config_.rounds * round_records + n_data
                           : round_records);

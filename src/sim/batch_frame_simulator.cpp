@@ -733,39 +733,112 @@ BatchFrameSimulatorT<NW>::executeRange(const Op *begin, const Op *end,
 
 template <int NW>
 void
+BatchFrameSimulatorT<NW>::collectTailHits(int num_tails)
+{
+    // Tail i owns sites [i*n, (i+1)*n) of a channel's block advance,
+    // and the touched list names every slot that holds a hit.
+    tailHits_.assign(num_tails, 0);
+    for (NoiseChannel c : {kPauli, kLeak}) {
+        const HitTable<uint64_t> &table = channel(c).block;
+        const int n = tailSites_.of(c);
+        for (int s : table.touched)
+            tailHits_[s / n] |= table.slots[s];
+    }
+}
+
+template <int NW>
+void
 BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
                                          const IrLrcTail &t, int b,
-                                         int round, bool multi_level)
+                                         int round, bool multi_level,
+                                         uint64_t hits)
 {
     // The tail's ops (the tail template's, in order) consume exactly
     // tailSites_, including the conditional suffix ops, which run with
     // an empty mask on lanes that skip them.
-    BlockView v{*this, b};
+    //
+    // Most tails act on clean lanes: neither operand is leaked and no
+    // Pauli or leak-injection site the tail consumes hits the lane (a
+    // seepage hit acts only on a leaked qubit, and nothing leaks one
+    // on such a lane). With no hit and no leaked operand, the ops below
+    // reduce to frame propagation, so a clean lane takes a closed form:
+    //
+    //  - SwapLrc: the three CNOTs swap D = (xD, zD) and P = (xP, zP);
+    //    the readout reports xP with no |L> label (so no squash); the
+    //    reset leaves D = (0, 0); the MOV back (CNOT P->D, CNOT D->P)
+    //    gives D = (xD, zD), P = (0, zD). D is unchanged, P <- (0, zD),
+    //    and the record flip is the old xP.
+    //  - DQLR: with both operands unleaked and xP = 0 (xP = 1 takes the
+    //    excitation draw) the iSWAP has no effect, and the reset gives
+    //    P = (0, 0). D is unchanged and P <- (0, 0).
+    //
+    // The other (irregular) lanes run the op sequence, masked to them:
+    // each op still consumes all its sites and every draw is per lane,
+    // so they see exactly what a full-mask run gives them. The tail's
+    // one record entry covers the whole mask.
     const uint64_t mask = t.mask & laneWord(live_, b);
+    const int data = t.data;
     const int parity = prog.stabAncilla[t.stab];
-    if (prog.tail == IrTailKind::SwapLrc) {
+    const bool swap = prog.tail == IrTailKind::SwapLrc;
+    uint64_t irregular =
+        hits | laneWord(leaked_[data], b) | laneWord(leaked_[parity], b);
+    if (!swap)
+        irregular |= laneWord(x_[parity], b);
+    irregular &= mask;
+    const uint64_t clean = mask & ~irregular;
+
+    uint64_t &xp = laneWordRef(x_[parity], b);
+    uint64_t &zp = laneWordRef(z_[parity], b);
+    const uint64_t clean_flips = xp & clean;
+    if (swap) {
+        xp &= ~clean;
+        zp = (zp & ~clean) | (laneWord(z_[data], b) & clean);
+    } else {
+        zp &= ~clean; // xp is already 0 on clean lanes
+    }
+
+    if (!irregular) {
+        // Fully clean: no op runs, the tail's sites are skipped.
+        for (int c = 0; c < kNoiseChannels; ++c)
+            channels_[c].block.next += tailSites_.count[c];
+        if (swap && mask) {
+            Record &rec = record_.emplace_back();
+            rec.qubit = data;
+            rec.stab = t.stab;
+            rec.round = round;
+            rec.lrcData = true;
+            laneWordRef(rec.mask, b) = mask;
+            laneWordRef(rec.flips, b) = clean_flips;
+        }
+        return;
+    }
+
+    BlockView v{*this, b};
+    if (swap) {
         // SWAP D <-> P, measure + reset D, MOV back -- with the
         // ERASER+M in-round rule: lanes whose data readout is
         // labelled |L> squash the MOV and reset P instead.
-        apply(v, makeOp(OpType::Cnot, t.data, parity), mask);
-        apply(v, makeOp(OpType::Cnot, parity, t.data), mask);
-        apply(v, makeOp(OpType::Cnot, t.data, parity), mask);
-        Op meas = makeOp(OpType::Measure, t.data);
+        apply(v, makeOp(OpType::Cnot, data, parity), irregular);
+        apply(v, makeOp(OpType::Cnot, parity, data), irregular);
+        apply(v, makeOp(OpType::Cnot, data, parity), irregular);
+        Op meas = makeOp(OpType::Measure, data);
         meas.stab = t.stab;
         meas.round = round;
         meas.lrcData = true;
-        apply(v, meas, mask);
-        uint64_t squash = 0;
-        if (multi_level && mask)
-            squash = laneWord(record_.back().leakedLabels, b) & mask;
-        apply(v, makeOp(OpType::Reset, t.data), mask);
-        const uint64_t mov = mask & ~squash;
-        apply(v, makeOp(OpType::Cnot, parity, t.data), mov);
-        apply(v, makeOp(OpType::Cnot, t.data, parity), mov);
+        apply(v, meas, irregular);
+        Record &rec = record_.back();
+        laneWordRef(rec.mask, b) = mask;
+        laneWordRef(rec.flips, b) |= clean_flips;
+        const uint64_t squash =
+            multi_level ? laneWord(rec.leakedLabels, b) : 0;
+        apply(v, makeOp(OpType::Reset, data), irregular);
+        const uint64_t mov = irregular & ~squash;
+        apply(v, makeOp(OpType::Cnot, parity, data), mov);
+        apply(v, makeOp(OpType::Cnot, data, parity), mov);
         apply(v, makeOp(OpType::Reset, parity), squash);
     } else {
-        apply(v, makeOp(OpType::LeakageIswap, t.data, parity), mask);
-        apply(v, makeOp(OpType::Reset, parity), mask);
+        apply(v, makeOp(OpType::LeakageIswap, data, parity), irregular);
+        apply(v, makeOp(OpType::Reset, parity), irregular);
     }
 }
 
@@ -818,8 +891,10 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
                     sites.count[c] =
                         tailSites_.count[c] * (int)tails.size();
                 advance(sites, b);
-                for (const IrLrcTail &t : tails)
-                    executeLrcTail(prog, t, b, round, fill.multiLevel);
+                collectTailHits((int)tails.size());
+                for (size_t i = 0; i < tails.size(); ++i)
+                    executeLrcTail(prog, tails[i], b, round,
+                                   fill.multiLevel, tailHits_[i]);
                 checkConsumed(sites, true, "LRC tails consumed other "
                                            "noise sites than counted");
             }
@@ -881,15 +956,18 @@ BatchFrameSimulatorT<NW>::bindProgramStreams(const CircuitProgram &prog)
     for (size_t i = prog.bodyEnd + 1; i < prog.instrs.size(); ++i)
         addOpSites(finalSites_, prog.pool[prog.instrs[i].a]);
 
-    // Block tables: one slot's tails, typically at most one per
-    // stabilizer (more grow the table on first use).
+    // Block tables: one slot's tails on one block. Lanes may pick
+    // different data qubits for one stabilizer, so a block holds at
+    // most one tail per distinct (stab, data) support pair.
+    const int support_pairs = (int)prog.supportData.size();
     NoiseSites group, block;
     for (int c = 0; c < kNoiseChannels; ++c) {
         group.count[c] =
             std::max(roundSites_.count[c], finalSites_.count[c]);
-        block.count[c] = tailSites_.count[c] * prog.numStabs;
+        block.count[c] = tailSites_.count[c] * support_pairs;
     }
     reserveTables(group, block);
+    tailHits_.reserve(support_pairs);
     bound_ = &prog;
 }
 

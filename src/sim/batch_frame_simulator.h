@@ -54,8 +54,14 @@
  *    experiment layer can run policy-divergent LRC/DQLR insertions
  *    only on the lanes whose policies scheduled them. Each op body is
  *    written once against a word "view" and instantiated for the full
- *    group and for a single 64-lane block (the divergent-tail fast
- *    path), so both apply the same per-lane rule.
+ *    group and for a single 64-lane block, so both apply the same
+ *    per-lane rule.
+ *  - A replayed LRC tail is one fused kernel per 64-lane block: lanes
+ *    with no leaked operand and no Pauli or leak-injection hit among
+ *    the tail's sites take a closed-form update (no draws), and only
+ *    the remaining lanes run the tail's op sequence on the block view.
+ *    Both consume the same sites, so the split is invisible in the
+ *    streams.
  *
  * The scalar FrameSimulator stays a test oracle for the op semantics
  * (tests/test_batch_sim.cpp compares the two lane by lane).
@@ -374,10 +380,15 @@ class BatchFrameSimulatorT
     void checkConsumed(const NoiseSites &sites, bool block,
                        const char *what) const;
 
+    /** tailHits_[i] = lanes that a Pauli or leak-injection site of
+     *  tail i of the block advance just made hits. */
+    void collectTailHits(int num_tails);
     /** One divergent LRC-slot tail on one 64-lane block, consuming
-     *  tailSites_ from the block tables. */
+     *  tailSites_ from the block tables; `hits` are the lanes its
+     *  Pauli or leak-injection sites hit. */
     void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
-                        int b, int round, bool multi_level);
+                        int b, int round, bool multi_level,
+                        uint64_t hits);
 
     int numQubits_;
     int numLanes_;
@@ -396,6 +407,8 @@ class BatchFrameSimulatorT
     NoiseSites roundSites_;
     NoiseSites tailSites_;
     NoiseSites finalSites_;
+    /** Per tail of the current block advance (see collectTailHits). */
+    std::vector<uint64_t> tailHits_;
 };
 
 /** The 64-lane engine (uint64_t lane sets, pre-SIMD layout). */

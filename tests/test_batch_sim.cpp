@@ -17,9 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
-
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -31,6 +35,101 @@
 #include "sim/batch_frame_simulator.h"
 #include "sim/bit_mask_sampler.h"
 #include "sim/frame_simulator.h"
+
+// ---------------------------------------------------------------------
+// Global allocation counter: every operator new in this binary bumps
+// it, so tests can assert a code region allocates nothing. The
+// over-aligned forms are replaced too, since the plane-word vectors at
+// W >= 256 allocate through them. The replacement operators pair
+// malloc with free, which GCC's new/delete-mismatch heuristic cannot
+// see through.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+static std::atomic<uint64_t> g_allocations{0};
+
+void *
+operator new(std::size_t size)
+{
+    ++g_allocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    ++g_allocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    ++g_allocations;
+    const std::size_t a = (std::size_t)align;
+    const std::size_t bytes = (std::max<std::size_t>(size, 1) + a - 1) / a * a;
+    if (void *p = std::aligned_alloc(a, bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return operator new(size, align);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace qec
 {
@@ -698,6 +797,591 @@ TEST(EngineOracle, DqlrProgramMatchesScalarLaneByLane)
 {
     expectEngineMatchesOracleAtWidths(IrTailKind::Dqlr, Basis::Z);
     expectEngineMatchesOracleAtWidths(IrTailKind::Dqlr, Basis::X);
+}
+
+// ------------------------------------------ per-lane divergent fills
+
+/** splitmix64's finalizer: the deterministic hash behind the per-lane
+ *  fills and the replay digests below. */
+uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+uint64_t
+mix64(uint64_t a, uint64_t b, uint64_t c = 0)
+{
+    return mix64(mix64(mix64(a) ^ b) ^ c);
+}
+
+/** An ERASER-shaped schedule for one lane and round: each stabilizer
+ *  is LRC'd with probability 1/`one_in`, through a hash-chosen support
+ *  qubit no earlier pair of the lane uses. */
+RoundPairs
+sparseLanePairs(const CircuitProgram &prog, int round, int lane,
+                int one_in)
+{
+    RoundPairs pairs;
+    std::vector<uint8_t> taken(prog.numData, 0);
+    for (int s = 0; s < prog.numStabs; ++s) {
+        const uint64_t h = mix64((uint64_t)round, (uint64_t)lane,
+                                 (uint64_t)s);
+        if (h % (uint64_t)one_in != 0)
+            continue;
+        const int first = prog.supportOffset[s];
+        const int weight = prog.supportOffset[s + 1] - first;
+        const int d = prog.supportData[first + (int)((h >> 32) % weight)];
+        if (!taken[d]) {
+            taken[d] = 1;
+            pairs.push_back({s, d});
+        }
+    }
+    return pairs;
+}
+
+/**
+ * One round's fill built from per-lane schedules the way the
+ * experiment layer merges them: per 64-lane block, the distinct
+ * (stab, data) tails in first-insertion (lane) order with their lane
+ * masks; per stabilizer, the lanes whose plain readout a tail
+ * replaces.
+ */
+template <int NW>
+struct LaneFill
+{
+    std::vector<LaneWord<NW>> lrcOnStab;
+    std::vector<IrLrcTail> blockTails[NW];
+
+    void
+    build(const CircuitProgram &prog,
+          const std::vector<RoundPairs> &lane_pairs)
+    {
+        lrcOnStab.assign(prog.numStabs, LaneWord<NW>{});
+        for (auto &tails : blockTails)
+            tails.clear();
+        for (size_t l = 0; l < lane_pairs.size(); ++l) {
+            std::vector<IrLrcTail> &tails = blockTails[l / 64];
+            const uint64_t bit = uint64_t{1} << (l % 64);
+            for (const auto &[stab, data] : lane_pairs[l]) {
+                setLane(lrcOnStab[stab], (int)l);
+                auto it = std::find_if(
+                    tails.begin(), tails.end(), [&](const IrLrcTail &t) {
+                        return t.stab == stab && t.data == data;
+                    });
+                if (it == tails.end())
+                    tails.push_back({stab, data, bit});
+                else
+                    it->mask |= bit;
+            }
+        }
+    }
+
+    ProgramLrcFillT<NW>
+    view(bool multi_level) const
+    {
+        ProgramLrcFillT<NW> fill;
+        fill.lrcOnStab = lrcOnStab.data();
+        fill.blockTails = blockTails;
+        fill.multiLevel = multi_level;
+        return fill;
+    }
+
+    /** The pairs lane `l` runs, in the order its block replays them. */
+    RoundPairs
+    laneOrder(int l) const
+    {
+        RoundPairs pairs;
+        for (const IrLrcTail &t : blockTails[l / 64])
+            if (t.mask >> (l % 64) & 1)
+                pairs.push_back({t.stab, t.data});
+        return pairs;
+    }
+};
+
+/**
+ * The scalar oracle's image of one replayed round for one lane that
+ * runs `pairs` (in replay order): readouts its tails replace are
+ * skipped under SwapLrc, and with `multi_level` a tail whose data
+ * readout is labelled |L> squashes its MOV-back and resets the parity
+ * qubit instead, decided by this lane's own label.
+ */
+void
+oracleRound(FrameSimulator &o, const CircuitProgram &prog, int round,
+            const RoundPairs &pairs, bool multi_level)
+{
+    for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
+        const IrInst &inst = prog.instrs[i];
+        if (inst.op == IrOpcode::Gate) {
+            o.execute(prog.pool[inst.a]);
+        } else if (inst.op == IrOpcode::Readout) {
+            bool lrcd = false;
+            for (const auto &pair : pairs)
+                lrcd |= pair.first == inst.a;
+            if (prog.maskReadoutOnLrc && lrcd)
+                continue;
+            Op meas = prog.pool[inst.b];
+            meas.round = round;
+            o.execute(meas);
+            o.execute(prog.pool[(size_t)inst.b + 1]);
+        } else if (inst.op == IrOpcode::LrcSlot && inst.a == 0) {
+            for (const auto &[stab, data] : pairs) {
+                const int parity = prog.stabAncilla[stab];
+                if (prog.tail == IrTailKind::Dqlr) {
+                    o.execute(makeOp(OpType::LeakageIswap, data, parity));
+                    o.execute(makeOp(OpType::Reset, parity));
+                    continue;
+                }
+                o.execute(makeOp(OpType::Cnot, data, parity));
+                o.execute(makeOp(OpType::Cnot, parity, data));
+                o.execute(makeOp(OpType::Cnot, data, parity));
+                Op meas = makeOp(OpType::Measure, data);
+                meas.stab = stab;
+                meas.round = round;
+                meas.lrcData = true;
+                o.execute(meas);
+                const bool squash =
+                    multi_level && o.record().back().leakedLabel;
+                o.execute(makeOp(OpType::Reset, data));
+                if (squash) {
+                    o.execute(makeOp(OpType::Reset, parity));
+                } else {
+                    o.execute(makeOp(OpType::Cnot, parity, data));
+                    o.execute(makeOp(OpType::Cnot, data, parity));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Engine vs oracle through the real replay with per-lane sparse fills
+ * (so one block-tail mixes clean lanes with faulted ones) at p = 0.
+ * Before each round a third of the lanes take a fault aimed at one of
+ * their own tails: leakage or a Pauli on its data or parity qubit.
+ */
+template <int NW>
+void
+expectSparseReplayMatchesOracle(const CircuitProgram &prog, int lanes,
+                                const ErrorModel &em, bool multi_level)
+{
+    const uint64_t seed = 777;
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, em, lanes, seed, 0);
+    sim.bindProgramStreams(prog);
+    const LaneWord<NW> live = sim.liveMask();
+    std::vector<FrameSimulator> oracle = oracleSims(prog, lanes, seed, em);
+    std::vector<RoundPairs> lane_pairs(lanes);
+    LaneFill<NW> fill;
+    for (int r = 0; r < prog.rounds; ++r) {
+        for (int l = 0; l < lanes; ++l)
+            lane_pairs[l] = sparseLanePairs(prog, r, l, 4);
+        fill.build(prog, lane_pairs);
+        for (int l = 0; l < lanes; ++l) {
+            const uint64_t h = mix64((uint64_t)r, (uint64_t)l, 99);
+            if (h % 3 != 0 || lane_pairs[l].empty())
+                continue;
+            const auto &[stab, data] =
+                lane_pairs[l][(h >> 8) % lane_pairs[l].size()];
+            const int q = (h >> 16) & 1 ? data : prog.stabAncilla[stab];
+            const int kind = (int)((h >> 24) % 4);
+            LaneWord<NW> lane{};
+            setLane(lane, l);
+            if (kind == 3) {
+                sim.setLeaked(q, true, lane);
+                oracle[l].setLeaked(q, true);
+            } else {
+                sim.injectPauli(q, kFaultPaulis[kind], lane);
+                oracle[l].injectPauli(q, kFaultPaulis[kind]);
+            }
+        }
+        const ProgramLrcFillT<NW> view = fill.view(multi_level);
+        sim.executeProgramRound(prog, r, live, &view, 1);
+        for (int l = 0; l < lanes; ++l)
+            oracleRound(oracle[l], prog, r, fill.laneOrder(l),
+                        multi_level);
+        expectPlanesMatch(sim, oracle, "sparse replay", (size_t)r);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    sim.executeProgramFinal(prog, live);
+    std::vector<size_t> final_start;
+    const std::vector<ProgramStep> final_steps =
+        flattenProgram(prog, std::vector<RoundPairs>(prog.rounds),
+                       final_start);
+    for (FrameSimulator &o : oracle)
+        for (size_t i = final_start.back(); i < final_steps.size(); ++i)
+            o.execute(final_steps[i].op);
+    expectPlanesMatch(sim, oracle, "sparse replay final", 0);
+    expectRecordsMatch(sim, oracle, "sparse replay");
+}
+
+void
+expectSparseReplayMatchesOracleAtWidths(IrTailKind tail,
+                                        bool multi_level)
+{
+    RotatedSurfaceCode code(3);
+    const CircuitProgram prog =
+        CircuitCompiler::surfaceMemory(code, 6, Basis::Z, tail);
+    for (const ErrorModel &em :
+         {ErrorModel::noiseless(), ErrorModel::standard(0.0)}) {
+        SCOPED_TRACE(em.leakageEnabled ? "leakage on" : "noiseless");
+        for (int lanes : {17, 64}) {
+            SCOPED_TRACE("lanes " + std::to_string(lanes));
+            expectSparseReplayMatchesOracle<1>(prog, lanes, em,
+                                               multi_level);
+        }
+        SCOPED_TRACE("lanes 257");
+        expectSparseReplayMatchesOracle<8>(prog, 257, em, multi_level);
+    }
+}
+
+TEST(EngineOracle, SparseFillsMatchScalarLaneByLane)
+{
+    for (IrTailKind tail : {IrTailKind::SwapLrc, IrTailKind::Dqlr}) {
+        SCOPED_TRACE(tail == IrTailKind::Dqlr ? "DQLR" : "swap-LRC");
+        expectSparseReplayMatchesOracleAtWidths(tail, false);
+    }
+}
+
+TEST(EngineOracle, MultiLevelSquashFollowsEachLanesLabel)
+{
+    // ERASER+M: each lane's oracle squashes the MOV-back on its own
+    // |L> label, which the leaked-data faults above produce.
+    expectSparseReplayMatchesOracleAtWidths(IrTailKind::SwapLrc, true);
+}
+
+// ------------------------------------------------- tail kernel pins
+
+/**
+ * Replay with a dense divergent fill — lane l pairs every stabilizer
+ * with support qubit l mod its weight, so every support pair is a
+ * tail of every block — allocates nothing once the program is bound
+ * and the record holds one round's bound: a plain readout per
+ * stabilizer plus, per block, one entry per support pair.
+ */
+template <int NW>
+void
+expectTailReplayAllocatesNothing(const CircuitProgram &prog, int lanes)
+{
+    std::vector<RoundPairs> lane_pairs(lanes);
+    for (int l = 0; l < lanes; ++l)
+        for (int s = 0; s < prog.numStabs; ++s) {
+            const int first = prog.supportOffset[s];
+            const int weight = prog.supportOffset[s + 1] - first;
+            lane_pairs[l].push_back(
+                {s, prog.supportData[first + l % weight]});
+        }
+    LaneFill<NW> fill;
+    fill.build(prog, lane_pairs);
+    const int pairs = prog.supportOffset[prog.numStabs];
+    BatchFrameSimulatorT<NW> sim(prog.numQubits,
+                                 ErrorModel::standard(1e-2), lanes, 5, 0);
+    for (int b = 0; b < sim.numBlocks(); ++b)
+        ASSERT_EQ((int)fill.blockTails[b].size(), pairs);
+    ASSERT_GT(pairs, prog.numStabs);
+
+    for (bool multi_level : {false, true}) {
+        SCOPED_TRACE(multi_level ? "multi-level" : "two-level");
+        const ProgramLrcFillT<NW> view = fill.view(multi_level);
+        sim.reset();
+        sim.bindProgramStreams(prog);
+        sim.reserveRecord((size_t)prog.numStabs +
+                          (size_t)sim.numBlocks() * pairs);
+        const uint64_t before = g_allocations.load();
+        for (int r = 0; r < prog.rounds; ++r) {
+            sim.executeProgramRound(prog, r, sim.liveMask(), &view, 1);
+            sim.clearRecord();
+        }
+        EXPECT_EQ(g_allocations.load(), before);
+    }
+}
+
+/**
+ * The clean-lane closed form against the scalar op sequence for every
+ * Pauli frame on the pair: a program whose round body is only the LRC
+ * slot (data qubit 0, parity qubit 1), so no readout resets the
+ * parity qubit first. Lane l carries frame bits (xD, zD, xP, zP) = the
+ * low four bits of l; lanes 16-31 also leak D, lanes 32-47 leak P, and
+ * lanes 48-63 are outside the tail's mask.
+ */
+TEST(TailKernel, BareSlotMatchesScalarForEveryFrame)
+{
+    RotatedSurfaceCode code(3);
+    for (IrTailKind tail : {IrTailKind::SwapLrc, IrTailKind::Dqlr})
+        for (bool multi_level : {false, true}) {
+            SCOPED_TRACE(tail == IrTailKind::Dqlr ? "DQLR" : "swap-LRC");
+            SCOPED_TRACE(multi_level ? "multi-level" : "two-level");
+            CircuitProgram prog;
+            prog.tail = tail;
+            prog.rounds = 1;
+            prog.numQubits = 2;
+            prog.numData = 1;
+            prog.numStabs = 1;
+            prog.stabAncilla = {1};
+            prog.supportOffset = {0, 1};
+            prog.supportData = {0};
+            prog.tailTemplates =
+                CircuitCompiler::surfaceMemory(code, 1, Basis::Z, tail)
+                    .tailTemplates;
+            prog.instrs.push_back({IrOpcode::RoundBegin, 1, -1});
+            prog.bodyBegin = prog.instrs.size();
+            prog.instrs.push_back({IrOpcode::LrcSlot, 0, -1});
+            prog.bodyEnd = prog.instrs.size();
+            prog.instrs.push_back({IrOpcode::RoundEnd, -1, -1});
+
+            for (const ErrorModel &em :
+                 {ErrorModel::noiseless(), ErrorModel::standard(0.0)}) {
+                BatchFrameSimulator sim(2, em, 64, 31, 0);
+                std::vector<FrameSimulator> oracle =
+                    oracleSims(prog, 64, 31, em);
+                for (int l = 0; l < 64; ++l) {
+                    const uint64_t lane = uint64_t{1} << l;
+                    for (int k = 0; k < 4; ++k) {
+                        if (!(l >> k & 1))
+                            continue;
+                        const int q = k / 2;
+                        const Pauli p = k % 2 ? Pauli::Z : Pauli::X;
+                        sim.injectPauli(q, p, lane);
+                        oracle[l].injectPauli(q, p);
+                    }
+                    const int leak = l < 16 || l >= 48 ? -1 : l < 32 ? 0 : 1;
+                    if (leak >= 0) {
+                        sim.setLeaked(leak, true, lane);
+                        oracle[l].setLeaked(leak, true);
+                    }
+                }
+                LaneFill<1> fill;
+                std::vector<RoundPairs> lane_pairs(64);
+                for (int l = 0; l < 48; ++l)
+                    lane_pairs[l] = {{0, 0}};
+                fill.build(prog, lane_pairs);
+                const ProgramLrcFillT<1> view = fill.view(multi_level);
+                sim.executeProgramRound(prog, 0, sim.liveMask(), &view, 1);
+                for (int l = 0; l < 64; ++l)
+                    oracleRound(oracle[l], prog, 0, lane_pairs[l],
+                                multi_level);
+                expectPlanesMatch(sim, oracle, "bare slot", 0);
+                expectRecordsMatch(sim, oracle, "bare slot");
+            }
+        }
+}
+
+TEST(TailKernel, DenseDivergentReplayAllocatesNothing)
+{
+    RotatedSurfaceCode code(5);
+    for (IrTailKind tail : {IrTailKind::SwapLrc, IrTailKind::Dqlr}) {
+        SCOPED_TRACE(tail == IrTailKind::Dqlr ? "DQLR" : "swap-LRC");
+        const CircuitProgram prog =
+            CircuitCompiler::surfaceMemory(code, 5, Basis::Z, tail);
+        expectTailReplayAllocatesNothing<1>(prog, 64);
+        expectTailReplayAllocatesNothing<4>(prog, 256);
+    }
+}
+
+/** Folds one lane set into a digest, block word by block word. */
+template <int NW>
+uint64_t
+digestLanes(uint64_t h, const LaneWord<NW> &w, int blocks)
+{
+    for (int b = 0; b < blocks; ++b)
+        h = mix64(h ^ laneWord(w, b));
+    return h;
+}
+
+/** Folds the X, Z and leak planes and the record entries since `from`
+ *  into a digest. */
+template <int NW>
+uint64_t
+digestState(uint64_t h, const BatchFrameSimulatorT<NW> &sim, size_t from)
+{
+    const int blocks = sim.numBlocks();
+    for (int q = 0; q < sim.numQubits(); ++q) {
+        h = digestLanes<NW>(h, sim.xWord(q), blocks);
+        h = digestLanes<NW>(h, sim.zWord(q), blocks);
+        h = digestLanes<NW>(h, sim.leakedWord(q), blocks);
+    }
+    for (size_t i = from; i < sim.record().size(); ++i) {
+        const auto &rec = sim.record()[i];
+        h = mix64(h, (uint64_t)rec.qubit << 32 | (uint32_t)rec.stab,
+                  (uint64_t)rec.round << 2 | (uint64_t)rec.finalData << 1 |
+                      (uint64_t)rec.lrcData);
+        h = digestLanes<NW>(h, rec.mask, blocks);
+        h = digestLanes<NW>(h, rec.flips, blocks);
+        h = digestLanes<NW>(h, rec.leakedLabels, blocks);
+    }
+    return h;
+}
+
+/**
+ * Digest of a noisy replay with per-lane fills: `sparse` gives each
+ * lane its own ERASER-shaped schedule, otherwise every lane runs the
+ * same Always-shaped one. Before each round, one lane in eight leaks
+ * the data qubit of its first tail, so leaked operands, labelled
+ * readouts and (with `multi_level`) squashes meet the tail hits.
+ */
+template <int NW>
+uint64_t
+tailReplayDigest(const CircuitProgram &prog, const ErrorModel &em,
+                 int lanes, bool sparse, bool multi_level)
+{
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, em, lanes, 20261017, 0);
+    const LaneWord<NW> live = sim.liveMask();
+    const std::vector<RoundPairs> full = fixedLrcPairs(prog);
+    std::vector<RoundPairs> lane_pairs(lanes);
+    LaneFill<NW> fill;
+    uint64_t h = 0;
+    for (int r = 0; r < prog.rounds; ++r) {
+        for (int l = 0; l < lanes; ++l)
+            lane_pairs[l] =
+                sparse ? sparseLanePairs(prog, r, l, 8) : full[r];
+        fill.build(prog, lane_pairs);
+        for (int l = 0; l < lanes; ++l) {
+            if (mix64((uint64_t)r, (uint64_t)l, 7) % 8 != 0 ||
+                lane_pairs[l].empty())
+                continue;
+            LaneWord<NW> lane{};
+            setLane(lane, l);
+            sim.setLeaked(lane_pairs[l][0].second, true, lane);
+        }
+        const ProgramLrcFillT<NW> view = fill.view(multi_level);
+        sim.executeProgramRound(prog, r, live, &view, 1);
+        h = digestState(h, sim, 0);
+        sim.clearRecord();
+    }
+    sim.executeProgramFinal(prog, live);
+    return digestState(h, sim, 0);
+}
+
+/**
+ * Bit-identity pin of the divergent tails with noise on: the replay
+ * digests (planes and record entries, round by round) recorded with
+ * the op-by-op tail interpreter. EngineOracle runs at p = 0, so this
+ * is what pins tail lanes that take hit-table hits.
+ */
+TEST(TailKernel, ReplayDigestsMatchParent)
+{
+    struct Pin
+    {
+        IrTailKind tail;
+        bool multiLevel;
+        int lanes;
+        double p;
+        uint64_t sparse;
+        uint64_t full;
+    };
+    constexpr IrTailKind kSwap = IrTailKind::SwapLrc;
+    constexpr IrTailKind kDqlr = IrTailKind::Dqlr;
+    const Pin pins[] = {
+        {kSwap, false, 64, 1e-3, 0x91b4357ac506bedcULL,
+         0xdcd6204e5c2f7b1cULL},
+        {kSwap, false, 64, 2e-2, 0xd61d75f9f32b9c92ULL,
+         0x1fa4de7bdb4e28b9ULL},
+        {kSwap, false, 256, 1e-3, 0x21c23ee86b48cbaeULL,
+         0x5038740449ed5c1eULL},
+        {kSwap, false, 256, 2e-2, 0xb622443789a1f4c1ULL,
+         0xf909a0fb525fb162ULL},
+        {kSwap, false, 512, 1e-3, 0x8d9aa30629483395ULL,
+         0xccef0dcba4c3cd8bULL},
+        {kSwap, false, 512, 2e-2, 0x4cbe59a5d345a945ULL,
+         0xa847711336c30cd1ULL},
+        {kSwap, false, 257, 1e-3, 0x791965fa42e15fa9ULL,
+         0x272a733cf0929124ULL},
+        {kSwap, false, 257, 2e-2, 0x2e9a95ac4c068f8bULL,
+         0x65c38946311fcefeULL},
+        {kSwap, true, 64, 1e-3, 0x7d9ecc3c2954f5aeULL,
+         0x57aff72b650419dcULL},
+        {kSwap, true, 64, 2e-2, 0x550f737628bdf330ULL,
+         0xfb3693889bdf935eULL},
+        {kSwap, true, 256, 1e-3, 0xa9981ef9cd0cbc07ULL,
+         0x462ad4630ab6944dULL},
+        {kSwap, true, 256, 2e-2, 0xcc5c2db198005e3eULL,
+         0x5a249e4f52b3c004ULL},
+        {kSwap, true, 512, 1e-3, 0x95abe4f852f7af5fULL,
+         0x13c19f16213f571bULL},
+        {kSwap, true, 512, 2e-2, 0x80e295a7c738c023ULL,
+         0x8252af965c463999ULL},
+        {kSwap, true, 257, 1e-3, 0x933fd10c3d83735aULL,
+         0x60b8b2c017f9b52cULL},
+        {kSwap, true, 257, 2e-2, 0x6dfe98a04b26d1edULL,
+         0x6effd9b29c345bcbULL},
+        {kDqlr, false, 64, 1e-3, 0x0ff4c3a59bbc6a04ULL,
+         0x2a902d30de79e7e0ULL},
+        {kDqlr, false, 64, 2e-2, 0xf4720a66b6c17f05ULL,
+         0xab7df3be297856f7ULL},
+        {kDqlr, false, 256, 1e-3, 0x8c901783556a1de1ULL,
+         0x2a8d7f61c93f54e4ULL},
+        {kDqlr, false, 256, 2e-2, 0x7c8fe907c3d986a0ULL,
+         0x72df506e219123b5ULL},
+        {kDqlr, false, 512, 1e-3, 0x8c7150c73cadcd61ULL,
+         0x986edc9c2251b7aaULL},
+        {kDqlr, false, 512, 2e-2, 0x39fc96aa3a473545ULL,
+         0x3631d07f407060a2ULL},
+        {kDqlr, false, 257, 1e-3, 0xf1a9b411e1a2905fULL,
+         0x9063bb19fa6a4aa5ULL},
+        {kDqlr, false, 257, 2e-2, 0xe74b2d2a506baaffULL,
+         0xeedf3fa9a39f8467ULL},
+        {kDqlr, true, 64, 1e-3, 0x0ff4c3a59bbc6a04ULL,
+         0x2a902d30de79e7e0ULL},
+        {kDqlr, true, 64, 2e-2, 0xf4720a66b6c17f05ULL,
+         0xab7df3be297856f7ULL},
+        {kDqlr, true, 256, 1e-3, 0x8c901783556a1de1ULL,
+         0x2a8d7f61c93f54e4ULL},
+        {kDqlr, true, 256, 2e-2, 0x7c8fe907c3d986a0ULL,
+         0x72df506e219123b5ULL},
+        {kDqlr, true, 512, 1e-3, 0x8c7150c73cadcd61ULL,
+         0x986edc9c2251b7aaULL},
+        {kDqlr, true, 512, 2e-2, 0x39fc96aa3a473545ULL,
+         0x3631d07f407060a2ULL},
+        {kDqlr, true, 257, 1e-3, 0xf1a9b411e1a2905fULL,
+         0x9063bb19fa6a4aa5ULL},
+        {kDqlr, true, 257, 2e-2, 0xe74b2d2a506baaffULL,
+         0xeedf3fa9a39f8467ULL},
+    };
+    RotatedSurfaceCode code(5);
+    for (IrTailKind tail : {kSwap, kDqlr})
+        for (bool multi_level : {false, true})
+            for (int lanes : {64, 256, 512, 257})
+                for (double p : {1e-3, 2e-2}) {
+                    const CircuitProgram prog =
+                        CircuitCompiler::surfaceMemory(code, 6, Basis::Z,
+                                                       tail);
+                    const ErrorModel em = ErrorModel::standard(p);
+                    uint64_t got[2];
+                    for (bool sparse : {true, false}) {
+                        uint64_t &g = got[sparse ? 0 : 1];
+                        if (lanes == 64)
+                            g = tailReplayDigest<1>(prog, em, lanes,
+                                                    sparse, multi_level);
+                        else if (lanes == 256)
+                            g = tailReplayDigest<4>(prog, em, lanes,
+                                                    sparse, multi_level);
+                        else
+                            g = tailReplayDigest<8>(prog, em, lanes,
+                                                    sparse, multi_level);
+                    }
+                    const Pin *pin = nullptr;
+                    for (const Pin &c : pins)
+                        if (c.tail == tail && c.multiLevel == multi_level &&
+                            c.lanes == lanes && c.p == p)
+                            pin = &c;
+                    char line[160];
+                    std::snprintf(line, sizeof line,
+                                  "{%s, %s, %d, %g, 0x%016llxULL, "
+                                  "0x%016llxULL},",
+                                  tail == kSwap ? "kSwap" : "kDqlr",
+                                  multi_level ? "true" : "false", lanes, p,
+                                  (unsigned long long)got[0],
+                                  (unsigned long long)got[1]);
+                    if (!pin) {
+                        ADD_FAILURE() << "unpinned " << line;
+                        continue;
+                    }
+                    EXPECT_EQ(pin->sparse, got[0]) << line;
+                    EXPECT_EQ(pin->full, got[1]) << line;
+                }
 }
 
 // --------------------------------------------- statistical W=64 checks
