@@ -13,6 +13,10 @@
  *     experiment agrees with the scalar reference loop
  *     (tests/scalar_reference.h) statistically on LER and LPR; and
  *     wide widths reproduce width 64 bit for bit.
+ *  4. The fused LRC-tail kernel: per-lane sparse fills and the ERASER+M
+ *     squash against the scalar oracle, every Pauli frame through a
+ *     bare LRC slot, noisy replay digests pinned to the op-by-op tail,
+ *     and allocation-free replay of a dense divergent fill.
  */
 
 #include <gtest/gtest.h>
@@ -813,7 +817,7 @@ mix64(uint64_t x)
 }
 
 uint64_t
-mix64(uint64_t a, uint64_t b, uint64_t c = 0)
+mix64(uint64_t a, uint64_t b, uint64_t c)
 {
     return mix64(mix64(mix64(a) ^ b) ^ c);
 }
