@@ -4,32 +4,16 @@
  * the speculation + insertion path (the paper's 5 ns FPGA budget and
  * ~120 ns control window, Section 4.3), one syndrome extraction round
  * of the frame simulator, full-shot MWPM / Union-Find decodes (one-off
- * vs reusable-workspace), and end-to-end decoded memory sweeps
- * comparing the scalar decode-per-shot loop against the batch-aware
- * decode pipeline (sparse syndromes + zero-defect fast path + dedup
- * cache + allocation-free workspaces).
- *
- * After the benchmarks run, main() emits BENCH_decode.json (override
- * the path with ERASER_BENCH_JSON, skip with ERASER_SKIP_DECODE_JSON)
- * with machine-readable scalar-vs-batched decode throughput and cache
- * hit rates (exact and round-truncated prefix keys), and
- * BENCH_simd.json (ERASER_SIMD_JSON / ERASER_SKIP_SIMD_JSON) with the
- * word-group width sweep of the decoded d=11 UF ERASER experiment, so
- * the perf trajectory is tracked across PRs.
+ * vs reusable-workspace), and end-to-end decoded memory experiments
+ * through the batch-aware decode pipeline (sparse syndromes +
+ * zero-defect fast path + dedup cache + allocation-free workspaces).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "base/atomic_file.h"
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/simd_word.h"
@@ -43,8 +27,6 @@
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
-#include "exp/sweep_plan.h"
-#include "legacy_decoders.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/frame_simulator.h"
 
@@ -600,17 +582,14 @@ BENCHMARK(BM_ComponentPipelineDecode)
 
 /**
  * End-to-end decoded throughput of the paper's headline d=11 ERASER
- * memory experiment. mode 1: batched sim + a decode-per-shot loop
- * over the frozen legacy decoders; mode 2: batched sim + batch-aware
- * decode pipeline. The mode1 -> mode2 shots/s ratio is the
- * decode-pipeline speedup.
+ * memory experiment: batched sim + the batch-aware decode pipeline,
+ * decoding with MWPM (uf:0) or Union-Find (uf:1).
  */
 void
 BM_MemoryExperimentEraserDecoded(benchmark::State &state)
 {
     const int d = 11;
-    const int mode = (int)state.range(0);
-    const bool union_find = state.range(1) != 0;
+    const bool union_find = state.range(0) != 0;
     RotatedSurfaceCode code(d);
     ExperimentConfig cfg;
     cfg.rounds = d;
@@ -621,20 +600,7 @@ BM_MemoryExperimentEraserDecoded(benchmark::State &state)
     cfg.decoderKind = union_find ? DecoderKind::UnionFind
                                  : DecoderKind::Mwpm;
     cfg.batchWidth = 64;
-    cfg.batchDecode = mode == 2;
-    // Mode 1 decodes with the frozen legacy decoders
-    // (bench/legacy_decoders.h) so the mode ratio tracks real
-    // cross-version speedups.
-    const DecoderFactory legacy_factory =
-        [union_find](const DetectorModel &dem,
-                     double p) -> std::unique_ptr<Decoder> {
-        if (union_find)
-            return std::make_unique<LegacyUnionFindDecoder>(dem, p);
-        return std::make_unique<LegacyMwpmDecoder>(dem, p);
-    };
-    MemoryExperiment exp =
-        mode == 2 ? MemoryExperiment(code, cfg)
-                  : MemoryExperiment(code, cfg, legacy_factory);
+    MemoryExperiment exp(code, cfg);
 
     uint64_t shots = 0;
     ExperimentResult last;
@@ -653,9 +619,7 @@ BM_MemoryExperimentEraserDecoded(benchmark::State &state)
                               (double)last.shots);
 }
 BENCHMARK(BM_MemoryExperimentEraserDecoded)
-    ->ArgNames({"mode", "uf"})
-    ->Args({1, 0})->Args({2, 0})
-    ->Args({1, 1})->Args({2, 1})
+    ->ArgName("uf")->Arg(0)->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -698,328 +662,6 @@ BM_DemBuildTiled(benchmark::State &state)
 BENCHMARK(BM_DemBuildTiled)->Arg(3)->Arg(5)->Arg(7)->Arg(11)
     ->Unit(benchmark::kMillisecond);
 
-/**
- * Machine-readable decode-throughput tracking: run the decoded ERASER
- * memory sweep at d = 7/9/11 for both decoders, once with the frozen
- * PR 1 decoders in the scalar decode-per-shot loop (the PR 1
- * baseline, re-measured on the current machine) and once with the
- * batch-aware pipeline, and write shots/s, speedup, cache hit rate
- * and zero-defect fraction as JSON. Each entry also runs the
- * component-granular stage and the 2d-row sliding window against an
- * all-caches-off reference and records the component-cache hit rate
- * plus verdicts_match_uncached / verdicts_match_windowed fingerprint
- * pins, so CI can assert both stages stayed exactness-preserving.
- */
-void
-emitDecodeJson()
-{
-    if (std::getenv("ERASER_SKIP_DECODE_JSON"))
-        return;
-    const char *path_env = std::getenv("ERASER_BENCH_JSON");
-    const std::string path =
-        path_env ? path_env : "BENCH_decode.json";
-    // temp + fsync + rename: a bench killed mid-emit leaves the
-    // previous artifact, never a truncated JSON CI would then parse.
-    AtomicFileWriter writer;
-    Status open_status = writer.open(path);
-    if (!open_status.isOk()) {
-        std::fprintf(stderr, "cannot write %s (%s)\n", path.c_str(),
-                     open_status.toString().c_str());
-        return;
-    }
-    FILE *out = writer.stream();
-
-    auto shots_per_sec = [](const RotatedSurfaceCode &code,
-                            const ExperimentConfig &cfg,
-                            const DecoderFactory *legacy,
-                            ExperimentResult *result_out) {
-        MemoryExperiment exp =
-            legacy ? MemoryExperiment(code, cfg, *legacy)
-                   : MemoryExperiment(code, cfg);
-        const auto start = std::chrono::steady_clock::now();
-        auto result = exp.run(PolicyKind::Eraser);
-        const double secs = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                start)
-                                .count();
-        if (result_out)
-            *result_out = result;
-        return (double)result.shots / (secs > 0.0 ? secs : 1e-9);
-    };
-
-    std::fprintf(out,
-                 "{\n  \"bench\": \"decoded d-sweep, ERASER policy, "
-                 "rounds=3d, batchWidth=64; scalar = frozen PR1 "
-                 "decoders + decode-per-shot loop\",\n"
-                 "  \"entries\": [\n");
-
-    // The grid (and each point's seed) is a SweepPlan; the scalar vs
-    // pipeline pairing below is this bench's own instrumentation on
-    // top of it, which is why it does not go through SweepRunner.
-    SweepPlan plan;
-    plan.name = "decode_pipeline_tracking";
-    plan.distances = {7, 9, 11};
-    plan.ps = {1e-3, 1e-4};
-    plan.rounds = {SweepRounds::cycles(3)};
-    plan.decoders = {DecoderKind::Mwpm, DecoderKind::UnionFind};
-    plan.base.batchWidth = 64;
-    plan.shotsFor = [](int d, double) -> uint64_t {
-        return d >= 11 ? 192 : (d >= 9 ? 320 : 512);
-    };
-
-    bool first = true;
-    std::map<int, std::unique_ptr<RotatedSurfaceCode>> codes;
-    for (const SweepPoint &point : plan.points()) {
-        auto &code = codes[point.distance];
-        if (!code)
-            code = std::make_unique<RotatedSurfaceCode>(
-                point.distance);
-        const bool union_find =
-            point.decoderKind == DecoderKind::UnionFind;
-        const DecoderFactory legacy_factory =
-            [union_find](const DetectorModel &dem,
-                         double p) -> std::unique_ptr<Decoder> {
-            if (union_find)
-                return std::make_unique<LegacyUnionFindDecoder>(dem,
-                                                                p);
-            return std::make_unique<LegacyMwpmDecoder>(dem, p);
-        };
-
-        ExperimentConfig cfg = point.config;
-        cfg.batchDecode = false;
-        const double scalar_rate =
-            shots_per_sec(*code, cfg, &legacy_factory, nullptr);
-        cfg.batchDecode = true;
-        ExperimentResult batched;
-        const double batched_rate =
-            shots_per_sec(*code, cfg, nullptr, &batched);
-        // Approximate round-truncated prefix keying: the knob that
-        // makes dedup fire at p = 1e-3 (exact keys almost never
-        // repeat there). Reported side by side with the exact hit
-        // rate.
-        cfg.syndromeCache.truncateRounds = 2;
-        ExperimentResult truncated;
-        shots_per_sec(*code, cfg, nullptr, &truncated);
-        cfg.syndromeCache.truncateRounds = 0;
-
-        // Exactness pins, recorded in the artifact itself: every
-        // pipeline stage must reproduce one verdict fingerprint.
-        // Reference run: all caches off, no components, no window.
-        cfg.syndromeCache.enabled = false;
-        ExperimentResult uncached;
-        shots_per_sec(*code, cfg, nullptr, &uncached);
-        // Component-granular dispatch on (dedup still off, so the
-        // component cache sees every nonzero lane).
-        cfg.componentDecode.enabled = true;
-        ExperimentResult components;
-        shots_per_sec(*code, cfg, nullptr, &components);
-        cfg.componentDecode.enabled = false;
-        // Sliding-window streaming decode (2d-row window, d-row
-        // slide).
-        cfg.windowLength = 2 * point.distance;
-        cfg.windowSlideLength = point.distance;
-        ExperimentResult windowed;
-        shots_per_sec(*code, cfg, nullptr, &windowed);
-
-        const bool match_uncached =
-            batched.verdictFingerprint ==
-                uncached.verdictFingerprint &&
-            components.verdictFingerprint ==
-                uncached.verdictFingerprint;
-        const bool match_windowed =
-            windowed.verdictFingerprint ==
-                uncached.verdictFingerprint &&
-            windowed.windowsDecoded > 0;
-
-        std::fprintf(
-            out,
-            "%s    {\"decoder\": \"%s\", \"p\": %.0e, "
-            "\"d\": %d, \"rounds\": %d, \"shots\": %llu, "
-            "\"seed\": %llu, "
-            "\"scalar_shots_per_s\": %.1f, "
-            "\"batched_shots_per_s\": %.1f, "
-            "\"speedup\": %.2f, "
-            "\"cache_hit_rate\": %.4f, "
-            "\"cache_hit_rate_trunc2\": %.4f, "
-            "\"component_cache_hit_rate\": %.4f, "
-            "\"verdicts_match_uncached\": %s, "
-            "\"verdicts_match_windowed\": %s, "
-            "\"zero_defect_frac\": %.4f}",
-            first ? "" : ",\n", decoderKindName(point.decoderKind),
-            point.p, point.distance, point.rounds,
-            (unsigned long long)point.shots,
-            (unsigned long long)point.seed, scalar_rate,
-            batched_rate, batched_rate / scalar_rate,
-            batched.syndromeCacheHitRate(),
-            truncated.syndromeCacheHitRate(),
-            components.componentCacheHitRate(),
-            match_uncached ? "true" : "false",
-            match_windowed ? "true" : "false",
-            (double)batched.zeroDefectShots /
-                (double)batched.shots);
-        first = false;
-    }
-    // Static-analysis pin: the decoded d=11 surface-memory program
-    // must pass the full IrAnalyzer stack with zero Error diagnostics
-    // under the bench error model. CI greps the field.
-    {
-        const int d = 11;
-        const int rounds = 3 * d;
-        RotatedSurfaceCode ir_code(d);
-        const CircuitProgram analyzed_prog =
-            CircuitCompiler::surfaceMemory(ir_code, rounds, Basis::Z,
-                                           IrTailKind::SwapLrc);
-        const bool analysis_clean =
-            !IrAnalyzer::analyze(analyzed_prog,
-                                 ErrorModel::standard(1e-3))
-                 .hasErrors();
-        std::fprintf(out,
-                     "\n  ],\n  \"ir_analysis\": "
-                     "{\"d\": %d, \"rounds\": %d, "
-                     "\"ir_analysis_clean\": %s}\n}\n",
-                     d, rounds, analysis_clean ? "true" : "false");
-    }
-    Status commit_status = writer.commit();
-    if (!commit_status.isOk()) {
-        std::fprintf(stderr, "cannot write %s (%s)\n", path.c_str(),
-                     commit_status.toString().c_str());
-        return;
-    }
-    std::printf("wrote %s\n", path.c_str());
-}
-
-/**
- * SIMD width-scaling tracking: run the decoded d=11 UF ERASER sweep
- * (rounds = 3d, 1 worker so the ratio is pure per-core width scaling,
- * not thread-count effects) at word-group widths 64/256/512 and write
- * shots/s and the speedup over the width-64 anchor as JSON, together
- * with the engine's compiled backend, the host's recommended width
- * and a "width_scaling" summary block (the p = 1e-3 wide-width
- * speedups regressions are watched on). All widths run the same seed,
- * so `verdicts_match_64` pins the cross-width bit-identity of the
- * word-parallel controller in the artifact itself. Rates divide by
- * executed shots (per-group live lanes), never by
- * groups * batchWidth, so ragged tail groups cannot inflate them.
- */
-void
-emitSimdJson()
-{
-    if (std::getenv("ERASER_SKIP_SIMD_JSON"))
-        return;
-    const char *path_env = std::getenv("ERASER_SIMD_JSON");
-    const std::string path = path_env ? path_env : "BENCH_simd.json";
-    AtomicFileWriter writer;
-    Status open_status = writer.open(path);
-    if (!open_status.isOk()) {
-        std::fprintf(stderr, "cannot write %s (%s)\n", path.c_str(),
-                     open_status.toString().c_str());
-        return;
-    }
-    FILE *out = writer.stream();
-
-    std::fprintf(
-        out,
-        "{\n  \"bench\": \"decoded d=11 UF ERASER sweep, rounds=3d, "
-        "1 core, word-group width sweep; width 64 is the "
-        "bit-identical pre-SIMD anchor and all widths decode the "
-        "same shots\",\n"
-        "  \"engine_backend\": \"%s\",\n"
-        "  \"recommended_width\": %d,\n"
-        "  \"entries\": [\n",
-        simdBackendName(), recommendedBatchWidth());
-
-    // Width sweep as a SweepPlan: the width axis is excluded from the
-    // derived per-point seed, so all widths of one p decode the same
-    // shots by construction — exactly what verdicts_match_64 pins.
-    SweepPlan plan;
-    plan.name = "simd_width_tracking";
-    plan.distances = {11};
-    plan.ps = {1e-3, 1e-4};
-    plan.rounds = {SweepRounds::cycles(3)};
-    plan.widths = {64, 256, 512};
-    plan.base.decoderKind = DecoderKind::UnionFind;
-    plan.base.threads = 1;
-    plan.shotsFor = [](int, double p) -> uint64_t {
-        return p < 5e-4 ? 3072 : 1536;
-    };
-
-    RotatedSurfaceCode code(11);
-    bool first = true;
-    double scale_256 = 0.0, scale_512 = 0.0;
-    bool warmed = false;
-    double base_rate = 0.0;
-    uint64_t base_errors = 0;
-    uint64_t base_fingerprint = 0;
-    for (const SweepPoint &point : plan.points()) {
-        MemoryExperiment exp(code, point.config);
-        // Best-of-3 (after one warm-up for the whole sweep):
-        // single-run wall times on shared hosts carry enough
-        // scheduler noise to swamp the width ratios this artifact
-        // exists to track.
-        if (!warmed) {
-            exp.run(PolicyKind::Eraser);
-            warmed = true;
-        }
-        double rate = 0.0;
-        ExperimentResult result;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto start = std::chrono::steady_clock::now();
-            result = exp.run(PolicyKind::Eraser);
-            const double secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            rate = std::max(rate, (double)result.shots /
-                                      (secs > 0.0 ? secs : 1e-9));
-        }
-        if (point.batchWidth == 64) {
-            base_rate = rate;
-            base_errors = result.logicalErrors;
-            base_fingerprint = result.verdictFingerprint;
-        }
-        const double speedup =
-            base_rate > 0.0 ? rate / base_rate : 1.0;
-        if (point.p == 1e-3 && point.batchWidth == 256)
-            scale_256 = speedup;
-        if (point.p == 1e-3 && point.batchWidth == 512)
-            scale_512 = speedup;
-        // Per-shot identity, not just equal error counts: the
-        // fingerprint is an order-independent XOR over every
-        // (shot, verdict) pair, so compensating flips cannot fake
-        // a match.
-        const bool verdicts_match =
-            result.logicalErrors == base_errors &&
-            result.verdictFingerprint == base_fingerprint;
-        std::fprintf(out,
-                     "%s    {\"p\": %.0e, \"width\": %u, "
-                     "\"shots\": %llu, \"seed\": %llu, "
-                     "\"logical_errors\": %llu, "
-                     "\"verdicts_match_64\": %s, "
-                     "\"shots_per_s\": %.1f, "
-                     "\"speedup_vs_64\": %.3f}",
-                     first ? "" : ",\n", point.p, point.batchWidth,
-                     (unsigned long long)result.shots,
-                     (unsigned long long)point.seed,
-                     (unsigned long long)result.logicalErrors,
-                     verdicts_match ? "true" : "false", rate,
-                     speedup);
-        first = false;
-    }
-    std::fprintf(out,
-                 "\n  ],\n"
-                 "  \"width_scaling\": {\"p\": 1e-3, "
-                 "\"speedup_256_vs_64\": %.3f, "
-                 "\"speedup_512_vs_64\": %.3f}\n}\n",
-                 scale_256, scale_512);
-    Status commit_status = writer.commit();
-    if (!commit_status.isOk()) {
-        std::fprintf(stderr, "cannot write %s (%s)\n", path.c_str(),
-                     commit_status.toString().c_str());
-        return;
-    }
-    std::printf("wrote %s\n", path.c_str());
-}
-
 } // namespace
 
 int
@@ -1030,7 +672,5 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    emitDecodeJson();
-    emitSimdJson();
     return 0;
 }

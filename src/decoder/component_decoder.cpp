@@ -294,7 +294,9 @@ ComponentGraph::pairDistanceLowerBound(const DecodeWorkspace &ws,
 ComponentCache::ComponentCache(const ComponentDecodeOptions &options)
     : arenaCapacity_(options.arenaCapacity)
 {
-    const uint32_t log2 = std::min(options.tableLog2, 24u);
+    // At least 4 slots, so the flush threshold leaves a free slot
+    // for every probe chain to end on (see SyndromeCache).
+    const uint32_t log2 = std::clamp(options.tableLog2, 2u, 24u);
     slots_.resize(size_t{1} << log2);
     mask_ = slots_.size() - 1;
     arena_.reserve(arenaCapacity_);

@@ -100,7 +100,8 @@ struct ComponentDecodeOptions
      * at this radius.
      */
     int hopRadius = 2;
-    /** log2 of the component cache's slot count. */
+    /** log2 of the component cache's slot count (clamped to
+     *  [2, 24]). */
     uint32_t tableLog2 = 15;
     /** Capacity of the component cache's defect arena (ints). */
     uint32_t arenaCapacity = 1u << 18;

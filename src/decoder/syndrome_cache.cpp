@@ -41,7 +41,10 @@ SyndromeCache::SyndromeCache(SyndromeCacheOptions options)
     // or arena allocation failing — the recoverable-allocation path
     // the SweepRunner retry tests exercise.
     (void)QEC_FAULT_POINT("cache.alloc");
-    options_.tableLog2 = std::min(options_.tableLog2, 24u);
+    // At least 4 slots: the insert-side flush keeps a quarter of the
+    // table free, which a 1- or 2-slot table would round down to
+    // none, leaving a missing lookup to probe forever.
+    options_.tableLog2 = std::clamp(options_.tableLog2, 2u, 24u);
     slots_.resize(size_t{1} << options_.tableLog2);
     mask_ = slots_.size() - 1;
     arena_.reserve(options_.arenaCapacity);

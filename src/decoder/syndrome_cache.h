@@ -30,7 +30,7 @@ namespace qec
 struct SyndromeCacheOptions
 {
     bool enabled = true;
-    /** log2 of the slot count. */
+    /** log2 of the slot count (clamped to [2, 24]). */
     uint32_t tableLog2 = 13;
     /** Capacity of the stored-defect arena (ints). */
     uint32_t arenaCapacity = 1u << 17;

@@ -67,14 +67,6 @@ ExperimentResult::syndromeCacheHitRate() const
 }
 
 double
-ExperimentResult::componentCacheHitRate() const
-{
-    const uint64_t total = componentCacheHits + componentsDecoded;
-    return total == 0 ? 0.0
-                      : (double)componentCacheHits / (double)total;
-}
-
-double
 ExperimentResult::lprData(int round) const
 {
     if (shots == 0 || round >= (int)lprDataSum.size())
@@ -791,7 +783,9 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
                     (errors >> i) & 1);
         }
     } else {
-        // Scalar decode-per-shot baseline (perf comparisons only).
+        // Decode-per-shot loop through decoder_: the path a custom
+        // DecoderFactory's decoder drives, and the reference the
+        // golden corpus holds the batched pipeline to.
         for (int l = 0; l < W; ++l) {
             const std::vector<int> defects(
                 syndrome.laneBegin(l),

@@ -89,8 +89,8 @@ struct ExperimentConfig
      * Drive the batched engine's decode step through the BatchDecoder
      * pipeline (sparse syndromes, zero-defect fast path, dedup cache,
      * reusable workspaces). Verdict-identical to the per-shot decode
-     * loop it replaces; turn off only to benchmark against the scalar
-     * decode baseline.
+     * loop it replaces (pinned by the golden corpus); off runs that
+     * loop, which hands every shot to the decoder.
      */
     bool batchDecode = true;
     /** Dedup-cache sizing for the batched decode pipeline. */
@@ -153,8 +153,8 @@ struct ExperimentResult
      * Two runs of the same shot set have equal fingerprints iff every
      * individual shot's verdict matches — a strictly stronger check
      * than comparing logicalErrors counts, which compensating flips
-     * leave unchanged (used by the BENCH_simd cross-width
-     * verdict-identity field). Zero when decoding is off.
+     * leave unchanged (the golden corpus pins it across widths and
+     * decode stages). Zero when decoding is off.
      */
     uint64_t verdictFingerprint = 0;
 
@@ -167,8 +167,6 @@ struct ExperimentResult
     double avgLrcsPerRound() const;
     /** Dedup-cache hit rate over cache-eligible (nonzero) shots. */
     double syndromeCacheHitRate() const;
-    /** Component-cache hit rate over all dispatched components. */
-    double componentCacheHitRate() const;
     /** Leakage population ratio at round r (Eq. 5). */
     double lprTotal(int round) const;
     double lprData(int round) const;

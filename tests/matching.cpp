@@ -1,4 +1,4 @@
-#include "decoder/matching.h"
+#include "matching.h"
 
 #include <algorithm>
 #include <cassert>

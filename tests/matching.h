@@ -3,9 +3,10 @@
  * Exact maximum-weight matching on general graphs (Galil's O(n^3)
  * blossom algorithm, following Van Rantwijk's well-known formulation).
  *
- * The MWPM decoder does not call it (it runs its own sparse blossom on
- * the detector graph); the tests use it as the exact solver of their
- * full-graph oracle, where a maximum-weight (not maximum-cardinality)
+ * Test support, linked into every test binary and not part of the
+ * library: the MWPM decoder does not call it (it runs its own sparse
+ * blossom on the detector graph); the tests use it as the exact solver
+ * of their full-graph oracle, where a maximum-weight (not maximum-cardinality)
  * matching of the savings b_i + b_j - d_ij decides which defects pair
  * up and the rest go to the boundary. minWeightPerfectMatching (the
  * doubled boundary-twin construction) is the textbook form of the same
@@ -14,8 +15,8 @@
  * the test suite.
  */
 
-#ifndef QEC_DECODER_MATCHING_H
-#define QEC_DECODER_MATCHING_H
+#ifndef QEC_TESTS_MATCHING_H
+#define QEC_TESTS_MATCHING_H
 
 #include <cstddef>
 #include <cstdint>
@@ -55,4 +56,4 @@ std::vector<int> minWeightPerfectMatching(
 
 } // namespace qec
 
-#endif // QEC_DECODER_MATCHING_H
+#endif // QEC_TESTS_MATCHING_H

@@ -40,8 +40,8 @@
 #include "decoder/decode_workspace.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
-#include "decoder/matching.h"
 #include "decoder/mwpm_decoder.h"
+#include "matching.h"
 #include "sim/frame_simulator.h"
 
 namespace qec

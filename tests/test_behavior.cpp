@@ -12,8 +12,8 @@
 #include <chrono>
 
 #include "core/qsg.h"
-#include "decoder/matching.h"
 #include "exp/memory_experiment.h"
+#include "matching.h"
 #include "sim/frame_simulator.h"
 
 namespace qec

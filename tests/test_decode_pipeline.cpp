@@ -31,6 +31,7 @@
 #include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
+#include "decoder/component_decoder.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
@@ -588,10 +589,63 @@ TEST(DecodePipeline, SyndromeCacheFlushesWhenFull)
     EXPECT_TRUE(verdict);
 }
 
+TEST(DecodePipeline, TinyCacheTablesKeepAFreeSlot)
+{
+    // Both caches flush once a quarter of their slots would be left
+    // free. A 1- or 2-slot table rounds that quarter down to none,
+    // fills up, and a lookup that misses then probes forever. The
+    // first flush snapshot gives each cache's real slot count, and
+    // the ASSERTs stop the test before a lookup that would hang.
+    for (uint32_t log2 : {0u, 1u, 2u}) {
+        SCOPED_TRACE(log2);
+        SyndromeCacheOptions dedup_options;
+        dedup_options.tableLog2 = log2;
+        SyndromeCache dedup(dedup_options);
+        ComponentDecodeOptions component_options;
+        component_options.tableLog2 = log2;
+        ComponentCache components(component_options);
+
+        int id = 0;
+        const auto insert_next = [&](const int *list) {
+            dedup.insert(syndromeHash(list, 2), list, 2, id & 1);
+            components.insert(list, 2, 0, false, id & 1, 0);
+        };
+        for (; id < 8; ++id) {
+            const int list[2] = {id, id + 1000};
+            insert_next(list);
+        }
+        const SyndromeCacheFlush &dedup_flush =
+            dedup.stats().lastFlush;
+        const ComponentCacheFlush &component_flush =
+            components.stats().lastFlush;
+        ASSERT_GT(dedup.stats().flushes, 0u);
+        ASSERT_GT(components.stats().flushes, 0u);
+        ASSERT_LT(dedup_flush.occupancy, 1.0);
+        ASSERT_LT(component_flush.occupancy, 1.0);
+        const size_t dedup_slots = (size_t)std::lround(
+            (double)dedup_flush.evicted / dedup_flush.occupancy);
+        const size_t component_slots = (size_t)std::lround(
+            (double)component_flush.evicted / component_flush.occupancy);
+
+        for (; id < 40; ++id) {
+            const int list[2] = {id, id + 1000};
+            bool verdict = false;
+            int reach = 0;
+            ASSERT_LT(dedup.size(), dedup_slots);
+            EXPECT_FALSE(
+                dedup.lookup(syndromeHash(list, 2), list, 2, verdict));
+            ASSERT_LT(components.size(), component_slots);
+            EXPECT_FALSE(
+                components.lookup(list, 2, 0, false, 0, verdict, reach));
+            insert_next(list);
+        }
+    }
+}
+
 TEST(DecodePipeline, CustomDecoderFactoryIsUsed)
 {
-    // The injection point the perf harness uses to run the frozen PR 1
-    // decoders: the factory-built decoder must drive the verdicts.
+    // A caller-supplied DecoderFactory ("any other decoder may be used
+    // as well"): the factory-built decoder must drive the verdicts.
     struct AlwaysFlip : Decoder
     {
         bool

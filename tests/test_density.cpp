@@ -132,10 +132,16 @@ TEST(Density, HermiticityPreservedThroughStudySteps)
 class StudyFixture : public ::testing::Test
 {
   protected:
-    StudyFixture() : steps_(runStabilizerLeakageStudy()) {}
+    // The study is deterministic and the tests only read it, so the
+    // suite runs it once instead of once per test.
+    static void
+    SetUpTestSuite()
+    {
+        steps_ = runStabilizerLeakageStudy();
+    }
 
-    const StudyStep &
-    marker(const std::string &m) const
+    static const StudyStep &
+    marker(const std::string &m)
     {
         for (const auto &s : steps_) {
             if (s.marker == m)
@@ -145,8 +151,10 @@ class StudyFixture : public ::testing::Test
         return steps_.front();
     }
 
-    std::vector<StudyStep> steps_;
+    static std::vector<StudyStep> steps_;
 };
+
+std::vector<StudyStep> StudyFixture::steps_;
 
 TEST_F(StudyFixture, HasAllMarkers)
 {

@@ -77,6 +77,18 @@ TEST(IrAnalysis, AllShippedProgramsAnalyzeErrorFree)
         EXPECT_TRUE(report.removableInstructions.empty());
         EXPECT_TRUE(IrAnalyzer::verify(prog).isOk());
     }
+    {
+        // The paper's headline distance, under the error model its
+        // decoded d=11 experiments run with.
+        RotatedSurfaceCode code(11);
+        const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+            code, 33, Basis::Z, IrTailKind::SwapLrc);
+        const IrAnalysisReport report =
+            IrAnalyzer::analyze(prog, ErrorModel::standard(1e-3));
+        EXPECT_EQ(report.errorCount(), 0)
+            << "surface d=11: " << errorText(report);
+        EXPECT_TRUE(report.removableInstructions.empty());
+    }
 }
 
 TEST(IrAnalysis, AnalysisHoldsUnderEveryShippedErrorModel)

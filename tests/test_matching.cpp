@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "decoder/matching.h"
+#include "matching.h"
 
 namespace qec
 {

@@ -18,9 +18,9 @@
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
-#include "decoder/matching.h"
 #include "decoder/mwpm_decoder.h"
 #include "exp/memory_experiment.h"
+#include "matching.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
