@@ -221,6 +221,54 @@ BENCHMARK(BM_BatchFrameSimRound)
     ->Args({11, 256})->Args({11, 512});
 
 /**
+ * The compiled round body alone: one replayed program round (its
+ * run kernels and hit-table advance) with every LRC slot left empty,
+ * at p = 1e-3 with leakage on or off. The simulator restarts every d
+ * rounds, as a d-round experiment would.
+ */
+template <int NW>
+void
+runBatchFrameSimRoundReplay(benchmark::State &state, int d, int lanes,
+                            bool leakage)
+{
+    RotatedSurfaceCode code(d);
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, d, Basis::Z, IrTailKind::SwapLrc);
+    const ErrorModel em = leakage ? ErrorModel::standard(1e-3)
+                                  : ErrorModel::withoutLeakage(1e-3);
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, em, lanes, 2, 0);
+    sim.bindProgramStreams(prog);
+    sim.reserveRecord((size_t)prog.numStabs);
+    int r = 0;
+    for (auto _ : state) {
+        sim.executeProgramRound(prog, r, sim.liveMask());
+        benchmark::DoNotOptimize(sim.record().size());
+        sim.clearRecord();
+        if (++r == prog.rounds) {
+            r = 0;
+            sim.reset();
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * sim.numLanes());
+}
+
+void
+BM_BatchFrameSimRoundReplay(benchmark::State &state)
+{
+    const int d = (int)state.range(0);
+    const int width = (int)state.range(1);
+    const bool leakage = state.range(2) != 0;
+    if (width <= 64)
+        runBatchFrameSimRoundReplay<1>(state, d, width, leakage);
+    else
+        runBatchFrameSimRoundReplay<4>(state, d, width, leakage);
+}
+BENCHMARK(BM_BatchFrameSimRoundReplay)
+    ->ArgNames({"d", "width", "leakage"})
+    ->Args({11, 64, 0})->Args({11, 64, 1})
+    ->Args({11, 256, 0})->Args({11, 256, 1});
+
+/**
  * One replayed swap-LRC program round with its divergent LRC tails, at
  * p = 1e-3 with leakage on. `sparse` = 0 is the Always policy's
  * schedule on every lane: on odd rounds a near-perfect pairing of the

@@ -43,23 +43,4 @@ Rng::forStream(uint64_t seed, uint64_t stream, uint64_t salt)
     return forShot(salted, stream);
 }
 
-
-
-
-uint32_t
-Rng::randint(uint32_t n)
-{
-    // Multiply-shift bounded draw (Lemire); bias is negligible for the
-    // small ranges used here but we keep the rejection loop for
-    // exactness in property tests.
-    uint64_t threshold = (-static_cast<uint64_t>(n)) % n;
-    while (true) {
-        uint64_t x = next();
-        __uint128_t m = static_cast<__uint128_t>(x) * n;
-        if (static_cast<uint64_t>(m) >= threshold)
-            return static_cast<uint32_t>(m >> 64);
-    }
-}
-
-
 } // namespace qec

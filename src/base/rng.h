@@ -75,8 +75,25 @@ class Rng
         return uniform() < p;
     }
 
-    /** Uniform integer in [0, n). Requires n > 0. */
-    uint32_t randint(uint32_t n);
+    /**
+     * Uniform integer in [0, n). Requires n > 0. Multiply-shift bounded
+     * draw (Lemire) with its rejection loop, so it is exact. Inline, so
+     * a constant n folds the threshold (-n) % n; a draw whose low word
+     * is at least n is accepted before the threshold is needed at all
+     * (the threshold is below n), which leaves the accepted draws
+     * unchanged.
+     */
+    uint32_t
+    randint(uint32_t n)
+    {
+        while (true) {
+            const __uint128_t m =
+                static_cast<__uint128_t>(next()) * n;
+            const uint64_t low = static_cast<uint64_t>(m);
+            if (low >= n || low >= (-static_cast<uint64_t>(n)) % n)
+                return static_cast<uint32_t>(m >> 64);
+        }
+    }
 
     /** Single uniform bit. */
     bool bit() { return (next() >> 63) != 0; }

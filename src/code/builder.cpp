@@ -97,6 +97,11 @@ buildRoundSchedule(const RotatedSurfaceCode &code, int round,
         lrc_of_stab[pair.stab] = (int)i;
     }
 
+    // RoundStart, idles, two H layers, at most four CNOTs and a
+    // measure+reset per stabilizer, and seven ops per LRC.
+    ops.reserve(1 + (size_t)code.numData() +
+                2 * code.xStabilizers().size() +
+                6 * (size_t)code.numStabilizers() + 7 * lrcs.size());
     Op start = makeOp(OpType::RoundStart, -1);
     start.round = round;
     ops.push_back(start);

@@ -69,6 +69,104 @@ makeTailTemplate(IrTailKind kind)
 
 } // namespace
 
+IrRunTable
+IrRunTable::compile(const CircuitProgram &prog)
+{
+    IrRunTable t;
+    t.bodyBegin = prog.bodyBegin;
+    t.bodyEnd = prog.bodyEnd;
+    t.numInstrs = prog.instrs.size();
+    t.poolSize = prog.pool.size();
+    // Sized for the whole body (at most two sites per op), trimmed at
+    // the end: set-up time counts, so the loop writes by index.
+    const size_t body = prog.bodyEnd - prog.bodyBegin;
+    t.q0.resize(body);
+    t.q1.resize(body);
+    t.pool.resize(body);
+    t.pauliSiteOp.resize(2 * body);
+    t.leakSiteOp.resize(2 * body);
+    // run_of[q]: the last run that used qubit q. An op joins the open
+    // run `cur` only when it has the run's kind and none of its qubits
+    // is already in the run.
+    std::vector<int32_t> run_of(std::max(prog.numQubits, 0), -1);
+    const auto in_run = [&](int q, int32_t run) {
+        return q >= 0 && q < (int)run_of.size() && run_of[q] == run;
+    };
+    int32_t n = 0, pauli = 0, leak = 0, cur = -1;
+    for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
+        const IrInst &inst = prog.instrs[i];
+        OpType type = OpType::RoundStart;
+        int32_t q0 = inst.a, q1 = -1, pool = -1, second = -1;
+        IrOpSites sites;
+        if (inst.op == IrOpcode::Gate) {
+            const Op &g = prog.pool[inst.a];
+            if (g.type == OpType::RoundStart)
+                continue;
+            type = g.type;
+            q0 = g.q0;
+            if (type == OpType::Cnot || type == OpType::LeakageIswap)
+                q1 = second = g.q1;
+            pool = inst.a;
+            sites = irOpSites(type);
+        } else if (inst.op == IrOpcode::Readout) {
+            const Op &meas = prog.pool[inst.b];
+            const IrOpSites m = irOpSites(meas.type);
+            const IrOpSites r =
+                irOpSites(prog.pool[(size_t)inst.b + 1].type);
+            type = meas.type;
+            q0 = meas.q0;
+            q1 = inst.a;
+            pool = inst.b;
+            sites = {m.pauli + r.pauli, m.leak + r.leak};
+        } else if (inst.op != IrOpcode::LrcSlot) {
+            continue;
+        }
+        const bool slot = inst.op == IrOpcode::LrcSlot;
+        if (cur < 0 || slot || t.runs[cur].op != inst.op ||
+            t.runs[cur].type != type || in_run(q0, cur) ||
+            in_run(second, cur)) {
+            IrRun run;
+            run.op = inst.op;
+            run.type = type;
+            run.begin = n;
+            run.pauliSite = pauli;
+            run.leakSite = leak;
+            run.perOp = sites;
+            t.runs.push_back(run);
+            ++cur;
+        }
+        if (!slot) {
+            if (q0 >= 0 && q0 < (int)run_of.size())
+                run_of[q0] = cur;
+            if (second >= 0 && second < (int)run_of.size())
+                run_of[second] = cur;
+        }
+        t.runs[cur].end = n + 1;
+        t.q0[n] = q0;
+        t.q1[n] = q1;
+        t.pool[n] = pool;
+        for (int k = 0; k < sites.pauli; ++k)
+            t.pauliSiteOp[pauli++] = n;
+        for (int k = 0; k < sites.leak; ++k)
+            t.leakSiteOp[leak++] = n;
+        ++n;
+    }
+    t.q0.resize(n);
+    t.q1.resize(n);
+    t.pool.resize(n);
+    t.pauliSiteOp.resize(pauli);
+    t.leakSiteOp.resize(leak);
+    return t;
+}
+
+bool
+IrRunTable::compiledFrom(const CircuitProgram &prog) const
+{
+    return numInstrs == prog.instrs.size() && numInstrs > 0 &&
+           bodyBegin == prog.bodyBegin && bodyEnd == prog.bodyEnd &&
+           poolSize == prog.pool.size();
+}
+
 bool
 CircuitProgram::supportContains(int stab, int data) const
 {
@@ -285,6 +383,9 @@ CircuitCompiler::surfaceMemory(const RotatedSurfaceCode &code,
     // is needed), and its readouts become per-round-stamped Readout
     // instructions.
     const RoundSchedule plain = buildRoundSchedule(code, 0, {});
+    // The body's ops, the finals and the loop markers, allocated once.
+    prog.pool.reserve(plain.ops.size() + (size_t)prog.numData);
+    prog.instrs.reserve(plain.ops.size() + (size_t)prog.numData + 3);
     prog.instrs.push_back({IrOpcode::RoundBegin, rounds, -1});
     prog.bodyBegin = prog.instrs.size();
     for (const Op &op : plain.ops) {
@@ -333,6 +434,7 @@ CircuitCompiler::surfaceMemory(const RotatedSurfaceCode &code,
     }
     map.observable = code.logicalSupport(basis);
     prog.tailTemplates.push_back(makeTailTemplate(tail));
+    prog.runTable = IrRunTable::compile(prog);
     return prog;
 }
 
@@ -411,6 +513,7 @@ CircuitCompiler::repetitionMemory(int distance, int rounds)
     map.observable = {0};
     prog.tailTemplates.push_back(
         makeTailTemplate(IrTailKind::SwapLrc));
+    prog.runTable = IrRunTable::compile(prog);
     return prog;
 }
 

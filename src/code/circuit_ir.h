@@ -23,8 +23,8 @@
  *
  *  Draw-order contract (see BatchFrameSimulatorT, kNoiseContract):
  *  every issued op consumes a fixed number of noise sites per channel
- *  (depolarizing/flip at p, leak injection, seepage) from its 64-lane
- *  block's streams, whatever its lane mask; the engine fills a round's
+ *  (depolarizing/flip at p, leak injection, seepage; see irOpSites)
+ *  from its 64-lane block's streams, whatever its lane mask; the engine fills a round's
  *  sites with one hit-table advance per channel, the tails of one
  *  LrcSlot on a block (each the tail template's ops, conditional
  *  suffix included) with one advance of that block's streams, and the
@@ -33,6 +33,18 @@
  *  on its own op sequence, so per-shot results are bit-identical at
  *  every batch width. The compiler emits the round body in schedule
  *  order; the stream-sync analyzer pass tabulates the site counts.
+ *
+ *  Run table: the compiler also lowers the round body once into an
+ *  IrRunTable, the form the engine replays. A run is a maximal stretch
+ *  of consecutive body ops of one kind (one gate type, Readout pairs,
+ *  or a single LrcSlot) whose qubits are pairwise disjoint; RoundStart
+ *  markers (no sites, no effect) are dropped. For the d=11 surface
+ *  body the runs are DataNoise x121 | H x60 | four CNOT layers of
+ *  109-111 | H x60 | Readout x120 | LrcSlot. Disjointness is what lets
+ *  the engine run a whole run as one kernel: ops on disjoint qubits
+ *  commute, so their draw-free frame updates may all go first, and
+ *  each lane's draws still follow op order when the ops that draw are
+ *  then visited in order.
  */
 
 #include <cstdint>
@@ -45,6 +57,40 @@
 
 namespace qec
 {
+
+/** Hit-table sites one op consumes: `pauli` on the depolarizing/flip
+ *  channel, and `leak` on each of the leak-injection and seepage
+ *  channels (seepage trials sit at the injection sites) when the error
+ *  model enables leakage. Every op but RoundStart has one Pauli site;
+ *  DataNoise has one leak site, and two-qubit gates one per operand.
+ *  This is the one definition of the per-op site rule of the engine's
+ *  draw contract (kNoiseContract); the engine, the run table and the
+ *  stream-sync pass all count with it. */
+struct IrOpSites
+{
+    int pauli = 0;
+    int leak = 0;
+};
+
+constexpr IrOpSites
+irOpSites(OpType type)
+{
+    switch (type) {
+      case OpType::RoundStart:
+        return {0, 0};
+      case OpType::DataNoise:
+        return {1, 1};
+      case OpType::Cnot:
+      case OpType::LeakageIswap:
+        return {1, 2};
+      case OpType::Reset:
+      case OpType::H:
+      case OpType::Measure:
+      case OpType::MeasureX:
+        break;
+    }
+    return {1, 0};
+}
 
 /** Which protocol family a program encodes. Families other than the
  *  rotated-surface-code memory experiment exist purely as compiler
@@ -127,6 +173,66 @@ struct IrDetectorMap
     std::vector<int> observable;
 };
 
+struct CircuitProgram;
+
+/** One run of a compiled round body (see IrRunTable). */
+struct IrRun
+{
+    /** Gate, Readout or LrcSlot. */
+    IrOpcode op = IrOpcode::Gate;
+    /** Gate runs: the ops' type. Readout runs: the measurement's. */
+    OpType type = OpType::RoundStart;
+    /** The run's ops are [begin, end) of the table's op arrays. */
+    int32_t begin = 0;
+    int32_t end = 0;
+    /** First hit-table site of the run on the Pauli channel, and on
+     *  the leak-injection and seepage channels when leakage is on. */
+    int32_t pauliSite = 0;
+    int32_t leakSite = 0;
+    /** Sites each op of the run consumes (a Readout pair: both). */
+    IrOpSites perOp;
+};
+
+/**
+ * A round body compiled into typed runs of disjoint-operand ops, with
+ * flat operand arrays and each site's owning op. Built once per
+ * program (O(instructions)); the engine binds it per word-group in
+ * O(1). Ops are numbered in body order, RoundStart markers excluded.
+ */
+struct IrRunTable
+{
+    std::vector<IrRun> runs;
+    /** Per op. Gate: its qubits (q1 = -1 for one-qubit ops). Readout:
+     *  the measured qubit and the stabilizer. LrcSlot: the slot id. */
+    std::vector<int32_t> q0;
+    std::vector<int32_t> q1;
+    /** Per op: the pool index of the Gate op or of the Readout's
+     *  measurement (its reset follows it); -1 for an LrcSlot. */
+    std::vector<int32_t> pool;
+    /** Per site of one round, the op that consumes it: on the Pauli
+     *  channel, and on the leak-injection and seepage channels (the
+     *  sites they have when leakage is on). */
+    std::vector<int32_t> pauliSiteOp;
+    std::vector<int32_t> leakSiteOp;
+    /** Shape of the program the table was compiled from. */
+    size_t bodyBegin = 0;
+    size_t bodyEnd = 0;
+    size_t numInstrs = 0;
+    size_t poolSize = 0;
+
+    int numOps() const { return (int)q0.size(); }
+
+    /** Compile a program's round body. */
+    static IrRunTable compile(const CircuitProgram &prog);
+
+    /** True when the table was compiled from a program of `prog`'s
+     *  shape (body span, instruction and pool counts): an O(1) check
+     *  that catches programs assembled by hand (no table) and edits
+     *  that add or remove instructions. An op edited in place keeps
+     *  the shape: recompile the table after such an edit. */
+    bool compiledFrom(const CircuitProgram &prog) const;
+};
+
 struct CircuitProgram
 {
     CircuitFamily family = CircuitFamily::SurfaceMemory;
@@ -169,6 +275,13 @@ struct CircuitProgram
     /** Tail expansions for the LrcSlot branch points (one per
      *  IrTailKind the program's slots can request). */
     std::vector<IrTailTemplate> tailTemplates;
+
+    /** The round body as the engine replays it. The compilers fill
+     *  it. For a program assembled by hand, or edited so that its
+     *  shape changed (see IrRunTable::compiledFrom), the engine
+     *  compiles a private copy per simulator; after an edit in place,
+     *  set `runTable = IrRunTable::compile(prog)`. */
+    IrRunTable runTable;
 
     /** Structural validation: dangling qubit/stabilizer indices,
      *  unclosed or misplaced round-loop markers, duplicate LRC-slot

@@ -361,9 +361,9 @@ passDetectorCoverage(PassContext &ctx)
 // its hit tables once per replayed round, once per LrcSlot on each
 // block for that block's tails, and once for the final layer. The pass
 // tabulates the site counts per round, per tail and for the final
-// layer, mirroring the engine's per-op site rule. Round-invariance is structural: the
-// body is replayed verbatim, so the per-round site sequence cannot
-// vary. State-conditional events draw per lane from the lane's own
+// layer with the engine's per-op site rule (irOpSites).
+// Round-invariance is structural: the body is replayed verbatim, so
+// the per-round site sequence cannot vary. State-conditional events draw per lane from the lane's own
 // stream and need no accounting.
 //
 // Branch independence — the "W=256/512 == concatenation of W=64
@@ -376,35 +376,17 @@ passDetectorCoverage(PassContext &ctx)
 
 constexpr const char *kStreamSync = "stream-sync";
 
-/** Hit-table sites one op consumes per channel under `em`, mirroring
- *  the engine's op bodies site for site. */
+/** Hit-table sites one op consumes per channel under `em` (the
+ *  engine's per-op rule, irOpSites). */
 void
 accountOpSites(const Op &op, const ErrorModel &em,
                int (&sites)[kNoiseChannels])
 {
-    int leak_sites = 0;
-    switch (op.type) {
-      case OpType::RoundStart:
-        return;
-      case OpType::DataNoise:
-        leak_sites = 1;
-        break;
-      case OpType::Cnot:
-      case OpType::LeakageIswap:
-        // twoQubitNoise: one depolarizing site, then one injection and
-        // one seepage site per operand.
-        leak_sites = 2;
-        break;
-      case OpType::Reset:
-      case OpType::H:
-      case OpType::Measure:
-      case OpType::MeasureX:
-        break;
-    }
-    sites[(int)NoiseChannel::Pauli] += 1;
+    const IrOpSites s = irOpSites(op.type);
+    sites[(int)NoiseChannel::Pauli] += s.pauli;
     if (em.leakageEnabled) {
-        sites[(int)NoiseChannel::LeakInjection] += leak_sites;
-        sites[(int)NoiseChannel::Seepage] += leak_sites;
+        sites[(int)NoiseChannel::LeakInjection] += s.leak;
+        sites[(int)NoiseChannel::Seepage] += s.leak;
     }
 }
 

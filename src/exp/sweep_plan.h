@@ -157,8 +157,9 @@ struct SweepPlan
 
     /**
      * Recoverable whole-plan validation: non-empty axes and policy
-     * set, valid code distances, engine-supported widths, and every
-     * expanded point's config accepted by validateExperimentConfig.
+     * set, valid code distances, engine-supported widths, every
+     * expanded point's config accepted by validateExperimentConfig,
+     * and no built-in policy but Never on a non-surface family.
      * SweepRunner::run validates before executing and surfaces the
      * Status in its summary instead of dying; points() panics on a
      * plan this rejects (documented precondition).

@@ -41,22 +41,22 @@ struct BatchFrameSimulatorT<NW>::GroupView
     Word & z(int q) { return s.z_[q]; }
     Word & leaked(int q) { return s.leaked_[q]; }
     Word hits(NoiseChannel c) { return s.channel(c).group.take(); }
+    void skip(NoiseChannel c, int n) { s.channel(c).group.next += n; }
 
-    template <class F>
-    void
-    forEachLane(const Word &m, F &&f) const
-    {
-        forEachSetLane(m, f);
-    }
-
-    /** f(block, bits) for every block with a set lane in m. */
+    /** f(block, bits) for every block with a set lane in m: a mask of
+     *  the nonzero words first, so the usual one-block event costs one
+     *  predictable iteration. */
     template <class F>
     void
     forEachBlock(const Word &m, F &&f) const
     {
-        for (int b = 0; b < s.numBlocks_; ++b)
-            if (const uint64_t w = laneWord(m, b))
-                f(b, w);
+        unsigned nonzero = 0;
+        for (int b = 0; b < NW; ++b)
+            nonzero |= (unsigned)(laneWord(m, b) != 0) << b;
+        for (; nonzero; nonzero &= nonzero - 1) {
+            const int b = __builtin_ctz(nonzero);
+            f(b, laneWord(m, b));
+        }
     }
 
     static uint64_t & word(Word &w, int b) { return laneWordRef(w, b); }
@@ -74,17 +74,7 @@ struct BatchFrameSimulatorT<NW>::BlockView
     Word & z(int q) { return laneWordRef(s.z_[q], b); }
     Word & leaked(int q) { return laneWordRef(s.leaked_[q], b); }
     Word hits(NoiseChannel c) { return s.channel(c).block.take(); }
-
-    template <class F>
-    void
-    forEachLane(Word m, F &&f) const
-    {
-        const int base = 64 * b;
-        while (m) {
-            f(base + __builtin_ctzll(m));
-            m &= m - 1;
-        }
-    }
+    void skip(NoiseChannel c, int n) { s.channel(c).block.next += n; }
 
     template <class F>
     void
@@ -230,9 +220,18 @@ BatchFrameSimulatorT<NW>::walkSites(Channel &ch, int b, int n,
                 emit(s, bits);
         return;
     }
-    // Trial i of this advance is lane i % lanes of site i / lanes.
-    bernoulliRareHits(ch.rng[b], ch.log1mp, ch.skip[b],
-                      (uint64_t)n * (uint64_t)lanes, [&](uint64_t i) {
+    // Trial i of this advance is lane i % lanes of site i / lanes (a
+    // shift and a mask on full blocks).
+    const uint64_t trials = (uint64_t)n * (uint64_t)lanes;
+    if (lanes == 64) {
+        bernoulliRareHits(ch.rng[b], ch.log1mp, ch.skip[b], trials,
+                          [&](uint64_t i) {
+                              emit((int)(i >> 6), uint64_t{1} << (i & 63));
+                          });
+        return;
+    }
+    bernoulliRareHits(ch.rng[b], ch.log1mp, ch.skip[b], trials,
+                      [&](uint64_t i) {
                           const uint64_t s = i / (uint64_t)lanes;
                           emit((int)s, uint64_t{1}
                                            << (i - s * (uint64_t)lanes));
@@ -284,16 +283,14 @@ BatchFrameSimulatorT<NW>::advance(const NoiseSites &sites, int b)
         if (b >= 0) {
             ch.block.start(n);
             walkSites(ch, b, n, [&](int s, uint64_t bits) {
-                ch.block.write(s, bits);
+                ch.block.write(s, 0, bits);
             });
             continue;
         }
         ch.group.start(n);
         for (int blk = 0; blk < numBlocks_; ++blk)
             walkSites(ch, blk, n, [&](int s, uint64_t bits) {
-                Lane word{};
-                laneWordRef(word, blk) = bits;
-                ch.group.write(s, word);
+                ch.group.write(s, blk, bits);
             });
     }
 }
@@ -317,28 +314,12 @@ template <int NW>
 NoiseSites
 BatchFrameSimulatorT<NW>::opSites(OpType type) const
 {
+    const IrOpSites s = irOpSites(type);
     NoiseSites sites;
-    int leak_sites = 0;
-    switch (type) {
-      case OpType::RoundStart:
-        return sites;
-      case OpType::DataNoise:
-        leak_sites = 1;
-        break;
-      case OpType::Cnot:
-      case OpType::LeakageIswap:
-        leak_sites = 2; // One per operand.
-        break;
-      case OpType::Reset:
-      case OpType::H:
-      case OpType::Measure:
-      case OpType::MeasureX:
-        break;
-    }
-    sites.count[(int)kPauli] = 1;
+    sites.count[(int)kPauli] = s.pauli;
     if (em_.leakageEnabled) {
-        sites.count[(int)kLeak] = leak_sites;
-        sites.count[(int)kSeep] = leak_sites;
+        sites.count[(int)kLeak] = s.leak;
+        sites.count[(int)kSeep] = s.leak;
     }
     return sites;
 }
@@ -360,27 +341,40 @@ BatchFrameSimulatorT<NW>::skipSites(V &v, OpType type)
 {
     const NoiseSites s = opSites(type);
     for (int c = 0; c < kNoiseChannels; ++c)
-        for (int i = 0; i < s.count[c]; ++i)
-            v.hits((NoiseChannel)c);
+        v.skip((NoiseChannel)c, s.count[c]);
 }
 
 // ---------------------------------------------------- per-lane draws
 
-template <int NW>
-void
-BatchFrameSimulatorT<NW>::depolarizeLane(int q, int l)
-{
-    // Uniform over {X, Y, Z}, matching the scalar draw order.
-    switch (laneRng_[l].randint(3)) {
-      case 0: flipLane(x_[q], l); break;
-      case 1: flipLane(x_[q], l); flipLane(z_[q], l); break;
-      default: flipLane(z_[q], l); break;
-    }
-}
-
 // The block kernels below gather the draws of every set lane of a block
 // word into bit words, each lane drawing from its own stream in the
-// order FrameSimulator does.
+// order FrameSimulator does. Callers apply the gathered bits whole-word:
+// single 64-bit writes into a wide plane word stall the store
+// forwarding of the next whole-word load.
+
+template <int NW>
+template <class V>
+void
+BatchFrameSimulatorT<NW>::depolarize(V &v, int q,
+                                     const typename V::Word &d)
+{
+    // Uniform over {X, Y, Z} (randint(3) = 0, 1, 2), matching the
+    // scalar draw order: X on 0 and 1, Z on 1 and 2.
+    typename V::Word xs{}, zs{};
+    v.forEachBlock(d, [&](int b, uint64_t m) {
+        uint64_t xb = 0, zb = 0;
+        for (uint64_t w = m; w; w &= w - 1) {
+            const int i = __builtin_ctzll(w);
+            const uint64_t r = laneRng_[64 * b + i].randint(3);
+            xb |= ((r >> 1) ^ 1) << i;
+            zb |= ((r + 1) >> 1) << i;
+        }
+        V::word(xs, b) = xb;
+        V::word(zs, b) = zb;
+    });
+    v.x(q) ^= xs;
+    v.z(q) ^= zs;
+}
 
 template <int NW>
 uint64_t
@@ -473,7 +467,7 @@ BatchFrameSimulatorT<NW>::opDataNoise(V &v, int q,
 {
     const typename V::Word d = v.hits(kPauli) & andnot(mask, v.leaked(q));
     if (anyLane(d))
-        v.forEachLane(d, [&](int l) { depolarizeLane(q, l); });
+        depolarize(v, q, d);
     if (em_.leakageEnabled) {
         v.leaked(q) |= v.hits(kLeak) & mask;
         seep(v, q, mask);
@@ -506,7 +500,7 @@ BatchFrameSimulatorT<NW>::opH(V &v, int q, const typename V::Word &mask)
     v.z(q) = andnot(zw, act) | (xw & act);
     const Word d = v.hits(kPauli) & act;
     if (anyLane(d))
-        v.forEachLane(d, [&](int l) { depolarizeLane(q, l); });
+        depolarize(v, q, d);
 }
 
 template <int NW>
@@ -515,32 +509,101 @@ void
 BatchFrameSimulatorT<NW>::twoQubitNoise(V &v, int a, int b,
                                         const typename V::Word &mask)
 {
-    const typename V::Word m = v.hits(kPauli) & mask;
+    twoQubitPauli(v, a, b, mask);
+    if (em_.leakageEnabled)
+        twoQubitLeak(v, a, b, mask);
+}
+
+template <int NW>
+template <class V>
+void
+BatchFrameSimulatorT<NW>::twoQubitPauli(V &v, int a, int b,
+                                        const typename V::Word &mask)
+{
+    using Word = typename V::Word;
+    const Word m = v.hits(kPauli) & mask;
     if (anyLane(m)) {
-        v.forEachLane(m, [&](int l) {
-            // One of the 15 non-identity two-qubit Paulis, uniformly.
-            const uint32_t pp = 1 + laneRng_[l].randint(15);
-            const uint32_t pa = pp & 3;
-            const uint32_t pb = (pp >> 2) & 3;
-            if (!testLane(leaked_[a], l)) {
-                if (pa == 1 || pa == 2)
-                    flipLane(x_[a], l);
-                if (pa == 2 || pa == 3)
-                    flipLane(z_[a], l);
+        // One of the 15 non-identity two-qubit Paulis, uniformly: a
+        // single-qubit index 1, 2, 3 = X, Y, Z puts X on 1 and 2 and Z
+        // on 2 and 3. A leaked operand takes no Pauli.
+        Word xa{}, za{}, xb{}, zb{};
+        v.forEachBlock(m, [&](int blk, uint64_t bits) {
+            uint64_t xab = 0, zab = 0, xbb = 0, zbb = 0;
+            for (uint64_t w = bits; w; w &= w - 1) {
+                const int i = __builtin_ctzll(w);
+                const uint64_t pp = 1 + laneRng_[64 * blk + i].randint(15);
+                const uint64_t pa = pp & 3;
+                const uint64_t pb = pp >> 2;
+                xab |= (((pa + 1) >> 1) & 1) << i;
+                zab |= (pa >> 1) << i;
+                xbb |= (((pb + 1) >> 1) & 1) << i;
+                zbb |= (pb >> 1) << i;
             }
-            if (!testLane(leaked_[b], l)) {
-                if (pb == 1 || pb == 2)
-                    flipLane(x_[b], l);
-                if (pb == 2 || pb == 3)
-                    flipLane(z_[b], l);
-            }
+            V::word(xa, blk) = xab;
+            V::word(za, blk) = zab;
+            V::word(xb, blk) = xbb;
+            V::word(zb, blk) = zbb;
         });
+        const Word la = v.leaked(a);
+        const Word lb = v.leaked(b);
+        v.x(a) ^= andnot(xa, la);
+        v.z(a) ^= andnot(za, la);
+        v.x(b) ^= andnot(xb, lb);
+        v.z(b) ^= andnot(zb, lb);
     }
-    if (em_.leakageEnabled) {
-        v.leaked(a) |= v.hits(kLeak) & mask;
-        v.leaked(b) |= v.hits(kLeak) & mask;
-        seep(v, a, mask);
-        seep(v, b, mask);
+}
+
+template <int NW>
+template <class V>
+void
+BatchFrameSimulatorT<NW>::twoQubitLeak(V &v, int a, int b,
+                                       const typename V::Word &mask)
+{
+    v.leaked(a) |= v.hits(kLeak) & mask;
+    v.leaked(b) |= v.hits(kLeak) & mask;
+    seep(v, a, mask);
+    seep(v, b, mask);
+}
+
+template <int NW>
+template <class V>
+void
+BatchFrameSimulatorT<NW>::cnotLeakedOperand(V &v, int c, int t,
+                                            const typename V::Word &one)
+{
+    // Exactly one operand leaked: the gate is uncalibrated for |L>, so
+    // the unleaked operand receives a uniformly random Pauli, and
+    // leakage may transport.
+    using Word = typename V::Word;
+    Word xt{}, zt{}, xc{}, zc{}, to_t{}, to_c{};
+    const Word lc = v.leaked(c);
+    v.forEachBlock(one, [&](int b, uint64_t m) {
+        const uint64_t c_only = m & laneWord(lc, b);
+        const uint64_t t_only = m & ~c_only;
+        uint64_t xr, zr, tr;
+        leakedCnotBlock(b, m, xr, zr, tr);
+        V::word(xt, b) = xr & c_only;
+        V::word(zt, b) = zr & c_only;
+        V::word(xc, b) = xr & t_only;
+        V::word(zc, b) = zr & t_only;
+        V::word(to_t, b) = tr & c_only;
+        V::word(to_c, b) = tr & t_only;
+    });
+    v.x(t) ^= xt;
+    v.z(t) ^= zt;
+    v.x(c) ^= xc;
+    v.z(c) ^= zc;
+    v.leaked(t) |= to_t;
+    v.leaked(c) |= to_c;
+    if (em_.transport == TransportModel::Exchange) {
+        // The leakage moved: its source returns in a random state. Each
+        // lane's draws still follow its transport trial.
+        v.forEachBlock(to_t, [&](int b, uint64_t m) {
+            randomComputationalBlock(c, b, m);
+        });
+        v.forEachBlock(to_c, [&](int b, uint64_t m) {
+            randomComputationalBlock(t, b, m);
+        });
     }
 }
 
@@ -550,42 +613,17 @@ void
 BatchFrameSimulatorT<NW>::opCnot(V &v, int c, int t,
                                  const typename V::Word &mask)
 {
+    // Lanes with both operands unleaked propagate the frame; lanes with
+    // both leaked see no frame action at all.
     using Word = typename V::Word;
     const Word lc = v.leaked(c);
     const Word lt = v.leaked(t);
-    if (!anyLane((lc | lt) & mask)) {
-        // No leaked operand lane: pure frame propagation (the dominant
-        // case while the controller keeps the leakage population
-        // suppressed).
-        v.x(t) ^= v.x(c) & mask;
-        v.z(c) ^= v.z(t) & mask;
-        twoQubitNoise(v, c, t, mask);
-        return;
-    }
-    const Word both_clean = andnot(andnot(mask, lc), lt);
-    v.x(t) ^= v.x(c) & both_clean;
-    v.z(c) ^= v.z(t) & both_clean;
-
-    // Exactly one operand leaked: the gate is uncalibrated for |L>, so
-    // the unleaked operand receives a uniformly random Pauli, and
-    // leakage may transport. Lanes with both operands leaked see no
-    // frame action at all.
-    v.forEachBlock((lc ^ lt) & mask, [&](int b, uint64_t m) {
-        const uint64_t c_only = m & laneWord(leaked_[c], b);
-        const uint64_t t_only = m & ~c_only;
-        uint64_t xr, zr, tr;
-        leakedCnotBlock(b, m, xr, zr, tr);
-        laneWordRef(x_[t], b) ^= xr & c_only;
-        laneWordRef(z_[t], b) ^= zr & c_only;
-        laneWordRef(x_[c], b) ^= xr & t_only;
-        laneWordRef(z_[c], b) ^= zr & t_only;
-        laneWordRef(leaked_[t], b) |= tr & c_only;
-        laneWordRef(leaked_[c], b) |= tr & t_only;
-        if (em_.transport == TransportModel::Exchange) {
-            randomComputationalBlock(c, b, tr & c_only);
-            randomComputationalBlock(t, b, tr & t_only);
-        }
-    });
+    const Word clean = andnot(mask, lc | lt);
+    v.x(t) ^= v.x(c) & clean;
+    v.z(c) ^= v.z(t) & clean;
+    const Word one = (lc ^ lt) & mask;
+    if (anyLane(one))
+        cnotLeakedOperand(v, c, t, one);
     twoQubitNoise(v, c, t, mask);
 }
 
@@ -621,12 +659,11 @@ BatchFrameSimulatorT<NW>::opLeakageIswap(V &v, int d, int p,
 
 template <int NW>
 template <class V>
-void
-BatchFrameSimulatorT<NW>::opMeasure(V &v, const Op &op, bool x_basis,
+typename BatchFrameSimulatorT<NW>::Record &
+BatchFrameSimulatorT<NW>::opMeasure(V &v, int q, bool x_basis,
                                     const typename V::Word &mask)
 {
     using Word = typename V::Word;
-    const int q = op.q0;
     const Word lw = v.leaked(q);
 
     // Unleaked lanes report the frame; a two-level discriminator
@@ -642,16 +679,12 @@ BatchFrameSimulatorT<NW>::opMeasure(V &v, const Op &op, bool x_basis,
     });
     flips ^= v.hits(kPauli) & mask;
 
-    Record rec;
+    Record &rec = record_.emplace_back();
     rec.qubit = q;
-    rec.stab = op.stab;
-    rec.round = op.round;
-    rec.finalData = op.finalData;
-    rec.lrcData = op.lrcData;
     v.put(rec.mask, mask);
     v.put(rec.flips, flips);
     v.put(rec.leakedLabels, labels);
-    record_.push_back(rec);
+    return rec;
 }
 
 template <int NW>
@@ -679,11 +712,15 @@ BatchFrameSimulatorT<NW>::dispatch(V &v, const Op &op,
         opLeakageIswap(v, op.q0, op.q1, mask);
         break;
       case OpType::Measure:
-        opMeasure(v, op, false, mask);
+      case OpType::MeasureX: {
+        Record &rec = opMeasure(v, op.q0, op.type == OpType::MeasureX,
+                                mask);
+        rec.stab = op.stab;
+        rec.round = op.round;
+        rec.finalData = op.finalData;
+        rec.lrcData = op.lrcData;
         break;
-      case OpType::MeasureX:
-        opMeasure(v, op, true, mask);
-        break;
+      }
     }
 }
 
@@ -754,8 +791,8 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
                                          uint64_t hits)
 {
     // The tail's ops (the tail template's, in order) consume exactly
-    // tailSites_, including the conditional suffix ops, which run with
-    // an empty mask on lanes that skip them.
+    // tailSites_, including the conditional suffix ops, which only
+    // skip their sites on lanes that skip them.
     //
     // Most tails act on clean lanes: neither operand is leaked and no
     // Pauli or leak-injection site the tail consumes hits the lane (a
@@ -772,10 +809,10 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
     //    excitation draw) the iSWAP has no effect, and the reset gives
     //    P = (0, 0). D is unchanged and P <- (0, 0).
     //
-    // The other (irregular) lanes run the op sequence, masked to them:
-    // each op still consumes all its sites and every draw is per lane,
-    // so they see exactly what a full-mask run gives them. The tail's
-    // one record entry covers the whole mask.
+    // The other (irregular) lanes run the op bodies on the block view,
+    // masked to them: each op still consumes all its sites and every
+    // draw is per lane, so they see exactly what a full-mask run gives
+    // them. The tail's one record entry covers the whole mask.
     const uint64_t mask = t.mask & laneWord(live_, b);
     const int data = t.data;
     const int parity = prog.stabAncilla[t.stab];
@@ -814,31 +851,294 @@ BatchFrameSimulatorT<NW>::executeLrcTail(const CircuitProgram &prog,
     }
 
     BlockView v{*this, b};
-    if (swap) {
-        // SWAP D <-> P, measure + reset D, MOV back -- with the
-        // ERASER+M in-round rule: lanes whose data readout is
-        // labelled |L> squash the MOV and reset P instead.
-        apply(v, makeOp(OpType::Cnot, data, parity), irregular);
-        apply(v, makeOp(OpType::Cnot, parity, data), irregular);
-        apply(v, makeOp(OpType::Cnot, data, parity), irregular);
-        Op meas = makeOp(OpType::Measure, data);
-        meas.stab = t.stab;
-        meas.round = round;
-        meas.lrcData = true;
-        apply(v, meas, irregular);
-        Record &rec = record_.back();
-        laneWordRef(rec.mask, b) = mask;
-        laneWordRef(rec.flips, b) |= clean_flips;
-        const uint64_t squash =
-            multi_level ? laneWord(rec.leakedLabels, b) : 0;
-        apply(v, makeOp(OpType::Reset, data), irregular);
-        const uint64_t mov = irregular & ~squash;
-        apply(v, makeOp(OpType::Cnot, parity, data), mov);
-        apply(v, makeOp(OpType::Cnot, data, parity), mov);
-        apply(v, makeOp(OpType::Reset, parity), squash);
+    if (!swap) {
+        opLeakageIswap(v, data, parity, irregular);
+        opReset(v, parity, irregular);
+        return;
+    }
+    // SWAP D <-> P, measure + reset D, MOV back -- with the ERASER+M
+    // in-round rule: lanes whose data readout is labelled |L> squash
+    // the MOV and reset P instead.
+    opCnot(v, data, parity, irregular);
+    opCnot(v, parity, data, irregular);
+    opCnot(v, data, parity, irregular);
+    Record &rec = opMeasure(v, data, false, irregular);
+    rec.stab = t.stab;
+    rec.round = round;
+    rec.lrcData = true;
+    laneWordRef(rec.mask, b) = mask;
+    laneWordRef(rec.flips, b) |= clean_flips;
+    const uint64_t squash = multi_level ? laneWord(rec.leakedLabels, b) : 0;
+    opReset(v, data, irregular);
+    const uint64_t mov = irregular & ~squash;
+    if (mov) {
+        opCnot(v, parity, data, mov);
+        opCnot(v, data, parity, mov);
     } else {
-        apply(v, makeOp(OpType::LeakageIswap, data, parity), irregular);
-        apply(v, makeOp(OpType::Reset, parity), irregular);
+        skipSites(v, OpType::Cnot);
+        skipSites(v, OpType::Cnot);
+    }
+    if (squash)
+        opReset(v, parity, squash);
+    else
+        skipSites(v, OpType::Reset);
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::executeLrcSlot(const CircuitProgram &prog,
+                                         int slot, int round,
+                                         const ProgramLrcFillT<NW> *fills,
+                                         int num_fills)
+{
+    if (!fills || slot >= num_fills || !fills[slot].blockTails)
+        return;
+    const ProgramLrcFillT<NW> &fill = fills[slot];
+    for (int b = 0; b < numBlocks_; ++b) {
+        const std::vector<IrLrcTail> &tails = fill.blockTails[b];
+        if (tails.empty())
+            continue;
+        // One advance of block b's streams covers its tails, in order
+        // (the walk is chunking-invariant).
+        NoiseSites sites;
+        for (int c = 0; c < kNoiseChannels; ++c)
+            sites.count[c] = tailSites_.count[c] * (int)tails.size();
+        advance(sites, b);
+        collectTailHits((int)tails.size());
+        for (size_t i = 0; i < tails.size(); ++i)
+            executeLrcTail(prog, tails[i], b, round, fill.multiLevel,
+                           tailHits_[i]);
+        checkConsumed(sites, true, "LRC tails consumed other noise "
+                                   "sites than counted");
+    }
+}
+
+// ------------------------------------------------ compiled body runs
+//
+// Each run kernel consumes its run's sites of the round's group tables
+// by index (a run's ops are pairwise disjoint and all of one kind, see
+// IrRunTable). Ops flagged in opHit_ own a hit site; ops flagged in
+// opLeaky_ (CNOT runs) have a lane with a leaked operand. Only flagged
+// ops run per-lane events, and they run them in op order.
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::flagHitOps()
+{
+    std::fill(opFlags_.begin(), opFlags_.end(), 0);
+    const auto flag = [&](uint64_t *plane, const HitTable<Lane> &table,
+                          const std::vector<int32_t> &owner) {
+        for (int s : table.touched) {
+            const int op = owner[s];
+            plane[op >> 6] |= uint64_t{1} << (op & 63);
+        }
+    };
+    flag(flagPlane(kPauliHit), channel(kPauli).group, runs_->pauliSiteOp);
+    if (em_.leakageEnabled) {
+        flag(flagPlane(kLeakHit), channel(kLeak).group, runs_->leakSiteOp);
+        flag(flagPlane(kLeakHit), channel(kSeep).group, runs_->leakSiteOp);
+    }
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::seekRunOp(const IrRun &run, int i)
+{
+    const int k = i - run.begin;
+    channel(kPauli).group.next = run.pauliSite + k * run.perOp.pauli;
+    if (em_.leakageEnabled) {
+        const int leak = run.leakSite + k * run.perOp.leak;
+        channel(kLeak).group.next = leak;
+        channel(kSeep).group.next = leak;
+    }
+}
+
+template <int NW>
+template <class F>
+void
+BatchFrameSimulatorT<NW>::forEachFlaggedOp(const IrRun &run, F &&f)
+{
+    // f(op, flags) for the run's flagged ops, in op order; bit k of
+    // flags is plane k's flag.
+    const uint64_t *pauli = flagPlane(kPauliHit);
+    const uint64_t *leak = flagPlane(kLeakHit);
+    const uint64_t *leaky = flagPlane(kLeakyOperand);
+    for (int w = run.begin >> 6; w <= (run.end - 1) >> 6; ++w) {
+        uint64_t in = ~uint64_t{0};
+        if (w == run.begin >> 6)
+            in &= ~uint64_t{0} << (run.begin & 63);
+        if (w == (run.end - 1) >> 6)
+            in &= ~uint64_t{0} >> (63 - ((run.end - 1) & 63));
+        const uint64_t p = pauli[w] & in;
+        const uint64_t l = leak[w] & in;
+        const uint64_t o = leaky[w] & in;
+        for (uint64_t bits = p | l | o; bits; bits &= bits - 1) {
+            const int i = __builtin_ctzll(bits);
+            f(64 * w + i, (unsigned)((p >> i) & 1) << kPauliHit |
+                              (unsigned)((l >> i) & 1) << kLeakHit |
+                              (unsigned)((o >> i) & 1) << kLeakyOperand);
+        }
+    }
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::runCnots(const IrRun &run, const Lane &mask)
+{
+    // Pass 1: the frame update of every op on the lanes with no leaked
+    // operand, branch-free. The ops act on disjoint qubits, so they
+    // commute, and clean lanes draw nothing. Each op also notes whether
+    // a lane has a leaked operand.
+    const int32_t *c = runs_->q0.data();
+    const int32_t *t = runs_->q1.data();
+    uint64_t *leaky_plane = flagPlane(kLeakyOperand);
+    uint64_t leaky = 0;
+    for (int i = run.begin; i < run.end; ++i) {
+        const Lane lct = leaked_[c[i]] | leaked_[t[i]];
+        const Lane clean = andnot(mask, lct);
+        x_[t[i]] ^= x_[c[i]] & clean;
+        z_[c[i]] ^= z_[t[i]] & clean;
+        leaky |= (uint64_t)anyLane(lct & mask) << (i & 63);
+        if ((i & 63) == 63 || i + 1 == run.end) {
+            leaky_plane[i >> 6] |= leaky;
+            leaky = 0;
+        }
+    }
+    // Pass 2: in op order, the per-lane events of the ops with a
+    // leaked-operand lane or a hit site -- leaked-operand draws, then
+    // the Pauli choice, leak injection and seepage -- so each lane
+    // draws in the op-by-op order. A part with no hit site draws
+    // nothing and is skipped.
+    GroupView v{*this};
+    forEachFlaggedOp(run, [&](int i, unsigned flags) {
+        if (flags >> kLeakyOperand & 1) {
+            const Lane one = (leaked_[c[i]] ^ leaked_[t[i]]) & mask;
+            if (anyLane(one))
+                cnotLeakedOperand(v, c[i], t[i], one);
+        }
+        if (flags >> kPauliHit & 1) {
+            seekRunOp(run, i);
+            twoQubitPauli(v, c[i], t[i], mask);
+        }
+        if (flags >> kLeakHit & 1) {
+            seekRunOp(run, i);
+            twoQubitLeak(v, c[i], t[i], mask);
+        }
+    });
+    seekRunOp(run, run.end);
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::runHadamards(const IrRun &run, const Lane &mask)
+{
+    // A branch-free plane swap of every op, then depolarization on the
+    // ops with a hit (the ops' qubits are disjoint).
+    const int32_t *q = runs_->q0.data();
+    for (int i = run.begin; i < run.end; ++i) {
+        const Lane act = andnot(mask, leaked_[q[i]]);
+        const Lane xw = x_[q[i]];
+        const Lane zw = z_[q[i]];
+        x_[q[i]] = andnot(xw, act) | (zw & act);
+        z_[q[i]] = andnot(zw, act) | (xw & act);
+    }
+    const HitTable<Lane> &pauli = channel(kPauli).group;
+    GroupView v{*this};
+    forEachFlaggedOp(run, [&](int i, unsigned) {
+        const Lane d = pauli.slots[run.pauliSite + (i - run.begin)] &
+                       andnot(mask, leaked_[q[i]]);
+        if (anyLane(d))
+            depolarize(v, q[i], d);
+    });
+    seekRunOp(run, run.end);
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::runReadouts(const CircuitProgram &prog,
+                                      const IrRun &run, int round,
+                                      const Lane &live,
+                                      const ProgramLrcFillT<NW> *fills,
+                                      int num_fills)
+{
+    // Each pair measures and resets its qubit in one straight-line
+    // step. A pair with no lane left (all LRC'd) writes no record but
+    // still consumes its two sites.
+    const HitTable<Lane> &pauli = channel(kPauli).group;
+    const bool x_basis = run.type == OpType::MeasureX;
+    for (int i = run.begin; i < run.end; ++i) {
+        const int q = runs_->q0[i];
+        Lane m = live;
+        if (prog.maskReadoutOnLrc)
+            for (int f = 0; f < num_fills; ++f)
+                if (fills[f].lrcOnStab)
+                    m = andnot(m, fills[f].lrcOnStab[runs_->q1[i]]);
+        if (!anyLane(m))
+            continue;
+        const bool hit = (flagPlane(kPauliHit)[i >> 6] >> (i & 63)) & 1;
+        const int site = run.pauliSite + 2 * (i - run.begin);
+
+        const Lane lw = leaked_[q];
+        Lane flips = andnot(x_basis ? z_[q] : x_[q], lw) & m;
+        Lane labels{};
+        const Lane leaked_read = lw & m;
+        for (int b = 0; b < numBlocks_; ++b)
+            if (const uint64_t lm = laneWord(leaked_read, b)) {
+                uint64_t random, flagged;
+                leakedReadoutBlock(b, lm, random, flagged);
+                laneWordRef(flips, b) |= random;
+                laneWordRef(labels, b) = flagged;
+            }
+        if (hit)
+            flips ^= pauli.slots[site] & m;
+        const Op &meas = prog.pool[runs_->pool[i]];
+        Record &rec = record_.emplace_back();
+        rec.qubit = q;
+        rec.stab = meas.stab;
+        rec.round = round;
+        rec.finalData = meas.finalData;
+        rec.lrcData = meas.lrcData;
+        rec.mask = m;
+        rec.flips = flips;
+        rec.leakedLabels = labels;
+
+        x_[q] = andnot(x_[q], m);
+        z_[q] = andnot(z_[q], m);
+        leaked_[q] = andnot(lw, m);
+        if (hit)
+            x_[q] |= pauli.slots[site + 1] & m;
+    }
+    seekRunOp(run, run.end);
+}
+
+template <int NW>
+void
+BatchFrameSimulatorT<NW>::runGates(const CircuitProgram &prog,
+                                   const IrRun &run, const Lane &mask)
+{
+    GroupView v{*this};
+    switch (run.type) {
+      case OpType::Cnot:
+        runCnots(run, mask);
+        return;
+      case OpType::H:
+        runHadamards(run, mask);
+        return;
+      case OpType::DataNoise:
+        // An op without a hit has no effect.
+        forEachFlaggedOp(run, [&](int i, unsigned) {
+            seekRunOp(run, i);
+            opDataNoise(v, runs_->q0[i], mask);
+        });
+        seekRunOp(run, run.end);
+        return;
+      default:
+        // Kinds the compilers never put in a body (hand-assembled
+        // programs): each op through its typed body, in order.
+        seekRunOp(run, run.begin);
+        for (int i = run.begin; i < run.end; ++i)
+            apply(v, prog.pool[runs_->pool[i]], mask);
+        return;
     }
 }
 
@@ -851,55 +1151,20 @@ BatchFrameSimulatorT<NW>::executeProgramRound(
     if (bound_ != &prog)
         bindProgramStreams(prog);
     advance(roundSites_, -1);
-    GroupView v{*this};
+    flagHitOps();
     const Lane live = mask & live_;
-    for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
-        const IrInst &inst = prog.instrs[i];
-        switch (inst.op) {
+    for (const IrRun &run : runs_->runs) {
+        switch (run.op) {
           case IrOpcode::Gate:
-            apply(v, prog.pool[inst.a], live);
+            runGates(prog, run, live);
             break;
-          case IrOpcode::Readout: {
-            Lane m = live;
-            if (prog.maskReadoutOnLrc) {
-                for (int f = 0; f < num_fills; ++f)
-                    if (fills[f].lrcOnStab)
-                        m = andnot(m, fills[f].lrcOnStab[inst.a]);
-            }
-            // With no lane left the pair still consumes its sites but
-            // writes no record entry.
-            Op meas = prog.pool[inst.b];
-            meas.round = round;
-            apply(v, meas, m);
-            apply(v, prog.pool[(size_t)inst.b + 1], m);
+          case IrOpcode::Readout:
+            runReadouts(prog, run, round, live, fills, num_fills);
             break;
-          }
-          case IrOpcode::LrcSlot: {
-            if (!fills || inst.a >= num_fills)
-                break;
-            const ProgramLrcFillT<NW> &fill = fills[inst.a];
-            if (!fill.blockTails)
-                break;
-            for (int b = 0; b < numBlocks_; ++b) {
-                const std::vector<IrLrcTail> &tails = fill.blockTails[b];
-                if (tails.empty())
-                    continue;
-                // One advance of block b's streams covers its tails, in
-                // order (the walk is chunking-invariant).
-                NoiseSites sites;
-                for (int c = 0; c < kNoiseChannels; ++c)
-                    sites.count[c] =
-                        tailSites_.count[c] * (int)tails.size();
-                advance(sites, b);
-                collectTailHits((int)tails.size());
-                for (size_t i = 0; i < tails.size(); ++i)
-                    executeLrcTail(prog, tails[i], b, round,
-                                   fill.multiLevel, tailHits_[i]);
-                checkConsumed(sites, true, "LRC tails consumed other "
-                                           "noise sites than counted");
-            }
+          case IrOpcode::LrcSlot:
+            executeLrcSlot(prog, runs_->q0[run.begin], round, fills,
+                           num_fills);
             break;
-          }
           default:
             break;
         }
@@ -937,17 +1202,21 @@ template <int NW>
 void
 BatchFrameSimulatorT<NW>::bindProgramStreams(const CircuitProgram &prog)
 {
+    // The compilers build the run table once per program; a program
+    // assembled or edited by hand gets a private one.
+    if (prog.runTable.compiledFrom(prog)) {
+        runs_ = &prog.runTable;
+    } else {
+        ownRuns_ = IrRunTable::compile(prog);
+        runs_ = &ownRuns_;
+    }
     roundSites_ = NoiseSites{};
     tailSites_ = NoiseSites{};
     finalSites_ = NoiseSites{};
-    for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
-        const IrInst &inst = prog.instrs[i];
-        if (inst.op == IrOpcode::Gate) {
-            addOpSites(roundSites_, prog.pool[inst.a]);
-        } else if (inst.op == IrOpcode::Readout) {
-            addOpSites(roundSites_, prog.pool[inst.b]);
-            addOpSites(roundSites_, prog.pool[(size_t)inst.b + 1]);
-        }
+    roundSites_.count[(int)kPauli] = (int)runs_->pauliSiteOp.size();
+    if (em_.leakageEnabled) {
+        roundSites_.count[(int)kLeak] = (int)runs_->leakSiteOp.size();
+        roundSites_.count[(int)kSeep] = (int)runs_->leakSiteOp.size();
     }
     for (const IrTailTemplate &tmpl : prog.tailTemplates)
         if (tmpl.kind == prog.tail)
@@ -968,6 +1237,8 @@ BatchFrameSimulatorT<NW>::bindProgramStreams(const CircuitProgram &prog)
     }
     reserveTables(group, block);
     tailHits_.reserve(support_pairs);
+    flagWords_ = (runs_->numOps() + 63) / 64;
+    opFlags_.assign((size_t)kFlagPlanes * flagWords_, 0);
     bound_ = &prog;
 }
 

@@ -59,9 +59,35 @@
  *  - A replayed LRC tail is one fused kernel per 64-lane block: lanes
  *    with no leaked operand and no Pauli or leak-injection hit among
  *    the tail's sites take a closed-form update (no draws), and only
- *    the remaining lanes run the tail's op sequence on the block view.
+ *    the remaining lanes run the tail's op bodies on the block view.
  *    Both consume the same sites, so the split is invisible in the
  *    streams.
+ *
+ * The round body is compiled, not interpreted: executeProgramRound
+ * runs one kernel per run of the program's IrRunTable (ops of one
+ * kind on pairwise-disjoint qubits, see code/circuit_ir.h). After the
+ * round's advance, each channel's touched slots flag the ops that own
+ * them; an op without a hit loads no hit slot. A CNOT run takes two
+ * passes:
+ *
+ *  - Pass 1 updates the frames of every op on the lanes with no leaked
+ *    operand, branch-free, and notes which ops have a leaked-operand
+ *    lane. It draws nothing.
+ *  - Pass 2 visits, in op order, the ops with a leaked-operand lane or
+ *    a hit site, and runs their per-lane events as the op body orders
+ *    them: leaked-operand draws, the Pauli choice, leak injection,
+ *    then seepage on each operand.
+ *
+ * This is draw-for-draw the op-by-op order. Each op's pass 2 reads
+ * only its own qubits, which no other op of the run touches, so the
+ * other ops' frame updates moving ahead of it change nothing it sees;
+ * and each lane's draws come from its own stream in op order, because
+ * pass 1 draws nothing and pass 2 keeps op order. The same argument
+ * covers H runs (a plane swap of every op, then depolarization of the
+ * hit ops) and DataNoise runs (an op without a hit is a no-op, so only
+ * hit ops run). Readout pairs run as one straight-line measure+reset
+ * step each. tests/test_batch_sim.cpp (CompiledRound.*) holds the
+ * kernels to the same ops issued one at a time through execute().
  *
  * The scalar FrameSimulator stays a test oracle for the op semantics
  * (tests/test_batch_sim.cpp compares the two lane by lane).
@@ -191,11 +217,11 @@ class BatchFrameSimulatorT
     }
 
     /**
-     * Replay one round of a compiled program on the masked lanes:
-     * Gate instructions run verbatim, Readout
-     * instructions stamp their pool Measure with `round` (masking off
-     * LRC'd lanes when the program replaces plain readouts), and each
-     * LrcSlot branch expands the fill registered under its slot id
+     * Replay one round of a compiled program on the masked lanes, run
+     * by run of its IrRunTable: Gate runs execute their ops, Readout
+     * runs stamp their records with `round` (masking off LRC'd lanes
+     * when the program replaces plain readouts), and each LrcSlot
+     * branch expands the fill registered under its slot id
      * (`fills[id]`, ids >= num_fills stay empty). The round body's
      * noise sites come from one advance of every block's streams, and
      * each slot's tails from one advance of their block's streams.
@@ -218,10 +244,12 @@ class BatchFrameSimulatorT
     void executeProgram(const CircuitProgram &prog);
 
     /**
-     * Count the program's unconditional noise sites per round body,
-     * per LRC tail and for the final layer, and size the hit tables
-     * for them, so replay never allocates. Program replay binds on
-     * first use; calling this up front only moves the allocation.
+     * Bind the program's run table (the program's own, or a private
+     * one compiled here when the program has none that matches), count
+     * its unconditional noise sites per round body, per LRC tail and
+     * for the final layer, and size the hit tables for them, so replay
+     * never allocates. Program replay binds on first use; calling this
+     * up front only moves the allocation.
      */
     void bindProgramStreams(const CircuitProgram &prog);
 
@@ -290,12 +318,13 @@ class BatchFrameSimulatorT
         void reserve(int n);
         /** Clear the last advance and start one of n sites. */
         void start(int n);
+        /** OR block word `word` of site s's hit lanes, in place. */
         void
-        write(int s, const W &bits)
+        write(int s, int word, uint64_t bits)
         {
             if (!anyLane(slots[s]))
                 touched.push_back(s);
-            slots[s] |= bits;
+            laneWordRef(slots[s], word) |= bits;
         }
     };
 
@@ -326,6 +355,8 @@ class BatchFrameSimulatorT
     template <class V>
     void dispatch(V &v, const Op &op, const typename V::Word &mask);
     template <class V> void skipSites(V &v, OpType type);
+    /** The op bodies: the op on the masked lanes of a view, taking its
+     *  sites from the view's hit tables in order. */
     template <class V>
     void opDataNoise(V &v, int q, const typename V::Word &mask);
     template <class V>
@@ -337,17 +368,33 @@ class BatchFrameSimulatorT
     template <class V>
     void opLeakageIswap(V &v, int d, int p,
                         const typename V::Word &mask);
+    /** Appends the record entry (qubit and lane sets); the caller
+     *  stamps its stabilizer, round and flags. Needs a non-empty
+     *  mask. */
     template <class V>
-    void opMeasure(V &v, const Op &op, bool x_basis,
-                   const typename V::Word &mask);
+    Record &opMeasure(V &v, int q, bool x_basis,
+                      const typename V::Word &mask);
+    /** A two-qubit gate's noise: the Pauli site, then (with leakage)
+     *  the two leak-injection and two seepage sites. */
     template <class V>
     void twoQubitNoise(V &v, int a, int b,
                        const typename V::Word &mask);
     template <class V>
+    void twoQubitPauli(V &v, int a, int b,
+                       const typename V::Word &mask);
+    template <class V>
+    void twoQubitLeak(V &v, int a, int b,
+                      const typename V::Word &mask);
+    /** A CNOT's events on the lanes `one` with exactly one leaked
+     *  operand: the random Pauli on the other, then transport. */
+    template <class V>
+    void cnotLeakedOperand(V &v, int c, int t,
+                           const typename V::Word &one);
+    template <class V>
     void seep(V &v, int q, const typename V::Word &mask);
-
-    /** Per-lane uniform {X,Y,Z} on a depolarizing hit. */
-    void depolarizeLane(int q, int lane);
+    /** Per-lane uniform {X,Y,Z} on the depolarized lanes d of q. */
+    template <class V>
+    void depolarize(V &v, int q, const typename V::Word &d);
     /** One Rng::bernoulli(p) per set lane of block b's word m. */
     uint64_t laneBernoulli(int b, uint64_t m, double p);
     /** Per set lane of a leaked readout: the random outcome, then the
@@ -389,6 +436,35 @@ class BatchFrameSimulatorT
     void executeLrcTail(const CircuitProgram &prog, const IrLrcTail &t,
                         int b, int round, bool multi_level,
                         uint64_t hits);
+    /** Expand the fill of LRC slot `slot`: every block's tails. */
+    void executeLrcSlot(const CircuitProgram &prog, int slot, int round,
+                        const ProgramLrcFillT<NW> *fills, int num_fills);
+
+    /** Per-op flag planes of the round body (bit i of a plane is body
+     *  op i): a Pauli site hit; a leak-injection or seepage site hit;
+     *  a CNOT with a leaked-operand lane (set by its run's pass 1). */
+    enum FlagPlane
+    {
+        kPauliHit,
+        kLeakHit,
+        kLeakyOperand,
+        kFlagPlanes
+    };
+    uint64_t *flagPlane(FlagPlane p) { return &opFlags_[p * flagWords_]; }
+    /** After the round's advance: flag the ops owning a hit site. */
+    void flagHitOps();
+    /** Point the group cursors at op i of a body run. */
+    void seekRunOp(const IrRun &run, int i);
+    /** f(op, flags) for a run's flagged ops, in op order. */
+    template <class F> void forEachFlaggedOp(const IrRun &run, F &&f);
+    /** The run kernels of the round body. */
+    void runGates(const CircuitProgram &prog, const IrRun &run,
+                  const Lane &mask);
+    void runCnots(const IrRun &run, const Lane &mask);
+    void runHadamards(const IrRun &run, const Lane &mask);
+    void runReadouts(const CircuitProgram &prog, const IrRun &run,
+                     int round, const Lane &live,
+                     const ProgramLrcFillT<NW> *fills, int num_fills);
 
     int numQubits_;
     int numLanes_;
@@ -404,6 +480,13 @@ class BatchFrameSimulatorT
     std::vector<Record> record_;
     /** Program whose site counts the tables are sized for. */
     const CircuitProgram *bound_ = nullptr;
+    /** Its run table: the program's own, or ownRuns_ for a program
+     *  without a current one. */
+    const IrRunTable *runs_ = nullptr;
+    IrRunTable ownRuns_;
+    /** kFlagPlanes planes of flagWords_ words (see FlagPlane). */
+    std::vector<uint64_t> opFlags_;
+    size_t flagWords_ = 0;
     NoiseSites roundSites_;
     NoiseSites tailSites_;
     NoiseSites finalSites_;

@@ -119,6 +119,36 @@ TEST(Rng, RandintUniform)
         EXPECT_NEAR(c, n / 15, 5 * std::sqrt(n / 15.0));
 }
 
+/** The out-of-line Lemire loop randint had before it was inlined,
+ *  threshold computed up front on every call. */
+uint32_t
+referenceRandint(Rng &rng, uint32_t n)
+{
+    const uint64_t threshold = (-static_cast<uint64_t>(n)) % n;
+    while (true) {
+        const uint64_t x = rng.next();
+        const __uint128_t m = static_cast<__uint128_t>(x) * n;
+        if (static_cast<uint64_t>(m) >= threshold)
+            return static_cast<uint32_t>(m >> 64);
+    }
+}
+
+TEST(Rng, RandintMatchesOutOfLineReference)
+{
+    // Same draws and same stream consumption, for the engine's
+    // constant ranges (3, 15) and runtime ones.
+    for (uint32_t n : {2u, 3u, 15u, 16u, 1000u}) {
+        for (uint64_t seed = 0; seed < 64; ++seed) {
+            Rng a = Rng::forShot(seed, n);
+            Rng b = a;
+            for (int i = 0; i < 500; ++i)
+                ASSERT_EQ(a.randint(n), referenceRandint(b, n))
+                    << "n=" << n << " seed=" << seed << " draw " << i;
+            EXPECT_EQ(a.next(), b.next());
+        }
+    }
+}
+
 TEST(Rng, BitBalanced)
 {
     Rng rng(9);

@@ -1388,6 +1388,74 @@ TEST(TailKernel, ReplayDigestsMatchParent)
                 }
 }
 
+// ---------------------------------------------- compiled round replay
+
+/**
+ * Rounds replayed through the compiled run kernels against the same
+ * body ops issued one at a time through execute(), compared by the
+ * digest of their planes and record entries. The hit-table walk is
+ * chunking-invariant, so both see the same hits. One (qubit, lane)
+ * pair in sixteen starts leaked, so every CNOT layer has lanes with a
+ * leaked operand.
+ */
+template <int NW>
+void
+expectCompiledRoundsMatchOpByOp(const CircuitProgram &prog,
+                                const ErrorModel &em, int lanes)
+{
+    BatchFrameSimulatorT<NW> compiled(prog.numQubits, em, lanes, 4242, 0);
+    BatchFrameSimulatorT<NW> op_by_op(prog.numQubits, em, lanes, 4242, 0);
+    for (int q = 0; q < prog.numQubits; ++q) {
+        LaneWord<NW> leak{};
+        for (int l = 0; l < lanes; ++l)
+            if (mix64((uint64_t)q, (uint64_t)l, 5) % 16 == 0)
+                setLane(leak, l);
+        compiled.setLeaked(q, true, leak);
+        op_by_op.setLeaked(q, true, leak);
+    }
+    for (int r = 0; r < prog.rounds; ++r) {
+        compiled.executeProgramRound(prog, r, compiled.liveMask());
+        for (size_t i = prog.bodyBegin; i < prog.bodyEnd; ++i) {
+            const IrInst &inst = prog.instrs[i];
+            if (inst.op == IrOpcode::Gate) {
+                op_by_op.execute(prog.pool[inst.a]);
+            } else if (inst.op == IrOpcode::Readout) {
+                Op meas = prog.pool[inst.b];
+                meas.round = r;
+                op_by_op.execute(meas);
+                op_by_op.execute(prog.pool[(size_t)inst.b + 1]);
+            }
+        }
+        EXPECT_EQ(digestState<NW>(0, compiled, 0),
+                  digestState<NW>(0, op_by_op, 0))
+            << "round " << r;
+        compiled.clearRecord();
+        op_by_op.clearRecord();
+    }
+}
+
+/** At d=11 (CNOT layers of ~110 ops), on full, wide and ragged groups,
+ *  with rare and dense walks and both transport models. */
+TEST(CompiledRound, ReplayMatchesOpByOpExecution)
+{
+    RotatedSurfaceCode code(11);
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, 3, Basis::Z, IrTailKind::SwapLrc);
+    for (TransportModel transport :
+         {TransportModel::Conservative, TransportModel::Exchange})
+        for (double p : {1e-3, 2e-2}) {
+            ErrorModel em = ErrorModel::standard(p);
+            em.transport = transport;
+            SCOPED_TRACE("p=" + std::to_string(p) +
+                         (transport == TransportModel::Exchange
+                              ? " exchange"
+                              : " conservative"));
+            expectCompiledRoundsMatchOpByOp<1>(prog, em, 64);
+            expectCompiledRoundsMatchOpByOp<4>(prog, em, 256);
+            expectCompiledRoundsMatchOpByOp<8>(prog, em, 257);
+        }
+}
+
 // --------------------------------------------- statistical W=64 checks
 
 TEST(BatchDifferential, W64LerAgreesWithScalar)

@@ -69,6 +69,89 @@ TEST(CircuitIr, CompiledRepetitionProgramsValidate)
     }
 }
 
+/** The run table's runs are maximal, single-kind and operand-disjoint,
+ *  cover every body op but RoundStart in order, and own every site. */
+void
+expectRunTableWellFormed(const CircuitProgram &prog)
+{
+    const IrRunTable &t = prog.runTable;
+    ASSERT_TRUE(t.compiledFrom(prog));
+    int next = 0;
+    for (size_t r = 0; r < t.runs.size(); ++r) {
+        const IrRun &run = t.runs[r];
+        EXPECT_EQ(run.begin, next);
+        ASSERT_LT(run.begin, run.end);
+        next = run.end;
+        std::vector<int> seen;
+        for (int i = run.begin; i < run.end; ++i) {
+            if (run.op == IrOpcode::LrcSlot)
+                break;
+            seen.push_back(t.q0[i]);
+            if (run.op == IrOpcode::Gate && t.q1[i] >= 0)
+                seen.push_back(t.q1[i]);
+        }
+        std::sort(seen.begin(), seen.end());
+        EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()),
+                  seen.end())
+            << "run " << r << " reuses a qubit";
+        for (int i = run.begin; i < run.end; ++i)
+            for (int k = 0; k < run.perOp.pauli; ++k)
+                EXPECT_EQ(t.pauliSiteOp[run.pauliSite +
+                                        (i - run.begin) * run.perOp.pauli +
+                                        k],
+                          i);
+    }
+    EXPECT_EQ(next, t.numOps());
+}
+
+TEST(CircuitIr, RunTableSplitsTheD11BodyIntoDisjointLayers)
+{
+    RotatedSurfaceCode code(11);
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, 3, Basis::Z, IrTailKind::SwapLrc);
+    expectRunTableWellFormed(prog);
+    const std::vector<IrRun> &runs = prog.runTable.runs;
+    // DataNoise x121 | H x60 | four CNOT layers | H x60 | Readout x120
+    // | LrcSlot.
+    ASSERT_EQ(runs.size(), 9u);
+    const auto size = [](const IrRun &run) { return run.end - run.begin; };
+    EXPECT_EQ(runs[0].type, OpType::DataNoise);
+    EXPECT_EQ(size(runs[0]), 121);
+    EXPECT_EQ(runs[1].type, OpType::H);
+    EXPECT_EQ(size(runs[1]), 60);
+    int cnots = 0;
+    for (int layer = 2; layer < 6; ++layer) {
+        EXPECT_EQ(runs[layer].type, OpType::Cnot);
+        EXPECT_GE(size(runs[layer]), 109);
+        EXPECT_LE(size(runs[layer]), 111);
+        cnots += size(runs[layer]);
+    }
+    EXPECT_EQ(cnots, 440);
+    EXPECT_EQ(runs[6].type, OpType::H);
+    EXPECT_EQ(size(runs[6]), 60);
+    EXPECT_EQ(runs[7].op, IrOpcode::Readout);
+    EXPECT_EQ(size(runs[7]), 120);
+    EXPECT_EQ(runs[7].perOp.pauli, 2);
+    EXPECT_EQ(runs[8].op, IrOpcode::LrcSlot);
+
+    // Sites: one Pauli site per op (two per readout pair), leak sites
+    // for the idles and two per CNOT.
+    EXPECT_EQ(prog.runTable.pauliSiteOp.size(),
+              (size_t)(121 + 60 + 440 + 60 + 2 * 120));
+    EXPECT_EQ(prog.runTable.leakSiteOp.size(), (size_t)(121 + 2 * 440));
+}
+
+TEST(CircuitIr, RunTablesOfShippedProgramsAreWellFormed)
+{
+    for (int d : {3, 5}) {
+        RotatedSurfaceCode code(d);
+        for (IrTailKind tail : {IrTailKind::SwapLrc, IrTailKind::Dqlr})
+            expectRunTableWellFormed(
+                CircuitCompiler::surfaceMemory(code, d, Basis::X, tail));
+        expectRunTableWellFormed(CircuitCompiler::repetitionMemory(d, d));
+    }
+}
+
 // -------------------------------------------------------- validation
 
 CircuitProgram

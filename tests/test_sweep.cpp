@@ -374,6 +374,58 @@ TEST(SweepRunner, CachesComponentsAndMatchesDirectRuns)
               collect.points[1].point.seed);
 }
 
+SweepPlan
+repetitionPlan(std::vector<SweepPolicy> policies)
+{
+    SweepPlan plan;
+    plan.name = "repetition";
+    plan.distances = {3};
+    plan.rounds = {SweepRounds::exactly(4)};
+    plan.policies = std::move(policies);
+    plan.base.family = CircuitFamily::RepetitionMemory;
+    plan.base.decoderKind = DecoderKind::UnionFind;
+    plan.base.shots = 128;
+    plan.base.batchWidth = 64;
+    plan.base.threads = 1;
+    return plan;
+}
+
+TEST(SweepRunner, RepetitionFamilyRefusesLrcPoliciesWithoutAborting)
+{
+    // The built-in LRC policies schedule surface-code pairs: the plan
+    // is refused up front, and the runner reports it in its summary.
+    for (PolicyKind kind : {PolicyKind::Always, PolicyKind::Eraser}) {
+        const SweepPolicy policy(kind);
+        const std::string name =
+            policy.displayName(RemovalProtocol::SwapLrc);
+        SCOPED_TRACE(name);
+        const SweepPlan plan = repetitionPlan(
+            kind == PolicyKind::Always
+                ? std::vector<SweepPolicy>{PolicyKind::Never, policy}
+                : std::vector<SweepPolicy>{policy});
+        const Status st = plan.validate();
+        EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+        EXPECT_NE(st.message().find("policy " + name), std::string::npos)
+            << st.toString();
+        EXPECT_NE(st.message().find("point 0"), std::string::npos)
+            << st.toString();
+
+        SweepRunner runner(plan);
+        const SweepSummary summary = runner.run();
+        EXPECT_EQ(summary.status.code(), StatusCode::InvalidArgument);
+        EXPECT_EQ(summary.shotsRun, 0u);
+    }
+
+    SweepRunner never(repetitionPlan({PolicyKind::Never}));
+    CollectSink collect;
+    never.addSink(collect);
+    const SweepSummary summary = never.run();
+    EXPECT_TRUE(summary.status.isOk()) << summary.status.toString();
+    EXPECT_EQ(summary.shotsRun, 128u);
+    ASSERT_EQ(collect.points.size(), 1u);
+    EXPECT_EQ(collect.points[0].results.size(), 1u);
+}
+
 TEST(SweepRunner, JsonSinkEmitsTheUnifiedSchema)
 {
     SweepPlan plan;
