@@ -74,7 +74,8 @@ runBatchControllerRound(benchmark::State &state, int d, int lanes,
                         ControllerBench mode)
 {
     // Word-parallel image of BM_LsbDliRoundDecision: one controller
-    // decision for a whole word-group. Items = lane decisions, so the
+    // decision for a whole word-group, written as the block tails and
+    // planes the engine replays. Items = lane decisions, so the
     // items/s ratio against BM_LsbDliRoundDecision's iterations/s is
     // the controller's lane-parallel speedup.
     using Lane = LaneWord<NW>;
@@ -107,14 +108,15 @@ runBatchControllerRound(benchmark::State &state, int d, int lanes,
         }
     }
     const Lane live = laneMaskOf<Lane>(lanes);
-    std::vector<std::vector<LrcPair>> lrcs(lanes);
+    BatchLrcSchedule<Lane> sched(code.numData(), code.numStabilizers());
 
     for (auto _ : state) {
         if (mode == ControllerBench::Oracle)
-            controller.oracleRound(leaked, live, lrcs);
+            controller.oracleRound(leaked, live, sched);
         else
-            controller.nextRound(events, labels, had_lrc, live, lrcs);
-        benchmark::DoNotOptimize(lrcs.data());
+            controller.nextRound(events, labels, had_lrc, live, sched);
+        benchmark::DoNotOptimize(sched.blockTails[0].data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * lanes);
 }

@@ -33,17 +33,15 @@ enum class DliAllocator
 };
 
 /**
- * Reusable scratch for the word-parallel engine's per-lane DLI
- * fallback: the lookup walk's "parity qubit taken this round" set is
- * epoch-versioned and the exact allocator's matcher is stamp-versioned,
- * so consecutive lanes never pay a table wipe or an allocation. One
- * instance per controller, never shared across threads.
+ * One word-parallel DLI decision: on lanes `lanes`, data qubit `data`
+ * swaps with parity qubit `stab` in the next round.
  */
-struct DliLaneScratch
+template <typename Lane>
+struct DliGrant
 {
-    std::vector<int> takenEpoch;
-    int epoch = 0;
-    BipartiteMatcher matcher;
+    int data = -1;
+    int stab = -1;
+    Lane lanes{};
 };
 
 class DynamicLrcInsertion
@@ -72,33 +70,66 @@ class DynamicLrcInsertion
                                   std::vector<int> &used_stabs) const;
 
     /**
-     * Allocate LRCs for one lane of a word-parallel tracking-table
-     * pair — the per-lane fallback the batch controller runs only on
-     * lanes whose speculation-active mask is nonzero. The caller
-     * hands over the lane's own LTT marks, ascending (the controller
-     * transposes them lane-major once per round), so the walk costs
-     * O(lane's marks) and visits exactly the qubits `allocate` visits,
-     * in the same order (primary then backups / exact matching): lane
-     * l's output is bit-identical to a per-lane policy's. Allocated
-     * qubits are cleared from lane l of the LTT; the caller feeds the
-     * chosen stabs (the pairs' `stab` fields) into
-     * BatchParityUsageTable::markPending. Allocation-free once the
-     * scratch and `lrcs` have grown to the largest round seen.
+     * Lookup-table DLI for every lane of a word-parallel table pair at
+     * once. Data qubits are walked in ascending order; each tries its
+     * primary, then its backups, and takes a parity qubit on the
+     * marked lanes where that qubit is neither cooling down (PUTT) nor
+     * taken earlier this round: `marks & ~(used | taken)`. Per lane
+     * that is exactly the walk `allocate` runs, so lane l's grants
+     * are a per-lane EraserPolicy's pairs, in its order. Granted lanes
+     * are cleared from the LTT; the caller feeds the grants into
+     * BatchParityUsageTable::markPending.
+     *
+     * @param live   Lanes to allocate for (marks elsewhere stay).
+     * @param ltt    Word-parallel suspect table (updated in place).
+     * @param putt   Word-parallel cooldown table, current round.
+     * @param taken  [numStabilizers] all-zero planes, used as scratch
+     *               and all-zero again on return.
+     * @param[out] grants Room for maxGrants() entries; receives the
+     *               round's grants ascending in data qubit, at most
+     *               one per (data, candidate) and each lane at most
+     *               once per data qubit.
+     * @return Number of grants written.
+     */
+    template <typename Lane>
+    int allocateWords(const Lane &live,
+                      BatchLeakageTrackingTable<Lane> &ltt,
+                      const BatchParityUsageTable<Lane> &putt,
+                      std::vector<Lane> &taken,
+                      DliGrant<Lane> *grants) const;
+
+    /** Bound on allocateWords' grants: the lookup table's candidate
+     *  (primary + backup) count. */
+    int maxGrants() const { return maxGrants_; }
+
+    /**
+     * Exact-matching DLI for one lane of a word-parallel table pair
+     * (ExactMatching allocator only; matching does not decompose into
+     * word operations). The caller hands over the lane's own LTT
+     * marks, ascending, so the matching sees exactly the instance
+     * `allocate` builds for that lane, augmented in the same order:
+     * lane l's output is bit-identical to a per-lane policy's.
+     * Allocated qubits are cleared from lane l of the LTT.
+     * Allocation-free once `matcher` and `lrcs` have grown to the
+     * largest round seen.
      *
      * @param lane      Lane to allocate for.
      * @param marks     Lane l's marked data qubits, ascending.
      * @param num_marks Length of `marks`.
      * @param ltt       Word-parallel suspect table (updated in place).
      * @param putt      Word-parallel cooldown table, current round.
-     * @param scratch   Reusable taken set and matcher.
-     * @param[out] lrcs Cleared, then filled with lane l's pairs.
+     * @param matcher   Reusable matcher scratch.
+     * @param[out] lrcs Cleared, then filled with lane l's pairs in
+     *                  ascending data order.
      */
     template <typename Lane>
     void allocateLane(int lane, const int *marks, int num_marks,
                       BatchLeakageTrackingTable<Lane> &ltt,
                       const BatchParityUsageTable<Lane> &putt,
-                      DliLaneScratch &scratch,
+                      BipartiteMatcher &matcher,
                       std::vector<LrcPair> &lrcs) const;
+
+    DliAllocator allocator() const { return allocator_; }
 
   private:
     std::vector<LrcPair> allocateLookup(
@@ -111,6 +142,7 @@ class DynamicLrcInsertion
     const RotatedSurfaceCode &code_;
     const SwapLookupTable &lookup_;
     DliAllocator allocator_;
+    int maxGrants_ = 0;
 };
 
 } // namespace qec

@@ -1,5 +1,7 @@
 #include "core/policies.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 
 namespace qec
@@ -110,17 +112,59 @@ template <typename Lane>
 BatchEraserController<Lane>::BatchEraserController(
     const RotatedSurfaceCode &code, const SwapLookupTable &lookup,
     const BatchPolicySpec &spec)
-    : oracle_(spec.oracle), puttCooldown_(spec.puttCooldown),
+    : code_(code), oracle_(spec.oracle),
+      puttCooldown_(spec.puttCooldown),
       lsb_(code, LsbOptions{spec.threshold, spec.multiLevel}),
       dli_(code, lookup, spec.allocator),
       ltt_(code.numData()),
       putt_(code.numStabilizers()),
-      markArena_(sizeof(Lane) * 8 * (size_t)code.numData()),
-      laneEnd_(sizeof(Lane) * 8)
+      laneViewOut_(code.numData(), code.numStabilizers())
 {
     panicIf(spec.kind != BatchPolicyKind::Eraser && !spec.oracle,
             "BatchEraserController needs an Eraser or oracle spec");
-    candidates_.reserve(code.numData());
+    const int n_data = code.numData();
+    slotBegin_.resize(n_data + 1, 0);
+    for (int q = 0; q < n_data; ++q)
+        slotBegin_[q + 1] =
+            slotBegin_[q] + (int)code.stabilizersOfData(q).size();
+    // At most one grant per (data, adjacent stab) pair and round;
+    // the lookup walk writes (and drops) one slot per candidate.
+    grants_.resize(std::max(slotBegin_[n_data], dli_.maxGrants()));
+    if (spec.allocator == DliAllocator::LookupTable) {
+        taken_.assign(code.numStabilizers(), Lane{});
+    } else {
+        slotLanes_.assign(slotBegin_[n_data], Lane{});
+        candidates_.reserve(n_data);
+        markArena_.resize(sizeof(Lane) * 8 * (size_t)n_data);
+        laneEnd_.resize(sizeof(Lane) * 8);
+        lanePairs_.reserve(code.numStabilizers());
+    }
+}
+
+template <typename Lane>
+void
+BatchEraserController<Lane>::nextRound(
+    const std::vector<Lane> &events, const std::vector<Lane> &labels,
+    const std::vector<Lane> &had_lrc, const Lane &live,
+    BatchLrcSchedule<Lane> &out)
+{
+    panicIf(oracle_, "an oracle controller runs oracleRound");
+    // Stage 1 — word-parallel speculation straight on the planes.
+    lsb_.speculateWords(events, labels, had_lrc, live, ltt_);
+    allocateMarked(live, out);
+}
+
+template <typename Lane>
+void
+BatchEraserController<Lane>::oracleRound(
+    const std::vector<Lane> &leaked, const Lane &live,
+    BatchLrcSchedule<Lane> &out)
+{
+    panicIf(!oracle_, "oracleRound needs an oracle controller");
+    // The oracle's marks are exactly this round's leaked qubits.
+    for (int q = 0; q < ltt_.size(); ++q)
+        ltt_.assign(q, leaked[q] & live);
+    allocateMarked(live, out);
 }
 
 template <typename Lane>
@@ -130,10 +174,8 @@ BatchEraserController<Lane>::nextRound(
     const std::vector<Lane> &had_lrc, const Lane &live,
     std::vector<std::vector<LrcPair>> &lrcs)
 {
-    panicIf(oracle_, "an oracle controller runs oracleRound");
-    // Stage 1 — word-parallel speculation straight on the planes.
-    lsb_.speculateWords(events, labels, had_lrc, live, ltt_);
-    allocateMarked(live, lrcs);
+    nextRound(events, labels, had_lrc, live, laneViewOut_);
+    unpackGrants(lrcs);
 }
 
 template <typename Lane>
@@ -142,22 +184,42 @@ BatchEraserController<Lane>::oracleRound(
     const std::vector<Lane> &leaked, const Lane &live,
     std::vector<std::vector<LrcPair>> &lrcs)
 {
-    panicIf(!oracle_, "oracleRound needs an oracle controller");
-    // The oracle's marks are exactly this round's leaked qubits.
-    for (int q = 0; q < ltt_.size(); ++q)
-        ltt_.assign(q, leaked[q] & live);
-    allocateMarked(live, lrcs);
+    oracleRound(leaked, live, laneViewOut_);
+    unpackGrants(lrcs);
 }
 
 template <typename Lane>
 void
-BatchEraserController<Lane>::allocateMarked(
-    const Lane &live, std::vector<std::vector<LrcPair>> &lrcs)
+BatchEraserController<Lane>::allocateMarked(const Lane &live,
+                                            BatchLrcSchedule<Lane> &out)
 {
-    // Stage 2 — collect the active lane mask (and the candidate
-    // qubits any active lane holds). Marks persist across rounds for
-    // unserviced qubits, so the mask is recomputed from the planes
-    // rather than from this round's events alone.
+    // Stage 2 — DLI. Marks persist across rounds for unserviced
+    // qubits, so both allocators start from the LTT planes rather
+    // than from this round's events.
+    if (dli_.allocator() == DliAllocator::LookupTable)
+        numGrants_ = dli_.allocateWords(live, ltt_, putt_, taken_,
+                                        grants_.data());
+    else
+        matchLanes(live);
+
+    // Stage 3 — the schedule, then the PUTT cooldown advance for
+    // every lane at once.
+    writeSchedule(out);
+    if (puttCooldown_) {
+        for (int i = 0; i < numGrants_; ++i)
+            putt_.markPending(grants_[i].stab, grants_[i].lanes);
+        putt_.advanceRound();
+    }
+}
+
+template <typename Lane>
+void
+BatchEraserController<Lane>::matchLanes(const Lane &live)
+{
+    // Collect the qubits any lane marks and the live lanes holding a
+    // mark, transpose those lanes' marks lane-major in one pass
+    // (candidates ascend, so every lane's list does too), and match
+    // each such lane over its own marks only.
     candidates_.clear();
     Lane active{};
     for (int q = 0; q < ltt_.size(); ++q) {
@@ -169,12 +231,6 @@ BatchEraserController<Lane>::allocateMarked(
     }
     active &= live;
 
-    for (auto &lane_lrcs : lrcs)
-        lane_lrcs.clear();
-
-    // Stage 3 — transpose the active lanes' marks lane-major in one
-    // pass (candidates ascend, so every lane's list does too) and run
-    // DLI per active lane over its own marks only.
     const int stride = ltt_.size();
     forEachSetLane(active, [&](int l) { laneEnd_[l] = l * stride; });
     for (int q : candidates_)
@@ -184,16 +240,92 @@ BatchEraserController<Lane>::allocateMarked(
     forEachSetLane(active, [&](int l) {
         dli_.allocateLane(l, markArena_.data() + (size_t)l * stride,
                           laneEnd_[l] - l * stride, ltt_, putt_,
-                          laneScratch_, lrcs[l]);
-        if (puttCooldown_) {
-            for (const auto &pair : lrcs[l])
-                putt_.markPending(pair.stab, l);
+                          matcher_, lanePairs_);
+        for (const LrcPair &pair : lanePairs_) {
+            const auto &stabs = code_.stabilizersOfData(pair.data);
+            const int k = (int)(std::find(stabs.begin(), stabs.end(),
+                                          pair.stab) -
+                                stabs.begin());
+            setLane(slotLanes_[slotBegin_[pair.data] + k], l);
         }
     });
 
-    // Stage 4 — PUTT cooldown advance for every lane at once.
-    if (puttCooldown_)
-        putt_.advanceRound();
+    // One grant per matched (data, stab) slot, ascending in data.
+    numGrants_ = 0;
+    for (int q : candidates_) {
+        const auto &stabs = code_.stabilizersOfData(q);
+        for (int k = 0; k < (int)stabs.size(); ++k) {
+            Lane &lanes = slotLanes_[slotBegin_[q] + k];
+            if (anyLane(lanes)) {
+                grants_[numGrants_++] = {q, stabs[k], lanes};
+                lanes = Lane{};
+            }
+        }
+    }
+}
+
+template <typename Lane>
+void
+BatchEraserController<Lane>::writeSchedule(
+    BatchLrcSchedule<Lane> &out) const
+{
+    const DliGrant<Lane> *grants = grants_.data();
+    const int num_grants = numGrants_;
+    out.clear();
+    for (int i = 0; i < num_grants; ++i) {
+        const DliGrant<Lane> &grant = grants[i];
+        out.schedMask[grant.data] |= grant.lanes;
+        out.lrcOnStab[grant.stab] |= grant.lanes;
+        out.scheduled += (uint64_t)popcountLanes(grant.lanes);
+    }
+
+    // Per block, a stable counting sort of the grants (ascending in
+    // data) on their first lane in the block: tails come out ordered
+    // by first lane, then data qubit. A lane holds at most one grant
+    // per data qubit, so that key is unique within a block. Grants
+    // with no lane in a block sort into bucket 64, past the block's
+    // tails, and are cut off; that keeps both passes branch-free.
+    constexpr int kBlocks = BatchLrcSchedule<Lane>::kBlocks;
+    const auto bucket = [](uint64_t w) {
+        return w ? __builtin_ctzll(w) : 64;
+    };
+    int start[kBlocks][66] = {};
+    for (int i = 0; i < num_grants; ++i)
+        for (int b = 0; b < kBlocks; ++b)
+            ++start[b][bucket(laneWord(grants[i].lanes, b)) + 1];
+    int num_tails[kBlocks];
+    for (int b = 0; b < kBlocks; ++b) {
+        for (int i = 1; i <= 65; ++i)
+            start[b][i] += start[b][i - 1];
+        num_tails[b] = start[b][64];
+        // A block holds at most one tail per grant, so reserving the
+        // grant bound once keeps later rounds allocation-free.
+        out.blockTails[b].reserve(grants_.size());
+        out.blockTails[b].resize(num_grants);
+    }
+    for (int i = 0; i < num_grants; ++i)
+        for (int b = 0; b < kBlocks; ++b) {
+            const uint64_t w = laneWord(grants[i].lanes, b);
+            out.blockTails[b][start[b][bucket(w)]++] = {
+                grants[i].stab, grants[i].data, w};
+        }
+    for (int b = 0; b < kBlocks; ++b)
+        out.blockTails[b].resize(num_tails[b]);
+}
+
+template <typename Lane>
+void
+BatchEraserController<Lane>::unpackGrants(
+    std::vector<std::vector<LrcPair>> &lrcs) const
+{
+    for (auto &lane_lrcs : lrcs)
+        lane_lrcs.clear();
+    for (int i = 0; i < numGrants_; ++i) {
+        const DliGrant<Lane> &grant = grants_[i];
+        forEachSetLane(grant.lanes, [&](int l) {
+            lrcs[l].push_back({grant.data, grant.stab});
+        });
+    }
 }
 
 template class BatchEraserController<uint64_t>;

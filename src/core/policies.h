@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
 #include "core/dli.h"
 #include "core/lsb.h"
@@ -64,9 +65,9 @@ enum class BatchPolicyKind
     /** The schedule depends only on the round index, never on the
      *  syndrome: one shared instance drives every lane. */
     Uniform,
-    /** The ERASER controller: LSB/LTT/PUTT evaluate word-parallel on
-     *  bit planes, DLI walks each speculation-active lane's own
-     *  marks. */
+    /** The ERASER controller: LSB, LTT/PUTT and lookup-table DLI
+     *  evaluate word-parallel on bit planes (see
+     *  BatchEraserController). */
     Eraser,
 };
 
@@ -269,21 +270,70 @@ class OptimalLrcPolicy : public LrcPolicy
 };
 
 /**
+ * One round's LRC schedule for a word-group, in the form the engine
+ * replays (ProgramLrcFillT): the two lane-set planes and, per 64-lane
+ * block, the divergent tails. The planes are exactly the union of the
+ * tails, which is what lets clear() touch only what the last schedule
+ * set.
+ */
+template <typename Lane>
+struct BatchLrcSchedule
+{
+    static constexpr int kBlocks = (int)(sizeof(Lane) / sizeof(uint64_t));
+
+    BatchLrcSchedule(int num_data, int num_stabs)
+        : schedMask(num_data, Lane{}), lrcOnStab(num_stabs, Lane{})
+    {
+    }
+
+    /** Empty the schedule, touching only the planes its tails set. */
+    void
+    clear()
+    {
+        for (auto &tails : blockTails) {
+            for (const IrLrcTail &tail : tails) {
+                schedMask[tail.data] = Lane{};
+                lrcOnStab[tail.stab] = Lane{};
+            }
+            tails.clear();
+        }
+        scheduled = 0;
+    }
+
+    /** [numData] lanes whose LRC services each data qubit. */
+    std::vector<Lane> schedMask;
+    /** [numStabs] lanes whose LRC uses each parity qubit. */
+    std::vector<Lane> lrcOnStab;
+    /** Per 64-lane block, the (stab, data) tails with their block
+     *  lane masks, in the order the engine replays them. */
+    std::vector<IrLrcTail> blockTails[kBlocks];
+    /** Scheduled pairs summed over lanes. */
+    uint64_t scheduled = 0;
+};
+
+/**
  * Word-parallel ERASER controller: the lane-parallel form of
  * EraserPolicy (and of OptimalLrcPolicy, via oracleRound) for one
  * word-group of W = 64/256/512 shots.
  *
  * Where W per-lane policy instances each scan a materialized
  * byte-array observation, this controller keeps ONE set of LTT/PUTT
- * bit planes for the whole group and evaluates the speculation stage
- * as word arithmetic directly on the engine's detection-event planes:
- * LSB thresholds all lanes at once (bit-sliced neighbor counts,
- * had-LRC suppression planes, ERASER+M |L> label planes). DLI is
- * inherently sequential per lane, so the marks of the lanes whose
- * speculation-active mask is nonzero are transposed once into a
- * lane-major arena and each such lane walks only its own marks.
- * Round cost is O(lattice x plane words + total active marks)
- * instead of O(lattice x lanes).
+ * bit planes for the whole group and evaluates every stage as word
+ * arithmetic on them. LSB thresholds all lanes at once straight from
+ * the engine's detection-event planes (bit-sliced neighbor counts,
+ * had-LRC suppression planes, ERASER+M |L> label planes). DLI with
+ * the lookup allocator is a per-data-qubit walk, so it too runs for
+ * all lanes at once (DynamicLrcInsertion::allocateWords): each marked
+ * qubit, ascending, is granted its primary, then its backups, on the
+ * lanes where they are free. Only exact matching (the ablation and
+ * Optimal's oracle round) stays per lane: the marks of lanes holding
+ * any are transposed into a lane-major arena and each such lane
+ * matches over its own marks.
+ *
+ * The grants are written straight into a BatchLrcSchedule: planes,
+ * scheduled count, and per block the tails ordered by their first
+ * lane, then data qubit — the order in which merging per-lane
+ * schedules lane by lane would first meet them.
  *
  * Lane l's schedule stream is bit-identical to a dedicated
  * EraserPolicy (or OptimalLrcPolicy) fed lane l's observations — the
@@ -300,22 +350,23 @@ class BatchEraserController
                           const BatchPolicySpec &spec);
 
     /**
-     * Observe one round's planes and emit every lane's next-round
-     * LRCs (Eraser spec).
+     * Observe one round's planes and write the next round's schedule
+     * (Eraser spec).
      *
      * @param events  Detection-event lane plane per stabilizer.
      * @param labels  |L> label lane plane per stabilizer (consulted
      *                only for ERASER+M).
      * @param had_lrc Plane per data qubit: lanes whose LRC serviced
-     *                it in the round producing this syndrome.
+     *                it in the round producing this syndrome. It is
+     *                read before `out` is written, so it may be
+     *                `out.schedMask` itself.
      * @param live    Live-lane mask of the word-group.
-     * @param[out] lrcs Per-lane schedules for the next round; every
-     *                entry is rewritten (inactive lanes get empty).
+     * @param[out] out Overwritten with the next round's schedule.
      */
     void nextRound(const std::vector<Lane> &events,
                    const std::vector<Lane> &labels,
                    const std::vector<Lane> &had_lrc, const Lane &live,
-                   std::vector<std::vector<LrcPair>> &lrcs);
+                   BatchLrcSchedule<Lane> &out);
 
     /**
      * The Optimal scheduler's round (oracle spec): the LTT is reset to
@@ -324,8 +375,22 @@ class BatchEraserController
      *
      * @param leaked  Ground-truth leak plane per data qubit.
      * @param live    Live-lane mask of the word-group.
-     * @param[out] lrcs As for nextRound.
+     * @param[out] out Overwritten with the next round's schedule.
      */
+    void oracleRound(const std::vector<Lane> &leaked, const Lane &live,
+                     BatchLrcSchedule<Lane> &out);
+
+    /**
+     * Per-lane views of the two rounds above, for callers that compare
+     * or replay lane by lane: the same decisions, unpacked into one
+     * pair list per lane in allocation order (ascending data qubit).
+     * `lrcs` holds at least one entry per live lane; every entry is
+     * rewritten (lanes without grants get empty lists).
+     */
+    void nextRound(const std::vector<Lane> &events,
+                   const std::vector<Lane> &labels,
+                   const std::vector<Lane> &had_lrc, const Lane &live,
+                   std::vector<std::vector<LrcPair>> &lrcs);
     void oracleRound(const std::vector<Lane> &leaked, const Lane &live,
                      std::vector<std::vector<LrcPair>> &lrcs);
 
@@ -336,24 +401,48 @@ class BatchEraserController
     const BatchParityUsageTable<Lane> & putt() const { return putt_; }
 
   private:
-    /** DLI on every lane with a live mark, then the PUTT advance. */
-    void allocateMarked(const Lane &live,
-                        std::vector<std::vector<LrcPair>> &lrcs);
+    /** DLI on every live marked lane, the schedule write, then the
+     *  PUTT advance. */
+    void allocateMarked(const Lane &live, BatchLrcSchedule<Lane> &out);
+    /** Exact matching per lane, gathered into grants_. */
+    void matchLanes(const Lane &live);
+    /** Planes, count and block tails from grants_. */
+    void writeSchedule(BatchLrcSchedule<Lane> &out) const;
+    /** Unpack grants_ into per-lane pair lists. */
+    void unpackGrants(std::vector<std::vector<LrcPair>> &lrcs) const;
 
+    const RotatedSurfaceCode &code_;
     bool oracle_;
     bool puttCooldown_;
     LeakageSpeculationBlock lsb_;
     DynamicLrcInsertion dli_;
     BatchLeakageTrackingTable<Lane> ltt_;
     BatchParityUsageTable<Lane> putt_;
-    DliLaneScratch laneScratch_;
+    /** This round's decisions, ascending in data qubit: the first
+     *  numGrants_ entries (sized to the allocators' bound). */
+    std::vector<DliGrant<Lane>> grants_;
+    int numGrants_ = 0;
+    /** Lookup walk: per-stab "taken this round" planes (all zero
+     *  between rounds). */
+    std::vector<Lane> taken_;
+    /** Schedule the per-lane views decide into. */
+    BatchLrcSchedule<Lane> laneViewOut_;
+
+    // Exact matching only.
+    BipartiteMatcher matcher_;
+    std::vector<LrcPair> lanePairs_;
     /** Data qubits whose LTT plane has any lane set, ascending. */
     std::vector<int> candidates_;
-    /** Lane-major marks, one numData() stride per lane: active lane
-     *  l's marked qubits, ascending, are
+    /** Lane-major marks, one numData() stride per lane: lane l's
+     *  marked qubits, ascending, are
      *  markArena_[l * numData(), laneEnd_[l]). */
     std::vector<int> markArena_;
     std::vector<int> laneEnd_;
+    /** Matched lanes per (data, adjacent stab) slot; data qubit q's
+     *  slots follow code.stabilizersOfData(q) from slotBegin_[q]. All
+     *  zero between rounds. */
+    std::vector<int> slotBegin_;
+    std::vector<Lane> slotLanes_;
 };
 
 extern template class BatchEraserController<uint64_t>;

@@ -127,8 +127,8 @@ class ParityUsageTable
 
 /**
  * Word-parallel LTT: one lane-set plane per data qubit. The LSB marks
- * whole lane words at once; the per-lane DLI fallback tests and clears
- * single lane bits.
+ * whole lane words at once; DLI clears the lanes it grants, a word at
+ * a time (lookup walk) or a lane at a time (exact matching).
  */
 template <typename Lane>
 class BatchLeakageTrackingTable
@@ -163,6 +163,13 @@ class BatchLeakageTrackingTable
     clear(int data, int lane)
     {
         clearLane(marks_[data], lane);
+    }
+
+    /** Clear a lane set from qubit `data`'s mark plane. */
+    void
+    clear(int data, const Lane &lanes)
+    {
+        marks_[data] = andnot(marks_[data], lanes);
     }
 
     const Lane & word(int data) const { return marks_[data]; }
@@ -208,14 +215,14 @@ class BatchParityUsageTable
     const Lane & word(int stab) const { return used_[stab]; }
     int size() const { return (int)used_.size(); }
 
-    /** Record that `lane` allocated `stab` this round (blocked next
+    /** Record that `lanes` allocated `stab` this round (blocked next
      *  round). */
     void
-    markPending(int stab, int lane)
+    markPending(int stab, const Lane &lanes)
     {
         if (!anyLane(pending_[stab]))
             pendingStabs_.push_back(stab);
-        setLane(pending_[stab], lane);
+        pending_[stab] |= lanes;
     }
 
     /** Retire the current round's cooldowns and promote this round's

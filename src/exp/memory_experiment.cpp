@@ -192,6 +192,24 @@ validateExperimentConfig(const ExperimentConfig &config)
     return okStatus();
 }
 
+Status
+validateExperimentConfig(const ExperimentConfig &config, PolicyKind kind)
+{
+    Status st = validateExperimentConfig(config);
+    if (!st.isOk())
+        return st;
+    // The built-in LRC policies schedule surface-code (stab, data)
+    // pairs; on another family only Never has a schedule to run.
+    if (config.family != CircuitFamily::SurfaceMemory &&
+        kind != PolicyKind::Never)
+        return invalidArgument(
+            "policy " + policyKindName(kind, config.protocol ==
+                                                 RemovalProtocol::Dqlr) +
+            " needs the surface_memory family; only Never runs on " +
+            circuitFamilyName(config.family));
+    return okStatus();
+}
+
 namespace
 {
 
@@ -260,7 +278,7 @@ MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
 MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
                                    ExperimentConfig config,
                                    const DecoderFactory &decoder_factory)
-    : code_(code), config_(config), lookup_(code)
+    : code_(code), config_(config)
 {
     panicOnInvalidConfig(config_);
     program_ = compileFamilyProgram(code_, config_);
@@ -285,8 +303,9 @@ MemoryExperiment::MemoryExperiment(
     const RotatedSurfaceCode &code, ExperimentConfig config,
     std::shared_ptr<const DetectorModel> dem,
     std::shared_ptr<const Decoder> decoder,
-    std::shared_ptr<const CircuitProgram> program)
-    : code_(code), config_(config), lookup_(code),
+    std::shared_ptr<const CircuitProgram> program,
+    std::shared_ptr<const SwapLookupTable> lookup)
+    : code_(code), config_(config), lookup_(std::move(lookup)),
       program_(std::move(program)), dem_(std::move(dem)),
       decoder_(std::move(decoder))
 {
@@ -302,12 +321,27 @@ MemoryExperiment::MemoryExperiment(
 
 MemoryExperiment::~MemoryExperiment() = default;
 
+const SwapLookupTable &
+MemoryExperiment::lookup() const
+{
+    std::call_once(lookupOnce_, [this] {
+        if (!lookup_)
+            lookup_ = std::make_shared<const SwapLookupTable>(code_);
+    });
+    return *lookup_;
+}
+
 ExperimentResult
 MemoryExperiment::run(PolicyKind kind) const
 {
+    const Status st = validateExperimentConfig(config_, kind);
+    panicIf(!st.isOk(),
+            "policy cannot run on this experiment (validate with "
+            "validateExperimentConfig(config, kind) to handle this "
+            "recoverably): " + st.toString());
     const bool every_round =
         config_.protocol == RemovalProtocol::Dqlr;
-    return run(makePolicyFactory(kind, code_, lookup_, every_round),
+    return run(makePolicyFactory(kind, code_, lookup(), every_round),
                policyKindName(kind, every_round));
 }
 
@@ -449,7 +483,11 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
 
     std::vector<std::unique_ptr<LrcPolicy>> policies;
     std::unique_ptr<BatchEraserController<Lane>> controller;
-    std::vector<std::vector<LrcPair>> lrcs(W);
+    // Per-lane schedules for PerLane policies; otherwise one
+    // lane-uniform schedule in lrcs[0] (Uniform/Never every round, the
+    // controller policies in round 0 only — from then on the
+    // controller writes `sched` itself).
+    std::vector<std::vector<LrcPair>> lrcs(per_lane ? W : 1);
     if (per_lane) {
         policies.reserve(W);
         policies.push_back(std::move(shared));
@@ -457,15 +495,10 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
             policies.push_back(factory());
         for (int l = 0; l < W; ++l)
             lrcs[l] = policies[l]->firstRound();
-    } else if (use_controller) {
-        controller = std::make_unique<BatchEraserController<Lane>>(
-            code_, lookup_, spec);
-        const auto first_lrcs = shared->firstRound();
-        for (int l = 0; l < W; ++l)
-            lrcs[l] = first_lrcs;
     } else {
-        // Uniform/Never schedules live in lrcs[0] only; the round
-        // loop never consults the other lanes' slots on these paths.
+        if (use_controller)
+            controller = std::make_unique<BatchEraserController<Lane>>(
+                code_, lookup(), spec);
         lrcs[0] = shared->firstRound();
     }
 
@@ -482,8 +515,6 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     std::vector<Lane> flips(n_stabs, Lane{}), labels(n_stabs, Lane{});
     std::vector<Lane> prev_flips(n_stabs, Lane{});
     std::vector<Lane> events(n_stabs, Lane{});
-    std::vector<Lane> sched_mask(n_data, Lane{});
-    std::vector<Lane> lrc_on_stab(n_stabs, Lane{});
     std::vector<Lane> leak_snapshot(n_data, Lane{});
     // Lane-major scatter arenas: which stabilizers fired / reported
     // |L>, and which data qubits are leaked, per lane (flat, reused).
@@ -491,89 +522,88 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         leak_off((size_t)W + 1);
     std::vector<uint32_t> ev_cur(W), lab_cur(W), leak_cur(W);
     std::vector<int> ev_arena, lab_arena, leak_arena;
-    // Divergent LRC tails are collected per 64-lane block in
-    // first-insertion order; the program's LRC-slot branch replays
-    // them block by block. tail_at[stab * n_data + data] is the
-    // pair's index in the current block's list, -1 when absent (all
-    // -1 between blocks).
-    std::vector<IrLrcTail> active[NW];
-    std::vector<int> tail_at((size_t)n_stabs * n_data, -1);
-    std::vector<int> stab_epoch(n_stabs, -1), data_epoch(n_data, -1);
+    // The round's schedule: planes plus per-64-lane-block divergent
+    // tails, which the program's LRC-slot branch replays block by
+    // block. Per-lane schedules are merged into it in first-insertion
+    // order: tail_at[stab * n_data + data] is the pair's index in the
+    // current block's list, -1 when absent (all -1 between blocks).
+    BatchLrcSchedule<Lane> sched(n_data, n_stabs);
+    std::vector<int> tail_at;
+    std::vector<int> stab_epoch, data_epoch;
+    if (per_lane) {
+        tail_at.assign((size_t)n_stabs * n_data, -1);
+        stab_epoch.assign(n_stabs, -1);
+        data_epoch.assign(n_data, -1);
+    }
     int epoch = 0;
 
     for (int r = 0; r < config_.rounds; ++r) {
-        // Collect this round's lane-divergent LRC assignments,
-        // mirroring buildRoundSchedule's per-lane validation.
-        // Controller-produced schedules are valid by construction
-        // (DLI allocates from the adjacency lookup with a taken set),
-        // so the per-pair validation only runs for per-lane policies,
-        // whose nextRound is arbitrary user code.
-        std::fill(sched_mask.begin(), sched_mask.end(), Lane{});
-        std::fill(lrc_on_stab.begin(), lrc_on_stab.end(), Lane{});
-        for (int b = 0; b < NB; ++b)
-            active[b].clear();
-        if (!per_lane && !controller) {
+        if (per_lane) {
+            // Merge the lanes' schedules, validating every pair:
+            // nextRound is arbitrary user code.
+            sched.clear();
+            for (int l = 0; l < W; ++l) {
+                ++epoch;
+                const int b = l >> 6;
+                const uint64_t bit = uint64_t{1} << (l & 63);
+                std::vector<IrLrcTail> &tails = sched.blockTails[b];
+                for (const auto &pair : lrcs[l]) {
+                    panicIf(pair.stab < 0 || pair.stab >= n_stabs,
+                            "LRC references an invalid stabilizer");
+                    panicIf(pair.data < 0 || pair.data >= n_data,
+                            "LRC references an invalid data qubit");
+                    panicIf(stab_epoch[pair.stab] == epoch,
+                            "two LRCs share one parity qubit in "
+                            "the same round");
+                    panicIf(data_epoch[pair.data] == epoch,
+                            "one data qubit has two LRCs in the "
+                            "same round");
+                    stab_epoch[pair.stab] = epoch;
+                    data_epoch[pair.data] = epoch;
+                    panicIf(!prog.supportContains(pair.stab, pair.data),
+                            "LRC data qubit is not adjacent to "
+                            "its parity qubit");
+                    setLane(sched.schedMask[pair.data], l);
+                    setLane(sched.lrcOnStab[pair.stab], l);
+                    int &at = tail_at[(size_t)pair.stab * n_data +
+                                      pair.data];
+                    if (at < 0) {
+                        at = (int)tails.size();
+                        tails.push_back({pair.stab, pair.data, bit});
+                    } else {
+                        tails[at].mask |= bit;
+                    }
+                }
+                sched.scheduled += lrcs[l].size();
+                if ((l & 63) == 63 || l == W - 1) {
+                    for (const auto &tail : tails)
+                        tail_at[(size_t)tail.stab * n_data +
+                                tail.data] = -1;
+                }
+            }
+        } else if (!controller || r == 0) {
             // Lane-uniform schedule: every live lane executes lane 0's
             // pairs, so the masks and block tails are whole-word. The
             // Uniform capability is claimable by arbitrary policy
             // subclasses, so the pairs are still bounds-checked.
+            sched.clear();
             for (const auto &pair : lrcs[0]) {
                 panicIf(pair.stab < 0 || pair.stab >= n_stabs,
                         "LRC references an invalid stabilizer");
                 panicIf(pair.data < 0 || pair.data >= n_data,
                         "LRC references an invalid data qubit");
-                sched_mask[pair.data] = live;
-                lrc_on_stab[pair.stab] = live;
+                sched.schedMask[pair.data] = live;
+                sched.lrcOnStab[pair.stab] = live;
                 for (int b = 0; b < NB; ++b)
-                    active[b].push_back(
+                    sched.blockTails[b].push_back(
                         {pair.stab, pair.data, laneWord(live, b)});
             }
-            stats.lrcsScheduled +=
-                (uint64_t)lrcs[0].size() * (uint64_t)W;
-        } else {
-            for (int l = 0; l < W; ++l) {
-                ++epoch;
-                const int b = l >> 6;
-                const uint64_t bit = uint64_t{1} << (l & 63);
-                for (const auto &pair : lrcs[l]) {
-                    if (per_lane) {
-                        panicIf(pair.stab < 0 || pair.stab >= n_stabs,
-                                "LRC references an invalid stabilizer");
-                        panicIf(pair.data < 0 || pair.data >= n_data,
-                                "LRC references an invalid data qubit");
-                        panicIf(stab_epoch[pair.stab] == epoch,
-                                "two LRCs share one parity qubit in "
-                                "the same round");
-                        panicIf(data_epoch[pair.data] == epoch,
-                                "one data qubit has two LRCs in the "
-                                "same round");
-                        stab_epoch[pair.stab] = epoch;
-                        data_epoch[pair.data] = epoch;
-                        panicIf(!prog.supportContains(pair.stab,
-                                                      pair.data),
-                                "LRC data qubit is not adjacent to "
-                                "its parity qubit");
-                    }
-                    setLane(sched_mask[pair.data], l);
-                    setLane(lrc_on_stab[pair.stab], l);
-                    int &at = tail_at[(size_t)pair.stab * n_data +
-                                      pair.data];
-                    if (at < 0) {
-                        at = (int)active[b].size();
-                        active[b].push_back(
-                            {pair.stab, pair.data, bit});
-                    } else {
-                        active[b][at].mask |= bit;
-                    }
-                }
-                stats.lrcsScheduled += lrcs[l].size();
-                if ((l & 63) == 63 || l == W - 1) {
-                    for (const auto &tail : active[b])
-                        tail_at[(size_t)tail.stab * n_data +
-                                tail.data] = -1;
-                }
-            }
+            sched.scheduled = (uint64_t)lrcs[0].size() * (uint64_t)W;
         }
+        // Otherwise the controller wrote `sched` last round; its
+        // allocations are valid by construction (DLI allocates from
+        // the adjacency lookup with a taken set).
+        stats.lrcsScheduled += sched.scheduled;
 
         // Account the scheduling decisions against the ground truth at
         // decision time (end of the previous round), word-wise. Only
@@ -582,11 +612,11 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         for (int q = 0; q < n_data; ++q) {
             const Lane is_leaked = sim.leakedWord(q) & live;
             leaked_total += (uint64_t)popcountLanes(is_leaked);
-            if (anyLane(sched_mask[q])) {
-                sched_total +=
-                    (uint64_t)popcountLanes(sched_mask[q]);
-                tp_round += (uint64_t)popcountLanes(sched_mask[q] &
-                                                    is_leaked);
+            const Lane &lrc_lanes = sched.schedMask[q];
+            if (anyLane(lrc_lanes)) {
+                sched_total += (uint64_t)popcountLanes(lrc_lanes);
+                tp_round +=
+                    (uint64_t)popcountLanes(lrc_lanes & is_leaked);
             }
         }
         stats.tp += tp_round;
@@ -604,8 +634,8 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         // round body's noise is one hit-table advance of every block's
         // streams; each block's tails share one advance of its own.
         ProgramLrcFillT<NW> fill;
-        fill.lrcOnStab = lrc_on_stab.data();
-        fill.blockTails = active;
+        fill.lrcOnStab = sched.lrcOnStab.data();
+        fill.blockTails = sched.blockTails;
         fill.multiLevel = multi_level;
         sim.executeProgramRound(prog, r, live, &fill, 1);
 
@@ -647,19 +677,20 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
         obs.round = r;
         if (controller && spec.oracle) {
             // Optimal: the controller marks the truly leaked lanes
-            // straight from the engine's planes and matches per lane
-            // on those lanes only.
+            // straight from the engine's planes, matches per lane on
+            // those lanes only and writes the next round's schedule.
             for (int q = 0; q < n_data; ++q)
                 leak_snapshot[q] = sim.leakedWord(q);
-            controller->oracleRound(leak_snapshot, live, lrcs);
+            controller->oracleRound(leak_snapshot, live, sched);
         } else if (controller) {
             // Word-parallel adaptive step: the controller thresholds
-            // the event planes for all lanes at once (sched_mask is
-            // exactly this round's had-LRC suppression plane) and
-            // runs per-lane DLI only on speculation-active lanes. No
-            // per-lane observation is ever materialized.
-            controller->nextRound(events, labels, sched_mask, live,
-                                  lrcs);
+            // the event planes and allocates for all lanes at once
+            // (the schedule's own data plane is exactly this round's
+            // had-LRC suppression plane) and writes the next round's
+            // schedule in place. No per-lane observation is ever
+            // materialized.
+            controller->nextRound(events, labels, sched.schedMask, live,
+                                  sched);
         } else if (spec.kind == BatchPolicyKind::Uniform) {
             // Round-indexed schedule: one shared instance decides for
             // every lane (stored in lrcs[0] only).

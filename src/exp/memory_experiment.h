@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,6 +201,17 @@ struct ExperimentResult
 Status validateExperimentConfig(const ExperimentConfig &config);
 
 /**
+ * validateExperimentConfig plus the policy's family rule: the built-in
+ * policies other than Never schedule surface-code (stab, data) pairs,
+ * so they need CircuitFamily::SurfaceMemory. MemoryExperiment::run
+ * (PolicyKind) panics on a pair this rejects (documented
+ * precondition); SweepPlan::validate applies it to every built-in
+ * policy of every point.
+ */
+Status validateExperimentConfig(const ExperimentConfig &config,
+                                PolicyKind kind);
+
+/**
  * Word-group decomposition shared by every experiment driver: (first
  * shot, lane count) spans covering [0, shots) in groups of `width`
  * lanes, the last one ragged. Because noise streams are per 64-lane
@@ -250,16 +262,25 @@ class MemoryExperiment
      * null when `config.decode` is false. A pre-compiled program of
      * the same (family, distance, rounds, basis, protocol) may be
      * shared the same way; when null, the constructor compiles one.
+     * So may the SWAP lookup table of `code` (it depends on the code
+     * alone); when null, lookup() builds one on first use.
      */
     MemoryExperiment(const RotatedSurfaceCode &code,
                      ExperimentConfig config,
                      std::shared_ptr<const DetectorModel> dem,
                      std::shared_ptr<const Decoder> decoder,
                      std::shared_ptr<const CircuitProgram> program =
+                         nullptr,
+                     std::shared_ptr<const SwapLookupTable> lookup =
                          nullptr);
     ~MemoryExperiment();
 
-    /** Run all shots under a policy kind. */
+    /**
+     * Run all shots under a policy kind. Precondition:
+     * validateExperimentConfig(config(), kind) accepts the pair (only
+     * Never runs off the surface-memory family); a rejected pair
+     * panics.
+     */
     ExperimentResult run(PolicyKind kind) const;
 
     /**
@@ -273,7 +294,9 @@ class MemoryExperiment
 
     const RotatedSurfaceCode & code() const { return code_; }
     const ExperimentConfig & config() const { return config_; }
-    const SwapLookupTable & lookup() const { return lookup_; }
+    /** SWAP lookup table of code(): the one handed to the
+     *  constructor, else built here on first use (thread-safe). */
+    const SwapLookupTable & lookup() const;
     /** Decoder (null when config.decode is false). */
     const Decoder * decoder() const { return decoder_.get(); }
     /** Detector model (null when config.decode is false). */
@@ -323,7 +346,8 @@ class MemoryExperiment
 
     const RotatedSurfaceCode &code_;
     ExperimentConfig config_;
-    SwapLookupTable lookup_;
+    mutable std::once_flag lookupOnce_;
+    mutable std::shared_ptr<const SwapLookupTable> lookup_;
     std::shared_ptr<const CircuitProgram> program_;
     std::shared_ptr<const DetectorModel> dem_;
     std::shared_ptr<const Decoder> decoder_;

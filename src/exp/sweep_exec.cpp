@@ -31,16 +31,17 @@ SweepBuildCache::build(const SweepPoint &point,
 
     auto code_it = codes_.find(point.distance);
     if (code_it == codes_.end()) {
-        code_it = codes_
-                      .emplace(point.distance,
-                               std::make_unique<RotatedSurfaceCode>(
-                                   point.distance))
-                      .first;
+        CodeEntry entry;
+        entry.code = std::make_unique<RotatedSurfaceCode>(point.distance);
+        entry.lookup =
+            std::make_shared<const SwapLookupTable>(*entry.code);
+        code_it = codes_.emplace(point.distance, std::move(entry)).first;
         ++summary.codesBuilt;
     } else {
         ++summary.codesReused;
     }
-    out.code = code_it->second.get();
+    out.code = code_it->second.code.get();
+    out.lookup = code_it->second.lookup;
 
     const CircuitFamily family = point.config.family;
     const ProgramKey prog_key{(int)family, point.distance,

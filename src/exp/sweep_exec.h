@@ -33,6 +33,9 @@ class SweepBuildCache
     struct Components
     {
         const RotatedSurfaceCode *code = nullptr;
+        /** SWAP lookup table of `code` (always set; one per
+         *  distance). */
+        std::shared_ptr<const SwapLookupTable> lookup;
         /** Compiled circuit program (always set; see circuit_ir.h). */
         std::shared_ptr<const CircuitProgram> program;
         std::shared_ptr<const DetectorModel> dem;
@@ -55,7 +58,13 @@ class SweepBuildCache
           SweepSummary &summary);
 
   private:
-    std::map<int, std::unique_ptr<RotatedSurfaceCode>> codes_;
+    /** Per distance: the code and its SWAP lookup table. */
+    struct CodeEntry
+    {
+        std::unique_ptr<RotatedSurfaceCode> code;
+        std::shared_ptr<const SwapLookupTable> lookup;
+    };
+    std::map<int, CodeEntry> codes_;
     /** (family, distance, rounds, basis, protocol) */
     using ProgramKey = std::tuple<int, int, int, int, int>;
     std::map<ProgramKey, std::shared_ptr<const CircuitProgram>>

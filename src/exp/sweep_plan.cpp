@@ -91,26 +91,15 @@ SweepPlan::validate() const
             point.distance);
         if (st.isOk())
             st = validateExperimentConfig(point.config);
+        for (size_t i = 0; st.isOk() && i < policies.size(); ++i)
+            if (!policies[i].custom)
+                st = validateExperimentConfig(point.config,
+                                              policies[i].kind);
         if (!st.isOk())
             return Status(st.code(),
                           "point " + std::to_string(point.index) +
                               " (d=" + std::to_string(point.distance) +
                               "): " + st.message());
-        // The built-in LRC policies schedule surface-code (stab, data)
-        // pairs; on another family only Never has a schedule to run.
-        if (point.config.family == CircuitFamily::SurfaceMemory)
-            continue;
-        for (const SweepPolicy &policy : policies)
-            if (!policy.custom && policy.kind != PolicyKind::Never)
-                return invalidArgument(
-                    "point " + std::to_string(point.index) + " (d=" +
-                    std::to_string(point.distance) + ", " +
-                    circuitFamilyName(point.config.family) +
-                    "): policy " +
-                    policy.displayName(point.config.protocol) +
-                    " needs the surface_memory family; only Never "
-                    "runs on " +
-                    circuitFamilyName(point.config.family));
     }
     return okStatus();
 }

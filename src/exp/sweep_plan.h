@@ -159,7 +159,8 @@ struct SweepPlan
      * Recoverable whole-plan validation: non-empty axes and policy
      * set, valid code distances, engine-supported widths, every
      * expanded point's config accepted by validateExperimentConfig,
-     * and no built-in policy but Never on a non-surface family.
+     * and every built-in policy by validateExperimentConfig(config,
+     * kind) (only Never runs off the surface-memory family).
      * SweepRunner::run validates before executing and surfaces the
      * Status in its summary instead of dying; points() panics on a
      * plan this rejects (documented precondition).

@@ -687,7 +687,7 @@ SweepRunner::run(const SweepRunOptions &options)
             const SweepBuildCache::Components &comp = built.value();
             lp.exp = std::make_unique<MemoryExperiment>(
                 *comp.code, point.config, comp.dem, comp.decoder,
-                comp.program);
+                comp.program, comp.lookup);
         } catch (const std::bad_alloc &) {
             fault(lp, resourceExhaustedError(
                           "allocation failed while building sweep "

@@ -3,10 +3,10 @@
  * Sweep execution: the `qec::sweep` back half.
  *
  * SweepRunner executes a SweepPlan, building each point's
- * MemoryExperiment from cross-point caches (codes per distance,
- * detector models per (d, rounds, basis), decoders per (model, kind,
- * p)) so grids that revisit a lattice or a detector model never
- * rebuild them. Every policy of a point runs through an
+ * MemoryExperiment from cross-point caches (codes and their SWAP
+ * lookup tables per distance, detector models per (d, rounds, basis),
+ * decoders per (model, kind, p)) so grids that revisit a lattice or a
+ * detector model never rebuild them. Every policy of a point runs through an
  * ExperimentSession (honoring the plan's early-stop rule), and the
  * finished PointResult streams to the attached sinks in plan order: a
  * bench_util style table printer, the unified JSON emitter, or a plain
@@ -130,7 +130,8 @@ struct SweepSummary
     size_t points = 0;
     uint64_t shotsRun = 0;
     double seconds = 0.0;
-    /** Cross-point component-cache accounting. */
+    /** Cross-point component-cache accounting (a code build includes
+     *  its SWAP lookup table). */
     size_t codesBuilt = 0;
     size_t codesReused = 0;
     size_t demsBuilt = 0;

@@ -410,6 +410,171 @@ TEST(BatchController, OracleRoundMatchesPerLaneOptimal)
     oracleMatchesPerLaneOptimal<WordVec<8>>(5, 300, 4, 56);
 }
 
+/** The block-tail form of a word-group's per-lane schedules. */
+template <typename Lane>
+struct MergedSchedule
+{
+    std::vector<Lane> schedMask, lrcOnStab;
+    std::vector<IrLrcTail> blockTails[BatchLrcSchedule<Lane>::kBlocks];
+    uint64_t scheduled = 0;
+};
+
+/**
+ * The experiment driver's lane-by-lane merge of per-lane schedules,
+ * as it ran for the controller policies before the controller wrote
+ * block tails: lanes ascending, each lane's pairs in order, a tail
+ * appended to its block's list when first met and OR-ed into after.
+ */
+template <typename Lane>
+MergedSchedule<Lane>
+mergePerLane(const std::vector<std::vector<LrcPair>> &lrcs, int lanes,
+             int n_data, int n_stabs)
+{
+    MergedSchedule<Lane> out;
+    out.schedMask.assign(n_data, Lane{});
+    out.lrcOnStab.assign(n_stabs, Lane{});
+    std::vector<int> tail_at((size_t)n_stabs * n_data, -1);
+    for (int l = 0; l < lanes; ++l) {
+        const int b = l >> 6;
+        const uint64_t bit = uint64_t{1} << (l & 63);
+        std::vector<IrLrcTail> &tails = out.blockTails[b];
+        for (const auto &pair : lrcs[l]) {
+            setLane(out.schedMask[pair.data], l);
+            setLane(out.lrcOnStab[pair.stab], l);
+            int &at = tail_at[(size_t)pair.stab * n_data + pair.data];
+            if (at < 0) {
+                at = (int)tails.size();
+                tails.push_back({pair.stab, pair.data, bit});
+            } else {
+                tails[at].mask |= bit;
+            }
+        }
+        out.scheduled += lrcs[l].size();
+        if ((l & 63) == 63 || l == lanes - 1) {
+            for (const auto &tail : tails)
+                tail_at[(size_t)tail.stab * n_data + tail.data] = -1;
+        }
+    }
+    return out;
+}
+
+/**
+ * Two controllers of one spec fed identical rounds: one writes block
+ * tails, the other unpacks per-lane lists, which are then merged the
+ * way the driver used to. Tails (order and masks), both planes and
+ * the scheduled count must agree every round. The tail-writing
+ * controller gets its own schedule's data plane as had_lrc, as the
+ * experiment passes it.
+ */
+template <typename Lane>
+void
+blockTailsEqualPerLaneMerge(int d, const BatchPolicySpec &spec,
+                            int lanes, uint64_t seed)
+{
+    RotatedSurfaceCode code(d);
+    SwapLookupTable lookup(code);
+    BatchEraserController<Lane> tails_ctl(code, lookup, spec);
+    BatchEraserController<Lane> lanes_ctl(code, lookup, spec);
+    const int n_stabs = code.numStabilizers();
+    const int n_data = code.numData();
+    const Lane live = laneMaskOf<Lane>(lanes);
+    Rng rng(seed);
+
+    BatchLrcSchedule<Lane> sched(n_data, n_stabs);
+    std::vector<std::vector<LrcPair>> lrcs(lanes);
+    std::vector<Lane> events(n_stabs), labels(n_stabs), leaked(n_data);
+    std::vector<Lane> had_lrc(n_data, Lane{});
+    const double densities[] = {0.02, 0.1, 0.3, 0.6, 0.05, 1.0, 0.15};
+    int round = 0;
+    for (double density : densities) {
+        SCOPED_TRACE(::testing::Message()
+                     << "round " << round++ << " density " << density);
+        for (int s = 0; s < n_stabs; ++s) {
+            events[s] = randomPlane<Lane>(rng, lanes, density);
+            labels[s] = spec.multiLevel
+                ? randomPlane<Lane>(rng, lanes, density / 4) : Lane{};
+        }
+        // Dead lanes carry leak bits too: the live mask must drop them.
+        for (int q = 0; q < n_data; ++q)
+            leaked[q] = randomPlane<Lane>(rng, lanes, density / 2) |
+                        andnot(randomPlane<Lane>(
+                                   rng, (int)sizeof(Lane) * 8, 0.5),
+                               live);
+        had_lrc = sched.schedMask;
+        if (spec.oracle) {
+            tails_ctl.oracleRound(leaked, live, sched);
+            lanes_ctl.oracleRound(leaked, live, lrcs);
+        } else {
+            tails_ctl.nextRound(events, labels, sched.schedMask, live,
+                                sched);
+            lanes_ctl.nextRound(events, labels, had_lrc, live, lrcs);
+        }
+
+        const MergedSchedule<Lane> want =
+            mergePerLane<Lane>(lrcs, lanes, n_data, n_stabs);
+        EXPECT_EQ(sched.scheduled, want.scheduled);
+        for (int b = 0; b < BatchLrcSchedule<Lane>::kBlocks; ++b) {
+            const auto &got = sched.blockTails[b];
+            const auto &exp = want.blockTails[b];
+            ASSERT_EQ(got.size(), exp.size()) << "block " << b;
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].stab, exp[i].stab)
+                    << "block " << b << " tail " << i;
+                ASSERT_EQ(got[i].data, exp[i].data)
+                    << "block " << b << " tail " << i;
+                ASSERT_EQ(got[i].mask, exp[i].mask)
+                    << "block " << b << " tail " << i;
+            }
+        }
+        for (int q = 0; q < n_data; ++q)
+            ASSERT_TRUE(sched.schedMask[q] == want.schedMask[q])
+                << "data " << q;
+        for (int s = 0; s < n_stabs; ++s)
+            ASSERT_TRUE(sched.lrcOnStab[s] == want.lrcOnStab[s])
+                << "stab " << s;
+    }
+}
+
+template <typename Lane>
+void
+blockTailsEqualPerLaneMergeAllSpecs(int d, int lanes, uint64_t seed)
+{
+    RotatedSurfaceCode code(d);
+    SwapLookupTable lookup(code);
+    BatchPolicySpec lookup_spec;
+    lookup_spec.kind = BatchPolicyKind::Eraser;
+    BatchPolicySpec no_cooldown = lookup_spec;
+    no_cooldown.puttCooldown = false;
+    BatchPolicySpec multi_level = lookup_spec;
+    multi_level.multiLevel = true;
+    BatchPolicySpec exact = lookup_spec;
+    exact.allocator = DliAllocator::ExactMatching;
+    struct Case
+    {
+        const char *name;
+        BatchPolicySpec spec;
+    };
+    for (const Case &c :
+         {Case{"lookup", lookup_spec}, Case{"lookup-no-cooldown",
+                                            no_cooldown},
+          Case{"lookup-multi-level", multi_level},
+          Case{"exact", exact},
+          Case{"oracle", OptimalLrcPolicy(code, lookup).batchSpec()}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " W=" << lanes << " d=" << d);
+        blockTailsEqualPerLaneMerge<Lane>(d, c.spec, lanes, ++seed);
+    }
+}
+
+TEST(BatchController, BlockTailsEqualPerLaneMerge)
+{
+    blockTailsEqualPerLaneMergeAllSpecs<uint64_t>(5, 37, 600);
+    blockTailsEqualPerLaneMergeAllSpecs<uint64_t>(7, 64, 610);
+    blockTailsEqualPerLaneMergeAllSpecs<WordVec<4>>(5, 256, 620);
+    blockTailsEqualPerLaneMergeAllSpecs<WordVec<8>>(3, 257, 630);
+    blockTailsEqualPerLaneMergeAllSpecs<WordVec<8>>(7, 512, 640);
+}
+
 TEST(BatchDli, ExactLaneMatchesReferenceMatching)
 {
     // allocateLane(ExactMatching) on a lane's marks must equal the
@@ -422,7 +587,7 @@ TEST(BatchDli, ExactLaneMatchesReferenceMatching)
     const int n_data = code.numData();
     const int n_stabs = code.numStabilizers();
     Rng rng(2026);
-    DliLaneScratch scratch;   // reused across every trial
+    BipartiteMatcher matcher;   // reused across every trial
     std::vector<LrcPair> lrcs;
 
     for (int trial = 0; trial < 200; ++trial) {
@@ -440,9 +605,11 @@ TEST(BatchDli, ExactLaneMatchesReferenceMatching)
                 marks.push_back(q);
             }
         }
+        Lane lane_set{};
+        setLane(lane_set, lane);
         for (int s = 0; s < n_stabs; ++s) {
             if (rng.bernoulli(putt_p))
-                putt.markPending(s, lane);
+                putt.markPending(s, lane_set);
         }
         putt.advanceRound();
 
@@ -462,7 +629,7 @@ TEST(BatchDli, ExactLaneMatchesReferenceMatching)
         }
 
         dli.allocateLane(lane, marks.data(), (int)marks.size(), ltt,
-                         putt, scratch, lrcs);
+                         putt, matcher, lrcs);
         ASSERT_EQ(lrcs, expected) << "trial " << trial;
         for (size_t i = 0; i < marks.size(); ++i) {
             EXPECT_EQ(ltt.marked(marks[i], lane), match[i] < 0)
@@ -473,10 +640,11 @@ TEST(BatchDli, ExactLaneMatchesReferenceMatching)
 
 TEST(BatchController, SteadyStateRoundsAllocateNothing)
 {
-    // Once saturated rounds have sized the lazily grown scratch (taken
-    // set, matcher) and the caller's per-lane schedule buffers hold
-    // their bound, a W=256 controller round allocates nothing — for
-    // the lookup walk, the exact-matching walk and the oracle round.
+    // Once saturated rounds have sized the lazily grown scratch
+    // (matcher, block tails) and the caller's per-lane schedule
+    // buffers hold their bound, a W=256 controller round allocates
+    // nothing — for the lookup walk, the exact-matching walk and the
+    // oracle round, writing block tails or per-lane lists.
     using Lane = WordVec<4>;
     const int lanes = 256;
     RotatedSurfaceCode code(7);
@@ -499,32 +667,42 @@ TEST(BatchController, SteadyStateRoundsAllocateNothing)
     };
     for (const Case &c : {Case{"lookup", eraser}, Case{"exact", exact},
                           Case{"oracle", oracle}}) {
-        SCOPED_TRACE(c.name);
-        BatchEraserController<Lane> controller(code, lookup, c.spec);
-        std::vector<std::vector<LrcPair>> lrcs(lanes);
-        for (auto &lane_lrcs : lrcs)
-            lane_lrcs.reserve(n_stabs);
-        std::vector<Lane> events(n_stabs), labels(n_stabs, Lane{});
-        std::vector<Lane> had_lrc(n_data, Lane{}), leaked(n_data);
-        Rng rng(7);
-        auto round = [&](double density) {
-            for (auto &plane : events)
-                plane = randomPlane<Lane>(rng, lanes, density);
-            for (auto &plane : leaked)
-                plane = randomPlane<Lane>(rng, lanes, density);
-            if (c.spec.oracle)
-                controller.oracleRound(leaked, live, lrcs);
-            else
-                controller.nextRound(events, labels, had_lrc, live,
-                                     lrcs);
-        };
+        for (bool block_tails : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << c.name
+                         << (block_tails ? " block tails" : " per lane"));
+            BatchEraserController<Lane> controller(code, lookup, c.spec);
+            BatchLrcSchedule<Lane> sched(n_data, n_stabs);
+            std::vector<std::vector<LrcPair>> lrcs(lanes);
+            for (auto &lane_lrcs : lrcs)
+                lane_lrcs.reserve(n_stabs);
+            std::vector<Lane> events(n_stabs), labels(n_stabs, Lane{});
+            std::vector<Lane> had_lrc(n_data, Lane{}), leaked(n_data);
+            Rng rng(7);
+            auto round = [&](double density) {
+                for (auto &plane : events)
+                    plane = randomPlane<Lane>(rng, lanes, density);
+                for (auto &plane : leaked)
+                    plane = randomPlane<Lane>(rng, lanes, density);
+                if (c.spec.oracle && block_tails)
+                    controller.oracleRound(leaked, live, sched);
+                else if (c.spec.oracle)
+                    controller.oracleRound(leaked, live, lrcs);
+                else if (block_tails)
+                    controller.nextRound(events, labels, sched.schedMask,
+                                         live, sched);
+                else
+                    controller.nextRound(events, labels, had_lrc, live,
+                                         lrcs);
+            };
 
-        for (int warmup = 0; warmup < 3; ++warmup)
-            round(1.0);
-        const uint64_t before = g_allocations.load();
-        for (int r = 0; r < 20; ++r)
-            round(r % 4 == 0 ? 0.5 : 0.05);
-        EXPECT_EQ(g_allocations.load(), before);
+            for (int warmup = 0; warmup < 3; ++warmup)
+                round(1.0);
+            const uint64_t before = g_allocations.load();
+            for (int r = 0; r < 20; ++r)
+                round(r % 4 == 0 ? 0.5 : 0.05);
+            EXPECT_EQ(g_allocations.load(), before);
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "exp/experiment_session.h"
+#include "exp/sweep_exec.h"
 #include "exp/sweep_plan.h"
 #include "exp/sweep_runner.h"
 
@@ -424,6 +425,77 @@ TEST(SweepRunner, RepetitionFamilyRefusesLrcPoliciesWithoutAborting)
     EXPECT_EQ(summary.shotsRun, 128u);
     ASSERT_EQ(collect.points.size(), 1u);
     EXPECT_EQ(collect.points[0].results.size(), 1u);
+}
+
+TEST(ExperimentConfig, RepetitionFamilyRunsOnlyNever)
+{
+    // The family rule's one home: built-in policies other than Never
+    // need the surface-memory family.
+    ExperimentConfig rep = smallConfig(4, 64, 64);
+    rep.family = CircuitFamily::RepetitionMemory;
+    ExperimentConfig surface = smallConfig(4, 64, 64);
+    for (PolicyKind kind : {PolicyKind::Always, PolicyKind::Eraser,
+                            PolicyKind::EraserM, PolicyKind::Optimal}) {
+        SCOPED_TRACE(policyKindName(kind));
+        const Status st = validateExperimentConfig(rep, kind);
+        EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+        EXPECT_NE(st.message().find("policy " + policyKindName(kind)),
+                  std::string::npos)
+            << st.toString();
+        EXPECT_TRUE(validateExperimentConfig(surface, kind).isOk());
+    }
+    EXPECT_TRUE(validateExperimentConfig(rep, PolicyKind::Never).isOk());
+    // The config checks still come first.
+    rep.rounds = 0;
+    EXPECT_EQ(validateExperimentConfig(rep, PolicyKind::Never).code(),
+              StatusCode::InvalidArgument);
+}
+
+TEST(SweepBuildCache, PointsOfOneDistanceShareOneLookupTable)
+{
+    SweepPlan plan;
+    plan.distances = {3, 5};
+    plan.ps = {1e-3, 2e-3};
+    plan.rounds = {SweepRounds::exactly(4)};
+    plan.policies = {PolicyKind::Eraser};
+    plan.base.decode = false;
+    plan.base.shots = 64;
+    plan.base.batchWidth = 64;
+    plan.base.threads = 1;
+    const std::vector<SweepPoint> points = plan.points();
+    ASSERT_EQ(points.size(), 4u);
+
+    SweepBuildCache cache;
+    SweepSummary summary;
+    std::vector<SweepBuildCache::Components> built;
+    for (const SweepPoint &point : points) {
+        StatusOr<SweepBuildCache::Components> comp =
+            cache.build(point, plan.base.decoderOptions, summary);
+        ASSERT_TRUE(comp.ok()) << comp.status().toString();
+        ASSERT_NE(comp.value().lookup, nullptr);
+        built.push_back(comp.value());
+    }
+    for (size_t i = 0; i < points.size(); ++i) {
+        for (size_t j = i + 1; j < points.size(); ++j) {
+            EXPECT_EQ(built[i].lookup == built[j].lookup,
+                      points[i].distance == points[j].distance)
+                << "points " << i << " and " << j;
+        }
+    }
+
+    // Experiments built from the components use the shared table; the
+    // constructor without one still builds its own.
+    const SweepBuildCache::Components &c = built[0];
+    MemoryExperiment shared(*c.code, points[0].config, c.dem, c.decoder,
+                            c.program, c.lookup);
+    EXPECT_EQ(&shared.lookup(), c.lookup.get());
+    MemoryExperiment own(*c.code, points[0].config, c.dem, c.decoder,
+                         c.program);
+    EXPECT_NE(&own.lookup(), c.lookup.get());
+    const ExperimentResult a = shared.run(PolicyKind::Eraser);
+    const ExperimentResult b = own.run(PolicyKind::Eraser);
+    EXPECT_EQ(a.lrcsScheduled, b.lrcsScheduled);
+    EXPECT_EQ(a.tp, b.tp);
 }
 
 TEST(SweepRunner, JsonSinkEmitsTheUnifiedSchema)
