@@ -53,14 +53,31 @@ struct ExperimentSession::Impl
     bool truncated = false;
 };
 
+namespace
+{
+
+/** The policy kind's factory, after its precondition: the family
+ *  rule of validateExperimentConfig(config, kind). */
+PolicyFactory
+checkedPolicyFactory(const MemoryExperiment &exp, PolicyKind kind)
+{
+    const Status st = validateExperimentConfig(exp.config(), kind);
+    panicIf(!st.isOk(),
+            "policy cannot run on this experiment (validate with "
+            "validateExperimentConfig(config, kind) to handle this "
+            "recoverably): " + st.toString());
+    return makePolicyFactory(kind, exp.code(), exp.lookup(),
+                             exp.config().protocol ==
+                                 RemovalProtocol::Dqlr);
+}
+
+} // namespace
+
 ExperimentSession::ExperimentSession(const MemoryExperiment &exp,
                                      PolicyKind kind,
                                      SessionOptions options)
     : ExperimentSession(
-          exp,
-          makePolicyFactory(
-              kind, exp.code(), exp.lookup(),
-              exp.config().protocol == RemovalProtocol::Dqlr),
+          exp, checkedPolicyFactory(exp, kind),
           policyKindName(kind, exp.config().protocol ==
                                    RemovalProtocol::Dqlr),
           options)

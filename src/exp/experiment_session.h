@@ -137,7 +137,9 @@ class ExperimentSession
 {
   public:
     /** Session over one policy kind (every_round follows the
-     *  protocol, as MemoryExperiment::run(PolicyKind) does). */
+     *  protocol). Precondition, as for MemoryExperiment::run
+     *  (PolicyKind): validateExperimentConfig(exp.config(), kind)
+     *  accepts the pair; a rejected pair panics. */
     ExperimentSession(const MemoryExperiment &exp, PolicyKind kind,
                       SessionOptions options = SessionOptions());
     ExperimentSession(const MemoryExperiment &exp,

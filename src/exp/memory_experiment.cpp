@@ -334,15 +334,8 @@ MemoryExperiment::lookup() const
 ExperimentResult
 MemoryExperiment::run(PolicyKind kind) const
 {
-    const Status st = validateExperimentConfig(config_, kind);
-    panicIf(!st.isOk(),
-            "policy cannot run on this experiment (validate with "
-            "validateExperimentConfig(config, kind) to handle this "
-            "recoverably): " + st.toString());
-    const bool every_round =
-        config_.protocol == RemovalProtocol::Dqlr;
-    return run(makePolicyFactory(kind, code_, lookup(), every_round),
-               policyKindName(kind, every_round));
+    ExperimentSession session(*this, kind);
+    return session.runToCompletion();
 }
 
 ExperimentResult

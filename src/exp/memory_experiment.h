@@ -203,8 +203,9 @@ Status validateExperimentConfig(const ExperimentConfig &config);
 /**
  * validateExperimentConfig plus the policy's family rule: the built-in
  * policies other than Never schedule surface-code (stab, data) pairs,
- * so they need CircuitFamily::SurfaceMemory. MemoryExperiment::run
- * (PolicyKind) panics on a pair this rejects (documented
+ * so they need CircuitFamily::SurfaceMemory. The policy-kind entry
+ * points (MemoryExperiment::run(PolicyKind), ExperimentSession's
+ * PolicyKind constructor) panic on a pair this rejects (documented
  * precondition); SweepPlan::validate applies it to every built-in
  * policy of every point.
  */

@@ -445,6 +445,17 @@ TEST(ExperimentConfig, RepetitionFamilyRunsOnlyNever)
         EXPECT_TRUE(validateExperimentConfig(surface, kind).isOk());
     }
     EXPECT_TRUE(validateExperimentConfig(rep, PolicyKind::Never).isOk());
+
+    // Both policy-kind entry points hold it as their precondition and
+    // refuse up front, naming the rule.
+    RotatedSurfaceCode code(3);
+    MemoryExperiment exp(code, rep);
+    EXPECT_DEATH({ exp.run(PolicyKind::Always); },
+                 "needs the surface_memory family");
+    EXPECT_DEATH({ ExperimentSession session(exp, PolicyKind::Eraser); },
+                 "needs the surface_memory family");
+    EXPECT_EQ(exp.run(PolicyKind::Never).shots, 64u);
+
     // The config checks still come first.
     rep.rounds = 0;
     EXPECT_EQ(validateExperimentConfig(rep, PolicyKind::Never).code(),
