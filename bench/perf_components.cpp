@@ -18,6 +18,7 @@
 #include "base/rng.h"
 #include "base/simd_word.h"
 #include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "code/ir_analysis.h"
 #include "code/rotated_surface_code.h"
 #include "core/policies.h"
@@ -468,7 +469,10 @@ std::vector<std::vector<int>>
 sampleShots(const RotatedSurfaceCode &code, int rounds, int count,
             const ErrorModel &em = ErrorModel::standard(1e-3))
 {
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const Circuit circuit =
+        CircuitCompiler::surfaceMemory(code, rounds, Basis::Z,
+                                       IrTailKind::SwapLrc)
+            .baseCircuit();
     std::vector<std::vector<int>> shots;
     FrameSimulator sim(code.numQubits(), em, Rng(3));
     for (int i = 0; i < count; ++i) {

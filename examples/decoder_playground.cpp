@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
@@ -35,7 +35,10 @@ runCase(const char *title, const RotatedSurfaceCode &code, int rounds,
         const MwpmDecoder &decoder,
         const std::vector<Injection> &injections)
 {
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+    const Circuit circuit =
+        CircuitCompiler::surfaceMemory(code, rounds, Basis::Z,
+                                       IrTailKind::SwapLrc)
+            .baseCircuit();
     FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
                        Rng(11));
     sim.reset();

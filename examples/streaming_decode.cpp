@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
 #include "exp/memory_experiment.h"
@@ -123,7 +123,10 @@ main()
         BatchDecoder pipeline(*stream_exp.decoder(), options,
                               stream_exp.componentGraph());
 
-        Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
+        const Circuit circuit =
+            CircuitCompiler::surfaceMemory(code, rounds, Basis::Z,
+                                           IrTailKind::SwapLrc)
+                .baseCircuit();
         FrameSimulator sim(code.numQubits(),
                            ErrorModel::withoutLeakage(p_stream),
                            Rng(cfg.seed));

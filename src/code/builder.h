@@ -1,6 +1,9 @@
 /**
  * @file
- * Builders for syndrome extraction rounds and full memory circuits.
+ * Builders for syndrome extraction rounds and the final transversal
+ * readout. CircuitCompiler (code/circuit_ir.h) lowers them into the
+ * program every memory experiment replays; the full static memory
+ * circuit is that program's baseCircuit().
  *
  * A plain round measures every stabilizer with 4 CNOT layers (Fig. 4(a)).
  * A round with an LRC for pair (D, P) appends, after the stabilizer
@@ -83,16 +86,6 @@ std::vector<Op> buildDqlrSegment(const RotatedSurfaceCode &code,
 /** Final transversal data measurement ops for a memory experiment. */
 std::vector<Op> buildFinalMeasurement(const RotatedSurfaceCode &code,
                                       int rounds, Basis basis);
-
-/**
- * Build the complete static (no-LRC) memory circuit: `rounds` plain
- * rounds followed by the final transversal data measurement. This is
- * the circuit the detector error model is derived from; adaptive
- * policies alter rounds at run time but are decoded against this
- * model, matching the paper's leakage-unaware decoder.
- */
-Circuit buildMemoryCircuit(const RotatedSurfaceCode &code, int rounds,
-                           Basis basis);
 
 } // namespace qec
 

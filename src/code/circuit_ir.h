@@ -295,10 +295,12 @@ struct CircuitProgram
 
     /** Reconstruct the LRC-free flat circuit this program replays —
      *  round bodies restamped per round plus the final transversal
-     *  measurement — for detector-model enumeration. Matches
-     *  buildMemoryCircuit() op-for-op for the surface family. A
-     *  non-negative `rounds_override` rebuilds the same body for a
-     *  different round count (the DEM tiler's short template). */
+     *  measurement — for detector-model enumeration. For the surface
+     *  family it equals, op for op, the lattice walk of
+     *  buildRoundSchedule rounds plus buildFinalMeasurement (pinned by
+     *  CircuitIr.BaseCircuitMatchesLatticeCircuit). A non-negative
+     *  `rounds_override` rebuilds the same body for a different round
+     *  count (the DEM tiler's short template). */
     Circuit baseCircuit(int rounds_override = -1) const;
 };
 

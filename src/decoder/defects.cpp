@@ -1,7 +1,6 @@
 #include "decoder/defects.h"
 
 #include "base/logging.h"
-#include "decoder/sparse_syndrome.h"
 
 namespace qec
 {
@@ -53,29 +52,6 @@ extractDefects(const RotatedSurfaceCode &code, Basis basis, int rounds,
 
     for (int q : code.logicalSupport(basis))
         out.observableFlip ^= (data_flip[q] != 0);
-    return out;
-}
-
-std::vector<ShotOutcome>
-extractDefectsBatched(const RotatedSurfaceCode &code, Basis basis,
-                      int rounds,
-                      const std::vector<BatchMeasureRecord> &record,
-                      int num_lanes)
-{
-    // Materialized per-lane view of the flat sparse extraction; hot
-    // paths consume the BatchSyndrome directly instead.
-    SparseSyndromeExtractor extractor;
-    BatchSyndrome syndrome;
-    extractor.extract(code, basis, rounds, record, num_lanes,
-                      syndrome);
-
-    std::vector<ShotOutcome> out(num_lanes);
-    for (int l = 0; l < num_lanes; ++l) {
-        out[l].defects.assign(syndrome.laneBegin(l),
-                              syndrome.laneBegin(l) +
-                                  syndrome.laneSize(l));
-        out[l].observableFlip = syndrome.laneObservable(l);
-    }
     return out;
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * Converts a shot's measurement record into decoder inputs: the list
- * of fired detectors (defects) and the true logical-observable flip.
- * Shared by the experiment runner and the DEM tests so both sides use
- * the same detector convention.
+ * Converts a scalar shot's measurement record into decoder inputs: the
+ * list of fired detectors (defects) and the true logical-observable
+ * flip, by walking the lattice. The experiment paths extract batched
+ * records through the program's detector map instead
+ * (decoder/sparse_syndrome.h); this per-shot form is the reference the
+ * tests hold that extractor to, lane by lane.
  */
 
 #ifndef QEC_DECODER_DEFECTS_H
@@ -13,7 +15,6 @@
 
 #include "code/rotated_surface_code.h"
 #include "code/types.h"
-#include "sim/batch_frame_simulator.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
@@ -42,20 +43,6 @@ struct ShotOutcome
 ShotOutcome extractDefects(const RotatedSurfaceCode &code, Basis basis,
                            int rounds,
                            const std::vector<MeasureRecord> &record);
-
-/**
- * Extract every lane's defects from a batched measurement record in
- * one pass: flips are accumulated as words (64 lanes per XOR) and only
- * the final defect lists are materialized per lane.
- *
- * @param num_lanes Live lanes in the record's word-group; one
- *                  ShotOutcome is returned per lane, in lane order.
- */
-std::vector<ShotOutcome>
-extractDefectsBatched(const RotatedSurfaceCode &code, Basis basis,
-                      int rounds,
-                      const std::vector<BatchMeasureRecord> &record,
-                      int num_lanes);
 
 } // namespace qec
 

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "base/logging.h"
-#include "code/builder.h"
 
 namespace qec
 {
@@ -129,8 +128,8 @@ class EdgeAccumulator
 /**
  * How outcome flips of a base circuit map onto detectors and the
  * logical observable — the only protocol-specific piece of DEM
- * construction. Lattice walking (the rotated-surface-code builder)
- * and a compiled program's measure→detector map both lower to this.
+ * construction — inverted from a compiled program's detector map into
+ * the per-qubit form the backward pass reads.
  */
 struct DemBindings
 {
@@ -143,29 +142,6 @@ struct DemBindings
     /** Per data qubit: whether its final readout flips the logical. */
     std::vector<uint8_t> dataObs;
 };
-
-DemBindings
-latticeDemBindings(const RotatedSurfaceCode &code, Basis basis)
-{
-    const StabType type = protectingStabType(basis);
-    DemBindings b;
-    b.numQubits = code.numQubits();
-    b.stabsPerRound = code.numBasisStabilizers(basis);
-    b.stabColumn.assign(code.numStabilizers(), -1);
-    for (const auto &stab : code.stabilizers())
-        if (stab.type == type)
-            b.stabColumn[stab.index] = stab.basisIndex;
-    b.dataColumns.resize(code.numData());
-    for (int q = 0; q < code.numData(); ++q)
-        for (int s : code.stabilizersOfData(q))
-            if (code.stabilizer(s).type == type)
-                b.dataColumns[q].push_back(
-                    code.stabilizer(s).basisIndex);
-    b.dataObs.assign(code.numData(), 0);
-    for (int q : code.logicalSupport(basis))
-        b.dataObs[q] = 1;
-    return b;
-}
 
 DemBindings
 programDemBindings(const CircuitProgram &prog)
@@ -689,27 +665,6 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
 } // namespace
 
 DetectorModel
-buildDetectorModelDirect(const RotatedSurfaceCode &code, int rounds,
-                         Basis basis)
-{
-    return buildModelDirect(latticeDemBindings(code, basis),
-                            buildMemoryCircuit(code, rounds, basis),
-                            rounds, basis);
-}
-
-DetectorModel
-buildDetectorModel(const RotatedSurfaceCode &code, int rounds,
-                   Basis basis)
-{
-    if (rounds <= kTileShortRounds)
-        return buildDetectorModelDirect(code, rounds, basis);
-    return buildModelTiled(
-        latticeDemBindings(code, basis),
-        buildMemoryCircuit(code, kTileShortRounds, basis), rounds,
-        basis);
-}
-
-DetectorModel
 buildDetectorModelDirect(const CircuitProgram &prog)
 {
     return buildModelDirect(programDemBindings(prog),
@@ -725,6 +680,16 @@ buildDetectorModel(const CircuitProgram &prog)
     return buildModelTiled(programDemBindings(prog),
                            prog.baseCircuit(kTileShortRounds),
                            prog.rounds, prog.basis);
+}
+
+DetectorModel
+buildDetectorModel(const RotatedSurfaceCode &code, int rounds,
+                   Basis basis)
+{
+    // Any tail kind gives the same model: the base circuit leaves
+    // every LrcSlot branch empty.
+    return buildDetectorModel(CircuitCompiler::surfaceMemory(
+        code, rounds, basis, IrTailKind::SwapLrc));
 }
 
 } // namespace qec

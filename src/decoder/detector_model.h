@@ -11,10 +11,13 @@
  * transversal data measurement, and s ranges over stabilizers of the
  * type protecting the memory basis.
  *
- * The builder walks the base (no-LRC) circuit once, from the last op
- * back to the first, keeping per qubit the set of detectors (and
- * whether the logical observable) that an X or a Z error at that point
- * would flip: the reverse sensitivity pass Stim uses for its DEMs. The
+ * The model is built from a compiled CircuitProgram (code/circuit_ir.h),
+ * the program the experiments replay, with outcome flips routed
+ * through its detector map. The builder walks the program's base
+ * (no-LRC) circuit once, from the last op back to the first, keeping
+ * per qubit the set of detectors (and whether the logical observable)
+ * that an X or a Z error at that point would flip: the reverse
+ * sensitivity pass Stim uses for its DEMs. The
  * noiseless frame update is linear, so these sets are exactly what
  * forward propagation of each fault would record. The sets each noisy
  * op touches are saved as sparse lists, and every Pauli mechanism is
@@ -107,29 +110,26 @@ struct DetectorModel
 };
 
 /**
- * Build the DEM for `rounds` rounds of the given code and memory
- * basis. Uses direct enumeration for short experiments and
- * time-translation tiling for long ones (identical results).
- */
-DetectorModel buildDetectorModel(const RotatedSurfaceCode &code,
-                                 int rounds, Basis basis);
-
-/** Direct (non-tiled) enumeration, exposed for equivalence tests. */
-DetectorModel buildDetectorModelDirect(const RotatedSurfaceCode &code,
-                                       int rounds, Basis basis);
-
-/**
  * Build the DEM of a compiled circuit program from its own
- * measure→detector/observable map (no lattice walking): the backward
- * pass runs over the program's base circuit and routes outcome flips
- * through `prog.detectors`. For surface-memory programs
- * this reproduces the code-based builder exactly; for new protocol
- * families (repetition memory) it is the only builder.
+ * measure→detector/observable map: the backward pass runs over the
+ * program's base circuit and routes outcome flips through
+ * `prog.detectors`. Uses direct enumeration for short experiments and
+ * time-translation tiling for long ones (identical results). The tail
+ * kind does not enter: the base circuit leaves every LrcSlot branch
+ * empty, so programs that differ only in their tail share one model.
  */
 DetectorModel buildDetectorModel(const CircuitProgram &prog);
 
-/** Direct (non-tiled) program enumeration, for equivalence tests. */
+/** Direct (non-tiled) enumeration, exposed for equivalence tests. */
 DetectorModel buildDetectorModelDirect(const CircuitProgram &prog);
+
+/**
+ * The surface-memory model for `rounds` rounds of `code` in `basis`:
+ * compiles CircuitCompiler::surfaceMemory and builds from the program.
+ * For callers that hold a code but no program.
+ */
+DetectorModel buildDetectorModel(const RotatedSurfaceCode &code,
+                                 int rounds, Basis basis);
 
 } // namespace qec
 

@@ -283,14 +283,8 @@ MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
     panicOnInvalidConfig(config_);
     program_ = compileFamilyProgram(code_, config_);
     if (config_.decode) {
-        // Surface memory keeps the lattice-walking model builder (the
-        // frozen baseline); compiled families without a lattice get
-        // their model from the program's detector map.
         dem_ = std::make_shared<DetectorModel>(
-            config_.family == CircuitFamily::SurfaceMemory
-                ? buildDetectorModel(code_, config_.rounds,
-                                     config_.basis)
-                : buildDetectorModel(*program_));
+            buildDetectorModel(*program_));
         decoder_ = decoder_factory(*dem_, config_.em.p);
         panicIf(!decoder_, "decoder factory returned null");
     }

@@ -4,9 +4,7 @@
 #include <mutex>
 
 #include "base/parallel.h"
-#include "code/builder.h"
 #include "decoder/batch_decoder.h"
-#include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
 #include "sim/batch_frame_simulator.h"
 
@@ -34,13 +32,14 @@ struct SuspectScratch
  */
 template <int NW>
 void
-suspectMaskBatched(const RotatedSurfaceCode &code, int rounds,
+suspectMaskBatched(const CircuitProgram &prog,
                    const std::vector<BatchMeasureRecordT<NW>> &record,
                    int num_lanes, const PostSelectOptions &options,
                    SuspectScratch &scratch,
                    uint64_t suspect[kMaxBatchWords])
 {
-    const int n_stabs = code.numStabilizers();
+    const int n_stabs = prog.numStabs;
+    const int rounds = prog.rounds;
     const int nw = (num_lanes + 63) / 64;
     scratch.flips.assign((size_t)n_stabs * rounds * nw, 0);
     for (const auto &rec : record) {
@@ -108,27 +107,26 @@ struct GroupTally
 
 template <int NW>
 GroupTally
-runPostSelectGroup(const RotatedSurfaceCode &code,
+runPostSelectGroup(const CircuitProgram &prog,
                    const ExperimentConfig &config,
                    const PostSelectOptions &options,
-                   const Circuit &circuit, PostSelectContext &ctx,
-                   uint64_t first, int W)
+                   PostSelectContext &ctx, uint64_t first, int W)
 {
     using Lane = LaneWord<NW>;
     const int nw = (W + 63) / 64;
     const Lane live = laneMaskOf<Lane>(W);
 
-    BatchFrameSimulatorT<NW> sim(code.numQubits(), config.em, W,
+    BatchFrameSimulatorT<NW> sim(prog.numQubits, config.em, W,
                                  config.seed, first);
-    sim.reserveRecord(circuit.ops.size());
-    sim.executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size(), live);
+    sim.reserveRecord((size_t)prog.rounds * prog.numStabs +
+                      prog.numData);
+    sim.executeProgram(prog);
 
     uint64_t suspect[kMaxBatchWords];
-    suspectMaskBatched(code, config.rounds, sim.record(), W, options,
-                       ctx.suspect, suspect);
-    ctx.extractor.extract(code, config.basis, config.rounds,
-                          sim.record(), W, ctx.syndrome);
+    suspectMaskBatched(prog, sim.record(), W, options, ctx.suspect,
+                       suspect);
+    ctx.extractor.extract(prog.detectors, prog.rounds, sim.record(), W,
+                          ctx.syndrome);
     uint64_t predictions[kMaxBatchWords];
     ctx.pipeline->decodeBatch(ctx.syndrome, predictions);
 
@@ -154,11 +152,12 @@ runPostSelectedExperiment(const RotatedSurfaceCode &code,
                           const ExperimentConfig &config,
                           const PostSelectOptions &options)
 {
-    DetectorModel dem =
-        buildDetectorModel(code, config.rounds, config.basis);
-    MwpmDecoder decoder(dem, config.em.p, config.decoderOptions);
-    Circuit circuit =
-        buildMemoryCircuit(code, config.rounds, config.basis);
+    // The experiment supplies the program, its detector model and the
+    // configured decoder; post-selection always decodes.
+    ExperimentConfig decoding = config;
+    decoding.decode = true;
+    const MemoryExperiment exp(code, decoding);
+    const CircuitProgram &prog = *exp.program();
 
     const uint64_t width = std::min<uint64_t>(
         std::max<unsigned>(config.batchWidth, 1),
@@ -169,11 +168,10 @@ runPostSelectedExperiment(const RotatedSurfaceCode &code,
         resolveThreadCount(spans.size(), config.threads);
     std::vector<PostSelectContext> contexts(workers);
     const SyndromeCacheOptions cache_opts = resolveSyndromeCacheOptions(
-        config.syndromeCache, config.rounds,
-        code.numBasisStabilizers(config.basis));
+        config.syndromeCache, prog.rounds, prog.detectors.cols);
     for (auto &ctx : contexts)
-        ctx.pipeline = std::make_unique<BatchDecoder>(
-            decoder, cache_opts);
+        ctx.pipeline = std::make_unique<BatchDecoder>(*exp.decoder(),
+                                                      cache_opts);
 
     PostSelectResult result;
     result.shots = config.shots;
@@ -187,14 +185,14 @@ runPostSelectedExperiment(const RotatedSurfaceCode &code,
 
             GroupTally tally;
             if (width <= 64)
-                tally = runPostSelectGroup<1>(code, config, options,
-                                              circuit, ctx, first, W);
+                tally = runPostSelectGroup<1>(prog, config, options,
+                                              ctx, first, W);
             else if (width <= 256)
-                tally = runPostSelectGroup<4>(code, config, options,
-                                              circuit, ctx, first, W);
+                tally = runPostSelectGroup<4>(prog, config, options,
+                                              ctx, first, W);
             else
-                tally = runPostSelectGroup<8>(code, config, options,
-                                              circuit, ctx, first, W);
+                tally = runPostSelectGroup<8>(prog, config, options,
+                                              ctx, first, W);
 
             std::lock_guard<std::mutex> lock(merge);
             result.logicalErrorsAll += tally.errorsAll;

@@ -52,16 +52,19 @@ struct PostSelectResult
 
 /**
  * Run a No-LRC memory experiment and post-select on the syndrome
- * history. Uses the experiment's error model / decoder configuration;
- * the policy is fixed to No-LRC (post-processing replaces, rather than
- * complements, active removal in the prior work).
+ * history. The compiled program, detector model and decoder
+ * (config.decoderKind) come from a MemoryExperiment built on `config`
+ * with decoding forced on, so its preconditions apply
+ * (validateExperimentConfig). The policy is fixed to No-LRC
+ * (post-processing replaces, rather than complements, active removal
+ * in the prior work): every LRC slot of the program stays empty.
  *
- * The study runs on the bit-packed batch engine in word-groups of
- * config.batchWidth lanes (up to 512 via the SIMD multi-word planes):
- * the suspicion scan operates word-parallel on detection-event words
- * (per-lane window counters touched only on set bits) and the decode
- * step goes through the BatchDecoder pipeline (sparse syndromes,
- * zero-defect fast path, dedup cache).
+ * The study replays the program on the bit-packed batch engine in
+ * word-groups of config.batchWidth lanes (up to 512 via the SIMD
+ * multi-word planes): the suspicion scan operates word-parallel on
+ * detection-event words (per-lane window counters touched only on set
+ * bits) and the decode step goes through the BatchDecoder pipeline
+ * (sparse syndromes, zero-defect fast path, dedup cache).
  */
 PostSelectResult runPostSelectedExperiment(
     const RotatedSurfaceCode &code, const ExperimentConfig &config,

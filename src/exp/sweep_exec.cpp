@@ -3,7 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "code/builder.h"
 #include "code/circuit_ir.h"
 
 namespace qec
@@ -74,6 +73,9 @@ SweepBuildCache::build(const SweepPoint &point,
     if (!point.config.decode)
         return out;
 
+    // The key omits the protocol (tail kind): the model comes from
+    // the program's base circuit, which leaves every LrcSlot branch
+    // empty, so the swap and DQLR programs of one shape share it.
     const DemKey dem_key{(int)family, point.distance, point.rounds,
                          (int)point.config.basis};
     auto dem_it = dems_.find(dem_key);
@@ -81,12 +83,7 @@ SweepBuildCache::build(const SweepPoint &point,
         dem_it = dems_
                      .emplace(dem_key,
                               std::make_shared<DetectorModel>(
-                                  family == CircuitFamily::SurfaceMemory
-                                      ? buildDetectorModel(
-                                            *out.code, point.rounds,
-                                            point.config.basis)
-                                      : buildDetectorModel(
-                                            *out.program)))
+                                  buildDetectorModel(*out.program)))
                      .first;
         ++summary.demsBuilt;
     } else {

@@ -35,13 +35,13 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/decode_workspace.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "matching.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 namespace qec

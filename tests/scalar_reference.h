@@ -28,6 +28,7 @@
 #include "decoder/mwpm_decoder.h"
 #include "exp/memory_experiment.h"
 #include "exp/postselection.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 namespace qec

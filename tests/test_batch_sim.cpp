@@ -33,8 +33,9 @@
 
 #include "code/builder.h"
 #include "code/circuit_ir.h"
-#include "decoder/defects.h"
+#include "decoder/sparse_syndrome.h"
 #include "exp/memory_experiment.h"
+#include "memory_circuit.h"
 #include "scalar_reference.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/bit_mask_sampler.h"
@@ -459,20 +460,19 @@ TEST(BatchSim, MultiLevelLabelsFlagLeakedLanes)
 TEST(BatchSim, NoiselessMemoryCircuitIsDeterministicAtW64)
 {
     RotatedSurfaceCode code(3);
-    Circuit circuit = buildMemoryCircuit(code, 4, Basis::Z);
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, 4, Basis::Z, IrTailKind::SwapLrc);
     BatchFrameSimulator sim(code.numQubits(),
                             ErrorModel::noiseless(), 64, 99, 0);
-    sim.executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size());
+    sim.executeProgram(prog);
     for (const auto &rec : sim.record())
         ASSERT_EQ(rec.flips, 0u);
-    auto outcomes =
-        extractDefectsBatched(code, Basis::Z, 4, sim.record(), 64);
-    ASSERT_EQ(outcomes.size(), 64u);
-    for (const auto &outcome : outcomes) {
-        EXPECT_TRUE(outcome.defects.empty());
-        EXPECT_FALSE(outcome.observableFlip);
-    }
+    SparseSyndromeExtractor extractor;
+    BatchSyndrome syndrome;
+    extractor.extract(prog.detectors, 4, sim.record(), 64, syndrome);
+    EXPECT_TRUE(syndrome.defects.empty());
+    EXPECT_EQ(syndrome.nonzeroWords[0], 0u);
+    EXPECT_EQ(syndrome.observableWords[0], 0u);
 }
 
 // ------------------------------------- exact engine vs scalar oracle
@@ -1454,6 +1454,74 @@ TEST(CompiledRound, ReplayMatchesOpByOpExecution)
             expectCompiledRoundsMatchOpByOp<4>(prog, em, 256);
             expectCompiledRoundsMatchOpByOp<8>(prog, em, 257);
         }
+}
+
+/** Whole-program replay (executeProgram: every LRC slot empty) against
+ *  the lattice-walked memory circuit run op by op through
+ *  executeRange: the same record entries in the same order, and the
+ *  same final planes. Post-selection replays the program, so this is
+ *  what keeps its results those of the op-level circuit. */
+template <int NW>
+void
+expectProgramMatchesOpLevelCircuit(const RotatedSurfaceCode &code,
+                                   int rounds, Basis basis,
+                                   const ErrorModel &em, int lanes)
+{
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, rounds, basis, IrTailKind::SwapLrc);
+    const Circuit circuit = buildMemoryCircuit(code, rounds, basis);
+    BatchFrameSimulatorT<NW> replayed(prog.numQubits, em, lanes, 913, 64);
+    BatchFrameSimulatorT<NW> op_level(prog.numQubits, em, lanes, 913, 64);
+    replayed.executeProgram(prog);
+    op_level.executeRange(circuit.ops.data(),
+                          circuit.ops.data() + circuit.ops.size());
+
+    const auto &got = replayed.record();
+    const auto &want = op_level.record();
+    ASSERT_EQ(got.size(), want.size());
+    const int blocks = replayed.numBlocks();
+    for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("record " + std::to_string(i));
+        ASSERT_EQ(got[i].qubit, want[i].qubit);
+        ASSERT_EQ(got[i].stab, want[i].stab);
+        ASSERT_EQ(got[i].round, want[i].round);
+        ASSERT_EQ(got[i].finalData, want[i].finalData);
+        ASSERT_EQ(got[i].lrcData, want[i].lrcData);
+        for (int b = 0; b < blocks; ++b) {
+            ASSERT_EQ(laneWord(got[i].mask, b), laneWord(want[i].mask, b));
+            ASSERT_EQ(laneWord(got[i].flips, b),
+                      laneWord(want[i].flips, b));
+            ASSERT_EQ(laneWord(got[i].leakedLabels, b),
+                      laneWord(want[i].leakedLabels, b));
+        }
+    }
+    EXPECT_EQ(digestState<NW>(0, replayed, got.size()),
+              digestState<NW>(0, op_level, want.size()));
+}
+
+/** W = 64/256/300 (300: ragged multi-word), p = 1e-3/2e-2, both
+ *  transport models and both bases. */
+TEST(CompiledRound, ExecuteProgramMatchesOpLevelCircuit)
+{
+    const RotatedSurfaceCode code(5);
+    for (TransportModel transport :
+         {TransportModel::Conservative, TransportModel::Exchange})
+        for (double p : {1e-3, 2e-2})
+            for (Basis basis : {Basis::Z, Basis::X}) {
+                ErrorModel em = ErrorModel::standard(p);
+                em.transport = transport;
+                SCOPED_TRACE("p=" + std::to_string(p) +
+                             (transport == TransportModel::Exchange
+                                  ? " exchange"
+                                  : " conservative") +
+                             (basis == Basis::Z ? " Z" : " X"));
+                expectProgramMatchesOpLevelCircuit<1>(code, 7, basis, em,
+                                                      64);
+                expectProgramMatchesOpLevelCircuit<4>(code, 7, basis, em,
+                                                      256);
+                expectProgramMatchesOpLevelCircuit<8>(code, 7, basis, em,
+                                                      300);
+            }
 }
 
 // --------------------------------------------- statistical W=64 checks

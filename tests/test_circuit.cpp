@@ -11,6 +11,7 @@
 
 #include "code/builder.h"
 #include "code/rotated_surface_code.h"
+#include "memory_circuit.h"
 
 namespace qec
 {

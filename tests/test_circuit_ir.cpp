@@ -1,22 +1,21 @@
 /**
  * @file
  * Circuit-IR tests: validation must reject malformed programs, the
- * program-derived detector model must equal the lattice walk, and the
- * repetition-code compiler path must produce sane logical error
- * rates. Replay itself is pinned lane by lane against the scalar
- * oracle (test_batch_sim's EngineOracle.*), across widths, and by the
- * golden corpus (test_golden).
+ * program's base circuit must equal the lattice-walked memory circuit
+ * op for op, and the repetition-code compiler path must produce sane
+ * logical error rates. Replay itself is pinned lane by lane against
+ * the scalar oracle (test_batch_sim's EngineOracle.*), across widths,
+ * and by the golden corpus (test_golden).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <tuple>
+#include <string>
 
 #include "code/circuit_ir.h"
-#include "decoder/detector_model.h"
 #include "exp/memory_experiment.h"
+#include "memory_circuit.h"
 
 namespace qec
 {
@@ -66,6 +65,44 @@ TEST(CircuitIr, CompiledRepetitionProgramsValidate)
         // Every round-0 detector column is deterministic.
         for (int s = 0; s < d - 1; ++s)
             EXPECT_TRUE(prog.detR0[s]);
+    }
+}
+
+/** The program's base circuit is the lattice-walked memory circuit,
+ *  op for op. Rounds 1 and 8 take the DEM's direct path (8 is the
+ *  tiler's short template), 9 the tiled path; 3d is a typical
+ *  experiment. */
+TEST(CircuitIr, BaseCircuitMatchesLatticeCircuit)
+{
+    for (int d : {3, 5, 7, 9, 11}) {
+        RotatedSurfaceCode code(d);
+        for (Basis basis : {Basis::Z, Basis::X})
+            for (int rounds : {1, 8, 9, 3 * d}) {
+                SCOPED_TRACE("d=" + std::to_string(d) + " rounds=" +
+                             std::to_string(rounds) +
+                             (basis == Basis::Z ? " Z" : " X"));
+                const Circuit got =
+                    CircuitCompiler::surfaceMemory(code, rounds, basis,
+                                                   IrTailKind::SwapLrc)
+                        .baseCircuit();
+                const Circuit want =
+                    buildMemoryCircuit(code, rounds, basis);
+                EXPECT_EQ(got.numQubits, want.numQubits);
+                EXPECT_EQ(got.numRounds, want.numRounds);
+                EXPECT_EQ(got.basis, want.basis);
+                EXPECT_EQ(got.roundBegin, want.roundBegin);
+                ASSERT_EQ(got.ops.size(), want.ops.size());
+                for (size_t i = 0; i < got.ops.size(); ++i) {
+                    const Op &a = got.ops[i];
+                    const Op &b = want.ops[i];
+                    ASSERT_TRUE(a.type == b.type && a.q0 == b.q0 &&
+                                a.q1 == b.q1 && a.stab == b.stab &&
+                                a.round == b.round &&
+                                a.finalData == b.finalData &&
+                                a.lrcData == b.lrcData)
+                        << "op " << i;
+                }
+            }
     }
 }
 
@@ -224,46 +261,6 @@ TEST(CircuitIrValidate, RejectsBadRoundCount)
     CircuitProgram prog = surfaceProgram();
     prog.rounds = 0;
     EXPECT_FALSE(prog.validate().isOk());
-}
-
-// ---------------------------------------------- detector-model parity
-
-using EdgeKey = std::tuple<int, int, bool>;
-using EdgeMap = std::map<EdgeKey, std::tuple<int, int, int>>;
-
-EdgeMap
-toMap(const DetectorModel &model)
-{
-    EdgeMap map;
-    for (const auto &e : model.edges) {
-        auto &counts = map[EdgeKey{e.a, e.b, e.obsFlip}];
-        std::get<0>(counts) += e.n1;
-        std::get<1>(counts) += e.n3;
-        std::get<2>(counts) += e.n15;
-    }
-    return map;
-}
-
-TEST(CircuitIrDem, ProgramModelMatchesLatticeModel)
-{
-    for (int d : {3, 5}) {
-        RotatedSurfaceCode code(d);
-        // 4 exercises direct enumeration, 12 the tiling path.
-        for (int rounds : {4, 12}) {
-            for (Basis basis : {Basis::Z, Basis::X}) {
-                CircuitProgram prog = CircuitCompiler::surfaceMemory(
-                    code, rounds, basis, IrTailKind::SwapLrc);
-                DetectorModel from_code =
-                    buildDetectorModel(code, rounds, basis);
-                DetectorModel from_prog = buildDetectorModel(prog);
-                EXPECT_EQ(from_prog.rounds, from_code.rounds);
-                EXPECT_EQ(from_prog.stabsPerRound,
-                          from_code.stabsPerRound);
-                EXPECT_EQ(toMap(from_prog), toMap(from_code))
-                    << "d=" << d << " rounds=" << rounds;
-            }
-        }
-    }
 }
 
 // ------------------------------------------------- repetition memory

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
 #include "decoder/component_decoder.h"
@@ -40,6 +39,7 @@
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 // ---------------------------------------------------------------------

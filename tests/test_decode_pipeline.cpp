@@ -22,13 +22,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
 #include "decoder/component_decoder.h"
@@ -39,6 +40,7 @@
 #include "decoder/syndrome_cache.h"
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
+#include "memory_circuit.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/frame_simulator.h"
 
@@ -504,39 +506,69 @@ TEST(DecodePipeline, MwpmWorkspaceFootprintStabilizes)
     EXPECT_EQ(ws.footprintBytes(), footprint);
 }
 
-TEST(DecodePipeline, SparseExtractionMatchesPerLaneExtraction)
+/** The program-map extractor against scalar extractDefects, lane by
+ *  lane, on a replayed program's record. */
+template <int NW>
+void
+expectSparseExtractionMatchesPerLane(Basis basis, int lanes)
 {
     RotatedSurfaceCode code(3);
     const int rounds = 6;
-    Circuit circuit = buildMemoryCircuit(code, rounds, Basis::Z);
-    BatchFrameSimulator sim(code.numQubits(),
-                            ErrorModel::standard(5e-3), 64, 913, 0);
-    sim.executeRange(circuit.ops.data(),
-                     circuit.ops.data() + circuit.ops.size());
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, rounds, basis, IrTailKind::SwapLrc);
+    BatchFrameSimulatorT<NW> sim(code.numQubits(),
+                                 ErrorModel::standard(5e-3), lanes, 913,
+                                 0);
+    sim.executeProgram(prog);
 
     SparseSyndromeExtractor extractor;
     BatchSyndrome syndrome;
-    extractor.extract(code, Basis::Z, rounds, sim.record(), 64,
+    extractor.extract(prog.detectors, rounds, sim.record(), lanes,
                       syndrome);
-    auto outcomes =
-        extractDefectsBatched(code, Basis::Z, rounds, sim.record(), 64);
+    ASSERT_EQ(syndrome.numLanes, lanes);
+    ASSERT_EQ(syndrome.numWords, (lanes + 63) / 64);
 
-    uint64_t expect_nonzero = 0;
-    for (int l = 0; l < 64; ++l) {
-        ASSERT_EQ(syndrome.laneSize(l), outcomes[l].defects.size());
-        for (size_t k = 0; k < outcomes[l].defects.size(); ++k)
-            ASSERT_EQ(syndrome.laneBegin(l)[k],
-                      outcomes[l].defects[k]);
-        ASSERT_EQ(syndrome.laneObservable(l),
-                  outcomes[l].observableFlip);
+    std::array<uint64_t, kMaxBatchWords> expect_nonzero{};
+    std::vector<MeasureRecord> lane_record;
+    for (int l = 0; l < lanes; ++l) {
+        lane_record.clear();
+        for (const auto &rec : sim.record()) {
+            if (!testLane(rec.mask, l))
+                continue;
+            MeasureRecord m;
+            m.qubit = rec.qubit;
+            m.stab = rec.stab;
+            m.round = rec.round;
+            m.flip = testLane(rec.flips, l);
+            m.finalData = rec.finalData;
+            m.lrcData = rec.lrcData;
+            lane_record.push_back(m);
+        }
+        const ShotOutcome want =
+            extractDefects(code, basis, rounds, lane_record);
+        ASSERT_EQ(syndrome.laneSize(l), want.defects.size())
+            << "lane " << l;
+        for (size_t k = 0; k < want.defects.size(); ++k)
+            ASSERT_EQ(syndrome.laneBegin(l)[k], want.defects[k])
+                << "lane " << l;
+        ASSERT_EQ(syndrome.laneObservable(l), want.observableFlip)
+            << "lane " << l;
         ASSERT_EQ(syndrome.laneHash[l],
-                  syndromeHash(outcomes[l].defects.data(),
-                               outcomes[l].defects.size()));
-        if (!outcomes[l].defects.empty())
-            expect_nonzero |= uint64_t{1} << l;
+                  syndromeHash(want.defects.data(), want.defects.size()))
+            << "lane " << l;
+        if (!want.defects.empty())
+            expect_nonzero[l >> 6] |= uint64_t{1} << (l & 63);
     }
-    EXPECT_EQ(syndrome.nonzeroWords[0], expect_nonzero);
-    EXPECT_EQ(syndrome.numWords, 1);
+    EXPECT_EQ(syndrome.nonzeroWords, expect_nonzero);
+}
+
+TEST(DecodePipeline, SparseExtractionMatchesPerLaneExtraction)
+{
+    for (Basis basis : {Basis::Z, Basis::X}) {
+        SCOPED_TRACE(basis == Basis::Z ? "Z" : "X");
+        expectSparseExtractionMatchesPerLane<1>(basis, 64);
+        expectSparseExtractionMatchesPerLane<8>(basis, 300);
+    }
 }
 
 TEST(DecodePipeline, LaneHashesDedupeIdenticalSyndromes)

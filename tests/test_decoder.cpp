@@ -11,11 +11,11 @@
 #include <cmath>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 namespace qec

@@ -37,6 +37,14 @@ toMap(const DetectorModel &model)
     return map;
 }
 
+/** Direct enumeration of the compiled surface-memory program. */
+DetectorModel
+surfaceDirect(const RotatedSurfaceCode &code, int rounds, Basis basis)
+{
+    return buildDetectorModelDirect(CircuitCompiler::surfaceMemory(
+        code, rounds, basis, IrTailKind::SwapLrc));
+}
+
 class DemTileSweep
     : public ::testing::TestWithParam<std::tuple<int, int, Basis>>
 {
@@ -46,7 +54,7 @@ TEST_P(DemTileSweep, TiledMatchesDirect)
 {
     const auto [d, rounds, basis] = GetParam();
     RotatedSurfaceCode code(d);
-    DetectorModel direct = buildDetectorModelDirect(code, rounds, basis);
+    DetectorModel direct = surfaceDirect(code, rounds, basis);
     DetectorModel tiled = buildDetectorModel(code, rounds, basis);
     ASSERT_GT(rounds, 8) << "sweep must exercise the tiling path";
 
@@ -82,8 +90,7 @@ class DemStructure : public ::testing::TestWithParam<int>
 TEST_P(DemStructure, EdgesWithinDetectorRange)
 {
     const int rounds = 6;
-    DetectorModel model =
-        buildDetectorModelDirect(code_, rounds, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, rounds, Basis::Z);
     EXPECT_EQ(model.numDetectors(),
               (rounds + 1) * code_.numZStabilizers());
     for (const auto &e : model.edges) {
@@ -100,8 +107,7 @@ TEST_P(DemStructure, EdgesWithinDetectorRange)
 TEST_P(DemStructure, EveryDetectorTouched)
 {
     const int rounds = 5;
-    DetectorModel model =
-        buildDetectorModelDirect(code_, rounds, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, rounds, Basis::Z);
     std::vector<int> degree(model.numDetectors(), 0);
     for (const auto &e : model.edges) {
         ++degree[e.a];
@@ -114,7 +120,7 @@ TEST_P(DemStructure, EveryDetectorTouched)
 
 TEST_P(DemStructure, BoundaryEdgesExist)
 {
-    DetectorModel model = buildDetectorModelDirect(code_, 4, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, 4, Basis::Z);
     int boundary = 0;
     for (const auto &e : model.edges)
         boundary += (e.b == kBoundary) ? 1 : 0;
@@ -123,7 +129,7 @@ TEST_P(DemStructure, BoundaryEdgesExist)
 
 TEST_P(DemStructure, SomeEdgesFlipObservable)
 {
-    DetectorModel model = buildDetectorModelDirect(code_, 4, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, 4, Basis::Z);
     int obs_edges = 0;
     for (const auto &e : model.edges)
         obs_edges += e.obsFlip ? 1 : 0;
@@ -137,14 +143,14 @@ TEST_P(DemStructure, CircuitIsGraphLike)
     // Every mechanism flips at most two detectors of the decoded
     // basis: detector cancellation makes the standard schedule purely
     // graph-like, so nothing needs decomposition.
-    DetectorModel model = buildDetectorModelDirect(code_, 5, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, 5, Basis::Z);
     EXPECT_EQ(model.unmatchedDecompositions, 0);
     EXPECT_EQ(model.decomposedMechanisms, 0);
 }
 
 TEST_P(DemStructure, ProbabilitiesReasonable)
 {
-    DetectorModel model = buildDetectorModelDirect(code_, 4, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, 4, Basis::Z);
     const double p = 1e-3;
     for (const auto &e : model.edges) {
         const double q = e.probability(p);
@@ -156,7 +162,7 @@ TEST_P(DemStructure, ProbabilitiesReasonable)
 
 TEST_P(DemStructure, ProbabilityScalesWithP)
 {
-    DetectorModel model = buildDetectorModelDirect(code_, 3, Basis::Z);
+    DetectorModel model = surfaceDirect(code_, 3, Basis::Z);
     for (const auto &e : model.edges) {
         EXPECT_LT(e.probability(1e-4), e.probability(1e-3));
         EXPECT_NEAR(e.probability(1e-4) / e.probability(1e-3), 0.1,
@@ -170,8 +176,8 @@ TEST_P(DemStructure, BasisSymmetry)
     // two-qubit mechanism totals. (Single-qubit totals differ: the H
     // gates sit on X ancillas only, so their errors are visible to
     // exactly one basis.)
-    DetectorModel z = buildDetectorModelDirect(code_, 4, Basis::Z);
-    DetectorModel x = buildDetectorModelDirect(code_, 4, Basis::X);
+    DetectorModel z = surfaceDirect(code_, 4, Basis::Z);
+    DetectorModel x = surfaceDirect(code_, 4, Basis::X);
     EXPECT_EQ(z.numDetectors(), x.numDetectors());
 
     auto total = [](const DetectorModel &m) {
@@ -201,7 +207,7 @@ TEST(Dem, EdgeProbabilityXorCombination)
 TEST(Dem, SingleRoundModelWorks)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel model = buildDetectorModelDirect(code, 1, Basis::Z);
+    DetectorModel model = surfaceDirect(code, 1, Basis::Z);
     EXPECT_EQ(model.numDetectors(), 2 * code.numZStabilizers());
     EXPECT_FALSE(model.edges.empty());
 }
@@ -209,7 +215,7 @@ TEST(Dem, SingleRoundModelWorks)
 TEST(Dem, DetectorIdHelpers)
 {
     RotatedSurfaceCode code(3);
-    DetectorModel model = buildDetectorModelDirect(code, 4, Basis::Z);
+    DetectorModel model = surfaceDirect(code, 4, Basis::Z);
     const int id = model.detectorId(2, 3);
     EXPECT_EQ(model.detectorStab(id), 2);
     EXPECT_EQ(model.detectorRound(id), 3);
@@ -316,8 +322,8 @@ constexpr GoldenDem kRepetitionGolden[] = {
 
 TEST(DemGolden, SurfaceEdgeOrderPinned)
 {
-    // The lattice and program builders must both hit the digest: they
-    // emit the same edges in the same order.
+    // The code-level entry point (compile, then build) and the
+    // program builder must both hit the digest.
     for (const GoldenDem &g : kSurfaceGolden) {
         SCOPED_TRACE(::testing::Message()
                      << "d=" << g.d << " basis="

@@ -16,6 +16,10 @@
  *    dedup off, component dispatch, the 2d/d sliding window and the
  *    per-shot decode loop; each "widths" row by the d=11 UF ERASER
  *    experiment at W = 64, 256 and 512.
+ *  - postselection_verdicts.json pins runPostSelectedExperiment's
+ *    tallies (shots, kept, logical errors overall and among kept
+ *    shots) at d in {3,5} x p in {2e-3, 1e-2} x eventThreshold in
+ *    {2,3,4} x W in {64, 256, 512}, two worker threads.
  *
  * Run `test_golden --regen` to rewrite the files from the current
  * build (the stage slice is written only when every variant agrees);
@@ -35,6 +39,7 @@
 
 #include "code/rotated_surface_code.h"
 #include "exp/memory_experiment.h"
+#include "exp/postselection.h"
 #include "exp/sweep_plan.h"
 
 namespace qec
@@ -50,6 +55,8 @@ const char *const kRepetitionPath =
     QEC_TESTS_DIR "/golden/repetition_verdicts.json";
 const char *const kStagePath =
     QEC_TESTS_DIR "/golden/decode_stage_verdicts.json";
+const char *const kPostSelectPath =
+    QEC_TESTS_DIR "/golden/postselection_verdicts.json";
 
 constexpr uint64_t kShots = 577;   ///< Ragged: 9 full blocks + 1 lane.
 constexpr double kP = 2e-3;
@@ -252,6 +259,47 @@ addWidthPoints(std::vector<StagePoint> &out)
     }
 }
 
+/** Post-selection rows: d = 3/5, 3d rounds, p = 2e-3/1e-2,
+ *  eventThreshold 2/3/4 and W = 64/256/512 on two workers. Every
+ *  width cuts the same 64-lane blocks, so the width axis also pins
+ *  cross-width identity. */
+std::vector<std::string>
+postSelectRows()
+{
+    std::vector<std::string> rows;
+    for (int d : {3, 5}) {
+        RotatedSurfaceCode code(d);
+        for (double p : {2e-3, 1e-2})
+            for (int threshold : {2, 3, 4})
+                for (unsigned width : {64u, 256u, 512u}) {
+                    ExperimentConfig cfg;
+                    cfg.rounds = 3 * d;
+                    cfg.em = ErrorModel::standard(p);
+                    cfg.shots = 2 * kShots - 1;
+                    cfg.seed = 4242 + (uint64_t)d;
+                    cfg.threads = 2;
+                    cfg.batchWidth = width;
+                    PostSelectOptions opts;
+                    opts.eventThreshold = threshold;
+                    const PostSelectResult r =
+                        runPostSelectedExperiment(code, cfg, opts);
+                    char line[320];
+                    std::snprintf(
+                        line, sizeof line,
+                        "{\"d\": %d, \"p\": %.0e, \"rounds\": %d, "
+                        "\"eventThreshold\": %d, \"width\": %u, "
+                        "\"shots\": %" PRIu64 ", \"kept\": %" PRIu64
+                        ", \"logicalErrorsAll\": %" PRIu64
+                        ", \"logicalErrorsKept\": %" PRIu64 "}",
+                        d, p, cfg.rounds, threshold, width, r.shots,
+                        r.kept, r.logicalErrorsAll,
+                        r.logicalErrorsKept);
+                    rows.push_back(line);
+                }
+    }
+    return rows;
+}
+
 std::string
 render(const std::vector<std::string> &rows)
 {
@@ -336,6 +384,13 @@ TEST(GoldenVerdicts, DecodeStageSliceMatchesCheckedIn)
     for (size_t i = 0; i < points.size(); ++i)
         for (const StageVariant &v : points[i])
             EXPECT_EQ(v.row, golden[i]) << "row " << i << ", " << v.name;
+}
+
+TEST(GoldenVerdicts, PostSelectionSliceMatchesCheckedIn)
+{
+    const std::vector<std::string> rows = postSelectRows();
+    ASSERT_EQ(rows.size(), 2u * 2 * 3 * 3);
+    expectSliceMatches(kPostSelectPath, rows);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "decoder/mwpm_decoder.h"
 #include "exp/memory_experiment.h"
 #include "matching.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
@@ -91,7 +92,8 @@ class DemEdgeStructure : public ::testing::TestWithParam<int>
   protected:
     DemEdgeStructure()
         : code_(GetParam()),
-          dem_(buildDetectorModelDirect(code_, 5, Basis::Z))
+          dem_(buildDetectorModelDirect(CircuitCompiler::surfaceMemory(
+              code_, 5, Basis::Z, IrTailKind::SwapLrc)))
     {
     }
 

@@ -14,6 +14,7 @@
 #include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 namespace qec

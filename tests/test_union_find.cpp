@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
+#include "memory_circuit.h"
 #include "sim/frame_simulator.h"
 
 namespace qec
