@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the latency-critical components:
  * the speculation + insertion path (the paper's 5 ns FPGA budget and
- * ~120 ns control window, Section 4.3), one syndrome extraction round
- * of the frame simulator, full-shot MWPM / Union-Find decodes (one-off
+ * ~120 ns control window, Section 4.3), one replayed syndrome
+ * extraction round of the batch frame simulator (with and without
+ * divergent LRC tails), full-shot MWPM / Union-Find decodes (one-off
  * vs reusable-workspace), and end-to-end decoded memory experiments
  * through the batch-aware decode pipeline (sparse syndromes +
  * zero-defect fast path + dedup cache + allocation-free workspaces).
@@ -17,19 +18,17 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/simd_word.h"
-#include "code/builder.h"
 #include "code/circuit_ir.h"
 #include "code/ir_analysis.h"
 #include "code/rotated_surface_code.h"
 #include "core/policies.h"
 #include "decoder/batch_decoder.h"
-#include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/sparse_syndrome.h"
 #include "decoder/union_find_decoder.h"
 #include "exp/memory_experiment.h"
 #include "sim/batch_frame_simulator.h"
-#include "sim/frame_simulator.h"
 
 namespace
 {
@@ -162,67 +161,6 @@ BENCHMARK(BM_BatchControllerRoundOracle)
     ->ArgNames({"d", "width"})
     ->Args({11, 64})->Args({11, 256})->Args({11, 512});
 
-void
-BM_FrameSimRound(benchmark::State &state)
-{
-    const int d = (int)state.range(0);
-    RotatedSurfaceCode code(d);
-    FrameSimulator sim(code.numQubits(), ErrorModel::standard(1e-3),
-                       Rng(2));
-    RoundSchedule round = buildRoundSchedule(code, 0, {});
-    for (auto _ : state) {
-        sim.executeRange(round.ops.data(),
-                         round.ops.data() + round.ops.size());
-        benchmark::DoNotOptimize(sim.record().size());
-        if (sim.record().size() > 1000000)
-            sim.reset();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FrameSimRound)->Arg(3)->Arg(7)->Arg(11);
-
-template <int NW>
-void
-runBatchFrameSimRound(benchmark::State &state, int d, int lanes)
-{
-    RotatedSurfaceCode code(d);
-    BatchFrameSimulatorT<NW> sim(code.numQubits(),
-                                 ErrorModel::standard(1e-3), lanes, 2,
-                                 0);
-    RoundSchedule round = buildRoundSchedule(code, 0, {});
-    for (auto _ : state) {
-        sim.executeRange(round.ops.data(),
-                         round.ops.data() + round.ops.size());
-        benchmark::DoNotOptimize(sim.record().size());
-        if (sim.record().size() > 1000000)
-            sim.reset();
-    }
-    // Items = live lanes actually simulated (sim.numLanes()), never
-    // the word-group capacity: a ragged group must not inflate the
-    // reported throughput.
-    state.SetItemsProcessed(state.iterations() * sim.numLanes());
-}
-
-void
-BM_BatchFrameSimRound(benchmark::State &state)
-{
-    // Same round as BM_FrameSimRound, but width shots per word-group:
-    // the items/sec ratio against BM_FrameSimRound is the engine-level
-    // speedup, and the ratio across widths is the SIMD plane scaling.
-    const int d = (int)state.range(0);
-    const int width = (int)state.range(1);
-    if (width <= 64)
-        runBatchFrameSimRound<1>(state, d, width);
-    else if (width <= 256)
-        runBatchFrameSimRound<4>(state, d, width);
-    else
-        runBatchFrameSimRound<8>(state, d, width);
-}
-BENCHMARK(BM_BatchFrameSimRound)
-    ->ArgNames({"d", "width"})
-    ->Args({3, 64})->Args({7, 64})->Args({11, 64})
-    ->Args({11, 256})->Args({11, 512});
-
 /**
  * The compiled round body alone: one replayed program round (its
  * run kernels and hit-table advance) with every LRC slot left empty,
@@ -263,13 +201,17 @@ BM_BatchFrameSimRoundReplay(benchmark::State &state)
     const bool leakage = state.range(2) != 0;
     if (width <= 64)
         runBatchFrameSimRoundReplay<1>(state, d, width, leakage);
-    else
+    else if (width <= 256)
         runBatchFrameSimRoundReplay<4>(state, d, width, leakage);
+    else
+        runBatchFrameSimRoundReplay<8>(state, d, width, leakage);
 }
 BENCHMARK(BM_BatchFrameSimRoundReplay)
     ->ArgNames({"d", "width", "leakage"})
+    ->Args({3, 64, 1})->Args({7, 64, 1})
     ->Args({11, 64, 0})->Args({11, 64, 1})
-    ->Args({11, 256, 0})->Args({11, 256, 1});
+    ->Args({11, 256, 0})->Args({11, 256, 1})
+    ->Args({11, 512, 1});
 
 /**
  * One replayed swap-LRC program round with its divergent LRC tails, at
@@ -464,22 +406,27 @@ BENCHMARK(BM_MemoryExperimentEraserWorkers)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/** Pre-sampled realistic defect sets at p=1e-3. */
+/** Pre-sampled realistic defect sets at p=1e-3: the static memory
+ *  program replayed in 64-lane word-groups. */
 std::vector<std::vector<int>>
 sampleShots(const RotatedSurfaceCode &code, int rounds, int count,
             const ErrorModel &em = ErrorModel::standard(1e-3))
 {
-    const Circuit circuit =
-        CircuitCompiler::surfaceMemory(code, rounds, Basis::Z,
-                                       IrTailKind::SwapLrc)
-            .baseCircuit();
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, rounds, Basis::Z, IrTailKind::SwapLrc);
+    SparseSyndromeExtractor extractor;
+    BatchSyndrome syndrome;
     std::vector<std::vector<int>> shots;
-    FrameSimulator sim(code.numQubits(), em, Rng(3));
-    for (int i = 0; i < count; ++i) {
-        sim.run(circuit);
-        shots.push_back(
-            extractDefects(code, Basis::Z, rounds, sim.record())
-                .defects);
+    for (const auto &[first, lanes] :
+         batchGroupSpans((uint64_t)count, 64)) {
+        BatchFrameSimulator sim(prog.numQubits, em, lanes, 3, first);
+        sim.executeProgram(prog);
+        extractor.extract(prog.detectors, rounds, sim.record(), lanes,
+                          syndrome);
+        for (int l = 0; l < lanes; ++l)
+            shots.emplace_back(syndrome.laneBegin(l),
+                               syndrome.laneBegin(l) +
+                                   syndrome.laneSize(l));
     }
     return shots;
 }

@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "code/circuit_ir.h"
-#include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
-#include "sim/frame_simulator.h"
+#include "decoder/sparse_syndrome.h"
+#include "sim/batch_frame_simulator.h"
 
 using namespace qec;
 
@@ -35,45 +35,46 @@ runCase(const char *title, const RotatedSurfaceCode &code, int rounds,
         const MwpmDecoder &decoder,
         const std::vector<Injection> &injections)
 {
-    const Circuit circuit =
-        CircuitCompiler::surfaceMemory(code, rounds, Basis::Z,
-                                       IrTailKind::SwapLrc)
-            .baseCircuit();
-    FrameSimulator sim(code.numQubits(), ErrorModel::noiseless(),
-                       Rng(11));
-    sim.reset();
-
-    const Op *ops = circuit.ops.data();
-    size_t cursor = 0;
-    for (int r = 0; r <= rounds; ++r) {
-        const size_t stop = r < rounds ? circuit.roundBegin[r]
-                                       : circuit.ops.size();
-        sim.executeRange(ops + cursor, ops + stop);
-        cursor = stop;
+    // One noiseless shot: a 1-lane word-group replaying the compiled
+    // program, with each injection applied before its round.
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, rounds, Basis::Z, IrTailKind::SwapLrc);
+    BatchFrameSimulator sim(prog.numQubits, ErrorModel::noiseless(),
+                            /*num_lanes=*/1, /*seed=*/11,
+                            /*first_shot=*/0);
+    const uint64_t lane = sim.liveMask();
+    for (int r = 0; r < rounds; ++r) {
         for (const auto &inj : injections) {
             if (inj.round == r) {
                 if (inj.leak)
-                    sim.setLeaked(inj.qubit, true);
+                    sim.setLeaked(inj.qubit, true, lane);
                 else
-                    sim.injectPauli(inj.qubit, inj.pauli);
+                    sim.injectPauli(inj.qubit, inj.pauli, lane);
             }
         }
+        sim.executeProgramRound(prog, r, lane);
     }
+    sim.executeProgramFinal(prog, lane);
 
-    ShotOutcome outcome =
-        extractDefects(code, Basis::Z, rounds, sim.record());
-    const bool predicted = decoder.decode(outcome.defects);
+    SparseSyndromeExtractor extractor;
+    BatchSyndrome syndrome;
+    extractor.extract(prog.detectors, rounds, sim.record(), 1, syndrome);
+    const std::vector<int> defects(syndrome.laneBegin(0),
+                                   syndrome.laneBegin(0) +
+                                       syndrome.laneSize(0));
+    const bool observable_flip = syndrome.laneObservable(0);
+    const bool predicted = decoder.decode(defects);
 
     std::printf("--- %s ---\n", title);
     std::printf("fired detectors (stab, round): ");
     const int n_s = code.numZStabilizers();
-    for (int det : outcome.defects)
+    for (int det : defects)
         std::printf("(%d, %d) ", det % n_s, det / n_s);
     std::printf("\nactual logical flip: %s   decoder prediction: %s"
                 "   -> %s\n\n",
-                outcome.observableFlip ? "YES" : "no",
+                observable_flip ? "YES" : "no",
                 predicted ? "YES" : "no",
-                predicted == outcome.observableFlip
+                predicted == observable_flip
                     ? "corrected"
                     : "LOGICAL ERROR");
 }

@@ -23,12 +23,10 @@
 #include <cstdio>
 #include <vector>
 
-#include "base/rng.h"
-#include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
-#include "decoder/defects.h"
+#include "decoder/sparse_syndrome.h"
 #include "exp/memory_experiment.h"
-#include "sim/frame_simulator.h"
+#include "sim/batch_frame_simulator.h"
 
 using namespace qec;
 
@@ -123,22 +121,25 @@ main()
         BatchDecoder pipeline(*stream_exp.decoder(), options,
                               stream_exp.componentGraph());
 
-        const Circuit circuit =
-            CircuitCompiler::surfaceMemory(code, rounds, Basis::Z,
-                                           IrTailKind::SwapLrc)
-                .baseCircuit();
-        FrameSimulator sim(code.numQubits(),
-                           ErrorModel::withoutLeakage(p_stream),
-                           Rng(cfg.seed));
+        // 200 shots of the static program, replayed in 64-lane
+        // word-groups and decoded one shot at a time.
+        const CircuitProgram &prog = *stream_exp.program();
+        SparseSyndromeExtractor extractor;
+        BatchSyndrome syndrome;
         uint64_t shot_peak = 0;
-        for (int s = 0; s < 200; ++s) {
-            sim.run(circuit);
-            const std::vector<int> defects =
-                extractDefects(code, Basis::Z, rounds, sim.record())
-                    .defects;
-            if (defects.size() > shot_peak)
-                shot_peak = defects.size();
-            pipeline.decodeOne(defects.data(), defects.size());
+        for (const auto &[first, lanes] : batchGroupSpans(200, 64)) {
+            BatchFrameSimulator sim(prog.numQubits,
+                                    stream_exp.config().em, lanes,
+                                    cfg.seed, first);
+            sim.executeProgram(prog);
+            extractor.extract(prog.detectors, rounds, sim.record(),
+                              lanes, syndrome);
+            for (int l = 0; l < lanes; ++l) {
+                const size_t n = syndrome.laneSize(l);
+                if (n > shot_peak)
+                    shot_peak = n;
+                pipeline.decodeOne(syndrome.laneBegin(l), n);
+            }
         }
         const BatchDecodeStats &st = pipeline.stats();
         std::printf("  %8d %14llu %14llu %10llu %10llu\n", rounds,

@@ -10,48 +10,6 @@ namespace qec
 namespace fault
 {
 
-bool
-compiledIn()
-{
-#if defined(QEC_FAULT_INJECTION)
-    return true;
-#else
-    return false;
-#endif
-}
-
-#if !defined(QEC_FAULT_INJECTION)
-
-// Compiled-out stubs: arming is a silent no-op so tests can probe
-// compiledIn() once and share code paths with the armed build.
-void
-arm(const char *, uint64_t, Kind, bool)
-{
-}
-
-void
-disarm(const char *)
-{
-}
-
-void
-reset()
-{
-}
-
-uint64_t
-hits(const char *)
-{
-    return 0;
-}
-
-void
-countHits()
-{
-}
-
-#else
-
 namespace
 {
 
@@ -168,8 +126,6 @@ countHits()
     g_counting = true;
     refreshActive();
 }
-
-#endif // QEC_FAULT_INJECTION
 
 } // namespace fault
 } // namespace qec

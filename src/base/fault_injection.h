@@ -23,10 +23,8 @@
  *                    crashed run left behind (CI additionally kills a
  *                    real process; see the kill-and-resume smoke).
  *
- * Compiled in under the QEC_FAULT_INJECTION CMake option (default ON;
- * a disarmed site costs one relaxed atomic load). With the option OFF
- * every QEC_FAULT_POINT folds to `false` at compile time and the
- * injection-driven tests skip themselves (fault::compiledIn()).
+ * Always compiled in: every site is cold, and a disarmed site costs
+ * one relaxed atomic load.
  */
 
 #ifndef QEC_BASE_FAULT_INJECTION_H
@@ -57,14 +55,11 @@ enum class Kind
     Crash,
 };
 
-/** True when the harness was compiled in (QEC_FAULT_INJECTION). */
-bool compiledIn();
-
 /**
  * Arm `site`: its `countdown`-th future evaluation fires (1 = the
  * next one). With `repeat`, every evaluation from then on fires too
  * (persistent sink failure); without it the site disarms after
- * firing. No-op when compiled out.
+ * firing.
  */
 void arm(const char *site, uint64_t countdown, Kind kind,
          bool repeat = false);
@@ -86,8 +81,6 @@ uint64_t hits(const char *site);
 /** Enable hit counting without arming anything. */
 void countHits();
 
-#if defined(QEC_FAULT_INJECTION)
-
 namespace detail
 {
 /** Nonzero while any site is armed or hit counting is enabled. */
@@ -104,16 +97,6 @@ point(const char *site)
         return false;
     return detail::evaluate(site);
 }
-
-#else
-
-inline bool
-point(const char *)
-{
-    return false;
-}
-
-#endif // QEC_FAULT_INJECTION
 
 } // namespace fault
 } // namespace qec

@@ -76,13 +76,6 @@ RoundSchedule buildRoundSchedule(const RotatedSurfaceCode &code,
                                  int round,
                                  const std::vector<LrcPair> &lrcs);
 
-/**
- * Build the DQLR leakage-removal segment appended after a round
- * (Section A.2): for each pair, LeakageISWAP(D, P) then reset P.
- */
-std::vector<Op> buildDqlrSegment(const RotatedSurfaceCode &code,
-                                 const std::vector<LrcPair> &pairs);
-
 /** Final transversal data measurement ops for a memory experiment. */
 std::vector<Op> buildFinalMeasurement(const RotatedSurfaceCode &code,
                                       int rounds, Basis basis);

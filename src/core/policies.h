@@ -60,10 +60,9 @@ enum class BatchPolicyKind
      *  materialized per-lane RoundObservation (the fallback path;
      *  see BatchPolicySpec::oracle for the one exception). */
     PerLane,
-    /** Never schedules anything: skip policy evaluation outright. */
-    Never,
     /** The schedule depends only on the round index, never on the
-     *  syndrome: one shared instance drives every lane. */
+     *  syndrome: one shared instance drives every lane (an empty
+     *  schedule, as for No-LRC, included). */
     Uniform,
     /** The ERASER controller: LSB, LTT/PUTT and lookup-table DLI
      *  evaluate word-parallel on bit planes (see
@@ -128,8 +127,9 @@ class NeverLrcPolicy : public LrcPolicy
     BatchPolicySpec
     batchSpec() const override
     {
+        // An empty round-indexed schedule: the Uniform path.
         BatchPolicySpec spec;
-        spec.kind = BatchPolicyKind::Never;
+        spec.kind = BatchPolicyKind::Uniform;
         return spec;
     }
     std::vector<LrcPair>

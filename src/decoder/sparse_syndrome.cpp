@@ -65,7 +65,7 @@ SparseSyndromeExtractor::extract(
     }
 
     // Pass 1: detection-event words (column-major so per-lane defect
-    // lists come out in the scalar extractDefects order), with
+    // lists come out stabilizer-major, round-ascending), with
     // per-lane counts for the flat arena layout.
     events_.resize((size_t)n_s * (rounds + 1) * nw);
     uint32_t counts[kMaxBatchLanes] = {0};

@@ -48,8 +48,8 @@ struct BatchSyndrome
     /** Lanes with at least one fired detector, 64 lanes/word. */
     std::array<uint64_t, kMaxBatchWords> nonzeroWords{};
     /** Lane l's defects live at defects[offsets[l] .. offsets[l+1]),
-     *  in the same (stabilizer-major, round-ascending) order the
-     *  scalar extractDefects emits. */
+     *  in stabilizer-major, round-ascending order (the order of the
+     *  tests' per-shot reference extractor, tests/defects.h). */
     std::vector<uint32_t> offsets;
     std::vector<int> defects;
     /** Per-lane syndromeHash() of the defect list. */

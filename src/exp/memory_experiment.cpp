@@ -210,6 +210,29 @@ validateExperimentConfig(const ExperimentConfig &config, PolicyKind kind)
     return okStatus();
 }
 
+StatusOr<CircuitProgram>
+compileExperimentProgram(const RotatedSurfaceCode &code,
+                         CircuitFamily family, int rounds, Basis basis,
+                         RemovalProtocol protocol)
+{
+    if (family == CircuitFamily::RepetitionMemory)
+        return CircuitCompiler::repetitionMemoryChecked(code.distance(),
+                                                        rounds);
+    return CircuitCompiler::surfaceMemoryChecked(
+        code, rounds, basis,
+        protocol == RemovalProtocol::Dqlr ? IrTailKind::Dqlr
+                                          : IrTailKind::SwapLrc);
+}
+
+std::unique_ptr<Decoder>
+makeDecoder(DecoderKind kind, const DetectorModel &dem, double p,
+            const DecoderOptions &options)
+{
+    if (kind == DecoderKind::Mwpm)
+        return std::make_unique<MwpmDecoder>(dem, p, options);
+    return std::make_unique<UnionFindDecoder>(dem, p);
+}
+
 namespace
 {
 
@@ -224,25 +247,18 @@ panicOnInvalidConfig(const ExperimentConfig &config)
                 st.toString());
 }
 
-/** Compile the config's circuit program through the checked entry
- *  points (validate() + the full IrAnalyzer pass stack). A rejected
- *  program here is a compiler bug — the config was already validated —
- *  so the constructor-precondition form panics with the diagnostics;
- *  recoverable callers (the sweep executor) use the checked compilers
- *  directly and get a Status instead. */
+/** Compile the config's circuit program (compileExperimentProgram).
+ *  A rejected program here is a compiler bug — the config was already
+ *  validated — so the constructor-precondition form panics with the
+ *  diagnostics; recoverable callers (the sweep executor) get the
+ *  Status instead. */
 std::shared_ptr<const CircuitProgram>
 compileFamilyProgram(const RotatedSurfaceCode &code,
                      const ExperimentConfig &config)
 {
-    StatusOr<CircuitProgram> prog =
-        config.family == CircuitFamily::RepetitionMemory
-            ? CircuitCompiler::repetitionMemoryChecked(
-                  code.distance(), config.rounds)
-            : CircuitCompiler::surfaceMemoryChecked(
-                  code, config.rounds, config.basis,
-                  config.protocol == RemovalProtocol::Dqlr
-                      ? IrTailKind::Dqlr
-                      : IrTailKind::SwapLrc);
+    StatusOr<CircuitProgram> prog = compileExperimentProgram(
+        code, config.family, config.rounds, config.basis,
+        config.protocol);
     panicIf(!prog.ok(),
             "compiled circuit program failed static analysis: " +
                 prog.status().toString());
@@ -265,12 +281,9 @@ MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
                                    ExperimentConfig config)
     : MemoryExperiment(
           code, config,
-          [&config](const DetectorModel &dem,
-                    double p) -> std::unique_ptr<Decoder> {
-              if (config.decoderKind == DecoderKind::Mwpm)
-                  return std::make_unique<MwpmDecoder>(
-                      dem, p, config.decoderOptions);
-              return std::make_unique<UnionFindDecoder>(dem, p);
+          [&config](const DetectorModel &dem, double p) {
+              return makeDecoder(config.decoderKind, dem, p,
+                                 config.decoderOptions);
           })
 {
 }
@@ -471,7 +484,7 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
     std::vector<std::unique_ptr<LrcPolicy>> policies;
     std::unique_ptr<BatchEraserController<Lane>> controller;
     // Per-lane schedules for PerLane policies; otherwise one
-    // lane-uniform schedule in lrcs[0] (Uniform/Never every round, the
+    // lane-uniform schedule in lrcs[0] (Uniform every round, the
     // controller policies in round 0 only — from then on the
     // controller writes `sched` itself).
     std::vector<std::vector<LrcPair>> lrcs(per_lane ? W : 1);
@@ -682,8 +695,6 @@ MemoryExperiment::runGroupT(uint64_t first_shot, int lanes,
             // Round-indexed schedule: one shared instance decides for
             // every lane (stored in lrcs[0] only).
             lrcs[0] = shared->nextRound(obs);
-        } else if (spec.kind == BatchPolicyKind::Never) {
-            // Nothing ever scheduled; lrcs[0] stays empty.
         } else {
             // Per-lane fallback: materialize each lane's observation
             // and let its policy adapt the next round. Detection

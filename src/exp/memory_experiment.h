@@ -26,7 +26,6 @@
 #include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
 #include "core/policies.h"
-#include "core/qsg.h"
 #include "core/swap_lookup.h"
 #include "decoder/batch_decoder.h"
 #include "decoder/component_decoder.h"
@@ -211,6 +210,28 @@ Status validateExperimentConfig(const ExperimentConfig &config);
  */
 Status validateExperimentConfig(const ExperimentConfig &config,
                                 PolicyKind kind);
+
+/**
+ * Compile the circuit program of one experiment shape through the
+ * checked entry points (validate() plus the full IrAnalyzer pass
+ * stack): the family's compiler, and for the surface family the LRC
+ * tail kind of `protocol` (DQLR or swap-LRC). An Error-severity
+ * program comes back as a non-OK Status. MemoryExperiment and the
+ * sweep's build cache both compile through it.
+ */
+[[nodiscard]] StatusOr<CircuitProgram>
+compileExperimentProgram(const RotatedSurfaceCode &code,
+                         CircuitFamily family, int rounds, Basis basis,
+                         RemovalProtocol protocol);
+
+/**
+ * The built-in decoder of `kind` over `dem` at physical error rate p
+ * (`options` configure MWPM). MemoryExperiment's default decoder
+ * factory and the sweep's build cache both build through it.
+ */
+std::unique_ptr<Decoder> makeDecoder(DecoderKind kind,
+                                     const DetectorModel &dem, double p,
+                                     const DecoderOptions &options);
 
 /**
  * Word-group decomposition shared by every experiment driver: (first

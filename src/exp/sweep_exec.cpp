@@ -51,15 +51,9 @@ SweepBuildCache::build(const SweepPoint &point,
         // Checked compile: validate() plus the IrAnalyzer pass stack
         // run exactly once per cached program; every later point that
         // shares the key reuses the analyzed program.
-        StatusOr<CircuitProgram> prog =
-            family == CircuitFamily::RepetitionMemory
-                ? CircuitCompiler::repetitionMemoryChecked(
-                      point.distance, point.rounds)
-                : CircuitCompiler::surfaceMemoryChecked(
-                      *out.code, point.rounds, point.config.basis,
-                      point.protocol == RemovalProtocol::Dqlr
-                          ? IrTailKind::Dqlr
-                          : IrTailKind::SwapLrc);
+        StatusOr<CircuitProgram> prog = compileExperimentProgram(
+            *out.code, family, point.rounds, point.config.basis,
+            point.protocol);
         if (!prog.ok())
             return prog.status();
         prog_it = programs_
@@ -97,14 +91,11 @@ SweepBuildCache::build(const SweepPoint &point,
                              doubleKeyBits(point.p)};
     auto dec_it = decoders_.find(dec_key);
     if (dec_it == decoders_.end()) {
-        std::shared_ptr<const Decoder> built;
-        if (point.decoderKind == DecoderKind::Mwpm)
-            built = std::make_shared<MwpmDecoder>(*out.dem, point.p,
-                                                  decoder_options);
-        else
-            built = std::make_shared<UnionFindDecoder>(*out.dem,
-                                                       point.p);
-        dec_it = decoders_.emplace(dec_key, std::move(built)).first;
+        dec_it = decoders_
+                     .emplace(dec_key,
+                              makeDecoder(point.decoderKind, *out.dem,
+                                          point.p, decoder_options))
+                     .first;
         ++summary.decodersBuilt;
     } else {
         ++summary.decodersReused;

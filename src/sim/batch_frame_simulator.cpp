@@ -348,9 +348,9 @@ BatchFrameSimulatorT<NW>::skipSites(V &v, OpType type)
 
 // The block kernels below gather the draws of every set lane of a block
 // word into bit words, each lane drawing from its own stream in the
-// order FrameSimulator does. Callers apply the gathered bits whole-word:
-// single 64-bit writes into a wide plane word stall the store
-// forwarding of the next whole-word load.
+// order the scalar test oracle does. Callers apply the gathered bits
+// whole-word: single 64-bit writes into a wide plane word stall the
+// store forwarding of the next whole-word load.
 
 template <int NW>
 template <class V>

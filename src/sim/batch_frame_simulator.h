@@ -2,8 +2,7 @@
  * @file
  * Bit-packed batched Pauli-frame simulator: W shots per plane word.
  *
- * Where FrameSimulator stores one byte per qubit per flag and runs one
- * shot at a time, this engine packs up to W = NW*64 shots ("lanes")
+ * The library's one simulator. It packs up to W = NW*64 shots ("lanes")
  * into one NW-word plane per qubit per bit-plane (X frame, Z frame,
  * leaked) — the bulk Pauli-frame layout popularized by Stim, extended
  * here to width-generic SIMD words (see base/simd_word.h). Static
@@ -34,8 +33,9 @@
  *    misses on leaked lanes, DQLR excitation, the random state a
  *    seeped qubit returns in, and the Pauli a depolarizing hit picks)
  *    are drawn per lane from that lane's own `Rng::forShot(seed, shot)`
- *    stream, in the order FrameSimulator draws them (which matches it
- *    draw for draw when p = 0, since FrameSimulator also takes the
+ *    stream, in the order the scalar reference simulator of the tests
+ *    (tests/frame_simulator.h) draws them (which matches it draw for
+ *    draw when p = 0, since the reference also takes the
  *    fixed-probability trials from that stream).
  *
  * Block b of a word-group starting at shot S owns the channel streams a
@@ -89,8 +89,9 @@
  * step each. tests/test_batch_sim.cpp (CompiledRound.*) holds the
  * kernels to the same ops issued one at a time through execute().
  *
- * The scalar FrameSimulator stays a test oracle for the op semantics
- * (tests/test_batch_sim.cpp compares the two lane by lane).
+ * A scalar one-shot-at-a-time simulator survives only as a test oracle
+ * for the op semantics (tests/frame_simulator.h; tests/test_batch_sim.cpp
+ * compares the two lane by lane).
  */
 
 #ifndef QEC_SIM_BATCH_FRAME_SIMULATOR_H

@@ -1,4 +1,4 @@
-#include "decoder/defects.h"
+#include "defects.h"
 
 #include "base/logging.h"
 

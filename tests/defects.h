@@ -15,7 +15,7 @@
 
 #include "code/rotated_surface_code.h"
 #include "code/types.h"
-#include "sim/frame_simulator.h"
+#include "frame_simulator.h"
 
 namespace qec
 {

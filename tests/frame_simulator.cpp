@@ -1,4 +1,4 @@
-#include "sim/frame_simulator.h"
+#include "frame_simulator.h"
 
 #include "base/logging.h"
 

@@ -29,4 +29,18 @@ buildMemoryCircuit(const RotatedSurfaceCode &code, int rounds,
     return circuit;
 }
 
+std::vector<Op>
+buildDqlrSegment(const RotatedSurfaceCode &code,
+                 const std::vector<LrcPair> &pairs)
+{
+    std::vector<Op> ops;
+    for (const auto &pair : pairs) {
+        const auto &stab = code.stabilizer(pair.stab);
+        ops.push_back(makeOp(OpType::LeakageIswap, pair.data,
+                             stab.ancilla));
+        ops.push_back(makeOp(OpType::Reset, stab.ancilla));
+    }
+    return ops;
+}
+
 } // namespace qec

@@ -10,11 +10,14 @@
  * reproduces its op-level execution record for record
  * (CompiledRound.ExecuteProgramMatchesOpLevelCircuit). Tests that drive
  * the scalar FrameSimulator or op-level executeRange use it as their
- * circuit.
+ * circuit. The lattice-walked DQLR segment lives here too: the op-level
+ * QecScheduleGenerator (qsg.h) appends it to DQLR rounds.
  */
 
 #ifndef QEC_TESTS_MEMORY_CIRCUIT_H
 #define QEC_TESTS_MEMORY_CIRCUIT_H
+
+#include <vector>
 
 #include "code/builder.h"
 #include "code/circuit.h"
@@ -30,6 +33,13 @@ namespace qec
  */
 Circuit buildMemoryCircuit(const RotatedSurfaceCode &code, int rounds,
                            Basis basis);
+
+/**
+ * Build the DQLR leakage-removal segment appended after a round
+ * (Section A.2): for each pair, LeakageISWAP(D, P) then reset P.
+ */
+std::vector<Op> buildDqlrSegment(const RotatedSurfaceCode &code,
+                                 const std::vector<LrcPair> &pairs);
 
 } // namespace qec
 

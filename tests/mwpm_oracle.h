@@ -37,12 +37,12 @@
 #include "base/rng.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/decode_workspace.h"
-#include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
+#include "defects.h"
+#include "frame_simulator.h"
 #include "matching.h"
 #include "memory_circuit.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {

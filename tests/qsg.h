@@ -8,9 +8,9 @@
 #ifndef QEC_CORE_QSG_H
 #define QEC_CORE_QSG_H
 
-#include "code/builder.h"
 #include "code/rotated_surface_code.h"
 #include "core/policies.h"
+#include "memory_circuit.h"
 
 namespace qec
 {

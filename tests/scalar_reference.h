@@ -23,13 +23,13 @@
 #include <vector>
 
 #include "code/builder.h"
-#include "core/qsg.h"
-#include "decoder/defects.h"
 #include "decoder/mwpm_decoder.h"
+#include "defects.h"
 #include "exp/memory_experiment.h"
 #include "exp/postselection.h"
+#include "frame_simulator.h"
 #include "memory_circuit.h"
-#include "sim/frame_simulator.h"
+#include "qsg.h"
 
 namespace qec
 {

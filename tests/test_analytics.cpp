@@ -1,19 +1,25 @@
 /**
  * @file
  * Closed-form leakage-model tests against the numbers quoted in the
- * paper (Sections 3.1, 4.1; Tables 1-2), plus a Monte-Carlo
- * cross-check of the transport asymmetry using the frame simulator.
+ * paper (Sections 3.1, 4.1; Tables 1-2), plus Monte-Carlo
+ * cross-checks of the transport asymmetry and of first-round
+ * invisibility using the scalar frame simulator and the batch engine's
+ * program replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "analytics/leakage_math.h"
 #include "base/rng.h"
 #include "code/builder.h"
+#include "code/circuit_ir.h"
 #include "code/rotated_surface_code.h"
-#include "sim/frame_simulator.h"
+#include "frame_simulator.h"
+#include "sim/batch_frame_simulator.h"
 
 namespace qec
 {
@@ -134,6 +140,27 @@ TEST(Analytics, MonteCarloInvisibilityFirstRound)
         visible += flipped ? 1 : 0;
     }
     EXPECT_NEAR((double)visible / n, 15.0 / 16.0, 0.02);
+
+    // The same trials as the batch engine runs them: round 0 of the
+    // compiled program replayed on 64-lane word-groups.
+    std::vector<uint8_t> is_check(code.numStabilizers(), 0);
+    for (int s : stabs)
+        is_check[s] = 1;
+    const CircuitProgram prog = CircuitCompiler::surfaceMemory(
+        code, 1, Basis::Z, IrTailKind::SwapLrc);
+    int replay_visible = 0;
+    for (int first = 0; first < n; first += 64) {
+        BatchFrameSimulator sim(prog.numQubits, em,
+                                std::min(64, n - first), 99, first);
+        sim.setLeaked(q, true, sim.liveMask());
+        sim.executeProgramRound(prog, 0, sim.liveMask());
+        uint64_t flipped = 0;
+        for (const auto &rec : sim.record())
+            if (rec.stab >= 0 && is_check[rec.stab])
+                flipped |= rec.flips;
+        replay_visible += popcountLanes(flipped);
+    }
+    EXPECT_NEAR((double)replay_visible / n, 15.0 / 16.0, 0.02);
 }
 
 } // namespace

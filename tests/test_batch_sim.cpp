@@ -35,11 +35,11 @@
 #include "code/circuit_ir.h"
 #include "decoder/sparse_syndrome.h"
 #include "exp/memory_experiment.h"
+#include "frame_simulator.h"
 #include "memory_circuit.h"
 #include "scalar_reference.h"
 #include "sim/batch_frame_simulator.h"
 #include "sim/bit_mask_sampler.h"
-#include "sim/frame_simulator.h"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps

@@ -11,10 +11,10 @@
 
 #include <chrono>
 
-#include "core/qsg.h"
 #include "exp/memory_experiment.h"
+#include "frame_simulator.h"
 #include "matching.h"
-#include "sim/frame_simulator.h"
+#include "qsg.h"
 
 namespace qec
 {

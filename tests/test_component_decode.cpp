@@ -34,13 +34,13 @@
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
 #include "decoder/component_decoder.h"
-#include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find_decoder.h"
+#include "defects.h"
 #include "exp/memory_experiment.h"
+#include "frame_simulator.h"
 #include "memory_circuit.h"
-#include "sim/frame_simulator.h"
 
 // ---------------------------------------------------------------------
 // Global allocation counter (same instrumentation as

@@ -33,16 +33,16 @@
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
 #include "decoder/component_decoder.h"
-#include "decoder/defects.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
 #include "decoder/syndrome_cache.h"
 #include "decoder/union_find_decoder.h"
+#include "defects.h"
 #include "exp/memory_experiment.h"
+#include "frame_simulator.h"
 #include "memory_circuit.h"
 #include "sim/batch_frame_simulator.h"
-#include "sim/frame_simulator.h"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps

@@ -213,8 +213,6 @@ TEST_F(FaultTolerance, AbandonedWriterLeavesNothingBehind)
 
 TEST_F(FaultTolerance, FaultPointFiresAtExactCountdown)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     fault::arm("ft.site", 3, fault::Kind::ReturnError);
     EXPECT_FALSE(QEC_FAULT_POINT("ft.site"));
     EXPECT_FALSE(QEC_FAULT_POINT("ft.site"));
@@ -226,8 +224,6 @@ TEST_F(FaultTolerance, FaultPointFiresAtExactCountdown)
 
 TEST_F(FaultTolerance, RepeatingFaultKeepsFiring)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     fault::arm("ft.repeat", 2, fault::Kind::ReturnError,
                /*repeat=*/true);
     EXPECT_FALSE(QEC_FAULT_POINT("ft.repeat"));
@@ -239,16 +235,12 @@ TEST_F(FaultTolerance, RepeatingFaultKeepsFiring)
 
 TEST_F(FaultTolerance, CrashKindThrowsSimulatedCrash)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     fault::arm("ft.crash", 1, fault::Kind::Crash);
     EXPECT_THROW((void)QEC_FAULT_POINT("ft.crash"), SimulatedCrash);
 }
 
 TEST_F(FaultTolerance, HitCountingWorksUnarmed)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     fault::countHits();
     EXPECT_FALSE(QEC_FAULT_POINT("ft.counted"));
     EXPECT_FALSE(QEC_FAULT_POINT("ft.counted"));
@@ -670,8 +662,6 @@ TEST_F(FaultTolerance, JsonSinkReportsUnwritableDestination)
 
 TEST_F(FaultTolerance, TransientChunkFailureIsRetriedBitIdentically)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     SweepPlan plan = smallPlan(64, 384, {1e-3});
 
     CollectSink reference;
@@ -697,8 +687,6 @@ TEST_F(FaultTolerance, TransientChunkFailureIsRetriedBitIdentically)
 
 TEST_F(FaultTolerance, AllocationFailureIsRetriedBitIdentically)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     SweepPlan plan = smallPlan(64, 384, {1e-3});
 
     CollectSink reference;
@@ -723,8 +711,6 @@ TEST_F(FaultTolerance, AllocationFailureIsRetriedBitIdentically)
 
 TEST_F(FaultTolerance, PersistentFailureQuarantinesTheSweep)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     SweepPlan plan = smallPlan(64, 256, {1e-3, 2e-3});
     plan.earlyStop.maxShots = 256;
 
@@ -754,8 +740,6 @@ TEST_F(FaultTolerance, PersistentFailureQuarantinesTheSweep)
 
 TEST_F(FaultTolerance, CheckpointSaveFailureDoesNotKillTheSweep)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     SweepPlan plan = smallPlan(64, 256, {1e-3});
     plan.earlyStop.maxShots = 256;
 
@@ -924,8 +908,6 @@ killAndResumeEverywhere(SweepPlan plan, const std::string &tag)
 
 TEST_F(FaultTolerance, KillAndResumeEverywhereWidth64)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     // Two points so crashes also land around the finished-point
     // skip-and-reemit path.
     killAndResumeEverywhere(smallPlan(64, 384, {1e-3, 2e-3}), "w64");
@@ -933,15 +915,11 @@ TEST_F(FaultTolerance, KillAndResumeEverywhereWidth64)
 
 TEST_F(FaultTolerance, KillAndResumeEverywhereWidth256)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     killAndResumeEverywhere(smallPlan(256, 384, {2e-3}), "w256");
 }
 
 TEST_F(FaultTolerance, KillAndResumeEverywhereWidth512)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "QEC_FAULT_INJECTION compiled out";
     killAndResumeEverywhere(smallPlan(512, 640, {2e-3}), "w512");
 }
 

@@ -13,9 +13,9 @@
 
 #include "code/builder.h"
 #include "code/rotated_surface_code.h"
-#include "decoder/defects.h"
+#include "defects.h"
+#include "frame_simulator.h"
 #include "memory_circuit.h"
-#include "sim/frame_simulator.h"
 
 namespace qec
 {

@@ -328,8 +328,6 @@ TEST_F(SweepSchedulerTest, SequentialBudgetTruncatesDeterministically)
 
 TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
 
     SweepRunner clean_runner(plan);
@@ -401,8 +399,6 @@ TEST_F(SweepSchedulerTest, CrashLeavesMultiPointCheckpointAndResumes)
 
 TEST_F(SweepSchedulerTest, CheckpointsResumeAcrossExecutionModes)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
 
     SweepRunner clean_runner(plan);
@@ -461,8 +457,6 @@ TEST_F(SweepSchedulerTest, CheckpointsResumeAcrossExecutionModes)
 
 TEST_F(SweepSchedulerTest, FaultingPointRetriesWithoutChangingResults)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
 
     SweepRunner clean_runner(plan);
@@ -489,8 +483,6 @@ TEST_F(SweepSchedulerTest, FaultingPointRetriesWithoutChangingResults)
 
 TEST_F(SweepSchedulerTest, UnitFaultIsRetriedWhileOthersKeepRunning)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
 
     SweepRunner clean_runner(plan);
@@ -519,8 +511,6 @@ TEST_F(SweepSchedulerTest, UnitFaultIsRetriedWhileOthersKeepRunning)
 
 TEST_F(SweepSchedulerTest, QuarantinedPointDoesNotStopTheOthers)
 {
-    if (!fault::compiledIn())
-        GTEST_SKIP() << "fault injection compiled out";
     const SweepPlan plan = fixedPlan(64, 1024);
 
     SweepRunner clean_runner(plan);
