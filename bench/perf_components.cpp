@@ -663,6 +663,30 @@ BM_DemBuildTiled(benchmark::State &state)
 BENCHMARK(BM_DemBuildTiled)->Arg(3)->Arg(5)->Arg(7)->Arg(11)
     ->Unit(benchmark::kMillisecond);
 
+void
+BM_DecoderBuild(benchmark::State &state)
+{
+    // Decoder construction over a Fig. 14 shape's model (10d rounds,
+    // p = 1e-3): what every sweep point's set-up pays after the DEM.
+    // Args: distance, decoder (0 = MWPM, 1 = Union-Find).
+    const int d = (int)state.range(0);
+    const bool uf = state.range(1) != 0;
+    const DetectorModel dem =
+        buildDetectorModel(RotatedSurfaceCode(d), 10 * d, Basis::Z);
+    for (auto _ : state) {
+        if (uf)
+            benchmark::DoNotOptimize(UnionFindDecoder(dem, 1e-3));
+        else
+            benchmark::DoNotOptimize(MwpmDecoder(dem, 1e-3));
+    }
+    state.counters["edges"] = (double)dem.edges.size();
+}
+BENCHMARK(BM_DecoderBuild)
+    ->ArgNames({"d", "uf"})
+    ->Args({3, 0})->Args({7, 0})->Args({11, 0})
+    ->Args({3, 1})->Args({7, 1})->Args({11, 1})
+    ->Unit(benchmark::kMillisecond);
+
 } // namespace
 
 int

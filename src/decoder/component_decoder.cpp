@@ -28,6 +28,8 @@ ComponentGraph::ComponentGraph(const DetectorModel &dem, double p)
       stabsPerRound_(std::max(dem.stabsPerRound, 1)),
       rows_(dem.rounds + 1)
 {
+    EdgePricer price(p);
+
     // Detector-only adjacency over the positive-probability edges
     // (the decoders' graphs minus the boundary edges: composition
     // handles boundary sharing exactly, so the split must not merge
@@ -35,7 +37,7 @@ ComponentGraph::ComponentGraph(const DetectorModel &dem, double p)
     std::vector<int> degree((size_t)numDets_, 0);
     size_t pair_edges = 0;
     for (const auto &edge : dem.edges) {
-        if (edge.probability(p) <= 0.0 || edge.b == kBoundary)
+        if (price(edge).q <= 0.0 || edge.b == kBoundary)
             continue;
         ++degree[edge.a];
         ++degree[edge.b];
@@ -50,7 +52,7 @@ ComponentGraph::ComponentGraph(const DetectorModel &dem, double p)
     csrAdj_.resize(2 * pair_edges);
     std::vector<int> cursor(csrOffsets_.begin(), csrOffsets_.end() - 1);
     for (const auto &edge : dem.edges) {
-        if (edge.probability(p) <= 0.0 || edge.b == kBoundary)
+        if (price(edge).q <= 0.0 || edge.b == kBoundary)
             continue;
         csrAdj_[(size_t)cursor[edge.a]++] = edge.b;
         csrAdj_[(size_t)cursor[edge.b]++] = edge.a;
@@ -64,7 +66,7 @@ ComponentGraph::ComponentGraph(const DetectorModel &dem, double p)
     // signatures is exactly the isomorphism the replay relies on.
     std::vector<std::vector<RowSig>> sig((size_t)rows_);
     for (const auto &edge : dem.edges) {
-        if (edge.probability(p) <= 0.0)
+        if (price(edge).q <= 0.0)
             continue;
         int a = edge.a;
         int b = edge.b;
@@ -109,7 +111,7 @@ ComponentGraph::ComponentGraph(const DetectorModel &dem, double p)
         std::vector<int> stabAdj;
         std::vector<std::pair<int, int>> stab_edges;
         for (const auto &edge : dem.edges) {
-            if (edge.probability(p) <= 0.0 || edge.b == kBoundary)
+            if (price(edge).q <= 0.0 || edge.b == kBoundary)
                 continue;
             const int sa = dem.detectorStab(edge.a);
             const int sb = dem.detectorStab(edge.b);

@@ -27,6 +27,81 @@ DemEdge::probability(double p) const
 namespace
 {
 
+/** Weight clamp so integer weights fit in 32 bits. */
+constexpr double kMaxWeight = 1.0e6;
+/** Fixed-point scale of the integer weights. */
+constexpr double kWeightScale = 1024.0;
+/** Bits per count in an EdgePricer key. */
+constexpr int kCountBits = 21;
+
+/** Slot of `key` in an open-addressed table: its own, or the empty
+ *  slot where it belongs. */
+size_t
+probe(const std::vector<uint64_t> &keys, uint64_t key)
+{
+    const size_t mask = keys.size() - 1;
+    size_t i = (size_t)((key * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+    while (keys[i] != 0 && keys[i] != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+} // namespace
+
+int32_t
+matchingWeight(double q)
+{
+    q = std::min(std::max(q, 1.0e-12), 0.499999);
+    const double w = std::min(std::log((1.0 - q) / q), kMaxWeight);
+    return 2 * (int32_t)std::llround(w * kWeightScale / 2.0);
+}
+
+EdgePricer::EdgePricer(double p) : p_(p), keys_(64, 0), prices_(64) {}
+
+const EdgePricer::Price &
+EdgePricer::operator()(const DemEdge &edge)
+{
+    constexpr uint64_t kLimit = 1ULL << kCountBits;
+    panicIf((uint64_t)edge.n1 >= kLimit || (uint64_t)edge.n3 >= kLimit ||
+                (uint64_t)edge.n15 >= kLimit,
+            "DEM edge mechanism count out of range");
+    // +1 keeps every triple off the empty key 0.
+    const uint64_t key = 1 + ((uint64_t)edge.n1 |
+                              (uint64_t)edge.n3 << kCountBits |
+                              (uint64_t)edge.n15 << (2 * kCountBits));
+    size_t i = probe(keys_, key);
+    if (keys_[i] == key)
+        return prices_[i];
+    if (2 * (used_ + 1) > keys_.size()) {
+        grow();
+        i = probe(keys_, key);
+    }
+    keys_[i] = key;
+    const double q = edge.probability(p_);
+    prices_[i] = {q, matchingWeight(q)};
+    ++used_;
+    return prices_[i];
+}
+
+void
+EdgePricer::grow()
+{
+    std::vector<uint64_t> keys(keys_.size() * 2, 0);
+    std::vector<Price> prices(keys.size());
+    for (size_t j = 0; j < keys_.size(); ++j) {
+        if (keys_[j] == 0)
+            continue;
+        const size_t i = probe(keys, keys_[j]);
+        keys[i] = keys_[j];
+        prices[i] = prices_[j];
+    }
+    keys_.swap(keys);
+    prices_.swap(prices);
+}
+
+namespace
+{
+
 /** Probability class of a mechanism (shared error rate divisor). */
 enum class ProbClass { P1, P3, P15 };
 
@@ -37,18 +112,21 @@ struct Signature
     bool obs = false;
 };
 
-uint64_t
-edgeKey(int a, int b, bool obs)
-{
-    // a <= b after normalization; boundary (-1) stored as 0.
-    return ((uint64_t)(a + 1) << 33) | ((uint64_t)(b + 1) << 1) |
-           (obs ? 1 : 0);
-}
-
-/** Accumulates mechanisms into merged DEM edges. */
+/**
+ * Accumulates mechanisms into merged DEM edges. Edges are keyed by
+ * (a, b, obs) with a the real detector of a boundary edge, else the
+ * smaller one; every edge is chained from head_[a], so a lookup walks
+ * the few edges that share its first detector and registering an edge
+ * is two array writes.
+ */
 class EdgeAccumulator
 {
   public:
+    explicit EdgeAccumulator(int num_detectors)
+        : head_((size_t)num_detectors, kNone)
+    {
+    }
+
     void
     add(int a, int b, bool obs, ProbClass cls)
     {
@@ -72,16 +150,70 @@ class EdgeAccumulator
             cls);
     }
 
-    /** Add all of `src`'s mechanism counts to edge (a, b). */
+    /**
+     * Add each of `templ` (unique keys, in first-appearance order)
+     * shifted by dr rounds for every dr in [dr_lo, dr_hi], edge by
+     * edge. This inserts the same keys in the same order as adding
+     * every mechanism merged into `templ` at every shift in mechanism
+     * order: a later mechanism on an already seen edge only hits keys
+     * the first one inserted.
+     *
+     * A shifted key can only meet an edge present before the tiling,
+     * whose first detector lies in a round up to `pre_round`, or the
+     * tile of an earlier time translate of its template edge that
+     * lands in the same round, which `landed` records per translate
+     * class. Every other key is appended without a lookup.
+     */
     void
-    addEdgeCounts(const DemEdge &src, int a, int b)
+    addTiled(const std::vector<DemEdge> &templ, int dr_lo, int dr_hi,
+             int n_s)
     {
-        DemEdge *edge = slot(a, b, src.obsFlip);
-        if (!edge)
+        if (templ.empty())
             return;
-        edge->n1 += src.n1;
-        edge->n3 += src.n3;
-        edge->n15 += src.n15;
+        int pre_round = -1;
+        for (const DemEdge &e : edges_)
+            pre_round = std::max(pre_round, e.a / n_s);
+        const size_t rows = head_.size() / (size_t)n_s;
+        std::unordered_map<uint64_t, uint32_t> classes;
+        classes.reserve(templ.size());
+        /** [class * rows + landing round]: the class's edge there. */
+        std::vector<uint32_t> landed;
+        // Room for the tiles and, at about one template per source
+        // round, the tail's new edges: the arrays are sized once.
+        reserve(edges_.size() +
+                templ.size() * (size_t)(dr_hi - dr_lo + 4));
+        for (const DemEdge &e : templ) {
+            const int ra = e.a / n_s;
+            const int base = ra * n_s;
+            const uint32_t c =
+                classes
+                    .emplace(edgeKey(e.a - base,
+                                     e.b == kBoundary ? kBoundary
+                                                      : e.b - base,
+                                     e.obsFlip),
+                             (uint32_t)classes.size())
+                    .first->second;
+            if (landed.size() < (c + 1) * rows)
+                landed.resize((c + 1) * rows, kNone);
+            uint32_t *land = landed.data() + c * rows;
+            for (int dr = dr_lo; dr <= dr_hi; ++dr) {
+                uint32_t &k = land[ra + dr];
+                if (k == kNone) {
+                    const int shift = dr * n_s;
+                    const int a = e.a + shift;
+                    const int b =
+                        e.b == kBoundary ? kBoundary : e.b + shift;
+                    if (ra + dr <= pre_round)
+                        k = find(a, b, e.obsFlip);
+                    if (k == kNone)
+                        k = append(a, b, e.obsFlip);
+                }
+                DemEdge &edge = edges_[k];
+                edge.n1 += e.n1;
+                edge.n3 += e.n3;
+                edge.n15 += e.n15;
+            }
+        }
     }
 
     /** True if (a, b) exists as an edge with the given observable. */
@@ -92,12 +224,56 @@ class EdgeAccumulator
             std::swap(a, b);
         if (a == kBoundary)
             std::swap(a, b);
-        return index_.count(edgeKey(a, b, obs)) != 0;
+        return a != kBoundary && find(a, b, obs) != kNone;
     }
 
     std::vector<DemEdge> take() { return std::move(edges_); }
 
   private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    void
+    reserve(size_t edges)
+    {
+        edges_.reserve(edges);
+        next_.reserve(edges);
+    }
+
+    /** Canonical key of a normalized (a, b, obs). */
+    static uint64_t
+    edgeKey(int a, int b, bool obs)
+    {
+        return ((uint64_t)(a + 1) << 33) | ((uint64_t)(b + 1) << 1) |
+               (obs ? 1 : 0);
+    }
+
+    /** Index of the normalized edge (a, b, obs), or kNone. */
+    uint32_t
+    find(int a, int b, bool obs) const
+    {
+        for (uint32_t k = head_[(size_t)a]; k != kNone; k = next_[k]) {
+            const DemEdge &e = edges_[k];
+            if (e.b == b && e.obsFlip == obs)
+                return k;
+        }
+        return kNone;
+    }
+
+    /** Append the normalized edge (a, b, obs), known to be absent. */
+    uint32_t
+    append(int a, int b, bool obs)
+    {
+        const uint32_t k = (uint32_t)edges_.size();
+        DemEdge edge;
+        edge.a = a;
+        edge.b = b;
+        edge.obsFlip = obs;
+        edges_.push_back(edge);
+        next_.push_back(head_[(size_t)a]);
+        head_[(size_t)a] = k;
+        return k;
+    }
+
     /** The merged edge (a, b, obs), appended on first use; null for a
      *  boundary-to-boundary pair, which is dropped. */
     DemEdge *
@@ -109,19 +285,16 @@ class EdgeAccumulator
             return nullptr;
         if (a == kBoundary)
             std::swap(a, b);  // keep the real detector in `a`
-        auto [it, inserted] =
-            index_.try_emplace(edgeKey(a, b, obs), edges_.size());
-        if (inserted) {
-            DemEdge edge;
-            edge.a = a;
-            edge.b = b;
-            edge.obsFlip = obs;
-            edges_.push_back(edge);
-        }
-        return &edges_[it->second];
+        uint32_t k = find(a, b, obs);
+        if (k == kNone)
+            k = append(a, b, obs);
+        return &edges_[k];
     }
 
-    std::unordered_map<uint64_t, size_t> index_;
+    /** Per detector: the newest edge whose key starts there. */
+    std::vector<uint32_t> head_;
+    /** Per edge: the next older edge with the same first detector. */
+    std::vector<uint32_t> next_;
     std::vector<DemEdge> edges_;
 };
 
@@ -185,52 +358,76 @@ programDemBindings(const CircuitProgram &prog)
 class Enumerator
 {
   public:
-    Enumerator(const DemBindings &bindings, Circuit circuit, int rounds)
+    /** `keep(round)` selects the source rounds whose mechanisms are
+     *  visited (see forEachMechanism); the others are never composed. */
+    template <typename Keep>
+    Enumerator(const DemBindings &bindings, Circuit circuit, int rounds,
+               Keep &&keep)
         : bindings_(bindings), rounds_(rounds),
           nS_(bindings.stabsPerRound), obsBit_((rounds + 1) * nS_),
           words_((size_t)obsBit_ / 64 + 1), circuit_(std::move(circuit))
     {
+        // Source round of each op: the round of the latest RoundStart,
+        // or `rounds` for the final data measurements.
+        const std::vector<Op> &ops = circuit_.ops;
+        srcRound_.resize(ops.size());
+        kept_.resize(ops.size());
+        int round = -1;
+        for (size_t k = 0; k < ops.size(); ++k) {
+            const Op &op = ops[k];
+            if (op.type == OpType::RoundStart)
+                round = op.round;
+            const bool final_data =
+                (op.type == OpType::Measure ||
+                 op.type == OpType::MeasureX) && op.finalData;
+            srcRound_[k] = final_data ? rounds : round;
+            kept_[k] = keep(srcRound_[k]) ? 1 : 0;
+        }
         backwardPass();
     }
 
     /**
-     * Visit every mechanism in op order, then Pauli order (X, Y, Z;
-     * two-qubit index 1..15). The callback receives the source round
-     * (final data block = `rounds`), the probability class, and the
-     * signature, which is valid only for the duration of the call.
+     * Visit every mechanism of the kept source rounds in op order,
+     * then Pauli order (X, Y, Z; two-qubit index 1..15). The callback
+     * receives the source round (final data block = `rounds`), the
+     * probability class, and the signature, which is valid only for
+     * the duration of the call.
      */
     template <typename Fn>
     void
     forEachMechanism(Fn &&fn)
     {
-        int round = -1;
         for (size_t k = 0; k < circuit_.ops.size(); ++k) {
+            if (!kept_[k])
+                continue;
             const Op &op = circuit_.ops[k];
             const size_t s = firstSpan_[k];
+            const int round = srcRound_[k];
             switch (op.type) {
               case OpType::RoundStart:
-                round = op.round;
                 break;
               case OpType::DataNoise:
               case OpType::H:
+                composeSubsets(s, 2);
                 for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z})
-                    fn(round, ProbClass::P3, compose(s, p, Pauli::I));
+                    fn(round, ProbClass::P3, finish(subset_[parts(p)]));
                 break;
               case OpType::Cnot:
+                composeSubsets(s, 4);
                 for (int pp = 1; pp < 16; ++pp) {
-                    const Pauli pa = (Pauli)(pp & 3);
-                    const Pauli pb = (Pauli)((pp >> 2) & 3);
-                    fn(round, ProbClass::P15, compose(s, pa, pb));
+                    const int m = parts((Pauli)(pp & 3)) |
+                                  parts((Pauli)((pp >> 2) & 3)) << 2;
+                    fn(round, ProbClass::P15, finish(subset_[m]));
                 }
                 break;
               case OpType::Reset:
-                fn(round, ProbClass::P1, compose(s, Pauli::X, Pauli::I));
+                composeSubsets(s, 1);
+                fn(round, ProbClass::P1, finish(subset_[1]));
                 break;
               case OpType::Measure:
               case OpType::MeasureX:
                 outcomeTargets(op, sig_.dets);
-                fn(op.finalData ? rounds_ : round, ProbClass::P1,
-                   finish());
+                fn(round, ProbClass::P1, finish(sig_));
                 break;
               case OpType::LeakageIswap:
                 panic("base circuit must not contain DQLR ops");
@@ -266,25 +463,28 @@ class Enumerator
         for (size_t k = ops.size(); k-- > 0;) {
             const Op &op = ops[k];
             // Save the sets as they stand right after op k: a Pauli
-            // injected there flips exactly these.
+            // injected there flips exactly these. Ops of skipped rounds
+            // emit no mechanism, so need no saved sets.
             firstSpan_[k] = spans_.size();
-            switch (op.type) {
-              case OpType::Cnot:
-                save(sens_x(op.q0));
-                save(sens_z(op.q0));
-                save(sens_x(op.q1));
-                save(sens_z(op.q1));
-                break;
-              case OpType::DataNoise:
-              case OpType::H:
-                save(sens_x(op.q0));
-                save(sens_z(op.q0));
-                break;
-              case OpType::Reset:
-                save(sens_x(op.q0));
-                break;
-              default:
-                break;
+            if (kept_[k]) {
+                switch (op.type) {
+                  case OpType::Cnot:
+                    save(sens_x(op.q0));
+                    save(sens_z(op.q0));
+                    save(sens_x(op.q1));
+                    save(sens_z(op.q1));
+                    break;
+                  case OpType::DataNoise:
+                  case OpType::H:
+                    save(sens_x(op.q0));
+                    save(sens_z(op.q0));
+                    break;
+                  case OpType::Reset:
+                    save(sens_x(op.q0));
+                    break;
+                  default:
+                    break;
+                }
             }
             // Then step the sets back across op k itself.
             switch (op.type) {
@@ -352,40 +552,43 @@ class Enumerator
         std::sort(out.begin(), out.end());
     }
 
-    /** Signature of Paulis `pa` on q0 and `pb` on q1 injected after
-     *  the op whose saved sets start at span `s`. */
-    const Signature &
-    compose(size_t s, Pauli pa, Pauli pb)
+    /** Saved sets a single-qubit Pauli flips, as a 2-bit mask over
+     *  that qubit's (X-sensitivity, Z-sensitivity) pair. */
+    static int
+    parts(Pauli p)
     {
-        const bool parts[4] = {
-            pa == Pauli::X || pa == Pauli::Y,
-            pa == Pauli::Z || pa == Pauli::Y,
-            pb == Pauli::X || pb == Pauli::Y,
-            pb == Pauli::Z || pb == Pauli::Y,
-        };
-        sig_.dets.clear();
-        for (size_t i = 0; i < 4; ++i) {
-            if (!parts[i])
-                continue;
-            const Span &span = spans_[s + i];
-            scratch_.clear();
-            std::set_symmetric_difference(
-                sig_.dets.begin(), sig_.dets.end(),
-                arena_.begin() + span.begin, arena_.begin() + span.end,
-                std::back_inserter(scratch_));
-            sig_.dets.swap(scratch_);
-        }
-        return finish();
+        return (p == Pauli::X || p == Pauli::Y ? 1 : 0) |
+               (p == Pauli::Z || p == Pauli::Y ? 2 : 0);
     }
 
-    /** Split the observable bit (sorted last) off `sig_.dets`. */
-    const Signature &
-    finish()
+    /**
+     * For every nonempty subset m of the `n` sets saved at span `s`
+     * (bit i: set s + i), the XOR of its sets into subset_[m]: the
+     * signature of the Paulis whose parts() masks make up m. Each is
+     * one symmetric difference from the subset without its lowest set.
+     */
+    void
+    composeSubsets(size_t s, int n)
     {
-        sig_.obs = !sig_.dets.empty() && sig_.dets.back() == obsBit_;
-        if (sig_.obs)
-            sig_.dets.pop_back();
-        return sig_;
+        for (int m = 1; m < (1 << n); ++m) {
+            const std::vector<int> &base = subset_[m & (m - 1)].dets;
+            const Span &span = spans_[s + (size_t)__builtin_ctz(m)];
+            std::vector<int> &out = subset_[m].dets;
+            out.clear();
+            std::set_symmetric_difference(
+                base.begin(), base.end(), arena_.begin() + span.begin,
+                arena_.begin() + span.end, std::back_inserter(out));
+        }
+    }
+
+    /** Split the observable bit (sorted last) off `sig.dets`. */
+    const Signature &
+    finish(Signature &sig) const
+    {
+        sig.obs = !sig.dets.empty() && sig.dets.back() == obsBit_;
+        if (sig.obs)
+            sig.dets.pop_back();
+        return sig;
     }
 
     const DemBindings &bindings_;
@@ -394,12 +597,17 @@ class Enumerator
     int obsBit_;
     size_t words_;
     Circuit circuit_;
-    /** Per op: index of its first saved span (noisy ops only). */
+    /** Per op: source round, and whether that round is kept. */
+    std::vector<int> srcRound_;
+    std::vector<uint8_t> kept_;
+    /** Per op: index of its first saved span (kept noisy ops only). */
     std::vector<size_t> firstSpan_;
     std::vector<Span> spans_;
     std::vector<int> arena_;
+    /** Signatures of the current op's Pauli subsets; [0] stays empty. */
+    Signature subset_[16];
+    /** Signature of the current measurement's outcome flip. */
     Signature sig_;
-    std::vector<int> scratch_;
 };
 
 /**
@@ -409,6 +617,8 @@ class Enumerator
 class ModelAssembler
 {
   public:
+    explicit ModelAssembler(int num_detectors) : acc_(num_detectors) {}
+
     void
     addSignature(const Signature &sig, ProbClass cls,
                  DetectorModel &stats)
@@ -423,25 +633,12 @@ class ModelAssembler
         ++stats.decomposedMechanisms;
     }
 
-    /**
-     * Add each of `edges` (in first-appearance order) shifted by dr
-     * rounds for every dr in [dr_lo, dr_hi], edge by edge. This inserts
-     * the same keys in the same order as adding every mechanism merged
-     * into `edges` at every shift in mechanism order: a later mechanism
-     * on an already seen edge only hits keys the first one inserted.
-     */
+    /** See EdgeAccumulator::addTiled. */
     void
     addTiledEdges(const std::vector<DemEdge> &edges, int dr_lo,
                   int dr_hi, int n_s)
     {
-        for (const DemEdge &e : edges) {
-            for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-                const int shift = dr * n_s;
-                acc_.addEdgeCounts(e, e.a + shift,
-                                   e.b == kBoundary ? kBoundary
-                                                    : e.b + shift);
-            }
-        }
+        acc_.addTiled(edges, dr_lo, dr_hi, n_s);
     }
 
     void
@@ -576,8 +773,9 @@ buildModelDirect(const DemBindings &bindings, Circuit circuit,
     model.basis = basis;
     model.stabsPerRound = bindings.stabsPerRound;
 
-    Enumerator enumerator(bindings, std::move(circuit), rounds);
-    ModelAssembler assembler;
+    Enumerator enumerator(bindings, std::move(circuit), rounds,
+                          [](int) { return true; });
+    ModelAssembler assembler(model.numDetectors());
     enumerator.forEachMechanism(
         [&](int, ProbClass cls, const Signature &sig) {
             assembler.addSignature(sig, cls, model);
@@ -607,8 +805,14 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
     model.basis = basis;
     model.stabsPerRound = n_s;
 
-    Enumerator enumerator(bindings, std::move(short_circuit), r0);
-    ModelAssembler assembler;
+    // Source rounds 1 and 3..r0-3 are redundant with the bulk template
+    // and are never composed.
+    Enumerator enumerator(
+        bindings, std::move(short_circuit), r0, [](int src_round) {
+            return src_round == 0 || src_round == 2 ||
+                   src_round >= r0 - 2;
+        });
+    ModelAssembler assembler(model.numDetectors());
 
     Signature shifted;
     auto shift_sig = [&](const Signature &sig,
@@ -622,7 +826,7 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
 
     // The bulk template: graph-like signatures merged into unique
     // edges before tiling, wider ones kept whole for decomposition.
-    EdgeAccumulator bulk_edges;
+    EdgeAccumulator bulk_edges((r0 + 1) * n_s);
     std::vector<std::pair<Signature, ProbClass>> bulk_wide;
     bool bulk_tiled = false;
     auto tile_bulk = [&] {
@@ -645,7 +849,7 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
                     bulk_edges.addGraphLike(sig, cls);
                 else
                     bulk_wide.emplace_back(sig, cls);
-            } else if (src_round >= r0 - 2) {
+            } else {
                 // Mechanisms arrive in round order, so the template is
                 // complete here; tiling it before the tail keeps the
                 // edge order of tiling each bulk mechanism in turn.
@@ -653,8 +857,6 @@ buildModelTiled(const DemBindings &bindings, Circuit short_circuit,
                 assembler.addSignature(shift_sig(sig, rounds - r0),
                                        cls, model);
             }
-            // Source rounds 1 and 3..r0-3 are redundant with the bulk
-            // template and are skipped.
         });
     tile_bulk();
     assembler.resolvePending(model);

@@ -29,10 +29,13 @@
  * Long experiments enumerate an 8-round image instead. Its round-0
  * mechanisms are placed directly, those of its last two rounds and
  * final readout are shifted to the end, and its round-2 mechanisms
- * form a bulk template for every middle round. The template's
- * graph-like signatures are merged into unique edges first, and each
- * edge is tiled across all bulk rounds in one go; wider signatures are
- * tiled one by one. Tests assert tiled == direct.
+ * form a bulk template for every middle round; the mechanisms of its
+ * other rounds are never composed. The template's graph-like
+ * signatures are merged into unique edges first, and each edge is
+ * tiled across all bulk rounds in one go, looking up only the shifted
+ * keys that can already exist (a head edge, or the tile of a time
+ * translate of the same template edge); wider signatures are tiled one
+ * by one. Tests assert tiled == direct.
  *
  * Edge-order contract: `edges` lists each edge at its first insertion,
  * taking mechanisms in op order, then Pauli order (X, Y, Z; two-qubit
@@ -47,6 +50,7 @@
 #ifndef QEC_DECODER_DETECTOR_MODEL_H
 #define QEC_DECODER_DETECTOR_MODEL_H
 
+#include <cstdint>
 #include <vector>
 
 #include "code/circuit_ir.h"
@@ -76,6 +80,46 @@ struct DemEdge
 
     /** XOR-combined probability that this edge fires, given p. */
     double probability(double p) const;
+};
+
+/**
+ * Integer matching weight of an edge that fires with probability q: an
+ * even integer near 1024 * log((1-q)/q), with q clamped to
+ * [1e-12, 0.499999] and the log to 1e6. The MWPM decoder matches under
+ * these weights; even values put every region event on an integer time.
+ */
+int32_t matchingWeight(double q);
+
+/**
+ * Edge prices at one physical error rate p. An edge's probability and
+ * matching weight depend only on its (n1, n3, n15) counts, and a model
+ * has few distinct triples (at most a few dozen, however many edges),
+ * so each triple is priced once, on first sight, and memoized. The
+ * decoders and ComponentGraph price every edge through one of these.
+ */
+class EdgePricer
+{
+  public:
+    struct Price
+    {
+        double q;        ///< DemEdge::probability(p).
+        int32_t weight;  ///< matchingWeight(q).
+    };
+
+    explicit EdgePricer(double p);
+
+    /** The price of `edge`'s count triple at p. */
+    const Price &operator()(const DemEdge &edge);
+
+  private:
+    void grow();
+
+    double p_;
+    /** Open-addressed table of packed count triples (0: empty slot);
+     *  capacity is a power of two, at most half full. */
+    std::vector<uint64_t> keys_;
+    std::vector<Price> prices_;
+    size_t used_ = 0;
 };
 
 /** The full detector error model of one (code, rounds, basis) config. */

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <climits>
-#include <cmath>
 
 namespace qec
 {
 
 namespace
 {
-
-/** Weight clamp so integer weights fit in 32 bits. */
-constexpr double kMaxWeight = 1.0e6;
-/** Fixed-point scale of the integer weights. */
-constexpr double kWeightScale = 1024.0;
 
 constexpr int64_t kNever = INT64_MAX;
 constexpr int kMatchBoundary = -2;
@@ -28,14 +22,6 @@ reversed(const MwEdge &e)
 
 } // namespace
 
-int32_t
-MwpmDecoder::edgeWeight(double q)
-{
-    q = std::min(std::max(q, 1.0e-12), 0.499999);
-    const double w = std::min(std::log((1.0 - q) / q), kMaxWeight);
-    return 2 * (int32_t)std::llround(w * kWeightScale / 2.0);
-}
-
 MwpmDecoder::MwpmDecoder(const DetectorModel &dem, double p,
                          DecoderOptions /*options*/)
     : numDets_(dem.numDetectors()),
@@ -49,18 +35,20 @@ MwpmDecoder::MwpmDecoder(const DetectorModel &dem, double p,
         return w < best_w || (w == best_w && obs < best_obs);
     };
 
+    EdgePricer price(p);
+
     // Pass 1: boundary edges + per-detector degrees.
     std::vector<int> degree((size_t)numDets_, 0);
     for (const auto &edge : dem.edges) {
-        const double q = edge.probability(p);
-        if (q <= 0.0)
+        const EdgePricer::Price &pr = price(edge);
+        if (pr.q <= 0.0)
             continue;
         if (edge.b != kBoundary) {
             ++degree[(size_t)edge.a];
             ++degree[(size_t)edge.b];
             continue;
         }
-        const int32_t w = edgeWeight(q);
+        const int32_t w = pr.weight;
         const uint8_t obs = edge.obsFlip ? 1 : 0;
         if (lighter(w, obs, boundaryW_[edge.a], boundaryObs_[edge.a])) {
             boundaryW_[edge.a] = w;
@@ -75,29 +63,33 @@ MwpmDecoder::MwpmDecoder(const DetectorModel &dem, double p,
     nbrs_.resize((size_t)cursor.back());
     std::vector<int> fill(cursor.begin(), cursor.end() - 1);
     for (const auto &edge : dem.edges) {
-        const double q = edge.probability(p);
-        if (q <= 0.0 || edge.b == kBoundary)
+        const EdgePricer::Price &pr = price(edge);
+        if (pr.q <= 0.0 || edge.b == kBoundary)
             continue;
-        const int32_t w = edgeWeight(q);
+        const int32_t w = pr.weight;
         const uint8_t obs = edge.obsFlip ? 1 : 0;
         nbrs_[(size_t)fill[edge.a]++] = {edge.b, w, obs};
         nbrs_[(size_t)fill[edge.b]++] = {edge.a, w, obs};
     }
 
-    // Pass 3: fold parallel edges into their first occurrence.
+    // Pass 3: fold parallel edges into their first occurrence. at[v]
+    // is where the current row keeps neighbour v; a value below the
+    // row's start is stale, since every earlier row lies below it.
     nbrOffsets_.assign((size_t)numDets_ + 1, 0);
+    std::vector<int> at((size_t)numDets_, -1);
     size_t kept = 0;
     for (int d = 0; d < numDets_; ++d) {
-        const size_t row = kept;
+        const int row = (int)kept;
         for (int k = cursor[d]; k < cursor[(size_t)d + 1]; ++k) {
             const Nbr nbr = nbrs_[(size_t)k];
-            size_t j = row;
-            while (j < kept && nbrs_[j].to != nbr.to)
-                ++j;
-            if (j == kept)
+            const int j = at[(size_t)nbr.to];
+            if (j < row) {
+                at[(size_t)nbr.to] = (int)kept;
                 nbrs_[kept++] = nbr;
-            else if (lighter(nbr.w, nbr.obs, nbrs_[j].w, nbrs_[j].obs))
-                nbrs_[j] = nbr;
+            } else if (lighter(nbr.w, nbr.obs, nbrs_[(size_t)j].w,
+                               nbrs_[(size_t)j].obs)) {
+                nbrs_[(size_t)j] = nbr;
+            }
         }
         nbrOffsets_[(size_t)d + 1] = (int)kept;
     }

@@ -6,7 +6,8 @@
  * implemented as sparse blossom (Higgott & Gidney, arXiv:2303.15933):
  *  1. Graph and weights. Each decoding-graph edge weighs
  *     log((1-q)/q), discretized to an even integer so every event
- *     below falls on an integer time. Parallel edges keep the lighter
+ *     below falls on an integer time (matchingWeight, priced once per
+ *     edge class by EdgePricer). Parallel edges keep the lighter
  *     one (equal weights: the one that does not flip the observable).
  *     The boundary is a match target that no path passes through.
  *  2. Region growth. Every defect starts a region of radius 0 that
@@ -73,10 +74,6 @@ class MwpmDecoder : public Decoder
     bool decodeSparse(const int *defects, size_t count,
                       DecodeWorkspace &workspace) const override;
 
-    /** Integer weight of an edge that fires with probability q: an
-     *  even integer near 1024 * log((1-q)/q) (clamped at 1e6). */
-    static int32_t edgeWeight(double q);
-
     int numDetectors() const { return numDets_; }
 
     /** Total decoding-graph edges (diagnostics/tests). */
@@ -86,9 +83,7 @@ class MwpmDecoder : public Decoder
         return numEdges_;
     }
 
-  private:
-    struct SparseBlossom;
-
+    /** One adjacency slot: neighbour, integer weight, observable. */
     struct Nbr
     {
         int to;
@@ -96,8 +91,33 @@ class MwpmDecoder : public Decoder
         uint8_t obs;
     };
 
+    /** A detector's adjacency row, in CSR order (read-only). */
+    struct Row
+    {
+        const Nbr *first;
+        const Nbr *last;
+        const Nbr *begin() const { return first; }
+        const Nbr *end() const { return last; }
+    };
+
+    /** Detector d's neighbours after parallel edges are folded. */
+    Row
+    row(int d) const
+    {
+        return {nbrs_.data() + nbrOffsets_[(size_t)d],
+                nbrs_.data() + nbrOffsets_[(size_t)d + 1]};
+    }
+
     /** No boundary edge at a detector. */
     static constexpr int32_t kNoBoundary = INT32_MAX;
+
+    /** Weight of detector d's boundary edge (kNoBoundary if none). */
+    int32_t boundaryWeight(int d) const { return boundaryW_[(size_t)d]; }
+    /** Observable flip of detector d's boundary edge. */
+    uint8_t boundaryObs(int d) const { return boundaryObs_[(size_t)d]; }
+
+  private:
+    struct SparseBlossom;
 
     int numDets_ = 0;
     size_t numEdges_ = 0;

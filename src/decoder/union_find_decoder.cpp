@@ -10,8 +10,10 @@ namespace qec
 UnionFindDecoder::UnionFindDecoder(const DetectorModel &dem, double p)
     : numDets_(dem.numDetectors()), boundaryVertex_(dem.numDetectors())
 {
+    EdgePricer price(p);
+    edges_.reserve(dem.edges.size());
     for (const auto &edge : dem.edges) {
-        if (edge.probability(p) <= 0.0)
+        if (price(edge).q <= 0.0)
             continue;
         const int v =
             edge.b == kBoundary ? boundaryVertex_ : edge.b;

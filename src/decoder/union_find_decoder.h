@@ -73,7 +73,6 @@ class UnionFindDecoder : public Decoder
     /** Total decoding-graph edges (diagnostics/tests). */
     size_t numGraphEdges() const { return edges_.size(); }
 
-  private:
     struct Edge
     {
         int u;
@@ -81,6 +80,11 @@ class UnionFindDecoder : public Decoder
         uint8_t obs;
     };
 
+    /** The decoding graph's edges in id order (read-only); the
+     *  boundary vertex is numDetectors(). */
+    const std::vector<Edge> &graphEdges() const { return edges_; }
+
+  private:
     /** Packed CSR adjacency slot: the far endpoint plus the edge id
      *  and observable-flip bit in one word ((id << 1) | obs), so the
      *  growth scan resolves an edge with a single 8-byte load instead

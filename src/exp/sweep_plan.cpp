@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "base/logging.h"
-
 namespace qec
 {
 
@@ -107,10 +105,6 @@ SweepPlan::validate() const
 std::vector<SweepPoint>
 SweepPlan::points() const
 {
-    panicIf(distances.empty() || ps.empty() || rounds.empty(),
-            "sweep plan has an empty axis");
-    panicIf(policies.empty(), "sweep plan has no policies");
-
     const std::vector<RemovalProtocol> protocol_axis =
         protocols.empty()
             ? std::vector<RemovalProtocol>{base.protocol}

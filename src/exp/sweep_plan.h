@@ -162,15 +162,15 @@ struct SweepPlan
      * and every built-in policy by validateExperimentConfig(config,
      * kind) (only Never runs off the surface-memory family).
      * SweepRunner::run validates before executing and surfaces the
-     * Status in its summary instead of dying; points() panics on a
-     * plan this rejects (documented precondition).
+     * Status in its summary instead of dying.
      */
     Status validate() const;
 
     /**
      * Expand the grid (point order: p, protocol, decoder, width,
      * rounds, distance — distance innermost, so LER-vs-d tables read
-     * in row order grouped by everything else).
+     * in row order grouped by everything else). An empty axis
+     * yields no points; the policy set does not enter the grid.
      */
     std::vector<SweepPoint> points() const;
 };

@@ -4,7 +4,7 @@
  *
  * Independent of any decoder internals: the decoding graph is rebuilt
  * from the DetectorModel with the MWPM decoder's integer edge weights
- * (MwpmDecoder::edgeWeight), every defect runs a Dijkstra over that
+ * (matchingWeight), every defect runs a Dijkstra over that
  * graph (the boundary is a target node that no path passes through),
  * and the general blossom solver picks
  * the maximum total saving b_i + b_j - d_ij over sending both defects
@@ -71,7 +71,7 @@ class MwpmOracle
             const double q = e.probability(p);
             if (q <= 0.0)
                 continue;
-            const Arc arc{e.b, MwpmDecoder::edgeWeight(q),
+            const Arc arc{e.b, matchingWeight(q),
                           (uint8_t)(e.obsFlip ? 1 : 0)};
             adj_[(size_t)e.a].push_back(arc);
             if (e.b != kBoundary)

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "base/rng.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/union_find_decoder.h"
 #include "defects.h"
 #include "frame_simulator.h"
 #include "memory_circuit.h"
@@ -186,6 +188,106 @@ TEST(Decoder, LogicalChainIsDecodedAsFlip)
     DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
     MwpmDecoder decoder(dem, 1e-3);
     EXPECT_FALSE(decoder.decode(outcome.defects));
+}
+
+// ----------------------------------------------- golden decoder graphs
+
+/** Order-sensitive FNV-1a digest over 64-bit fields. */
+struct Fnv
+{
+    uint64_t h = 1469598103934665603ULL;
+
+    void
+    mix(int64_t v)
+    {
+        const uint64_t bits = (uint64_t)v;
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+};
+
+/** MWPM's graph: every CSR row (neighbour, weight, obs) in order, then
+ *  the detector's boundary weight and observable. */
+uint64_t
+mwpmGraphDigest(const MwpmDecoder &decoder)
+{
+    Fnv f;
+    f.mix(decoder.numDetectors());
+    for (int d = 0; d < decoder.numDetectors(); ++d) {
+        const MwpmDecoder::Row row = decoder.row(d);
+        f.mix(row.end() - row.begin());
+        for (const MwpmDecoder::Nbr &nbr : row) {
+            f.mix(nbr.to);
+            f.mix(nbr.w);
+            f.mix(nbr.obs);
+        }
+        f.mix(decoder.boundaryWeight(d));
+        f.mix(decoder.boundaryObs(d));
+    }
+    return f.h;
+}
+
+/** Union-Find's graph: its edge list in id order and commit bound. */
+uint64_t
+ufGraphDigest(const UnionFindDecoder &decoder)
+{
+    Fnv f;
+    f.mix(decoder.numDetectors());
+    f.mix((int64_t)decoder.graphEdges().size());
+    for (const UnionFindDecoder::Edge &e : decoder.graphEdges()) {
+        f.mix(e.u);
+        f.mix(e.v);
+        f.mix(e.obs);
+    }
+    f.mix(decoder.windowCommitBound());
+    return f.h;
+}
+
+struct GoldenDecoderGraph
+{
+    int d;
+    double p;
+    uint64_t mwpm;
+    uint64_t uf;
+};
+
+// Z-basis memory at 10d rounds (the Fig. 14 shapes), recorded before
+// the decoders priced each edge class once. Every edge has positive
+// probability at these p, so Union-Find's graph does not depend on p.
+constexpr GoldenDecoderGraph kDecoderGraphGolden[] = {
+    {3, 1e-4, 0x9d1b1ab2203757c2ULL, 0x0080943d6e851349ULL},
+    {3, 1e-3, 0x7af98ad771c26cd4ULL, 0x0080943d6e851349ULL},
+    {3, 1e-2, 0x5ef9ba291c6d96beULL, 0x0080943d6e851349ULL},
+    {5, 1e-4, 0x5c6a0fa4f1bc7afaULL, 0xc0ab54b09e86a5b0ULL},
+    {5, 1e-3, 0x4ccddfba653f35ceULL, 0xc0ab54b09e86a5b0ULL},
+    {5, 1e-2, 0xe9c6b2cb62b205fbULL, 0xc0ab54b09e86a5b0ULL},
+    {7, 1e-4, 0xf5d19e54e035c022ULL, 0x59f1441a398ad5a8ULL},
+    {7, 1e-3, 0x80901c03bd368024ULL, 0x59f1441a398ad5a8ULL},
+    {7, 1e-2, 0x4fe407837c727582ULL, 0x59f1441a398ad5a8ULL},
+    {9, 1e-4, 0xa6651afa9b18ed08ULL, 0x3268910f3b9e9248ULL},
+    {9, 1e-3, 0x392a39c683486d80ULL, 0x3268910f3b9e9248ULL},
+    {9, 1e-2, 0xd422ddb0b42395edULL, 0x3268910f3b9e9248ULL},
+    {11, 1e-4, 0x5f468b33f18e601cULL, 0xaf29a48818a5387fULL},
+    {11, 1e-3, 0xded7eb8e3defe552ULL, 0xaf29a48818a5387fULL},
+    {11, 1e-2, 0x0277086de548b864ULL, 0xaf29a48818a5387fULL},
+};
+
+TEST(DecoderGraphGolden, MwpmAndUnionFindGraphsPinned)
+{
+    int built_d = 0;
+    DetectorModel dem;
+    for (const GoldenDecoderGraph &g : kDecoderGraphGolden) {
+        SCOPED_TRACE(::testing::Message() << "d=" << g.d << " p=" << g.p);
+        if (g.d != built_d) {
+            dem = buildDetectorModel(RotatedSurfaceCode(g.d), 10 * g.d,
+                                     Basis::Z);
+            built_d = g.d;
+        }
+        EXPECT_EQ(mwpmGraphDigest(MwpmDecoder(dem, g.p)), g.mwpm);
+        EXPECT_EQ(ufGraphDigest(UnionFindDecoder(dem, g.p)), g.uf);
+    }
 }
 
 } // namespace

@@ -204,6 +204,28 @@ TEST(Dem, EdgeProbabilityXorCombination)
     EXPECT_NEAR(edge.probability(p), 2 * p * (1 - p), 1e-12);
 }
 
+TEST(EdgePricer, MemoMatchesDirectPricingAcrossGrowth)
+{
+    // 600 distinct count triples force the table through several
+    // doublings; the second pass reads every price from the memo.
+    EdgePricer price(3e-3);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (int n1 = 0; n1 < 10; ++n1) {
+            for (int n3 = 0; n3 < 10; ++n3) {
+                for (int n15 = 0; n15 < 6; ++n15) {
+                    DemEdge edge;
+                    edge.n1 = n1;
+                    edge.n3 = n3;
+                    edge.n15 = n15;
+                    const EdgePricer::Price &pr = price(edge);
+                    ASSERT_EQ(pr.q, edge.probability(3e-3));
+                    ASSERT_EQ(pr.weight, matchingWeight(pr.q));
+                }
+            }
+        }
+    }
+}
+
 TEST(Dem, SingleRoundModelWorks)
 {
     RotatedSurfaceCode code(3);
@@ -296,6 +318,18 @@ constexpr GoldenDem kSurfaceGolden[] = {
     {7, Basis::X, 9, 0x390f661d845c92b8ULL},
     {7, Basis::X, 21, 0x0dcd148bda80465fULL},
     {7, Basis::X, 70, 0xec03cbf4afa9e160ULL},
+    // d = 9 rows were recorded later, from the backward builder before
+    // the tiled builder stopped hashing shifted edges.
+    {9, Basis::Z, 1, 0x6df220f77cc73fd9ULL},
+    {9, Basis::Z, 8, 0xab1cdf67d9fa65fbULL},
+    {9, Basis::Z, 9, 0x0a299db0b6e6cddcULL},
+    {9, Basis::Z, 27, 0xd41bda4cc1d1b0ecULL},
+    {9, Basis::Z, 90, 0x01c62985ad0e7273ULL},
+    {9, Basis::X, 1, 0x909abecd940a0d41ULL},
+    {9, Basis::X, 8, 0x403e06bb0042b1d3ULL},
+    {9, Basis::X, 9, 0xc7b2ea700ac04154ULL},
+    {9, Basis::X, 27, 0x5e8bdc4198afe6ecULL},
+    {9, Basis::X, 90, 0x34c20d94c557d073ULL},
     {11, Basis::Z, 1, 0x11d3fc32c008e7f3ULL},
     {11, Basis::Z, 8, 0xc4324973faae0ea8ULL},
     {11, Basis::Z, 9, 0x58874aaa8698a471ULL},

@@ -328,6 +328,35 @@ TEST(SweepPlan, ExpansionResolvesAxesAndShots)
         EXPECT_EQ(points[i].index, i);
 }
 
+TEST(SweepPlan, EmptyAxisYieldsNoPointsAndValidateRefusesIt)
+{
+    // points() expands whatever grid it is given: an empty axis is an
+    // empty product, not an abort. validate() is where such a plan is
+    // refused.
+    auto expect_empty = [](const SweepPlan &plan) {
+        EXPECT_TRUE(plan.points().empty());
+        EXPECT_EQ(plan.validate().code(), StatusCode::InvalidArgument);
+    };
+    SweepPlan no_d;
+    no_d.distances.clear();
+    expect_empty(no_d);
+    SweepPlan no_p;
+    no_p.ps.clear();
+    expect_empty(no_p);
+    SweepPlan no_rounds;
+    no_rounds.rounds.clear();
+    expect_empty(no_rounds);
+
+    // The policy set is not a grid axis: the points stand, and
+    // validate() still refuses the plan.
+    SweepPlan no_policies;
+    no_policies.distances = {3, 5};
+    no_policies.policies.clear();
+    EXPECT_EQ(no_policies.points().size(), 2u);
+    EXPECT_EQ(no_policies.validate().code(),
+              StatusCode::InvalidArgument);
+}
+
 TEST(SweepRunner, CachesComponentsAndMatchesDirectRuns)
 {
     SweepPlan plan;
