@@ -521,15 +521,13 @@ BENCHMARK(BM_UnionFindDecodeShot)
     ->Unit(benchmark::kMicrosecond);
 
 void
-BM_ComponentPipelineDecode(benchmark::State &state)
+BM_WindowedPipelineDecode(benchmark::State &state)
 {
-    // Component-granular / sliding-window pipeline with honest work
-    // accounting: the rates are defects/s and components/s (windows/s
-    // in windowed mode) over the work actually dispatched — NOT
-    // shots/s over lanes that were mostly zero-defect fast-path skips,
-    // which is what the old per-shot counters amounted to at p = 1e-3.
+    // Sliding-window pipeline with honest work accounting: the rates
+    // are defects/s and windows/s over the work actually dispatched,
+    // NOT shots/s over lanes that were mostly zero-defect fast-path
+    // skips.
     const int d = (int)state.range(0);
-    const bool windowed = state.range(1) != 0;
     const int rounds = 3 * d;
     RotatedSurfaceCode code(d);
     DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
@@ -538,12 +536,8 @@ BM_ComponentPipelineDecode(benchmark::State &state)
 
     BatchDecodeOptions options;
     options.cache.enabled = false; // measure decode, not dedup replay
-    if (windowed) {
-        options.windowLength = 2 * d;
-        options.windowSlideLength = d;
-    } else {
-        options.components.enabled = true;
-    }
+    options.windowLength = 2 * d;
+    options.windowSlideLength = d;
     BatchDecoder pipeline(decoder, options, graph);
     auto shots = sampleShots(code, rounds, 64);
 
@@ -559,26 +553,17 @@ BM_ComponentPipelineDecode(benchmark::State &state)
     state.counters["defects/s"] = benchmark::Counter(
         (double)defects, benchmark::Counter::kIsRate);
     const BatchDecodeStats &st = pipeline.stats();
-    if (windowed) {
-        state.counters["windows/s"] = benchmark::Counter(
-            (double)st.windows, benchmark::Counter::kIsRate);
-        state.counters["commit_frac"] = benchmark::Counter(
-            st.windowCommits + st.windowDeferrals == 0
-                ? 0.0
-                : (double)st.windowCommits /
-                      (double)(st.windowCommits +
-                               st.windowDeferrals));
-    } else {
-        state.counters["components/s"] = benchmark::Counter(
-            (double)st.componentsTotal,
-            benchmark::Counter::kIsRate);
-        state.counters["component_cache_hit_rate"] =
-            benchmark::Counter(st.componentCacheHitRate());
-    }
+    state.counters["windows/s"] = benchmark::Counter(
+        (double)st.windows, benchmark::Counter::kIsRate);
+    state.counters["commit_frac"] = benchmark::Counter(
+        st.windowCommits + st.windowDeferrals == 0
+            ? 0.0
+            : (double)st.windowCommits /
+                  (double)(st.windowCommits + st.windowDeferrals));
 }
-BENCHMARK(BM_ComponentPipelineDecode)
-    ->ArgNames({"d", "win"})
-    ->Args({7, 0})->Args({7, 1})->Args({11, 0})->Args({11, 1})
+BENCHMARK(BM_WindowedPipelineDecode)
+    ->ArgNames({"d"})
+    ->Arg(7)->Arg(11)
     ->Unit(benchmark::kMicrosecond);
 
 /**

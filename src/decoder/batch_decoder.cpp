@@ -1,53 +1,25 @@
 #include "decoder/batch_decoder.h"
 
 #include <algorithm>
-#include <climits>
 
 #include "base/logging.h"
 
 namespace qec
 {
 
-namespace
-{
-
-/** Shrink the component cache to nothing when the stage is off, so
- *  legacy (cache-only) pipelines don't pay for its table. */
-ComponentDecodeOptions
-effectiveComponentOptions(const ComponentDecodeOptions &options,
-                          bool has_graph)
-{
-    ComponentDecodeOptions c = options;
-    if (!has_graph || !c.enabled) {
-        c.enabled = false;
-        c.tableLog2 = 0;
-        c.arenaCapacity = 0;
-    }
-    return c;
-}
-
-} // namespace
-
 BatchDecoder::BatchDecoder(const Decoder &decoder,
                            SyndromeCacheOptions cache_options)
-    : decoder_(decoder), cache_(cache_options),
-      componentCache_(effectiveComponentOptions({}, false))
+    : decoder_(decoder), cache_(cache_options)
 {
     options_.cache = cache_options;
-    options_.components.enabled = false;
 }
 
 BatchDecoder::BatchDecoder(const Decoder &decoder,
                            const BatchDecodeOptions &options,
                            std::shared_ptr<const ComponentGraph> graph)
     : decoder_(decoder), options_(options), graph_(std::move(graph)),
-      cache_(options.cache),
-      componentCache_(effectiveComponentOptions(options.components,
-                                                graph_ != nullptr))
+      cache_(options.cache)
 {
-    options_.components =
-        effectiveComponentOptions(options.components,
-                                  graph_ != nullptr);
     if (options_.windowLength > 0) {
         panicIf(!graph_, "sliding-window decode needs a "
                          "ComponentGraph for the row geometry");
@@ -80,196 +52,7 @@ BatchDecoder::decodeLane(const int *defects, size_t count)
 {
     if (windowed_)
         return decodeWindowed(defects, count);
-    // Only a decoder whose growth depends on the component alone
-    // (slack 0) is composed; any other answer keeps the lane on the
-    // (always-exact) whole-shot path.
-    if (options_.components.enabled &&
-        decoder_.componentSlackHops(defects, count) == 0)
-        return decodeComponents(defects, count);
     return decoder_.decodeSparse(defects, count, workspace_);
-}
-
-bool
-BatchDecoder::decodeComponents(const int *defects, size_t count)
-{
-    DecodeWorkspace &ws = workspace_;
-    const int h = options_.components.hopRadius;
-    const int m = graph_->split(defects, count, h, ws);
-    ++stats_.componentLanes;
-    stats_.componentsTotal += (uint64_t)m;
-    if ((size_t)m > ws.compReach.size()) {
-        ws.compReach.resize((size_t)m);
-        ws.compVerdict.resize((size_t)m);
-        ws.compGroup.resize((size_t)m);
-    }
-
-    // Decode one (possibly merged) component group: component cache
-    // first — canonical (time-translated) keying when the group sits
-    // in the bulk with margin, absolute ids otherwise — then the real
-    // decoder on a miss.
-    auto decodeGroup = [&](const int *sub, size_t cnt, int min_row,
-                           int max_row, int &reach) {
-        const int limit =
-            options_.components.canonicalKeys
-                ? graph_->canonicalReachLimit(min_row, max_row)
-                : -1;
-        const int shift =
-            limit >= 0 ? graph_->canonicalShift(min_row) : 0;
-        bool verdict = false;
-        reach = 0;
-        bool hit = false;
-        if (limit >= 0)
-            hit = componentCache_.lookup(sub, cnt, shift, true, limit,
-                                         verdict, reach);
-        if (!hit)
-            hit = componentCache_.lookup(sub, cnt, 0, false, 0,
-                                         verdict, reach);
-        if (hit) {
-            ++stats_.componentCacheHits;
-            return verdict;
-        }
-        verdict = decoder_.decodeSparse(sub, cnt, ws);
-        // The stored certificate bounds the component-alone decode's
-        // touched ball.
-        reach = ws.lastReachHops;
-        ++stats_.componentsDecoded;
-        if (limit >= 0 && reach <= limit)
-            componentCache_.insert(sub, cnt, shift, true, verdict,
-                                   reach);
-        else
-            componentCache_.insert(sub, cnt, 0, false, verdict,
-                                   reach);
-        return verdict;
-    };
-
-    for (int c = 0; c < m; ++c) {
-        ws.compGroup[c] = c;
-        const int *sub = ws.compDefects.data() + ws.compOffsets[c];
-        const size_t cnt =
-            (size_t)(ws.compOffsets[(size_t)c + 1] -
-                     ws.compOffsets[c]);
-        int reach = 0;
-        const bool verdict = decodeGroup(sub, cnt, ws.compMinRow[c],
-                                         ws.compMaxRow[c], reach);
-        ws.compVerdict[c] = verdict ? 1 : 0;
-        ws.compReach[c] = reach;
-    }
-
-    // Composition guard: the XOR composition is exactly the joint
-    // decode when every pair of groups is separated by more hops than
-    // the sum of its stored reach certificates — the touched regions
-    // are then disjoint balls with no connecting edge. The split
-    // certifies dist >= 2h+1 for every pair, which settles the
-    // common case in O(1) via the two largest reaches; pairs that
-    // outrun it are re-checked against the row-gap / stab-quotient
-    // distance bounds, and a pair failing both is MERGED and
-    // re-decoded as one group — far cheaper than re-decoding the
-    // whole lane. Merging repeats until the guard holds, so
-    // composition is exact by construction; the degenerate end state
-    // (everything merged) IS the whole-lane decode.
-    if (m >= 2) {
-        auto findGroup = [&](int c) {
-            while (ws.compGroup[c] != c) {
-                ws.compGroup[c] = ws.compGroup[ws.compGroup[c]];
-                c = ws.compGroup[c];
-            }
-            return c;
-        };
-        auto findComp = [&](int i) {
-            while (ws.cgParent[i] != i) {
-                ws.cgParent[i] = ws.cgParent[ws.cgParent[i]];
-                i = ws.cgParent[i];
-            }
-            return ws.cgLabel[i];
-        };
-        // Group set-distance guard: a set distance is the min over
-        // its parts, so two groups are proven > `need` apart iff
-        // every original-component cross pair is (the split sublists
-        // stay tight through merging; only the row boxes widen, and
-        // those now serve canonical keying alone).
-        auto groupsProvenApart = [&](int gi, int gj, int need) {
-            for (int a = 0; a < m; ++a) {
-                if (findGroup(a) != gi)
-                    continue;
-                for (int b = 0; b < m; ++b) {
-                    if (findGroup(b) != gj)
-                        continue;
-                    if (graph_->pairDistanceLowerBound(ws, a, b) <=
-                        need)
-                        return false;
-                }
-            }
-            return true;
-        };
-        for (bool changed = true; changed;) {
-            changed = false;
-            int top1 = 0;
-            int top2 = 0;   // two largest group reach certificates
-            for (int c = 0; c < m; ++c) {
-                if (findGroup(c) != c)
-                    continue;
-                const int reach = ws.compReach[c];
-                if (reach > top1) {
-                    top2 = top1;
-                    top1 = reach;
-                } else if (reach > top2) {
-                    top2 = reach;
-                }
-            }
-            if (top1 + top2 <= 2 * h)
-                break;
-            for (int i = 0; i < m; ++i) {
-                if (findGroup(i) != i)
-                    continue;
-                for (int j = i + 1; j < m; ++j) {
-                    if (findGroup(j) != j)
-                        continue;
-                    const int need =
-                        ws.compReach[i] + ws.compReach[j];
-                    if (need <= 2 * h ||
-                        groupsProvenApart(i, j, need))
-                        continue;
-                    // Merge j into i; the row box widens to the
-                    // union so canonical keying of the merged list
-                    // stays sound.
-                    ws.compGroup[j] = i;
-                    ws.compMinRow[i] = std::min(ws.compMinRow[i],
-                                                ws.compMinRow[j]);
-                    ws.compMaxRow[i] = std::max(ws.compMaxRow[i],
-                                                ws.compMaxRow[j]);
-                    ws.compReach[i] = -1;   // dirty: re-decode below
-                    ++stats_.guardFallbacks;
-                    changed = true;
-                }
-            }
-            if (!changed)
-                break;
-            // Re-decode every group that absorbed a neighbour, on its
-            // union defect list rebuilt in ORIGINAL order (verdict
-            // composition is bit-identical to the joint decode only
-            // because every sublist preserves it).
-            for (int g = 0; g < m; ++g) {
-                if (findGroup(g) != g || ws.compReach[g] >= 0)
-                    continue;
-                ws.compMerged.clear();
-                for (size_t k = 0; k < count; ++k)
-                    if (findGroup(findComp((int)k)) == g)
-                        ws.compMerged.push_back(defects[k]);
-                int reach = 0;
-                const bool verdict = decodeGroup(
-                    ws.compMerged.data(), ws.compMerged.size(),
-                    ws.compMinRow[g], ws.compMaxRow[g], reach);
-                ws.compVerdict[g] = verdict ? 1 : 0;
-                ws.compReach[g] = reach;
-            }
-        }
-    }
-
-    bool lane_verdict = false;
-    for (int c = 0; c < m; ++c)
-        if (ws.compGroup[c] == c)
-            lane_verdict ^= (ws.compVerdict[c] != 0);
-    return lane_verdict;
 }
 
 bool

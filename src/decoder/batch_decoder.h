@@ -10,16 +10,7 @@
  *     decode is skipped outright (the dominant case at low p).
  *  2. Syndrome dedup cache — identical sparse syndromes replay the
  *     first decode's observable-flip verdict (see SyndromeCache).
- *  3. Component-granular dispatch — when a ComponentGraph is attached
- *     and the decoder certifies composition support, the lane's
- *     defects are split into far-apart connected components; each
- *     component is answered from the exact per-component cache or
- *     decoded alone, and the lane verdict is the XOR of the component
- *     verdicts. A reach-certificate guard falls back to a whole-shot
- *     decode whenever disjointness cannot be certified, so verdicts
- *     stay bit-identical to the uncached path (see component_decoder.h
- *     for the exactness contract).
- *  4. Workspace decode — decodeSparse() on the wrapped decoder with
+ *  3. Workspace decode — decodeSparse() on the wrapped decoder with
  *     this pipeline's persistent DecodeWorkspace, so steady-state
  *     decoding is allocation-free.
  *
@@ -31,11 +22,11 @@
  * defects plus every deferred cluster, then commits whole grown
  * clusters whose regions are provably beyond the decoder's certified
  * growth bound (Decoder::windowCommitBound) from every unseen row and
- * every deferred defect — such a cluster is exactly a full-history
- * cluster by the same disjoint-evolution argument the component stage
- * uses, so its observable parity is committed for good. Clusters that
- * cannot be certified are deferred (their defects carried verbatim)
- * and the final window commits unconditionally. Windowed verdicts are
+ * every deferred defect — the full-history decode then evolves the
+ * cluster disjointly from everything else, so its observable parity
+ * is committed for good. Clusters that cannot be certified are
+ * deferred (their defects carried verbatim) and the final window
+ * commits unconditionally. Windowed verdicts are
  * therefore bit-identical to the full-history decode for EVERY defect
  * set and window shape; the window sizing only trades the deferral
  * rate against peak decoder state, which is bounded by the window
@@ -43,7 +34,7 @@
  * without a certified growth bound (MWPM) defers everything — still
  * exact, but degenerating to one full-history decode per lane.
  *
- * One BatchDecoder per thread: the workspace and caches are mutable
+ * One BatchDecoder per thread: the workspace and cache are mutable
  * state. Non-windowed verdicts are bit-exact with per-shot
  * Decoder::decode calls — decoding is a pure function of the defect
  * list, which the differential tests pin.
@@ -68,6 +59,8 @@ namespace qec
 struct BatchDecodeOptions
 {
     SyndromeCacheOptions cache;
+    /** Unread; perfbench/src/replay.cpp:481 assigns it. Removed with
+     *  ROADMAP item 1. */
     ComponentDecodeOptions components;
     /**
      * Sliding-window streaming decode: decode each lane in windows of
@@ -86,16 +79,7 @@ struct BatchDecodeStats
     uint64_t shots = 0;          ///< Lanes fed into the pipeline.
     uint64_t zeroDefect = 0;     ///< Lanes skipped by the fast path.
     uint64_t cacheHits = 0;      ///< Lanes answered by the dedup cache.
-    uint64_t decoded = 0;        ///< Lanes that went past both caches.
-
-    // Component-granular dispatch (subset of `decoded` lanes).
-    uint64_t componentLanes = 0;     ///< Lanes split into components.
-    uint64_t componentsTotal = 0;    ///< Components those splits made.
-    uint64_t componentCacheHits = 0; ///< Components replayed from cache.
-    uint64_t componentsDecoded = 0;  ///< Components decoded for real.
-    /** Component groups merged (and re-decoded merged) because the
-     *  reach-certificate guard could not prove them apart. */
-    uint64_t guardFallbacks = 0;
+    uint64_t decoded = 0;        ///< Lanes that went past the cache.
 
     // Sliding-window streaming mode.
     uint64_t windows = 0;          ///< Non-empty windows decoded.
@@ -114,11 +98,6 @@ struct BatchDecodeStats
         zeroDefect += other.zeroDefect;
         cacheHits += other.cacheHits;
         decoded += other.decoded;
-        componentLanes += other.componentLanes;
-        componentsTotal += other.componentsTotal;
-        componentCacheHits += other.componentCacheHits;
-        componentsDecoded += other.componentsDecoded;
-        guardFallbacks += other.guardFallbacks;
         windows += other.windows;
         windowCommits += other.windowCommits;
         windowDeferrals += other.windowDeferrals;
@@ -134,31 +113,22 @@ struct BatchDecodeStats
         return eligible == 0 ? 0.0
                              : (double)cacheHits / (double)eligible;
     }
-
-    /** Component-cache hits over all components dispatched. */
-    double
-    componentCacheHitRate() const
-    {
-        const uint64_t total = componentCacheHits + componentsDecoded;
-        return total == 0 ? 0.0
-                          : (double)componentCacheHits / (double)total;
-    }
 };
 
 class BatchDecoder
 {
   public:
     /** Wrap a decoder; the decoder must outlive the pipeline.
-     *  Legacy form: dedup cache only, no component dispatch. */
+     *  Whole-shot and dedup paths only, no window stage. */
     explicit BatchDecoder(const Decoder &decoder,
                           SyndromeCacheOptions cache_options = {});
 
     /**
-     * Full pipeline: dedup cache + component-granular dispatch (+
-     * sliding-window mode when configured). `graph` may be null,
-     * which disables the component and window stages; it must
-     * otherwise be built from the same DetectorModel and error rate
-     * as `decoder` and outlive the pipeline (shared across threads).
+     * Full pipeline: dedup cache (+ sliding-window mode when
+     * configured). `graph` may be null unless windowLength > 0; it
+     * must otherwise be built from the same DetectorModel and error
+     * rate as `decoder` and outlive the pipeline (shared across
+     * threads).
      */
     BatchDecoder(const Decoder &decoder,
                  const BatchDecodeOptions &options,
@@ -186,23 +156,17 @@ class BatchDecoder
     {
         return cache_.stats();
     }
-    const ComponentCacheStats & componentCacheStats() const
-    {
-        return componentCache_.stats();
-    }
     bool windowed() const { return windowed_; }
     void resetStats()
     {
         stats_ = {};
         cache_.resetStats();
-        componentCache_.resetStats();
     }
 
   private:
     bool decodeCached(uint64_t hash, const int *defects, size_t count);
-    /** Post-cache lane decode: windowed / component / plain. */
+    /** Post-cache lane decode: windowed or whole-shot. */
     bool decodeLane(const int *defects, size_t count);
-    bool decodeComponents(const int *defects, size_t count);
     bool decodeWindowed(const int *defects, size_t count);
 
     const Decoder &decoder_;
@@ -211,7 +175,6 @@ class BatchDecoder
     bool windowed_ = false;
     DecodeWorkspace workspace_;
     SyndromeCache cache_;
-    ComponentCache componentCache_;
     BatchDecodeStats stats_;
     // Sliding-window scratch (steady-state allocation-free).
     std::vector<int> winDefects_;     ///< Current window's decode input.

@@ -162,14 +162,6 @@ struct DecodeWorkspace
     uint64_t statComponents = 0;
 
     /**
-     * Hop-reach certificate of the last union-find decodeSparse call:
-     * every vertex that decode can touch lies within this many hops
-     * of the call's defects. The component composition guard sums
-     * certificates pairwise.
-     */
-    int lastReachHops = 0;
-
-    /**
      * When set, decodeSparse additionally appends its chosen
      * correction elements to `corrections`: per element the two
      * detector endpoints (-1 = the boundary) and whether it flips the
@@ -209,28 +201,6 @@ struct DecodeWorkspace
     /** Per-vertex cluster index (valid for vertices touched by the
      *  last recordClusters decode; -1 on the boundary vertex). */
     std::vector<int> clusterOf;
-
-    // ----------------------------------------- component-split state
-    // ComponentGraph::split scratch: the by-id defect permutation, the
-    // defect-index union-find, and the grouped per-component output
-    // consumed by BatchDecoder.
-    std::vector<int> cgQueue;
-    std::vector<int> cgParent;
-    std::vector<int> cgLabel;
-    /** Component c's defects (original list order) live at
-     *  compDefects[compOffsets[c] .. compOffsets[c+1]). */
-    std::vector<int> compOffsets;
-    std::vector<int> compDefects;
-    std::vector<int> compCursor;
-    std::vector<int> compMinRow;
-    std::vector<int> compMaxRow;
-    /** Per-component decode outputs (BatchDecoder scratch). */
-    std::vector<int> compReach;
-    std::vector<uint8_t> compVerdict;
-    /** Component-level union-find for guard-driven pair merging. */
-    std::vector<int> compGroup;
-    /** Merged-group defect list scratch (original defect order). */
-    std::vector<int> compMerged;
 
     // ------------------------------------------------ union-find state
     // Per-vertex entries are valid only when ufNodeStamp[v] ==
@@ -391,18 +361,6 @@ struct DecodeWorkspace
         clusterOf.resize(num_vertices, -1);
     }
 
-    /** Size the component-split arrays for a defect list of
-     *  `num_defects`. */
-    void
-    ensureComponents(size_t num_defects)
-    {
-        if (cgParent.size() < num_defects) {
-            cgParent.resize(num_defects);
-            cgLabel.resize(num_defects);
-            cgQueue.reserve(num_defects);
-        }
-    }
-
     /** Size the MWPM arrays for `num_detectors` detectors and a call
      *  with `num_defects` defects: trivial regions 0..n-1, then at
      *  most (n - 1) / 2 live blossoms (each has >= 3 children; freed
@@ -435,13 +393,7 @@ struct DecodeWorkspace
                bytes(peelDeg) + bytes(peelCursor) + bytes(peelParent) +
                bytes(peelCharge) + bytes(peelAdj) +
                bytes(peelOrder) + bytes(peelQueue) + bytes(corrections) +
-               bytes(clusters) + bytes(clusterOf) +
-               bytes(cgQueue) + bytes(cgParent) + bytes(cgLabel) +
-               bytes(compOffsets) + bytes(compDefects) +
-               bytes(compCursor) + bytes(compMinRow) +
-               bytes(compMaxRow) + bytes(compGroup) +
-               bytes(compMerged) + bytes(compReach) +
-               bytes(compVerdict) + bytes(mwNode) +
+               bytes(clusters) + bytes(clusterOf) + bytes(mwNode) +
                mwQueue.footprintBytes() + bytes(mwRegions) +
                bytes(mwFreeRegions) + bytes(mwTreeRoot) +
                bytes(mwStack) + bytes(mwCycle) + bytes(mwExpand);

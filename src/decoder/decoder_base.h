@@ -43,19 +43,8 @@ class Decoder
     virtual bool decodeSparse(const int *defects, size_t count,
                               DecodeWorkspace &workspace) const = 0;
 
-    /**
-     * Component-composition support probe.
-     *
-     * Returning 0 declares that a component's growth depends only on
-     * the component itself, so the pipeline may decode each component
-     * of the shot described by `defects`/`count` on its own and
-     * compose the verdicts, guarded by the stored reach certificates
-     * (DecodeWorkspace::lastReachHops); the union-find decoder does.
-     * Any other value (the default is -1) keeps the pipeline on the
-     * whole-shot path — custom decoders stay exact without opting in.
-     * The MWPM decoder keeps the default: its regions grow until they
-     * match, which no hop bound certifies.
-     */
+    /** No library caller; perfbench/src/replay.h:113 overrides it.
+     *  Removed with ROADMAP item 1. */
     virtual int
     componentSlackHops(const int *defects, size_t count) const
     {

@@ -8,30 +8,6 @@
 namespace qec
 {
 
-namespace
-{
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-} // namespace
-
-SyndromeCacheOptions
-resolveSyndromeCacheOptions(SyndromeCacheOptions options, int rounds,
-                            int basis_stabilizers)
-{
-    if (options.truncateRounds > 0 && options.keyDetectorLimit == 0) {
-        // Clamp to at least one key row: an over-large truncateRounds
-        // means "truncate as much as possible", and a cutoff of 0
-        // would silently mean the opposite (exact keying).
-        const int key_rows =
-            std::max(1, (rounds + 1) - (int)options.truncateRounds);
-        options.keyDetectorLimit =
-            (uint32_t)(key_rows * basis_stabilizers);
-    }
-    return options;
-}
-
 SyndromeCache::SyndromeCache(SyndromeCacheOptions options)
     : options_(options)
 {
@@ -50,19 +26,6 @@ SyndromeCache::SyndromeCache(SyndromeCacheOptions options)
     arena_.reserve(options_.arenaCapacity);
 }
 
-uint64_t
-SyndromeCache::truncateKey(const int *defects, size_t count)
-{
-    // Hash the prefix in place: entries store and verify the FULL
-    // defect list, so the truncated ids never need materializing.
-    uint64_t h = kFnvOffset;
-    for (size_t k = 0; k < count; ++k) {
-        if ((uint32_t)defects[k] < options_.keyDetectorLimit)
-            h = (h ^ (uint64_t)(uint32_t)defects[k]) * kFnvPrime;
-    }
-    return h;
-}
-
 bool
 SyndromeCache::lookup(uint64_t hash, const int *defects, size_t count,
                       bool &verdict)
@@ -70,19 +33,6 @@ SyndromeCache::lookup(uint64_t hash, const int *defects, size_t count,
     if (!options_.enabled) {
         ++stats_.misses;
         return false;
-    }
-    if (options_.keyDetectorLimit) {
-        // Truncated keying hashes the prefix only, but entries store
-        // the FULL defect list and a hit requires full equality below:
-        // a prefix collision with a differing tail probes on (and at
-        // worst misses), it can never replay the wrong verdict. The
-        // approximation is miss-only — coarser hashes cluster the
-        // probe chains, they never change a correction.
-        lastKeyHash_ = truncateKey(defects, count);
-        lastKeySrc_ = defects;
-        lastKeyCount_ = count;
-        lastKeyValid_ = true;
-        hash = lastKeyHash_;
     }
     size_t slot = hash & mask_;
     while (slots_[slot].used) {
@@ -104,21 +54,7 @@ void
 SyndromeCache::insert(uint64_t hash, const int *defects, size_t count,
                       bool verdict)
 {
-    if (!options_.enabled)
-        return;
-    if (options_.keyDetectorLimit) {
-        // Reuse the immediately preceding lookup's truncation when it
-        // covered this exact list; anything else recomputes. The full
-        // list is what gets stored either way — only the hash is
-        // prefix-derived.
-        if (lastKeyValid_ && lastKeySrc_ == defects &&
-            lastKeyCount_ == count)
-            hash = lastKeyHash_;
-        else
-            hash = truncateKey(defects, count);
-        lastKeyValid_ = false;
-    }
-    if (count > options_.arenaCapacity)
+    if (!options_.enabled || count > options_.arenaCapacity)
         return;
     // Flush wholesale once either array is near capacity: the table
     // needs headroom for probing, the arena for the incoming list.

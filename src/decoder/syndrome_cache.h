@@ -34,36 +34,15 @@ struct SyndromeCacheOptions
     uint32_t tableLog2 = 13;
     /** Capacity of the stored-defect arena (ints). */
     uint32_t arenaCapacity = 1u << 17;
-    /**
-     * Round-truncated prefix keying (0 = off = exact). When set to k,
-     * cache HASHES are computed from the syndrome *prefix* only — the
-     * defects in all but the last k detector rows — which makes
-     * hashing cheaper and clusters shots that agree on the early
-     * rounds onto one probe chain. Every hit is still verified
-     * against the stored FULL defect list before its verdict is
-     * replayed, so the mode is miss-only-approximate: a prefix
-     * collision with a differing tail costs extra probing, never a
-     * wrong correction. Verdicts are therefore bit-identical to the
-     * exact mode at every setting. The experiment layer derives
-     * `keyDetectorLimit` from this and the round/stabilizer counts.
-     */
-    uint32_t truncateRounds = 0;
-    /** Derived detector-id cutoff for the truncated key: defects with
-     *  id >= this are excluded from keys (0 = exact full-list keys).
-     *  Filled in by the experiment layer; set directly only in tests. */
-    uint32_t keyDetectorLimit = 0;
 };
 
-/**
- * Derive `keyDetectorLimit` from `truncateRounds` for an experiment
- * with `rounds` syndrome rounds and `basis_stabilizers` decoded
- * checks per round (the syndrome has rounds+1 detector rows including
- * the final data-derived row). No-op when truncation is off or the
- * limit was set explicitly; shared by every batched decode entry
- * point so the knob behaves identically everywhere.
- */
-SyndromeCacheOptions resolveSyndromeCacheOptions(
-    SyndromeCacheOptions options, int rounds, int basis_stabilizers);
+/** Returns `options` unchanged; perfbench/src/replay.cpp:478 calls it.
+ *  Removed with ROADMAP item 1. */
+inline SyndromeCacheOptions
+resolveSyndromeCacheOptions(SyndromeCacheOptions options, int, int)
+{
+    return options;
+}
 
 /** One wholesale flush of the cache, for occupancy diagnostics. */
 struct SyndromeCacheFlush
@@ -96,21 +75,14 @@ class SyndromeCache
     explicit SyndromeCache(SyndromeCacheOptions options = {});
 
     /**
-     * Look up a syndrome. On hit, stores the cached verdict in
-     * `verdict` and returns true. With truncated keying enabled the
-     * caller's `hash` is ignored (the cache hashes the truncated
-     * prefix itself), but a hit still requires the FULL stored defect
-     * list to match — truncation can only cause extra misses, never a
-     * wrong verdict.
+     * Look up a syndrome by its syndromeHash. On hit, stores the
+     * cached verdict in `verdict` and returns true; a hit requires
+     * the full stored defect list to match.
      */
     bool lookup(uint64_t hash, const int *defects, size_t count,
                 bool &verdict);
 
-    /** Record a decoded verdict (no-op when disabled or oversized).
-     *  With truncated keying, an insert that immediately follows a
-     *  lookup on the same (pointer, count) list reuses that lookup's
-     *  truncation — callers must not mutate the defect buffer between
-     *  the two calls (the decode pipeline never does). */
+    /** Record a decoded verdict (no-op when disabled or oversized). */
     void insert(uint64_t hash, const int *defects, size_t count,
                 bool verdict);
 
@@ -130,8 +102,6 @@ class SyndromeCache
     };
 
     void flush();
-    /** FNV hash of the ids below the truncated-key cutoff. */
-    uint64_t truncateKey(const int *defects, size_t count);
 
     SyndromeCacheOptions options_;
     SyndromeCacheStats stats_;
@@ -139,13 +109,6 @@ class SyndromeCache
     uint64_t missesAtFlush_ = 0;
     std::vector<Slot> slots_;
     std::vector<int> arena_;
-    // A miss is followed by insert() on the same list (the pipeline's
-    // lookup -> decode -> insert sequence); remembering the lookup's
-    // truncation avoids filtering and hashing the list twice.
-    const int *lastKeySrc_ = nullptr;
-    size_t lastKeyCount_ = 0;
-    uint64_t lastKeyHash_ = 0;
-    bool lastKeyValid_ = false;
     size_t used_ = 0;
     uint64_t mask_ = 0;
 };

@@ -74,7 +74,6 @@ bool
 UnionFindDecoder::decodeSparse(const int *defects, size_t count,
                                DecodeWorkspace &ws) const
 {
-    ws.lastReachHops = 0;
     if (count == 0)
         return false;
 
@@ -179,13 +178,8 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
         return a;
     };
 
-    // Grow active clusters one edge layer at a time. The layer count
-    // is the decode's hop-reach certificate: after L layers every
-    // touched vertex lies within L hops of a fired detector, which is
-    // what the component-composition guard sums.
-    int layers = 0;
+    // Grow active clusters one edge layer at a time.
     while (!ws.ufActive.empty()) {
-        ++layers;
         ws.ufNextActive.clear();
         bool grew_any = false;
         for (int root : ws.ufActive) {
@@ -263,7 +257,6 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
             panic("odd cluster cannot reach the boundary: detector "
                   "graph is disconnected");
     }
-    ws.lastReachHops = layers;
 
     // Resolve defect charges over a BFS spanning forest of the grown
     // edge set, pushing each vertex's charge along its parent edge in

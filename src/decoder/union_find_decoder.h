@@ -44,18 +44,6 @@ class UnionFindDecoder : public Decoder
                       DecodeWorkspace &workspace) const override;
 
     /**
-     * Component composition is exact with zero shot slack: cluster
-     * growth is a pure function of the defect list, and decodeSparse
-     * reports its growth-layer count as the reach certificate (every
-     * touched vertex is within that many hops of a defect).
-     */
-    int
-    componentSlackHops(const int *, size_t) const override
-    {
-        return 0;
-    }
-
-    /**
      * Growth bound for streaming commits: every decode's touched
      * region stays within this many hops of its clusters' defects,
      * for any defect set — a cluster is permanently neutralized by

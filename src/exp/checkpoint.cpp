@@ -211,10 +211,10 @@ putResult(std::string &out, const ExperimentResult &r)
     putU64(out, r.decodedShots);
     putU64(out, r.zeroDefectShots);
     putU64(out, r.syndromeCacheHits);
-    putU64(out, r.componentsTotal);
-    putU64(out, r.componentCacheHits);
-    putU64(out, r.componentsDecoded);
-    putU64(out, r.guardFallbackShots);
+    // Legacy slots: the four counters of the retired component
+    // stage. Always 0, kept so the qec.ckpt.v1 layout is unchanged.
+    for (int k = 0; k < 4; ++k)
+        putU64(out, 0);
     putU64(out, r.windowsDecoded);
     putU64(out, r.verdictFingerprint);
     putU32(out, (uint32_t)r.numDataQubits);
@@ -239,10 +239,8 @@ readResult(Reader &in)
     r.decodedShots = in.u64();
     r.zeroDefectShots = in.u64();
     r.syndromeCacheHits = in.u64();
-    r.componentsTotal = in.u64();
-    r.componentCacheHits = in.u64();
-    r.componentsDecoded = in.u64();
-    r.guardFallbackShots = in.u64();
+    for (int k = 0; k < 4; ++k)
+        (void)in.u64();   // legacy component-stage slots
     r.windowsDecoded = in.u64();
     r.verdictFingerprint = in.u64();
     r.numDataQubits = (int)in.u32();

@@ -278,14 +278,6 @@ ExperimentSession::runPlannedUnit(uint64_t unit, unsigned slot)
         partial.decodedShots = now.decoded - before.decoded;
         partial.zeroDefectShots = now.zeroDefect - before.zeroDefect;
         partial.syndromeCacheHits = now.cacheHits - before.cacheHits;
-        partial.componentsTotal =
-            now.componentsTotal - before.componentsTotal;
-        partial.componentCacheHits =
-            now.componentCacheHits - before.componentCacheHits;
-        partial.componentsDecoded =
-            now.componentsDecoded - before.componentsDecoded;
-        partial.guardFallbackShots =
-            now.guardFallbacks - before.guardFallbacks;
         partial.windowsDecoded = now.windows - before.windows;
     }
     return partial;

@@ -108,10 +108,6 @@ ExperimentResult::merge(const ExperimentResult &other)
     decodedShots += other.decodedShots;
     zeroDefectShots += other.zeroDefectShots;
     syndromeCacheHits += other.syndromeCacheHits;
-    componentsTotal += other.componentsTotal;
-    componentCacheHits += other.componentCacheHits;
-    componentsDecoded += other.componentsDecoded;
-    guardFallbackShots += other.guardFallbackShots;
     windowsDecoded += other.windowsDecoded;
     if (lprDataSum.size() < other.lprDataSum.size())
         lprDataSum.resize(other.lprDataSum.size(), 0.0);
@@ -266,13 +262,12 @@ compileFamilyProgram(const RotatedSurfaceCode &code,
         std::move(prog).value());
 }
 
-/** Only the component-dispatch and sliding-window decode stages read
- *  the ComponentGraph; every other decoding experiment skips it. */
+/** Only the sliding-window decode stage reads the ComponentGraph;
+ *  every other decoding experiment skips it. */
 bool
 needsComponentGraph(const ExperimentConfig &config)
 {
-    return config.decode &&
-           (config.componentDecode.enabled || config.windowLength > 0);
+    return config.decode && config.windowLength > 0;
 }
 
 } // namespace
@@ -391,20 +386,11 @@ MemoryExperiment::run(const PolicyFactory &factory,
     return session.runToCompletion();
 }
 
-SyndromeCacheOptions
-MemoryExperiment::resolvedCacheOptions() const
-{
-    return resolveSyndromeCacheOptions(
-        config_.syndromeCache, config_.rounds,
-        code_.numBasisStabilizers(config_.basis));
-}
-
 BatchDecodeOptions
 MemoryExperiment::resolvedBatchOptions() const
 {
     BatchDecodeOptions options;
-    options.cache = resolvedCacheOptions();
-    options.components = config_.componentDecode;
+    options.cache = config_.syndromeCache;
     options.windowLength = config_.windowLength;
     options.windowSlideLength = config_.windowSlideLength;
     return options;

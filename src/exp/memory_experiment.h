@@ -95,8 +95,8 @@ struct ExperimentConfig
     bool batchDecode = true;
     /** Dedup-cache sizing for the batched decode pipeline. */
     SyndromeCacheOptions syndromeCache;
-    /** Component-granular dispatch + exact per-component cache for
-     *  the batched decode pipeline (see component_decoder.h). */
+    /** No settable value; perfbench/src/replay.cpp:481 reads it.
+     *  Removed with ROADMAP item 1. */
     ComponentDecodeOptions componentDecode;
     /**
      * Sliding-window streaming decode on the batched pipeline: decode
@@ -141,10 +141,6 @@ struct ExperimentResult
     uint64_t decodedShots = 0;        ///< Shots that ran a real decode.
     uint64_t zeroDefectShots = 0;     ///< Shots skipped (no defects).
     uint64_t syndromeCacheHits = 0;   ///< Shots replayed from cache.
-    uint64_t componentsTotal = 0;     ///< Components split off shots.
-    uint64_t componentCacheHits = 0;  ///< Components replayed (exact).
-    uint64_t componentsDecoded = 0;   ///< Components decoded for real.
-    uint64_t guardFallbackShots = 0;  ///< Shots re-decoded whole-shot.
     uint64_t windowsDecoded = 0;      ///< Sliding windows decoded.
 
     /**
@@ -338,10 +334,8 @@ class MemoryExperiment
     {
         return program_;
     }
-    /** Component graph for the batched decode pipeline: null unless
-     *  component dispatch or windowing is on
-     *  (config.componentDecode.enabled or config.windowLength > 0).
-     *  Stateless; shared across threads. */
+    /** Row geometry for the sliding-window decode stage: null unless
+     *  config.windowLength > 0. Stateless; shared across threads. */
     std::shared_ptr<const ComponentGraph> componentGraph() const
     {
         return componentGraph_;
@@ -357,8 +351,6 @@ class MemoryExperiment
                    const PolicyFactory &factory,
                    ExperimentShotStats &stats,
                    ExperimentDecodeContext *ctx) const;
-    /** Dedup-cache options with the derived truncated-key cutoff. */
-    SyndromeCacheOptions resolvedCacheOptions() const;
     /** Full pipeline options for per-worker BatchDecoders. */
     BatchDecodeOptions resolvedBatchOptions() const;
     ExperimentResult resultHeader(const std::string &name) const;

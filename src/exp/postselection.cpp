@@ -167,11 +167,9 @@ runPostSelectedExperiment(const RotatedSurfaceCode &code,
     const unsigned workers =
         resolveThreadCount(spans.size(), config.threads);
     std::vector<PostSelectContext> contexts(workers);
-    const SyndromeCacheOptions cache_opts = resolveSyndromeCacheOptions(
-        config.syndromeCache, prog.rounds, prog.detectors.cols);
     for (auto &ctx : contexts)
-        ctx.pipeline = std::make_unique<BatchDecoder>(*exp.decoder(),
-                                                      cache_opts);
+        ctx.pipeline = std::make_unique<BatchDecoder>(
+            *exp.decoder(), config.syndromeCache);
 
     PostSelectResult result;
     result.shots = config.shots;

@@ -1,33 +1,24 @@
 /**
  * @file
- * Component-granular decode and sliding-window streaming tests:
+ * ComponentGraph distance bounds and sliding-window streaming tests:
  *
- *  1. Decomposition: ComponentGraph::split is a coarsening of the true
- *     <= 2h hop connectivity (never splits a close pair) and every
- *     cross-component defect pair really is > 2h hops apart
- *     (brute-force BFS distances check both directions).
- *  2. Composition / cache identity: the component pipeline's verdicts
- *     pin the whole-shot decode shot for shot, replays from the
- *     per-component cache included, and canonical (time-translated)
- *     hits replay the bulk-shifted copy of a component.
- *  3. Sliding-window streaming: verdicts are bit-identical to the
+ *  1. Distance bounds: ComponentGraph's per-pair lower bound never
+ *     exceeds the true hop distance (brute-force BFS), and its
+ *     quotient-distance table is pinned by digest.
+ *  2. Sliding-window streaming: verdicts are bit-identical to the
  *     full-history decode at every (windowLength, windowSlideLength)
  *     shape for the union-find decoder, and for MWPM via total
  *     deferral; window boundary cases (L = S, L >= rows, tiny L)
  *     behave; the windowed steady state allocates nothing.
- *  4. Cross-width: batched experiments at widths 64 / 256 / 512 keep
- *     one verdict fingerprint with caching / components / windowing
- *     on and off.
+ *  3. Cross-width: batched experiments at widths 64 / 256 / 512 keep
+ *     one verdict fingerprint with caching and windowing on and off.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <map>
 #include <new>
-#include <numeric>
-#include <set>
 #include <vector>
 
 #include "base/rng.h"
@@ -116,141 +107,89 @@ sampleDefectSets(const RotatedSurfaceCode &code, int rounds, int count,
     return shots;
 }
 
-TEST(ComponentDecode, SplitBracketsBruteForceComponents)
+/** Hop distances from `src` over the DEM's positive-probability
+ *  detector-detector edges (boundary edges excluded); -1 when
+ *  unreachable. */
+std::vector<int>
+bfsHopDistances(const DetectorModel &dem, double p, int src)
 {
-    // Brute-force reference: group defects by hop distance <= 2h
-    // (transitively). The split must (a) never separate such a pair —
-    // it is a coarsening — and (b) certify every cross-component pair
-    // > 2h hops apart, verified against the exact BFS distance.
-    RotatedSurfaceCode code(5);
-    const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    ComponentGraph graph(dem, 1e-3);
-    const int h = 2;
-
-    auto shots = sampleDefectSets(code, rounds, 400, 3e-3, 901);
-    DecodeWorkspace ws;
-    int multi_component_shots = 0;
-    for (const auto &defects : shots) {
-        if (defects.size() < 2)
+    const int n = dem.numDetectors();
+    std::vector<std::vector<int>> adj((size_t)n);
+    for (const DemEdge &edge : dem.edges) {
+        if (edge.b == kBoundary || edge.probability(p) <= 0.0)
             continue;
-        const int m = graph.split(defects.data(), defects.size(), h,
-                                  ws);
-        ASSERT_GE(m, 1);
-        if (m > 1)
-            ++multi_component_shots;
-
-        // Component id per defect, from the split's sublists.
-        std::map<int, int> comp_of;
-        for (int c = 0; c < m; ++c)
-            for (int k = ws.compOffsets[(size_t)c];
-                 k < ws.compOffsets[(size_t)c + 1]; ++k)
-                comp_of[ws.compDefects[(size_t)k]] = c;
-
-        for (size_t i = 0; i < defects.size(); ++i) {
-            for (size_t j = i + 1; j < defects.size(); ++j) {
-                const int dist = graph.hopDistance(
-                    defects[i], defects[j], 2 * h);
-                const bool same =
-                    comp_of[defects[i]] == comp_of[defects[j]];
-                if (dist <= 2 * h) {
-                    // Directly close pairs must share a component.
-                    EXPECT_TRUE(same)
-                        << defects[i] << " and " << defects[j]
-                        << " are " << dist << " hops apart but split";
-                } else if (!same) {
-                    // Cross-component certification is the exactness
-                    // contract: > 2h hops, here re-proved by BFS.
-                    EXPECT_GT(dist, 2 * h);
-                }
-            }
+        adj[(size_t)edge.a].push_back(edge.b);
+        adj[(size_t)edge.b].push_back(edge.a);
+    }
+    std::vector<int> dist((size_t)n, -1);
+    std::vector<int> queue = {src};
+    dist[(size_t)src] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+        const int u = queue[head];
+        for (int w : adj[(size_t)u]) {
+            if (dist[(size_t)w] >= 0)
+                continue;
+            dist[(size_t)w] = dist[(size_t)u] + 1;
+            queue.push_back(w);
         }
     }
-    // The sampled set must actually exercise multi-component shots.
-    EXPECT_GT(multi_component_shots, 5);
+    return dist;
 }
 
-TEST(ComponentDecode, CompositionPinsWholeShotVerdicts)
+TEST(ComponentGraph, LowerBoundsNeverExceedHopDistance)
 {
-    RotatedSurfaceCode code(5);
-    const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    UnionFindDecoder decoder(dem, 1e-3);
-    auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
+    // The window stage commits a cluster only on these bounds, so a
+    // bound above the true hop distance would commit too early. All
+    // pairs at d = 3; every 7th source at d = 5 and 7. The
+    // quotient-distance table digests (FNV-1a over every entry) were
+    // recorded before the quotient adjacency was deduplicated.
+    const double p = 1e-3;
+    const struct
+    {
+        int d;
+        Basis basis;
+        uint64_t digest;
+    } cases[] = {
+        {3, Basis::Z, 0x578d717fb4a9872dull},
+        {3, Basis::X, 0x9065728d97ec40a9ull},
+        {5, Basis::Z, 0xc29bcc43ff992ddfull},
+        {5, Basis::X, 0x92503f96a3e339e7ull},
+        {7, Basis::Z, 0xb4ff180b7ef4188full},
+        {7, Basis::X, 0xd15384c187dc99e7ull},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(testing::Message() << "d=" << c.d << " basis="
+                                        << (int)c.basis);
+        RotatedSurfaceCode code(c.d);
+        const DetectorModel dem =
+            buildDetectorModel(code, 3 * c.d, c.basis);
+        const ComponentGraph graph(dem, p);
 
-    BatchDecodeOptions options;
-    options.components.enabled = true;
-    BatchDecoder pipeline(decoder, options, graph);
+        const int stabs = dem.stabsPerRound;
+        uint64_t digest = 1469598103934665603ull;
+        for (int a = 0; a < stabs; ++a)
+            for (int b = 0; b < stabs; ++b)
+                digest = (digest ^ (uint64_t)(uint32_t)
+                                       graph.quotientDistance(a, b)) *
+                         1099511628211ull;
+        EXPECT_EQ(digest, c.digest);
 
-    auto shots = sampleDefectSets(code, rounds, 400, 2e-3, 902);
-    for (const auto &defects : shots) {
-        ASSERT_EQ(pipeline.decodeOne(defects.data(), defects.size()),
-                  decoder.decode(defects));
+        const int n = dem.numDetectors();
+        const int stride = c.d == 3 ? 1 : 7;
+        uint64_t checked = 0;
+        for (int a = 0; a < n; a += stride) {
+            const std::vector<int> dist = bfsHopDistances(dem, p, a);
+            for (int b = 0; b < n; ++b) {
+                if (dist[(size_t)b] < 0)
+                    continue;
+                ASSERT_LE(graph.defectDistanceLowerBound(a, b),
+                          dist[(size_t)b])
+                    << a << " -> " << b;
+                ++checked;
+            }
+        }
+        EXPECT_GT(checked, (uint64_t)n);
     }
-    EXPECT_GT(pipeline.stats().componentsTotal, 0u);
-    // Every split component is answered by the cache or a decode;
-    // guard-merged groups re-decode on top, so >= not ==.
-    EXPECT_GE(pipeline.stats().componentCacheHits +
-                  pipeline.stats().componentsDecoded,
-              pipeline.stats().componentsTotal);
-}
-
-TEST(ComponentDecode, CacheHitReplaysIdenticalVerdict)
-{
-    RotatedSurfaceCode code(5);
-    const int rounds = 10;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    UnionFindDecoder decoder(dem, 1e-3);
-    auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
-
-    BatchDecodeOptions options;
-    options.components.enabled = true;
-    // Whole-syndrome dedup off, so repeats exercise the COMPONENT
-    // cache rather than being absorbed one stage earlier.
-    options.cache.enabled = false;
-    BatchDecoder pipeline(decoder, options, graph);
-
-    auto shots = sampleDefectSets(code, rounds, 200, 2e-3, 903);
-    // First pass decodes, second pass replays.
-    for (int pass = 0; pass < 2; ++pass)
-        for (const auto &defects : shots)
-            ASSERT_EQ(
-                pipeline.decodeOne(defects.data(), defects.size()),
-                decoder.decode(defects));
-    EXPECT_GT(pipeline.componentCacheStats().hits, 0u);
-}
-
-TEST(ComponentDecode, CanonicalKeyReplaysTimeTranslatedComponent)
-{
-    RotatedSurfaceCode code(5);
-    const int rounds = 12;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    UnionFindDecoder decoder(dem, 1e-3);
-    auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
-    ASSERT_TRUE(graph->bulkValid());
-
-    BatchDecodeOptions options;
-    options.components.enabled = true;
-    options.cache.enabled = false;
-    BatchDecoder pipeline(decoder, options, graph);
-
-    // A measurement-error defect pair deep in the bulk, then the same
-    // pair shifted by whole rounds: the canonical key must replay the
-    // first decode at every placement the margin check accepts.
-    const int spr = graph->stabsPerRound();
-    const int mid = (graph->bulkLo() + graph->bulkHi()) / 2;
-    const int stab = spr / 2;
-    int replayed = 0;
-    for (int shift = 0; shift < 3; ++shift) {
-        const int base = (mid + shift) * spr + stab;
-        const std::vector<int> defects = {base, base + spr};
-        ASSERT_EQ(pipeline.decodeOne(defects.data(), defects.size()),
-                  decoder.decode(defects));
-        if (pipeline.componentCacheStats().canonicalHits > 0)
-            ++replayed;
-    }
-    EXPECT_GT(pipeline.componentCacheStats().canonicalHits, 0u);
-    EXPECT_GT(replayed, 0);
 }
 
 TEST(ComponentDecode, WindowedVerdictsBitIdenticalAcrossShapes)
@@ -425,9 +364,8 @@ TEST(ComponentDecode, WindowedFootprintBoundedByWindowNotRunLength)
 TEST(ComponentDecode, CrossWidthFingerprintWithStagesOnAndOff)
 {
     // Widths 64 / 256 / 512 must produce ONE verdict fingerprint, and
-    // that fingerprint must not move when the dedup cache, the
-    // component stage, or the sliding window is toggled — all three
-    // are exactness-preserving by contract.
+    // that fingerprint must not move when the sliding window is
+    // toggled — it is exactness-preserving by contract.
     RotatedSurfaceCode code(3);
     ExperimentConfig cfg;
     cfg.rounds = 6;
@@ -437,11 +375,9 @@ TEST(ComponentDecode, CrossWidthFingerprintWithStagesOnAndOff)
     cfg.decoderKind = DecoderKind::UnionFind;
     cfg.threads = 1;
 
-    auto fingerprint = [&](unsigned width, bool components,
-                           bool window) {
+    auto fingerprint = [&](unsigned width, bool window) {
         ExperimentConfig c = cfg;
         c.batchWidth = width;
-        c.componentDecode.enabled = components;
         if (window) {
             c.windowLength = 4;
             c.windowSlideLength = 2;
@@ -454,13 +390,11 @@ TEST(ComponentDecode, CrossWidthFingerprintWithStagesOnAndOff)
         return r.verdictFingerprint;
     };
 
-    const uint64_t base = fingerprint(64, false, false);
-    EXPECT_EQ(fingerprint(256, false, false), base);
-    EXPECT_EQ(fingerprint(512, false, false), base);
-    EXPECT_EQ(fingerprint(64, true, false), base);
-    EXPECT_EQ(fingerprint(512, true, false), base);
-    EXPECT_EQ(fingerprint(64, false, true), base);
-    EXPECT_EQ(fingerprint(256, true, true), base);
+    const uint64_t base = fingerprint(64, false);
+    EXPECT_EQ(fingerprint(256, false), base);
+    EXPECT_EQ(fingerprint(512, false), base);
+    EXPECT_EQ(fingerprint(64, true), base);
+    EXPECT_EQ(fingerprint(256, true), base);
 }
 
 TEST(ComponentDecode, WindowedExperimentMatchesFullHistoryLer)

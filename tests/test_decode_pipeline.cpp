@@ -32,7 +32,6 @@
 #include "base/rng.h"
 #include "code/rotated_surface_code.h"
 #include "decoder/batch_decoder.h"
-#include "decoder/component_decoder.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
@@ -381,108 +380,6 @@ TEST(DecodePipeline, MwpmDecodeIsAllocationFreeInSteadyState)
     }
 }
 
-TEST(DecodePipeline, TruncatedKeyConstructedCollisionNeverReplays)
-{
-    // Constructed collision: keyDetectorLimit = 10 excludes defects
-    // >= 10 from the HASH, so {1, 4, 12} and {1, 4, 17} share a probe
-    // chain — but a hit must verify the full stored list, so the
-    // tail-divergent list must miss instead of replaying the first
-    // list's verdict (the mode is miss-only-approximate, never wrong).
-    SyndromeCacheOptions options;
-    options.keyDetectorLimit = 10;
-    SyndromeCache cache(options);
-
-    const std::vector<int> a = {1, 4, 12};
-    const std::vector<int> same_prefix = {1, 4, 17};
-    const std::vector<int> other_prefix = {1, 5, 12};
-    cache.insert(syndromeHash(a.data(), a.size()), a.data(), a.size(),
-                 true);
-    bool verdict = false;
-    EXPECT_FALSE(cache.lookup(syndromeHash(same_prefix.data(), 3),
-                              same_prefix.data(), 3, verdict));
-    EXPECT_FALSE(cache.lookup(syndromeHash(other_prefix.data(), 3),
-                              other_prefix.data(), 3, verdict));
-    // The identical full list still hits with its own verdict.
-    EXPECT_TRUE(
-        cache.lookup(syndromeHash(a.data(), 3), a.data(), 3, verdict));
-    EXPECT_TRUE(verdict);
-
-    // Both colliding lists can be cached side by side and each replays
-    // its own verdict.
-    cache.insert(syndromeHash(same_prefix.data(), 3),
-                 same_prefix.data(), 3, false);
-    EXPECT_TRUE(cache.lookup(syndromeHash(same_prefix.data(), 3),
-                             same_prefix.data(), 3, verdict));
-    EXPECT_FALSE(verdict);
-    EXPECT_TRUE(
-        cache.lookup(syndromeHash(a.data(), 3), a.data(), 3, verdict));
-    EXPECT_TRUE(verdict);
-}
-
-TEST(DecodePipeline, TruncatedKeyVerdictsMatchExactPipeline)
-{
-    // Truncated keying only coarsens the hash; every replay is
-    // verified against the full defect list, so verdict streams and
-    // hit counts must match the exact pipeline shot for shot.
-    RotatedSurfaceCode code(3);
-    const int rounds = 6;
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    UnionFindDecoder decoder(dem, 1e-3);
-
-    auto shots = sampleDefectSets(code, rounds, 600, 1.5e-3, 77);
-
-    SyndromeCacheOptions exact;
-    BatchDecoder exact_pipe(decoder, exact);
-    SyndromeCacheOptions truncated;
-    // Hash all but the last two detector rows.
-    truncated.keyDetectorLimit =
-        (uint32_t)((rounds - 1) * code.numBasisStabilizers(Basis::Z));
-    BatchDecoder trunc_pipe(decoder, truncated);
-
-    for (const auto &defects : shots) {
-        const bool exact_verdict =
-            exact_pipe.decodeOne(defects.data(), defects.size());
-        const bool trunc_verdict =
-            trunc_pipe.decodeOne(defects.data(), defects.size());
-        ASSERT_EQ(exact_verdict, trunc_verdict);
-    }
-    EXPECT_EQ(trunc_pipe.stats().cacheHits,
-              exact_pipe.stats().cacheHits);
-    EXPECT_GT(trunc_pipe.stats().cacheHits, 0u);
-}
-
-TEST(DecodePipeline, ExperimentDerivesTruncatedKeyFromRounds)
-{
-    // config.syndromeCache.truncateRounds flows through the batched
-    // experiment; with full-list verification the truncated run is
-    // verdict-identical to the exact run, not just statistically
-    // close.
-    RotatedSurfaceCode code(3);
-    ExperimentConfig cfg;
-    cfg.rounds = 6;
-    cfg.shots = 1500;
-    cfg.seed = 31337;
-    cfg.em = ErrorModel::standard(2e-3);
-    cfg.decoderKind = DecoderKind::UnionFind;
-    cfg.batchWidth = 64;
-    // One worker: hit counts depend on which worker's cache sees
-    // which word-group, so they are only run-to-run comparable
-    // single-threaded (verdicts are identical at any thread count).
-    cfg.threads = 1;
-
-    MemoryExperiment exact(code, cfg);
-    auto exact_result = exact.run(PolicyKind::Eraser);
-
-    cfg.syndromeCache.truncateRounds = 2;
-    MemoryExperiment truncated(code, cfg);
-    auto trunc_result = truncated.run(PolicyKind::Eraser);
-
-    EXPECT_EQ(trunc_result.syndromeCacheHits,
-              exact_result.syndromeCacheHits);
-    ASSERT_GT(exact_result.logicalErrors, 0u);
-    EXPECT_EQ(exact_result.logicalErrors, trunc_result.logicalErrors);
-}
-
 TEST(DecodePipeline, MwpmWorkspaceFootprintStabilizes)
 {
     // The MWPM path still allocates inside the blossom solver, but the
@@ -623,52 +520,37 @@ TEST(DecodePipeline, SyndromeCacheFlushesWhenFull)
 
 TEST(DecodePipeline, TinyCacheTablesKeepAFreeSlot)
 {
-    // Both caches flush once a quarter of their slots would be left
+    // The cache flushes once a quarter of its slots would be left
     // free. A 1- or 2-slot table rounds that quarter down to none,
     // fills up, and a lookup that misses then probes forever. The
-    // first flush snapshot gives each cache's real slot count, and
-    // the ASSERTs stop the test before a lookup that would hang.
+    // first flush snapshot gives the cache's real slot count, and the
+    // ASSERTs stop the test before a lookup that would hang.
     for (uint32_t log2 : {0u, 1u, 2u}) {
         SCOPED_TRACE(log2);
-        SyndromeCacheOptions dedup_options;
-        dedup_options.tableLog2 = log2;
-        SyndromeCache dedup(dedup_options);
-        ComponentDecodeOptions component_options;
-        component_options.tableLog2 = log2;
-        ComponentCache components(component_options);
+        SyndromeCacheOptions options;
+        options.tableLog2 = log2;
+        SyndromeCache cache(options);
 
         int id = 0;
         const auto insert_next = [&](const int *list) {
-            dedup.insert(syndromeHash(list, 2), list, 2, id & 1);
-            components.insert(list, 2, 0, false, id & 1, 0);
+            cache.insert(syndromeHash(list, 2), list, 2, id & 1);
         };
         for (; id < 8; ++id) {
             const int list[2] = {id, id + 1000};
             insert_next(list);
         }
-        const SyndromeCacheFlush &dedup_flush =
-            dedup.stats().lastFlush;
-        const ComponentCacheFlush &component_flush =
-            components.stats().lastFlush;
-        ASSERT_GT(dedup.stats().flushes, 0u);
-        ASSERT_GT(components.stats().flushes, 0u);
-        ASSERT_LT(dedup_flush.occupancy, 1.0);
-        ASSERT_LT(component_flush.occupancy, 1.0);
-        const size_t dedup_slots = (size_t)std::lround(
-            (double)dedup_flush.evicted / dedup_flush.occupancy);
-        const size_t component_slots = (size_t)std::lround(
-            (double)component_flush.evicted / component_flush.occupancy);
+        const SyndromeCacheFlush &flush = cache.stats().lastFlush;
+        ASSERT_GT(cache.stats().flushes, 0u);
+        ASSERT_LT(flush.occupancy, 1.0);
+        const size_t slots =
+            (size_t)std::lround((double)flush.evicted / flush.occupancy);
 
         for (; id < 40; ++id) {
             const int list[2] = {id, id + 1000};
             bool verdict = false;
-            int reach = 0;
-            ASSERT_LT(dedup.size(), dedup_slots);
+            ASSERT_LT(cache.size(), slots);
             EXPECT_FALSE(
-                dedup.lookup(syndromeHash(list, 2), list, 2, verdict));
-            ASSERT_LT(components.size(), component_slots);
-            EXPECT_FALSE(
-                components.lookup(list, 2, 0, false, 0, verdict, reach));
+                cache.lookup(syndromeHash(list, 2), list, 2, verdict));
             insert_next(list);
         }
     }

@@ -13,8 +13,8 @@
  *    repetition-code memory family (d in {3,5}, Never, p = 1e-2).
  *  - decode_stage_verdicts.json pins the decode stages to one another:
  *    each "stages" row must be reproduced by the default pipeline,
- *    dedup off, component dispatch, the 2d/d sliding window and the
- *    per-shot decode loop; each "widths" row by the d=11 UF ERASER
+ *    dedup off, the 2d/d sliding window and the per-shot decode
+ *    loop; each "widths" row by the d=11 UF ERASER
  *    experiment at W = 64, 256 and 512.
  *  - postselection_verdicts.json pins runPostSelectedExperiment's
  *    tallies (shots, kept, logical errors overall and among kept
@@ -182,7 +182,7 @@ struct StageVariant
 using StagePoint = std::vector<StageVariant>;
 
 /** ERASER decoded experiments, d = 7/9/11, 3d rounds, both decoders,
- *  each point run five ways. */
+ *  each point run four ways. */
 void
 addStagePoints(std::vector<StagePoint> &out)
 {
@@ -207,12 +207,10 @@ addStagePoints(std::vector<StagePoint> &out)
             }
             return StageVariant{name, stageRow("stages", point, r)};
         };
-        // The component and window variants run with dedup off, so
-        // the stage itself decodes every shot with defects.
+        // The window variant runs with dedup off, so the stage itself
+        // decodes every shot with defects.
         ExperimentConfig uncached = point.config;
         uncached.syndromeCache.enabled = false;
-        ExperimentConfig components = uncached;
-        components.componentDecode.enabled = true;
         ExperimentConfig windowed = uncached;
         windowed.windowLength = 2 * point.distance;
         windowed.windowSlideLength = point.distance;
@@ -221,7 +219,6 @@ addStagePoints(std::vector<StagePoint> &out)
 
         out.push_back({run("default pipeline", point.config),
                        run("dedup off", uncached),
-                       run("components", components),
                        run("2d/d window", windowed),
                        run("per-shot decode", per_shot)});
     }
