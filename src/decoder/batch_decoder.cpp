@@ -11,7 +11,6 @@ BatchDecoder::BatchDecoder(const Decoder &decoder,
                            SyndromeCacheOptions cache_options)
     : decoder_(decoder), cache_(cache_options)
 {
-    options_.cache = cache_options;
 }
 
 BatchDecoder::BatchDecoder(const Decoder &decoder,

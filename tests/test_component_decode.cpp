@@ -140,9 +140,9 @@ TEST(ComponentGraph, LowerBoundsNeverExceedHopDistance)
 {
     // The window stage commits a cluster only on these bounds, so a
     // bound above the true hop distance would commit too early. All
-    // pairs at d = 3; every 7th source at d = 5 and 7. The
-    // quotient-distance table digests (FNV-1a over every entry) were
-    // recorded before the quotient adjacency was deduplicated.
+    // pairs at d = 3; every 7th source at d = 5 and 7. The digests
+    // (FNV-1a over every entry) pin the quotient-distance table, which
+    // deduplicating the stab pairs before the BFS must not move.
     const double p = 1e-3;
     const struct
     {
