@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "base/parallel.h"
@@ -452,6 +453,27 @@ BM_DecodeShot(benchmark::State &state)
 BENCHMARK(BM_DecodeShot)->Arg(3)->Arg(7)->Arg(11)
     ->Unit(benchmark::kMicrosecond);
 
+/** Times decodeSparse over `shots` with a persistent workspace. */
+void
+decodeWithWorkspace(benchmark::State &state, const MwpmDecoder &decoder,
+                    const std::vector<std::vector<int>> &shots)
+{
+    size_t defects_total = 0;
+    for (const auto &defects : shots)
+        defects_total += defects.size();
+
+    DecodeWorkspace ws;
+    size_t i = 0;
+    for (auto _ : state) {
+        const auto &defects = shots[i % shots.size()];
+        benchmark::DoNotOptimize(
+            decoder.decodeSparse(defects.data(), defects.size(), ws));
+        ++i;
+    }
+    state.counters["defects/shot"] =
+        benchmark::Counter((double)defects_total / (double)shots.size());
+}
+
 void
 BM_DecodeShotWorkspace(benchmark::State &state)
 {
@@ -460,8 +482,9 @@ BM_DecodeShotWorkspace(benchmark::State &state)
     // Args: distance, rounds per distance. The plain memory circuit
     // has no leakage removal, so leaked qubits would pile up over 10d
     // rounds far beyond fig14 (which removes them); the 10d shots are
-    // therefore sampled leakage-free, which gives dense shots of about
-    // a hundred defects at d=11, like fig14's leakage bursts.
+    // therefore sampled leakage-free, about a hundred defects at
+    // d=11. Fig. 14's own shots, with leakage bursts that LRCs
+    // remove, are the `eraser` row below.
     const int d = (int)state.range(0);
     const int rounds = (int)state.range(1) * d;
     RotatedSurfaceCode code(d);
@@ -471,24 +494,82 @@ BM_DecodeShotWorkspace(benchmark::State &state)
                              state.range(1) >= 10
                                  ? ErrorModel::withoutLeakage(1e-3)
                                  : ErrorModel::standard(1e-3));
-    size_t defects_total = 0;
-    for (const auto &defects : shots)
-        defects_total += defects.size();
-
-    DecodeWorkspace ws;
-    size_t i = 0;
-    for (auto _ : state) {
-        const auto &defects = shots[i & 31];
-        benchmark::DoNotOptimize(
-            decoder.decodeSparse(defects.data(), defects.size(), ws));
-        ++i;
-    }
-    state.counters["defects/shot"] =
-        benchmark::Counter((double)defects_total / 32.0);
+    decodeWithWorkspace(state, decoder, shots);
 }
 BENCHMARK(BM_DecodeShotWorkspace)
     ->ArgNames({"d", "rounds_per_d"})
     ->Args({3, 3})->Args({7, 3})->Args({11, 3})->Args({11, 10})
+    ->Unit(benchmark::kMicrosecond);
+
+/** The first `count` decode calls a memory experiment under `policy`
+ *  (p = 1e-3, W = 64, one thread) makes, recorded through a
+ *  DecoderFactory that wraps MWPM, with the detector model they
+ *  index. */
+struct RecordedShots
+{
+    std::shared_ptr<DetectorModel> dem;
+    std::vector<std::vector<int>> shots;
+};
+
+RecordedShots
+recordDecodeCalls(const RotatedSurfaceCode &code, int rounds,
+                  PolicyKind policy, size_t count)
+{
+    struct Recorder : Decoder
+    {
+        std::unique_ptr<Decoder> inner;
+        RecordedShots *out;
+        size_t count;
+
+        bool
+        decodeSparse(const int *defects, size_t n,
+                     DecodeWorkspace &ws) const override
+        {
+            if (out->shots.size() < count)
+                out->shots.emplace_back(defects, defects + n);
+            return inner->decodeSparse(defects, n, ws);
+        }
+    };
+
+    RecordedShots recorded;
+    ExperimentConfig cfg;
+    cfg.rounds = rounds;
+    cfg.shots = 2 * count;
+    cfg.seed = 14;
+    cfg.threads = 1;
+    cfg.batchWidth = 64;
+    MemoryExperiment exp(code, cfg,
+                         [&](const DetectorModel &dem, double p) {
+                             recorded.dem =
+                                 std::make_shared<DetectorModel>(dem);
+                             auto rec = std::make_unique<Recorder>();
+                             rec->inner = std::make_unique<MwpmDecoder>(
+                                 dem, p);
+                             rec->out = &recorded;
+                             rec->count = count;
+                             return rec;
+                         });
+    exp.run(policy);
+    return recorded;
+}
+
+void
+BM_DecodeShotWorkspace(benchmark::State &state, PolicyKind policy)
+{
+    // Fig. 14's shot class: the decode calls of a decoded memory
+    // experiment under an adaptive policy, whose shots carry the
+    // leakage bursts LRCs leave behind (about 170 defects a call at
+    // d=11 over 10d rounds under ERASER).
+    const int d = (int)state.range(0);
+    RotatedSurfaceCode code(d);
+    const RecordedShots recorded =
+        recordDecodeCalls(code, (int)state.range(1) * d, policy, 32);
+    MwpmDecoder decoder(*recorded.dem, 1e-3);
+    decodeWithWorkspace(state, decoder, recorded.shots);
+}
+BENCHMARK_CAPTURE(BM_DecodeShotWorkspace, eraser, PolicyKind::Eraser)
+    ->ArgNames({"d", "rounds_per_d"})
+    ->Args({11, 10})
     ->Unit(benchmark::kMicrosecond);
 
 void

@@ -147,7 +147,7 @@ class RadixQueue
  */
 struct DecodeWorkspace
 {
-    /** Bumped once per decode call; stamps == epoch are valid. */
+    /** Bumped once per MWPM decode call (beginMwpmCall). */
     uint64_t epoch = 0;
 
     // Lightweight perf diagnostics, accumulated across decode calls.
@@ -280,16 +280,26 @@ struct DecodeWorkspace
         int b;
         uint8_t obs;
     };
-    /** Per-detector flood record, valid iff stamp == epoch. */
+    /**
+     * Per-detector cover record: the part of the flood state that
+     * every neighbour scan reads, kept apart from MwNode so a scan
+     * loads 8 bytes per neighbour. Valid (and the detector's MwNode
+     * with it) iff stamp is the call's compact stamp; see
+     * beginMwpmCall.
+     */
+    struct MwCover
+    {
+        uint32_t stamp;
+        int top;         ///< Top-level covering region; -1 = empty.
+    };
+    /** Per-detector flood record, valid iff its MwCover is. */
     struct MwNode
     {
-        uint64_t stamp;
         /** Local radius (distance past this node the covering region
          *  reaches) = y(top) + base. */
         int64_t base;
         /** Time of this node's queued event (INT64_MAX: none). */
         int64_t evTime;
-        int top;         ///< Top-level covering region; -1 = empty.
         int src;         ///< Source defect of the path that reached it.
         int shellNext;   ///< Next node down its region's shell stack.
         uint8_t obs;     ///< Observable parity back to src.
@@ -320,6 +330,7 @@ struct DecodeWorkspace
         int treeSibNext;
         int treeSibPrev;
     };
+    std::vector<MwCover> mwCover;
     std::vector<MwNode> mwNode;
     /** Event queue: node events keyed by detector id, region shrink
      *  events by detector count + region index. */
@@ -368,13 +379,34 @@ struct DecodeWorkspace
     void
     ensureMwpm(size_t num_detectors, size_t num_defects)
     {
-        if (mwNode.size() < num_detectors)
+        if (mwNode.size() < num_detectors) {
+            mwCover.resize(num_detectors, MwCover{});
             mwNode.resize(num_detectors, MwNode{});
+        }
         const size_t max_regions = num_defects + num_defects / 2 + 1;
         if (mwRegions.size() < max_regions)
             mwRegions.resize(max_regions);
         if (mwTreeRoot.size() < num_defects)
             mwTreeRoot.resize(num_defects);
+    }
+
+    /**
+     * Start an MWPM call: bump the epoch and return the call's compact
+     * cover stamp, its low 32 bits. Stamp 0 marks a record no call
+     * has written, so when the stamp wraps to 0 every cover record is
+     * cleared once and the call takes stamp 1; a stale stamp can never
+     * alias a live one.
+     */
+    uint32_t
+    beginMwpmCall()
+    {
+        uint32_t stamp = (uint32_t)++epoch;
+        if (stamp == 0) {
+            for (MwCover &c : mwCover)
+                c.stamp = 0;
+            stamp = (uint32_t)++epoch;
+        }
+        return stamp;
     }
 
     /** Total bytes owned by the workspace (tests pin that this stops
@@ -393,7 +425,8 @@ struct DecodeWorkspace
                bytes(peelDeg) + bytes(peelCursor) + bytes(peelParent) +
                bytes(peelCharge) + bytes(peelAdj) +
                bytes(peelOrder) + bytes(peelQueue) + bytes(corrections) +
-               bytes(clusters) + bytes(clusterOf) + bytes(mwNode) +
+               bytes(clusters) + bytes(clusterOf) + bytes(mwCover) +
+               bytes(mwNode) +
                mwQueue.footprintBytes() + bytes(mwRegions) +
                bytes(mwFreeRegions) + bytes(mwTreeRoot) +
                bytes(mwStack) + bytes(mwCycle) + bytes(mwExpand);

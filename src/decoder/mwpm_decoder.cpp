@@ -104,29 +104,35 @@ MwpmDecoder::MwpmDecoder(const DetectorModel &dem, double p,
  */
 struct MwpmDecoder::SparseBlossom
 {
+    using Cover = DecodeWorkspace::MwCover;
     using Node = DecodeWorkspace::MwNode;
     using Region = DecodeWorkspace::MwRegion;
 
     const MwpmDecoder &g;
     DecodeWorkspace &ws;
-    const uint64_t call;
     const int *defects;
     const int numDefects;
+    uint32_t stamp;
+    Cover *cover;
     Node *node;
     Region *reg;
     int regionsUsed;
+    /** Alternating trees not yet dissolved; growth ends at 0. */
+    int liveTrees;
     int64_t now = 0;
     bool verdict = false;
 
     SparseBlossom(const MwpmDecoder &decoder, DecodeWorkspace &w,
                   const int *defect_list, int n)
-        : g(decoder), ws(w), call(++w.epoch), defects(defect_list),
-          numDefects(n)
+        : g(decoder), ws(w), defects(defect_list), numDefects(n)
     {
         ws.ensureMwpm((size_t)g.numDets_, (size_t)n);
+        stamp = ws.beginMwpmCall();
+        cover = ws.mwCover.data();
         node = ws.mwNode.data();
         reg = ws.mwRegions.data();
         regionsUsed = n;
+        liveTrees = n;
         ws.mwFreeRegions.clear();
         ws.mwQueue.clear();
     }
@@ -152,52 +158,71 @@ struct MwpmDecoder::SparseBlossom
     bool
     covered(int v) const
     {
-        return node[v].stamp == call && node[v].top >= 0;
+        return cover[v].stamp == stamp && cover[v].top >= 0;
     }
 
     int64_t
     localRadius(int v) const
     {
-        return radius(reg[node[v].top]) + node[v].base;
+        return radius(reg[cover[v].top]) + node[v].base;
     }
 
     // ------------------------------------------------------ events
 
+    /** Queue node u at `at` if that is before its queued event. */
+    void
+    offer(int u, int64_t at)
+    {
+        if (at < node[u].evTime) {
+            node[u].evTime = at;
+            ws.mwQueue.push(at, u);
+        }
+    }
+
     /**
      * Earliest event at a covered node: (time, CSR slot of the
-     * neighbour, or -1 for the boundary). A growing node can reach an
-     * empty neighbour or the boundary; a growing or frozen node can
-     * touch a neighbouring region when their radii close in on each
-     * other. Shrinking nodes have no events.
+     * neighbour, or -1 for the boundary). Only growing nodes own
+     * events: one can reach an empty neighbour or the boundary, or
+     * touch a frozen or growing neighbouring region. A collision with
+     * a shrinking region cannot happen, and one with a frozen region
+     * is timed from this side alone. A collision of two growing nodes
+     * is also handed to the neighbour when it comes before the
+     * neighbour's queued event: the neighbour's event may target a
+     * detector this node's region has since covered, and if this
+     * region freezes first, the neighbour alone must meet it.
      */
     std::pair<int64_t, int>
-    nodeEvent(int v) const
+    nodeEvent(int v)
     {
-        const Node &nv = node[v];
-        const Region &t = reg[nv.top];
-        if (t.rate < 0)
+        const int top = cover[v].top;
+        const Region &t = reg[top];
+        if (t.rate <= 0)
             return {kNever, 0};
-        const int64_t lr = radius(t) + nv.base;
+        const int64_t lr = radius(t) + node[v].base;
         int64_t best = kNever;
         int which = 0;
         const int row_end = g.nbrOffsets_[(size_t)v + 1];
         for (int k = g.nbrOffsets_[v]; k < row_end; ++k) {
             const Nbr &nbr = g.nbrs_[(size_t)k];
+            const Cover cu = cover[nbr.to];
             int64_t at;
-            if (!covered(nbr.to)) {
-                if (t.rate == 0)
-                    continue;
+            if (cu.stamp != stamp || cu.top < 0) {
                 at = now + (nbr.w - lr);
             } else {
-                const Node &nu = node[nbr.to];
-                if (nu.top == nv.top)
+                if (cu.top == top)
                     continue;
-                const Region &u = reg[nu.top];
-                const int closing = t.rate + u.rate;
-                if (closing <= 0)
+                const Region &u = reg[cu.top];
+                if (u.rate < 0)
                     continue;
-                // Even weights keep this slack even when both grow.
-                at = now + (nbr.w - lr - (radius(u) + nu.base)) / closing;
+                const int64_t slack =
+                    nbr.w - lr - (radius(u) + node[nbr.to].base);
+                if (u.rate == 0) {
+                    at = now + slack;
+                } else {
+                    // Even weights keep this slack even.
+                    at = now + (slack >> 1);
+                    offer(nbr.to, at);
+                }
             }
             if (at < best) {
                 best = at;
@@ -205,7 +230,7 @@ struct MwpmDecoder::SparseBlossom
             }
         }
         const int32_t bw = g.boundaryW_[(size_t)v];
-        if (t.rate == 1 && bw != kNoBoundary && now + (bw - lr) < best) {
+        if (bw != kNoBoundary && now + (bw - lr) < best) {
             best = now + (bw - lr);
             which = -1;
         }
@@ -262,18 +287,40 @@ struct MwpmDecoder::SparseBlossom
         }
     }
 
-    /** Re-time every node event of region r (after its rate rose,
-     *  or its nodes changed region). */
+    /** Re-time every node event of region r, which has just begun
+     *  to grow. */
     void
     scheduleRegion(int r)
     {
         forEachNode(r, [this](int v) { scheduleNode(v); });
     }
 
+    /** Region r has stopped shrinking and is frozen: its nodes own no
+     *  events, so re-time the growing nodes next to it, whose
+     *  collisions with it have just begun. */
+    void
+    retimeGrowingNeighbours(int r)
+    {
+        forEachNode(r, [this](int v) {
+            const int top = cover[v].top;
+            const int64_t lr = localRadius(v);
+            const int row_end = g.nbrOffsets_[(size_t)v + 1];
+            for (int k = g.nbrOffsets_[v]; k < row_end; ++k) {
+                const Nbr &nbr = g.nbrs_[(size_t)k];
+                const Cover cu = cover[nbr.to];
+                if (cu.stamp != stamp || cu.top < 0 || cu.top == top ||
+                    reg[cu.top].rate != 1)
+                    continue;
+                offer(nbr.to, now + (nbr.w - lr - localRadius(nbr.to)));
+            }
+        });
+    }
+
     /** Give top-level region r a new rate and queue what follows: a
-     *  shrink event, or node events when the rate rose (a falling
-     *  rate only makes queued events early, and early events are
-     *  re-timed when they pop). */
+     *  shrink event, its node events when it starts to grow, or its
+     *  growing neighbours' when it stops shrinking. A falling rate
+     *  only makes queued events early, and early events are re-timed
+     *  when they pop. */
     void
     changeRate(int r, int rate)
     {
@@ -281,8 +328,10 @@ struct MwpmDecoder::SparseBlossom
         setRate(r, rate);
         if (rate == -1)
             scheduleShrink(r);
-        else if (rate > before)
+        else if (rate == 1 && before < 1)
             scheduleRegion(r);
+        else if (rate == 0 && before == -1)
+            retimeGrowingNeighbours(r);
     }
 
     // ------------------------------------------------- tree plumbing
@@ -353,22 +402,34 @@ struct MwpmDecoder::SparseBlossom
         }
     }
 
-    /** Freeze every region of a tree (all matched by now). */
+    /** Freeze every region of one tree, or of two (all matched by
+     *  now). The growing regions freeze first, so the shrinking ones
+     *  re-time only neighbours that keep growing. */
     void
-    dissolveTree(int slot)
+    dissolveTrees(int slot, int other = -1)
     {
         auto &members = ws.mwCycle;
         members.clear();
-        members.push_back(ws.mwTreeRoot[slot]);
-        for (size_t i = 0; i < members.size(); ++i)
-            for (int c = reg[members[i]].treeChild; c >= 0;
-                 c = reg[c].treeSibNext)
-                members.push_back(c);
+        for (const int s : {slot, other}) {
+            if (s < 0)
+                continue;
+            const size_t first = members.size();
+            members.push_back(ws.mwTreeRoot[s]);
+            for (size_t i = first; i < members.size(); ++i)
+                for (int c = reg[members[i]].treeChild; c >= 0;
+                     c = reg[c].treeSibNext)
+                    members.push_back(c);
+            --liveTrees;
+            ++ws.statComponents;
+        }
         for (const int x : members) {
             clearTree(reg[x]);
-            changeRate(x, 0);
+            if (reg[x].rate > 0)
+                setRate(x, 0);
         }
-        ++ws.statComponents;
+        for (const int x : members)
+            if (reg[x].rate < 0)
+                changeRate(x, 0);
     }
 
     // ------------------------------------------------ matcher events
@@ -384,12 +445,11 @@ struct MwpmDecoder::SparseBlossom
         } else if (tb >= 0) {
             augmentPath(a, b, e);
             augmentPath(b, a, reversed(e));
-            dissolveTree(ta);
-            dissolveTree(tb);
+            dissolveTrees(ta, tb);
         } else if (reg[b].match == kMatchBoundary) {
             augmentPath(a, b, e);
             setMatch(b, a, reversed(e));
-            dissolveTree(ta);
+            dissolveTrees(ta);
         } else {
             // b's matched pair joins the tree: b shrinks, its partner
             // grows.
@@ -411,7 +471,7 @@ struct MwpmDecoder::SparseBlossom
     onBoundary(int a, const MwEdge &e)
     {
         augmentPath(a, kMatchBoundary, e);
-        dissolveTree(reg[a].tree);
+        dissolveTrees(reg[a].tree);
     }
 
     int
@@ -502,16 +562,23 @@ struct MwpmDecoder::SparseBlossom
         }
         for (size_t i = 0; i < k; ++i) {
             const int m = cycle[i];
-            setRate(m, 0);
             clearTree(reg[m]);
             reg[m].blossomParent = x;
-            const int64_t y = reg[m].y0;
+            const int64_t y = radius(reg[m]);
             forEachNode(m, [this, x, y](int v) {
-                node[v].top = x;
+                cover[v].top = x;
                 node[v].base += y;
             });
         }
-        scheduleRegion(x);
+        // Outer children keep growing, so their queued events stay
+        // exact or early; the inner ones start to grow.
+        for (size_t i = 0; i < k; ++i) {
+            const int m = cycle[i];
+            const bool inner = reg[m].rate < 0;
+            setRate(m, 0);
+            if (inner)
+                scheduleRegion(m);
+        }
     }
 
     /** The child of blossom x whose subtree holds defect d. */
@@ -561,7 +628,7 @@ struct MwpmDecoder::SparseBlossom
             reg[m].blossomParent = -1;
             const int64_t y = reg[m].y0;
             forEachNode(m, [this, m, y](int v) {
-                node[v].top = m;
+                cover[v].top = m;
                 node[v].base -= y;
             });
             clearTree(reg[m]);
@@ -604,8 +671,8 @@ struct MwpmDecoder::SparseBlossom
             setMatch(m, n, reg[m].cycleEdge);
             setMatch(n, m, reversed(reg[m].cycleEdge));
             // Frozen now instead of shrinking with the blossom.
-            scheduleRegion(m);
-            scheduleRegion(n);
+            retimeGrowingNeighbours(m);
+            retimeGrowingNeighbours(n);
         }
 
         ws.mwFreeRegions.push_back(x);
@@ -626,13 +693,13 @@ struct MwpmDecoder::SparseBlossom
                 return;
             }
             x.shellHead = node[v].shellNext;
-            node[v].top = -1;
+            cover[v].top = -1;
             node[v].evTime = kNever;
             // Growing neighbours may now move into the released node.
             const int row_end = g.nbrOffsets_[(size_t)v + 1];
             for (int k = g.nbrOffsets_[v]; k < row_end; ++k) {
                 const int u = g.nbrs_[(size_t)k].to;
-                if (covered(u) && reg[node[u].top].rate == 1)
+                if (covered(u) && reg[cover[u].top].rate == 1)
                     scheduleNode(u);
             }
             scheduleShrink(r);
@@ -666,28 +733,25 @@ struct MwpmDecoder::SparseBlossom
             return;
         }
         const Node &nv = node[v];
+        const int t = cover[v].top;
         if (k < 0) {
-            onBoundary(nv.top, {nv.src, -1,
-                                (uint8_t)(nv.obs ^ g.boundaryObs_[v])});
+            onBoundary(t, {nv.src, -1,
+                           (uint8_t)(nv.obs ^ g.boundaryObs_[v])});
         } else {
             const Nbr &nbr = g.nbrs_[(size_t)k];
             const int u = nbr.to;
             if (!covered(u)) {
-                const int t = nv.top;
-                node[u] = {call,           -radius(reg[t]), kNever, t,
-                           nv.src,         reg[t].shellHead,
-                           (uint8_t)(nv.obs ^ nbr.obs)};
+                cover[u] = {stamp, t};
+                node[u] = {-radius(reg[t]), kNever, nv.src,
+                           reg[t].shellHead, (uint8_t)(nv.obs ^ nbr.obs)};
                 reg[t].shellHead = u;
                 ++ws.statSettledNodes;
                 scheduleNode(u);
             } else {
                 const Node &nu = node[u];
-                const MwEdge e{nv.src, nu.src,
-                               (uint8_t)(nv.obs ^ nbr.obs ^ nu.obs)};
-                if (reg[nv.top].rate == 1)
-                    onCollision(nv.top, nu.top, e);
-                else
-                    onCollision(nu.top, nv.top, reversed(e));
+                onCollision(t, cover[u].top,
+                            {nv.src, nu.src,
+                             (uint8_t)(nv.obs ^ nbr.obs ^ nu.obs)});
             }
         }
         if (covered(v))
@@ -746,15 +810,18 @@ struct MwpmDecoder::SparseBlossom
             clearTree(r);
             r.tree = i;
             ws.mwTreeRoot[i] = i;
-            node[defects[i]] = {call, 0, kNever, i, i, -1, 0};
+            cover[defects[i]] = {stamp, i};
+            node[defects[i]] = {0, kNever, i, -1, 0};
         }
         for (int i = 0; i < numDefects; ++i)
             scheduleNode(defects[i]);
 
-        while (!ws.mwQueue.empty()) {
+        // Once every tree has dissolved, all regions are frozen and
+        // whatever is still queued is stale.
+        while (liveTrees > 0 && !ws.mwQueue.empty()) {
             const auto [at, id] = ws.mwQueue.pop();
             if (id < g.numDets_) {
-                if (node[id].stamp != call || node[id].evTime != at)
+                if (cover[id].stamp != stamp || node[id].evTime != at)
                     continue;
                 now = at;
                 node[id].evTime = kNever;
@@ -785,7 +852,7 @@ struct MwpmDecoder::SparseBlossom
             while (reg[d].childHead >= 0)
                 d = reg[d].childHead;
             augmentPath(root, kMatchBoundary, {d, -1, 0});
-            dissolveTree(t);
+            dissolveTrees(t);
         }
 
         const uint64_t mark = ++ws.mwMark;

@@ -15,7 +15,13 @@
  *     time-ordered event queue (RadixQueue) drives all regions: a
  *     region reaches an empty detector, touches another region, or
  *     touches the boundary; a shrinking region releases its latest
- *     detector or reaches radius 0. Each reached detector remembers
+ *     detector or reaches radius 0. Node events belong to growing
+ *     nodes only: a growing node times its collision with a frozen
+ *     neighbour alone, and a collision of two growing nodes is also
+ *     handed to the neighbour when it comes before the neighbour's
+ *     queued event. A region that stops shrinking re-times its growing
+ *     neighbours; a region that starts growing re-times its own
+ *     nodes. Each reached detector remembers
  *     the source defect of the path that reached it and that path's
  *     observable parity, so a collision yields a compressed edge
  *     (two source defects + parity) along a tight, shortest path.
@@ -23,12 +29,15 @@
  *     regions; outer regions grow, inner ones shrink, matched ones are
  *     frozen. Two trees touching (or a tree touching the boundary or
  *     a boundary-matched region) augment into matched pairs; a tree
- *     touching itself forms a blossom region around the odd cycle; a
+ *     touching itself forms a blossom region around the odd cycle
+ *     (only its formerly inner children are re-timed); a
  *     matched pair touched by a tree joins it; an inner blossom that
  *     shrinks to radius 0 shatters back into its cycle, and an inner
  *     defect region at radius 0 lets its tree neighbours meet through
- *     its source. Regions grow only until they match, so a decode
- *     touches the neighbourhood of its defects, not the whole graph.
+ *     its source. Regions grow only until they match, and the event
+ *     loop stops when the last alternating tree dissolves, so a
+ *     decode touches the neighbourhood of its defects, not the whole
+ *     graph.
  *  4. Output. Blossoms are expanded into defect pairs and boundary
  *     matches; the predicted observable flip is the XOR of their
  *     compressed edges' parities.
@@ -38,7 +47,8 @@
  *
  * Adjacency is a flat CSR layout and all per-shot state lives in the
  * caller's DecodeWorkspace (epoch-stamped, nothing cleared between
- * shots), so steady-state decode allocates nothing.
+ * shots; the cover state a neighbour scan reads sits in its own 8-byte
+ * per-detector array), so steady-state decode allocates nothing.
  */
 
 #ifndef QEC_DECODER_MWPM_DECODER_H

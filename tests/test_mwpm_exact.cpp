@@ -8,8 +8,11 @@
  * recorded edge parity lies on a shortest path of a minimum matching,
  * and a verdict that differs from the oracle's is an equal-cost tie.
  * Hand-built graphs then pin the blossom paths
- * (formation, shattering, radius-0 defect regions, a boundary exit)
- * and the parallel-edge parity rule against known optima.
+ * (formation, shattering, radius-0 defect regions, a boundary exit),
+ * the hand-off of a collision to a growing neighbour, and the
+ * parallel-edge parity rule against known optima. A last case holds
+ * decodes across the workspace's cover-stamp wrap to a fresh
+ * workspace's.
  */
 
 #include <gtest/gtest.h>
@@ -165,14 +168,19 @@ class GraphBuilder
         return count_ - 1;
     }
 
+    /** An edge of n1 mechanisms at p, n3 at p/3 and n15 at p/15
+     *  (fewer or rarer mechanisms: heavier). */
     void
-    edge(int a, int b, bool flip = false, int n1 = 1)
+    edge(int a, int b, bool flip = false, int n1 = 1, int n3 = 0,
+         int n15 = 0)
     {
         DemEdge e;
         e.a = a;
         e.b = b;
         e.obsFlip = flip;
         e.n1 = n1;
+        e.n3 = n3;
+        e.n15 = n15;
         dem_.edges.push_back(e);
     }
 
@@ -269,6 +277,39 @@ TEST(MwpmBlossom, BlossomExitsThroughBoundary)
     EXPECT_TRUE(verdict);
 }
 
+TEST(MwpmBlossom, GrowingRegionMeetsRegionThatFrozeOnItsTarget)
+{
+    // Weights at p = 1e-2: n1 = 1 is 4706, n3 = 1 is 5838, n15 = 1 is
+    // 7488, n1 = 2 is 3996, n1 = 12 is 2166. A reaches x at t = 4706
+    // and queues x's event for the then-empty w at 12194. B covers w
+    // at 5838, grows past it, and at 7488 meets C at m and freezes.
+    // A has to meet the frozen B across x-w at 10544, earlier than
+    // x's queued event, so w's scan at 5838 hands the collision to x.
+    // Then B joins A's tree and C exits at 11060, before A's own
+    // boundary at 11484. A node event that waits for 12194 lets A take
+    // the boundary instead: A-boundary + B-C costs 26460, against the
+    // optimum A-B (a-x-w-b, 18032) + C-boundary (8004) = 26036.
+    GraphBuilder g;
+    const int a = g.detector(), b = g.detector(), c = g.detector();
+    const int x = g.detector(), w = g.detector(), m = g.detector();
+    const int q = g.detector(), z = g.detector();
+    g.edge(a, x);
+    g.edge(x, w, false, 0, 0, 1);
+    g.edge(b, w, false, 0, 1);
+    g.edge(b, m, false, 0, 0, 1);
+    g.edge(m, c, false, 0, 0, 1);
+    g.edge(a, q, false, 0, 0, 1);
+    g.edge(q, kBoundary, false, 2);
+    g.edge(c, z, false, 0, 1);
+    g.edge(z, kBoundary, true, 12);
+    bool verdict = false;
+    const auto pairs = decodeHandBuilt(g.dem(), {a, b, c}, &verdict);
+    const std::vector<std::tuple<int, int, int>> expected = {
+        {a, b, 0}, {c, -1, 1}};
+    EXPECT_EQ(pairs, expected);
+    EXPECT_TRUE(verdict);
+}
+
 TEST(MwpmBlossom, LighterParallelEdgeParityWins)
 {
     // Isolated defect pairs joined by a plain and a flipping edge of
@@ -325,6 +366,58 @@ TEST(MwpmBlossom, DefectWithoutBoundaryRouteTakesBoundaryUnflipped)
         {a, b, 1}, {c, -1, 0}};
     EXPECT_EQ(pairs, expected);
     EXPECT_TRUE(verdict);
+}
+
+TEST(MwpmExact, CoverStampWrapKeepsDecodes)
+{
+    // The workspace's cover records carry the low 32 bits of its
+    // epoch. Records written at small stamps stay behind; the calls
+    // that take those stamps again after the wrap must not read them,
+    // so decodes before, across and after the wrap all reproduce a
+    // fresh workspace's verdict and correction.
+    const oracle::CorpusConfig cfg{5, Basis::Z, 50, 4e-3};
+    RotatedSurfaceCode code(cfg.d);
+    DetectorModel dem = buildDetectorModel(code, cfg.rounds, cfg.basis);
+    MwpmDecoder decoder(dem, cfg.p);
+    const auto shots = oracle::sampleLeakyDefectSets(cfg, 12);
+
+    using Edges = std::vector<std::tuple<int, int, int>>;
+    auto decode = [&](DecodeWorkspace &ws, const std::vector<int> &shot,
+                      bool *verdict) {
+        ws.recordCorrections = true;
+        ws.corrections.clear();
+        *verdict = decoder.decodeSparse(shot.data(), shot.size(), ws);
+        Edges edges;
+        for (const auto &c : ws.corrections)
+            edges.emplace_back(c.a, c.b, c.obs);
+        return edges;
+    };
+    std::vector<Edges> fresh_edges;
+    std::vector<bool> fresh_verdicts;
+    for (const auto &shot : shots) {
+        DecodeWorkspace fresh;
+        bool verdict = false;
+        fresh_edges.push_back(decode(fresh, shot, &verdict));
+        fresh_verdicts.push_back(verdict);
+    }
+
+    DecodeWorkspace ws;
+    auto check = [&](size_t i, const char *phase) {
+        bool verdict = false;
+        EXPECT_EQ(decode(ws, shots[i], &verdict), fresh_edges[i])
+            << phase << " shot " << i;
+        EXPECT_EQ(verdict, fresh_verdicts[i]) << phase << " shot " << i;
+    };
+    for (size_t i = 0; i < shots.size(); ++i)
+        check(i, "before");
+    // Three calls below the wrap; the reversed order gives each stamp
+    // from 1 up a different shot than the one that wrote it before.
+    ws.epoch = (1ULL << 32) - 4;
+    for (size_t i = shots.size(); i-- > 0;)
+        check(i, "across");
+    EXPECT_GT(ws.epoch, 1ULL << 32);
+    for (size_t i = 0; i < shots.size(); ++i)
+        check(i, "after");
 }
 
 } // namespace
