@@ -13,8 +13,8 @@
  * idiom).
  *
  * One workspace serves both decoder implementations; the union-find
- * fields and the MWPM fields are disjoint, and the epoch counters are
- * shared monotone counters so interleaved use is safe.
+ * fields and the MWPM fields are disjoint, and each keeps its own
+ * stamp counter, so interleaved use is safe.
  */
 
 #ifndef QEC_DECODER_DECODE_WORKSPACE_H
@@ -147,8 +147,9 @@ class RadixQueue
  */
 struct DecodeWorkspace
 {
-    /** Bumped once per MWPM decode call (beginMwpmCall). */
-    uint64_t epoch = 0;
+    /** MWPM cover stamp, bumped once per decode call (beginMwpmCall).
+     *  0 marks a cover record no call has written. */
+    uint32_t mwStamp = 0;
 
     // Lightweight perf diagnostics, accumulated across decode calls.
     /** MWPM: detectors reached by region growth (a detector released
@@ -391,22 +392,20 @@ struct DecodeWorkspace
     }
 
     /**
-     * Start an MWPM call: bump the epoch and return the call's compact
-     * cover stamp, its low 32 bits. Stamp 0 marks a record no call
-     * has written, so when the stamp wraps to 0 every cover record is
-     * cleared once and the call takes stamp 1; a stale stamp can never
-     * alias a live one.
+     * Start an MWPM call: bump mwStamp and return it. When the stamp
+     * wraps to 0 every cover record is cleared once and the call takes
+     * stamp 1, so a stale stamp can never alias a live one (the same
+     * pattern as ufEpoch8).
      */
     uint32_t
     beginMwpmCall()
     {
-        uint32_t stamp = (uint32_t)++epoch;
-        if (stamp == 0) {
+        if (++mwStamp == 0) {
             for (MwCover &c : mwCover)
                 c.stamp = 0;
-            stamp = (uint32_t)++epoch;
+            mwStamp = 1;
         }
-        return stamp;
+        return mwStamp;
     }
 
     /** Total bytes owned by the workspace (tests pin that this stops

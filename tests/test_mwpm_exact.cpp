@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <tuple>
 #include <utility>
@@ -370,8 +371,7 @@ TEST(MwpmBlossom, DefectWithoutBoundaryRouteTakesBoundaryUnflipped)
 
 TEST(MwpmExact, CoverStampWrapKeepsDecodes)
 {
-    // The workspace's cover records carry the low 32 bits of its
-    // epoch. Records written at small stamps stay behind; the calls
+    // The workspace's cover records carry its 32-bit mwStamp. Records written at small stamps stay behind; the calls
     // that take those stamps again after the wrap must not read them,
     // so decodes before, across and after the wrap all reproduce a
     // fresh workspace's verdict and correction.
@@ -412,10 +412,10 @@ TEST(MwpmExact, CoverStampWrapKeepsDecodes)
         check(i, "before");
     // Three calls below the wrap; the reversed order gives each stamp
     // from 1 up a different shot than the one that wrote it before.
-    ws.epoch = (1ULL << 32) - 4;
+    ws.mwStamp = UINT32_MAX - 3;
     for (size_t i = shots.size(); i-- > 0;)
         check(i, "across");
-    EXPECT_GT(ws.epoch, 1ULL << 32);
+    EXPECT_EQ(ws.mwStamp, shots.size() - 3);
     for (size_t i = 0; i < shots.size(); ++i)
         check(i, "after");
 }
