@@ -23,7 +23,6 @@
 #include "code/ir_analysis.h"
 #include "code/rotated_surface_code.h"
 #include "core/policies.h"
-#include "decoder/batch_decoder.h"
 #include "decoder/detector_model.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/sparse_syndrome.h"
@@ -604,52 +603,6 @@ BM_UnionFindDecodeShot(benchmark::State &state)
 BENCHMARK(BM_UnionFindDecodeShot)
     ->ArgNames({"d", "ws"})
     ->Args({7, 0})->Args({7, 1})->Args({11, 0})->Args({11, 1})
-    ->Unit(benchmark::kMicrosecond);
-
-void
-BM_WindowedPipelineDecode(benchmark::State &state)
-{
-    // Sliding-window pipeline with honest work accounting: the rates
-    // are defects/s and windows/s over the work actually dispatched,
-    // NOT shots/s over lanes that were mostly zero-defect fast-path
-    // skips.
-    const int d = (int)state.range(0);
-    const int rounds = 3 * d;
-    RotatedSurfaceCode code(d);
-    DetectorModel dem = buildDetectorModel(code, rounds, Basis::Z);
-    UnionFindDecoder decoder(dem, 1e-3);
-    auto graph = std::make_shared<const ComponentGraph>(dem, 1e-3);
-
-    BatchDecodeOptions options;
-    options.cache.enabled = false; // measure decode, not dedup replay
-    options.windowLength = 2 * d;
-    options.windowSlideLength = d;
-    BatchDecoder pipeline(decoder, options, graph);
-    auto shots = sampleShots(code, rounds, 64);
-
-    uint64_t defects = 0;
-    size_t i = 0;
-    for (auto _ : state) {
-        const auto &s = shots[i & 63];
-        benchmark::DoNotOptimize(
-            pipeline.decodeOne(s.data(), s.size()));
-        defects += s.size();
-        ++i;
-    }
-    state.counters["defects/s"] = benchmark::Counter(
-        (double)defects, benchmark::Counter::kIsRate);
-    const BatchDecodeStats &st = pipeline.stats();
-    state.counters["windows/s"] = benchmark::Counter(
-        (double)st.windows, benchmark::Counter::kIsRate);
-    state.counters["commit_frac"] = benchmark::Counter(
-        st.windowCommits + st.windowDeferrals == 0
-            ? 0.0
-            : (double)st.windowCommits /
-                  (double)(st.windowCommits + st.windowDeferrals));
-}
-BENCHMARK(BM_WindowedPipelineDecode)
-    ->ArgNames({"d"})
-    ->Arg(7)->Arg(11)
     ->Unit(benchmark::kMicrosecond);
 
 /**

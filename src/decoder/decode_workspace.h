@@ -168,8 +168,8 @@ struct DecodeWorkspace
      * detector endpoints (-1 = the boundary) and whether it flips the
      * logical observable. The union-find decoder records each peeled
      * edge; the MWPM decoder records each matched pair / boundary
-     * match. Consumed by the sliding-window driver's commit/carry
-     * bookkeeping.
+     * match. The MWPM exactness tests price this list against an
+     * oracle.
      */
     bool recordCorrections = false;
     struct CorrectionEdge
@@ -179,29 +179,6 @@ struct DecodeWorkspace
         uint8_t obs;   ///< Logical-observable flip parity.
     };
     std::vector<CorrectionEdge> corrections;
-
-    /**
-     * When set, decodeSparse additionally reports the decode's grown
-     * clusters: `clusters[i]` holds cluster i's touched-vertex id
-     * extents and the XOR of the observable flips of its correction
-     * edges, and `clusterOf[v]` maps every touched vertex to its
-     * cluster index (clusters that interact only through the shared
-     * boundary vertex are reported separately — their evolutions are
-     * independent). The sliding-window driver commits whole clusters
-     * at a time with this. Off by default: the label pass costs one
-     * extra sweep over the touched vertices.
-     */
-    bool recordClusters = false;
-    struct ClusterInfo
-    {
-        int minVertex;      ///< Smallest touched detector id.
-        int maxVertex;      ///< Largest touched detector id.
-        uint8_t obsParity;  ///< XOR of the cluster's correction obs.
-    };
-    std::vector<ClusterInfo> clusters;
-    /** Per-vertex cluster index (valid for vertices touched by the
-     *  last recordClusters decode; -1 on the boundary vertex). */
-    std::vector<int> clusterOf;
 
     // ------------------------------------------------ union-find state
     // Per-vertex entries are valid only when ufNodeStamp[v] ==
@@ -370,7 +347,6 @@ struct DecodeWorkspace
         peelOrder.reserve(num_vertices);
         peelQueue.reserve(num_vertices);
         peelAdj.reserve(2 * num_edges);
-        clusterOf.resize(num_vertices, -1);
     }
 
     /** Size the MWPM arrays for `num_detectors` detectors and a call
@@ -424,8 +400,7 @@ struct DecodeWorkspace
                bytes(peelDeg) + bytes(peelCursor) + bytes(peelParent) +
                bytes(peelCharge) + bytes(peelAdj) +
                bytes(peelOrder) + bytes(peelQueue) + bytes(corrections) +
-               bytes(clusters) + bytes(clusterOf) + bytes(mwCover) +
-               bytes(mwNode) +
+               bytes(mwCover) + bytes(mwNode) +
                mwQueue.footprintBytes() + bytes(mwRegions) +
                bytes(mwFreeRegions) + bytes(mwTreeRoot) +
                bytes(mwStack) + bytes(mwCycle) + bytes(mwExpand);

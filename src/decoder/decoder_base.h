@@ -53,18 +53,8 @@ class Decoder
         return -1;
     }
 
-    /**
-     * Streaming-commit growth bound. A decoder that certifies "every
-     * vertex a decode can touch lies within this many hops of some
-     * defect of its own connected decode cluster — for ANY defect
-     * set" returns that bound. The sliding-window driver uses it to
-     * prove a finished cluster cannot be influenced by defects in
-     * rows the window has not seen yet, and commits the cluster's
-     * verdict early. Negative (the default): no bound certified —
-     * the window driver defers every cluster to the final window,
-     * which degenerates to one full-history decode (still exact,
-     * but without the streaming memory bound).
-     */
+    /** No library caller; perfbench/src/replay.h:119 overrides it.
+     *  Removed with ROADMAP item 1. */
     virtual int
     windowCommitBound() const
     {

@@ -94,8 +94,8 @@ int32_t matchingWeight(double q);
  * Edge prices at one physical error rate p. An edge's probability and
  * matching weight depend only on its (n1, n3, n15) counts, and a model
  * has few distinct triples (at most a few dozen, however many edges),
- * so each triple is priced once, on first sight, and memoized. The
- * decoders and ComponentGraph price every edge through one of these.
+ * so each triple is priced once, on first sight, and memoized. Both
+ * decoders price every edge through one of these.
  */
 class EdgePricer
 {

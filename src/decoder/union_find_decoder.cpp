@@ -38,36 +38,6 @@ UnionFindDecoder::UnionFindDecoder(const DetectorModel &dem, double p)
         csrAdj_[(size_t)cursor[edges_[e].u]++] = {edges_[e].v, eo};
         csrAdj_[(size_t)cursor[edges_[e].v]++] = {edges_[e].u, eo};
     }
-
-    // Streaming-commit growth bound: a cluster's region always stays
-    // within ball(its defects, B) for B = the graph's max distance to
-    // the boundary vertex — each alive growth layer expands a
-    // cluster's ball radius by one, and once the ball around any of
-    // its defects reaches the boundary the cluster is neutralized for
-    // good (the boundary flag survives merges). BFS from the boundary
-    // computes B once; a vertex the boundary cannot reach would leave
-    // growth unbounded, so the bound is withheld then (decodes of
-    // such graphs panic anyway if an odd cluster strands).
-    std::vector<int> dist((size_t)n, -1);
-    std::vector<int> queue;
-    queue.reserve((size_t)n);
-    dist[(size_t)boundaryVertex_] = 0;
-    queue.push_back(boundaryVertex_);
-    for (size_t h = 0; h < queue.size(); ++h) {
-        const int u = queue[h];
-        for (int ci = csrOffsets_[u]; ci < csrOffsets_[(size_t)u + 1];
-             ++ci) {
-            const int w = csrAdj_[(size_t)ci].other;
-            if (dist[(size_t)w] < 0) {
-                dist[(size_t)w] = dist[(size_t)u] + 1;
-                commitBound_ =
-                    std::max(commitBound_, dist[(size_t)w]);
-                queue.push_back(w);
-            }
-        }
-    }
-    if ((int)queue.size() < n)
-        commitBound_ = -1;
 }
 
 bool
@@ -311,47 +281,6 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
         }
     }
 
-    // Optional cluster export for the sliding-window driver: label
-    // the connected components of the grown edge set EXCLUDING the
-    // boundary vertex (BFS over the compact adjacency, never stepping
-    // onto or out of the boundary). Clusters that were union-found
-    // together only through the shared boundary vertex never
-    // interacted — growth is never expanded through the boundary —
-    // so they are independent evolutions and get separate labels,
-    // which is exactly the granularity at which the window driver may
-    // commit them.
-    if (ws.recordClusters) {
-        ws.clusters.clear();
-        int *cid = ws.clusterOf.data();
-        for (const int v : ws.peelOrder)
-            cid[v] = -1;
-        ws.ufNextActive.clear();   // free post-growth; BFS queue
-        std::vector<int> &bfs = ws.ufNextActive;
-        for (const int seed : ws.peelOrder) {
-            if (seed == boundaryVertex_ || cid[seed] >= 0)
-                continue;
-            const int id = (int)ws.clusters.size();
-            ws.clusters.push_back({seed, seed, 0});
-            DecodeWorkspace::ClusterInfo &c = ws.clusters.back();
-            bfs.clear();
-            bfs.push_back(seed);
-            cid[seed] = id;
-            for (size_t h = 0; h < bfs.size(); ++h) {
-                const int u = bfs[h];
-                c.minVertex = std::min(c.minVertex, u);
-                c.maxVertex = std::max(c.maxVertex, u);
-                const int end = cursor[u];
-                for (int k = end + deg[u] + 1; k < end; ++k) {
-                    const int w = adj[k].first;
-                    if (w == boundaryVertex_ || cid[w] >= 0)
-                        continue;
-                    cid[w] = id;
-                    bfs.push_back(w);
-                }
-            }
-        }
-    }
-
     bool obs = false;
     for (size_t i = ws.peelQueue.size(); i-- > 0;) {
         const int v = ws.peelQueue[i];
@@ -367,9 +296,6 @@ UnionFindDecoder::decodeSparse(const int *defects, size_t count,
         charge[v] = 0;
         charge[parent_v] ^= 1;
         obs ^= (eo & 1) != 0;
-        if (ws.recordClusters)
-            ws.clusters[(size_t)ws.clusterOf[v]].obsParity ^=
-                (uint8_t)(eo & 1);
         if (ws.recordCorrections)
             ws.corrections.push_back(
                 {v == boundaryVertex_ ? -1 : v,

@@ -43,20 +43,6 @@ class UnionFindDecoder : public Decoder
     bool decodeSparse(const int *defects, size_t count,
                       DecodeWorkspace &workspace) const override;
 
-    /**
-     * Growth bound for streaming commits: every decode's touched
-     * region stays within this many hops of its clusters' defects,
-     * for any defect set — a cluster is permanently neutralized by
-     * the time its grown ball reaches the boundary vertex, so the
-     * graph's max distance-to-boundary (computed once at
-     * construction) bounds every cluster's radius.
-     */
-    int
-    windowCommitBound() const override
-    {
-        return commitBound_;
-    }
-
     int numDetectors() const { return numDets_; }
     /** Total decoding-graph edges (diagnostics/tests). */
     size_t numGraphEdges() const { return edges_.size(); }
@@ -85,7 +71,6 @@ class UnionFindDecoder : public Decoder
 
     int numDets_ = 0;
     int boundaryVertex_ = 0;   ///< Single virtual boundary vertex id.
-    int commitBound_ = 0;      ///< Max hops to boundary (-1: none).
     std::vector<Edge> edges_;
     /** CSR adjacency: incident slots of vertex v live at
      *  csrAdj_[csrOffsets_[v] .. csrOffsets_[v + 1]). */

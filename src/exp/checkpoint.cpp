@@ -211,11 +211,11 @@ putResult(std::string &out, const ExperimentResult &r)
     putU64(out, r.decodedShots);
     putU64(out, r.zeroDefectShots);
     putU64(out, r.syndromeCacheHits);
-    // Legacy slots: the four counters of the retired component
-    // stage. Always 0, kept so the qec.ckpt.v1 layout is unchanged.
-    for (int k = 0; k < 4; ++k)
+    // Legacy slots: the four counters of the retired component stage
+    // and the retired window stage's count. Always 0, kept so the
+    // qec.ckpt.v1 layout is unchanged.
+    for (int k = 0; k < 5; ++k)
         putU64(out, 0);
-    putU64(out, r.windowsDecoded);
     putU64(out, r.verdictFingerprint);
     putU32(out, (uint32_t)r.numDataQubits);
     putU32(out, (uint32_t)r.numParityQubits);
@@ -239,9 +239,8 @@ readResult(Reader &in)
     r.decodedShots = in.u64();
     r.zeroDefectShots = in.u64();
     r.syndromeCacheHits = in.u64();
-    for (int k = 0; k < 4; ++k)
-        (void)in.u64();   // legacy component-stage slots
-    r.windowsDecoded = in.u64();
+    for (int k = 0; k < 5; ++k)
+        (void)in.u64();   // legacy component- and window-stage slots
     r.verdictFingerprint = in.u64();
     r.numDataQubits = (int)in.u32();
     r.numParityQubits = (int)in.u32();
@@ -276,8 +275,11 @@ SweepCheckpoint::fingerprintPlan(const SweepPlan &plan,
         h = chain(h, point.config.decode ? 1 : 0);
         h = chain(h, point.config.trackLpr ? 1 : 0);
         h = chain(h, point.config.batchDecode ? 1 : 0);
-        h = chain(h, (uint64_t)point.config.windowLength);
-        h = chain(h, (uint64_t)point.config.windowSlideLength);
+        // windowLength and windowSlideLength were chained here; both
+        // were 0 (whole-shot decode) in every plan that can still be
+        // expressed, so those plans' checkpoints keep resuming.
+        h = chain(h, 0);
+        h = chain(h, 0);
     }
     h = chain(h, plan.policies.size());
     for (const SweepPolicy &policy : plan.policies) {

@@ -221,14 +221,10 @@ ExperimentSession::ensureWorkerSlots(unsigned n)
         return;
     const MemoryExperiment &exp = *im.exp;
     if (exp.config().decode) {
-        const BatchDecodeOptions batch_opts =
-            exp.resolvedBatchOptions();
         while (im.contexts.size() < n) {
             im.contexts.emplace_back();
-            im.contexts.back().pipeline =
-                std::make_unique<BatchDecoder>(*exp.decoder(),
-                                               batch_opts,
-                                               exp.componentGraph());
+            im.contexts.back().pipeline = std::make_unique<BatchDecoder>(
+                *exp.decoder(), exp.config().syndromeCache);
         }
     } else {
         im.contexts.resize(n);
@@ -278,7 +274,6 @@ ExperimentSession::runPlannedUnit(uint64_t unit, unsigned slot)
         partial.decodedShots = now.decoded - before.decoded;
         partial.zeroDefectShots = now.zeroDefect - before.zeroDefect;
         partial.syndromeCacheHits = now.cacheHits - before.cacheHits;
-        partial.windowsDecoded = now.windows - before.windows;
     }
     return partial;
 }

@@ -22,6 +22,8 @@ ExperimentResult::ler() const
 std::string
 ExperimentResult::lerString() const
 {
+    if (shots == 0)
+        return "n/a";
     if (logicalErrors == 0)
         return "<" + std::to_string(1.0 / (double)shots);
     char buf[32];
@@ -108,7 +110,6 @@ ExperimentResult::merge(const ExperimentResult &other)
     decodedShots += other.decodedShots;
     zeroDefectShots += other.zeroDefectShots;
     syndromeCacheHits += other.syndromeCacheHits;
-    windowsDecoded += other.windowsDecoded;
     if (lprDataSum.size() < other.lprDataSum.size())
         lprDataSum.resize(other.lprDataSum.size(), 0.0);
     for (size_t r = 0; r < other.lprDataSum.size(); ++r)
@@ -159,32 +160,10 @@ validateExperimentConfig(const ExperimentConfig &config)
     if (!(config.em.p >= 0.0) || config.em.p > 1.0)
         return invalidArgument(
             "physical error rate must be in [0, 1]");
-    if (config.windowLength < 0 || config.windowSlideLength < 0)
-        return invalidArgument(
-            "window lengths must be non-negative");
     if (config.family == CircuitFamily::RepetitionMemory &&
         config.basis != Basis::Z)
         return invalidArgument(
             "repetition-code memory protects the Z basis only");
-    if (config.windowLength > 0) {
-        // One detector row is the smallest decodable window slice;
-        // a zero slide never advances and a slide past the window
-        // length skips rows — both corrupt decodeWindowed's commit
-        // reasoning, so they are rejected here, recoverably.
-        if (config.windowSlideLength < 1)
-            return invalidArgument(
-                "windowed decode needs windowSlideLength >= 1 "
-                "(rows per window advance)");
-        if (config.windowSlideLength > config.windowLength)
-            return invalidArgument(
-                "windowSlideLength " +
-                std::to_string(config.windowSlideLength) +
-                " exceeds windowLength " +
-                std::to_string(config.windowLength));
-        if (config.windowLength < 1)
-            return invalidArgument(
-                "windowLength must cover at least one detector row");
-    }
     return okStatus();
 }
 
@@ -262,14 +241,6 @@ compileFamilyProgram(const RotatedSurfaceCode &code,
         std::move(prog).value());
 }
 
-/** Only the sliding-window decode stage reads the ComponentGraph;
- *  every other decoding experiment skips it. */
-bool
-needsComponentGraph(const ExperimentConfig &config)
-{
-    return config.decode && config.windowLength > 0;
-}
-
 } // namespace
 
 MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
@@ -296,9 +267,6 @@ MemoryExperiment::MemoryExperiment(const RotatedSurfaceCode &code,
         decoder_ = decoder_factory(*dem_, config_.em.p);
         panicIf(!decoder_, "decoder factory returned null");
     }
-    if (needsComponentGraph(config_))
-        componentGraph_ = std::make_shared<ComponentGraph>(
-            *dem_, config_.em.p);
 }
 
 MemoryExperiment::MemoryExperiment(
@@ -316,9 +284,6 @@ MemoryExperiment::MemoryExperiment(
         program_ = compileFamilyProgram(code_, config_);
     panicIf(config_.decode && (!dem_ || !decoder_),
             "decoding experiment needs a detector model and decoder");
-    if (needsComponentGraph(config_))
-        componentGraph_ = std::make_shared<ComponentGraph>(
-            *dem_, config_.em.p);
 }
 
 MemoryExperiment::~MemoryExperiment() = default;
@@ -384,16 +349,6 @@ MemoryExperiment::run(const PolicyFactory &factory,
 {
     ExperimentSession session(*this, factory, name);
     return session.runToCompletion();
-}
-
-BatchDecodeOptions
-MemoryExperiment::resolvedBatchOptions() const
-{
-    BatchDecodeOptions options;
-    options.cache = config_.syndromeCache;
-    options.windowLength = config_.windowLength;
-    options.windowSlideLength = config_.windowSlideLength;
-    return options;
 }
 
 std::vector<std::pair<uint64_t, int>>

@@ -87,31 +87,20 @@ struct ExperimentConfig
     DecoderOptions decoderOptions;
     /**
      * Drive the batched engine's decode step through the BatchDecoder
-     * pipeline (sparse syndromes, zero-defect fast path, dedup cache,
-     * reusable workspaces). Verdict-identical to the per-shot decode
-     * loop it replaces (pinned by the golden corpus); off runs that
-     * loop, which hands every shot to the decoder.
+     * pipeline: sparse syndromes, then the zero-defect skip, then one
+     * of two decode paths per lane, the dedup replay or a whole-shot
+     * decode on a reusable workspace. Verdict-identical to the
+     * per-shot decode loop it replaces (pinned by the golden corpus);
+     * off runs that loop, which hands every shot to the decoder.
      */
     bool batchDecode = true;
     /** Dedup-cache sizing for the batched decode pipeline. */
     SyndromeCacheOptions syndromeCache;
-    /** No settable value; perfbench/src/replay.cpp:481 reads it.
-     *  Removed with ROADMAP item 1. */
-    ComponentDecodeOptions componentDecode;
-    /**
-     * Sliding-window streaming decode on the batched pipeline: decode
-     * each shot's rounds in windows of this many detector rows
-     * (0 = whole-history decode, the default), committing whole grown
-     * clusters once they are provably beyond the decoder's certified
-     * growth bound from every unseen row, and deferring the rest
-     * (see batch_decoder.h). Verdicts are bit-identical to the
-     * full-history decode at every window shape; sizing only trades
-     * the deferral rate against peak decoder state, which is bounded
-     * by the window content rather than the run length.
-     */
-    int windowLength = 0;
-    /** Rows the window advances per step (1..windowLength). */
-    int windowSlideLength = 0;
+    /** No settable value; perfbench/src/replay.cpp:481-483 reads
+     *  them. Removed with ROADMAP item 1. */
+    RetiredDecodeOption componentDecode;
+    RetiredDecodeOption windowLength;
+    RetiredDecodeOption windowSlideLength;
 };
 
 /** Aggregated outcome of an experiment. */
@@ -141,7 +130,6 @@ struct ExperimentResult
     uint64_t decodedShots = 0;        ///< Shots that ran a real decode.
     uint64_t zeroDefectShots = 0;     ///< Shots skipped (no defects).
     uint64_t syndromeCacheHits = 0;   ///< Shots replayed from cache.
-    uint64_t windowsDecoded = 0;      ///< Sliding windows decoded.
 
     /**
      * Order-independent XOR of a per-(shot id, logical-error bit)
@@ -155,7 +143,8 @@ struct ExperimentResult
     uint64_t verdictFingerprint = 0;
 
     double ler() const;
-    /** "<1/shots" string when no error was observed. */
+    /** "<1/shots" string when no error was observed, "n/a" with no
+     *  shots. */
     std::string lerString() const;
     double speculationAccuracy() const;
     double falsePositiveRate() const;
@@ -185,13 +174,10 @@ struct ExperimentResult
 /**
  * Recoverable validation of everything in an ExperimentConfig that
  * the harness can reject up front: round count, batch width range,
- * and the sliding-window shape (windowSlideLength must be in
- * [1, windowLength] whenever windowing is enabled — a zero slide or a
- * slide longer than the window would otherwise misbehave deep inside
- * decodeWindowed). The MemoryExperiment and ExperimentSession
- * constructors panic on a config this rejects (documented
- * precondition), so recoverable callers — SweepRunner, services,
- * CLIs — validate first and surface the Status.
+ * error rate and the family's basis. The MemoryExperiment and
+ * ExperimentSession constructors panic on a config this rejects
+ * (documented precondition), so recoverable callers — SweepRunner,
+ * services, CLIs — validate first and surface the Status.
  */
 Status validateExperimentConfig(const ExperimentConfig &config);
 
@@ -334,12 +320,6 @@ class MemoryExperiment
     {
         return program_;
     }
-    /** Row geometry for the sliding-window decode stage: null unless
-     *  config.windowLength > 0. Stateless; shared across threads. */
-    std::shared_ptr<const ComponentGraph> componentGraph() const
-    {
-        return componentGraph_;
-    }
 
   private:
     friend class ExperimentSession;
@@ -351,8 +331,6 @@ class MemoryExperiment
                    const PolicyFactory &factory,
                    ExperimentShotStats &stats,
                    ExperimentDecodeContext *ctx) const;
-    /** Full pipeline options for per-worker BatchDecoders. */
-    BatchDecodeOptions resolvedBatchOptions() const;
     ExperimentResult resultHeader(const std::string &name) const;
     /** Consumes `stats` (LPR vectors are moved out). */
     void mergeStats(ExperimentResult &result,
@@ -365,7 +343,6 @@ class MemoryExperiment
     std::shared_ptr<const CircuitProgram> program_;
     std::shared_ptr<const DetectorModel> dem_;
     std::shared_ptr<const Decoder> decoder_;
-    std::shared_ptr<const ComponentGraph> componentGraph_;
 };
 
 } // namespace qec

@@ -87,6 +87,8 @@ SweepPlan::validate() const
     for (const SweepPoint &point : points()) {
         Status st = RotatedSurfaceCode::validateDistance(
             point.distance);
+        if (st.isOk() && point.shots == 0)
+            st = invalidArgument("shot count is 0");
         if (st.isOk())
             st = validateExperimentConfig(point.config);
         for (size_t i = 0; st.isOk() && i < policies.size(); ++i)

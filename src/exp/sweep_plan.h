@@ -157,7 +157,8 @@ struct SweepPlan
 
     /**
      * Recoverable whole-plan validation: non-empty axes and policy
-     * set, valid code distances, engine-supported widths, every
+     * set, valid code distances, a nonzero shot count per point,
+     * engine-supported widths, every
      * expanded point's config accepted by validateExperimentConfig,
      * and every built-in policy by validateExperimentConfig(config,
      * kind) (only Never runs off the surface-memory family).

@@ -251,28 +251,6 @@ TEST_F(FaultTolerance, HitCountingWorksUnarmed)
 
 // ------------------------------------------- config validation
 
-TEST_F(FaultTolerance, WindowShapeIsValidatedUpFront)
-{
-    ExperimentConfig cfg = smallConfig(6, 64, 64);
-    EXPECT_TRUE(validateExperimentConfig(cfg).isOk());
-
-    cfg.windowLength = 3;
-    cfg.windowSlideLength = 0;  // would never advance
-    EXPECT_EQ(validateExperimentConfig(cfg).code(),
-              StatusCode::InvalidArgument);
-
-    cfg.windowSlideLength = 4;  // would skip rows
-    EXPECT_EQ(validateExperimentConfig(cfg).code(),
-              StatusCode::InvalidArgument);
-
-    cfg.windowSlideLength = 3;
-    EXPECT_TRUE(validateExperimentConfig(cfg).isOk());
-
-    cfg.windowLength = -1;
-    EXPECT_EQ(validateExperimentConfig(cfg).code(),
-              StatusCode::InvalidArgument);
-}
-
 TEST_F(FaultTolerance, ConfigValidationRejectsBadRoundsWidthAndP)
 {
     ExperimentConfig cfg = smallConfig(0, 64, 64);
@@ -304,6 +282,17 @@ TEST_F(FaultTolerance, PlanValidationNamesTheOffendingPoint)
     const SweepSummary summary = runner.run();
     EXPECT_EQ(summary.status.code(), StatusCode::InvalidArgument);
     EXPECT_EQ(summary.points, 0u);
+
+    // A point with no shots has no LER to report.
+    plan.distances = {3, 5};
+    plan.shotsFor = [](int d, double) -> uint64_t {
+        return d == 5 ? 0 : 64;
+    };
+    const Status zero = plan.validate();
+    EXPECT_EQ(zero.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(zero.message().find("point 1 (d=5)"), std::string::npos);
+    EXPECT_NE(zero.message().find("shot count is 0"), std::string::npos);
+    EXPECT_EQ(ExperimentResult{}.lerString(), "n/a");
 }
 
 TEST_F(FaultTolerance, RotatedSurfaceCodeValidatesDistance)
@@ -577,6 +566,16 @@ TEST_F(FaultTolerance, RunnerRefusesCheckpointFromDifferentPlan)
     EXPECT_NE(summary.status.message().find("fingerprint"),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST_F(FaultTolerance, PlanFingerprintMatchesEarlierCheckpoints)
+{
+    // Recorded while ExperimentConfig still had settable window
+    // lengths, which the fingerprint chained as 0: checkpoints written
+    // then must keep resuming.
+    const SweepPlan plan = smallPlan(64, 128, {1e-3});
+    EXPECT_EQ(SweepCheckpoint::fingerprintPlan(plan, plan.points(), 2),
+              0xe781e4864557ee4dULL);
 }
 
 TEST_F(FaultTolerance, ResumeRefusesCheckpointFromOtherNoiseContract)
